@@ -1,17 +1,21 @@
 """Hyperplane arrangements over Q and Q(zeta_m), with exact invariants.
 
-Flats are computed as a breadth-first closure under intersection, with
-canonical reduced row echelon forms as dedup keys; no floating point enters
-any rank or membership decision.  The intersection poset drives the Mobius
-recursion, the characteristic and Poincare polynomials, and the chamber
-counts.  Chambers of rational arrangements are enumerated by incremental
-hyperplane insertion with exact rational witness points; feasibility falls
-back to Fourier-Motzkin elimination only when a direct normal-direction shot
-from the current witness is inconclusive.
+Flats are computed as a breadth-first closure under intersection that
+extends each flat's canonical reduced row echelon form by one row at a time:
+a hyperplane's row, already reduced against the flat, becomes the new pivot
+row, and the extended form is the dedup key, so the members of each flat are
+found once.  No floating point enters any rank or membership decision.  The
+intersection poset drives the Mobius recursion, the characteristic and
+Poincare polynomials, and the chamber counts.  Chambers of rational
+arrangements are enumerated by incremental hyperplane insertion with exact
+rational witness points; feasibility falls back to Fourier-Motzkin
+elimination only when a direct normal-direction shot from the current
+witness is inconclusive.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +28,7 @@ from .exactfield import (
     Cyclotomic,
     complex_to_cyclotomic,
     format_rational,
+    json_int,
     parse_rational,
 )
 
@@ -112,10 +117,12 @@ class ScalarField:
 
     @classmethod
     def from_json(cls, data: dict) -> "ScalarField":
+        if not isinstance(data, dict):
+            raise ValueError(f"field must be an object, got {data!r}")
         if data.get("type") == "Q":
             return cls("Q")
         if data.get("type") == "cyclotomic":
-            return cls("cyclotomic", int(data["m"]))
+            return cls("cyclotomic", json_int(data["m"], "field order m"))
         raise ValueError(f"unknown field spec {data!r}")
 
 
@@ -197,10 +204,19 @@ class ArrangementSpec:
             )
         return tuple(compiled)
 
+    @cached_property
+    def _bad_primes(self) -> frozenset[int]:
+        """Primes dividing some nonzero minor of the integer system [A | b].
+
+        Computed once per spec: bad_primes, good_primes and
+        finite_field_count all read it.
+        """
+        return frozenset(_nonzero_minor_primes(_integer_rows(self)))
+
     @classmethod
     def from_json(cls, data: dict) -> "ArrangementSpec":
         field = ScalarField.from_json(data["field"])
-        dim = int(data["dim"])
+        dim = json_int(data["dim"], "dim")
         raw = [
             (
                 tuple(field.scalar_from_json(a) for a in h["normal"]),
@@ -310,25 +326,6 @@ class _AffineSystem:
     def consistent(self) -> bool:
         return self.dim not in self.pivots
 
-    @property
-    def rank(self) -> int:
-        return len([p for p in self.pivots if p < self.dim])
-
-    @property
-    def solution_dim(self) -> int:
-        return self.dim - self.rank
-
-    def key(self) -> tuple:
-        return tuple(tuple(row) for row in self.rows)
-
-    def with_row(self, row: Sequence) -> "_AffineSystem":
-        return _AffineSystem(self.field, self.dim, self.rows + [list(row)])
-
-    def implies(self, row: Sequence) -> bool:
-        """True when every solution of the system satisfies row."""
-        extended = self.with_row(row)
-        return extended.rank == self.rank and extended.consistent == self.consistent
-
     def particular_solution(self) -> Optional[list]:
         if not self.consistent:
             return None
@@ -390,38 +387,76 @@ class FlatPoset:
         }
 
 
+def _eliminate(row: tuple, pivot_row: tuple, col: int) -> tuple:
+    """row minus row[col] times pivot_row, whose entry in column col is one."""
+    factor = row[col]
+    if not factor:
+        return row
+    return tuple(x - factor * y if y else x for x, y in zip(row, pivot_row))
+
+
 def flat_poset(spec: ArrangementSpec) -> FlatPoset:
     """All nonempty intersections, with Mobius values from the top.
+
+    Flats are closed under intersection breadth first.  Each flat X of the
+    frontier carries the canonical reduced row echelon form of its system
+    [A | b] and, for every hyperplane not containing X, that hyperplane's
+    residue: its row with X's pivot columns eliminated, which is zero
+    exactly for the hyperplanes that contain X.  Cutting X by H scales H's
+    residue to a leading one.  A leading entry in the offset column means
+    X cap H is empty; otherwise eliminating the new pivot column from X's
+    rows and inserting the new row gives the canonical form of X cap H.
+    That form is the dedup key, so each flat's members are computed once:
+    they are X's members, H, and every hyperplane whose residue vanishes
+    once the new pivot column is eliminated.  Every step is one row
+    operation in the spec's exact field, and flats keep the order of their
+    first discovery.
 
     mu(ambient) = 1 and mu(X) = -sum of mu(Z) over flats Z strictly
     containing X; the zero-sum identity over each lower interval is a
     consequence and is exercised by the tests.
     """
-    field = spec.field
-    rows = [_hyperplane_row(h) for h in spec.hyperplanes]
-    ambient = _AffineSystem(field, spec.dim)
-
-    found: dict[frozenset, _AffineSystem] = {frozenset(): ambient}
-    frontier = [(frozenset(), ambient)]
+    dim = spec.dim
+    one = spec.field.one()
+    dims: dict[frozenset, int] = {frozenset(): dim}
+    ambient_residues = {
+        j: tuple(_hyperplane_row(h)) for j, h in enumerate(spec.hyperplanes)
+    }
+    frontier = [(frozenset(), (), (), ambient_residues)]
     while frontier:
         next_frontier = []
-        for members, system in frontier:
-            for idx, row in enumerate(rows):
-                if idx in members:
+        seen: set[tuple] = set()  # every flat found in one pass has the same rank
+        for members, pivots, rows, residues in frontier:
+            for idx, residue in residues.items():
+                col = next(c for c, x in enumerate(residue) if x)
+                if col == dim:
+                    continue  # X cap H is empty
+                lead = residue[col]
+                if lead != one:
+                    inv = one / lead
+                    residue = tuple(x * inv if x else x for x in residue)
+                at = bisect.bisect(pivots, col)
+                reduced = tuple(_eliminate(row, residue, col) for row in rows)
+                key = reduced[:at] + (residue,) + reduced[at:]
+                if key in seen:
                     continue
-                candidate = system.with_row(row)
-                if not candidate.consistent:
-                    continue
-                new_members = frozenset(
-                    j for j, other in enumerate(rows) if candidate.implies(other)
+                seen.add(key)
+                new_members = set(members)
+                new_residues = {}
+                for j, other in residues.items():
+                    other = _eliminate(other, residue, col)
+                    if any(other):
+                        new_residues[j] = other
+                    else:
+                        new_members.add(j)
+                new_members = frozenset(new_members)
+                dims[new_members] = dim - len(key)
+                next_frontier.append(
+                    (new_members, pivots[:at] + (col,) + pivots[at:], key, new_residues)
                 )
-                if new_members not in found:
-                    found[new_members] = candidate
-                    next_frontier.append((new_members, candidate))
         frontier = next_frontier
 
-    dims = {members: system.solution_dim for members, system in found.items()}
-    order = sorted(found, key=lambda m: -dims[m])
+    order = sorted(dims, key=lambda m: -dims[m])
     mobius: dict[frozenset, int] = {}
     for members in order:
         if not members:
@@ -965,7 +1000,7 @@ def bad_primes(spec: ArrangementSpec) -> set[int]:
     Avoiding all of them preserves the rank and consistency pattern of every
     subsystem mod q, which forces the point count to equal chi(q).
     """
-    return _nonzero_minor_primes(_integer_rows(spec))
+    return set(spec._bad_primes)
 
 
 def _is_prime(n: int) -> bool:
@@ -982,7 +1017,7 @@ def _is_prime(n: int) -> bool:
 def good_primes(spec: ArrangementSpec, count: int = 2) -> list[int]:
     """The smallest admissible primes for finite_field_count."""
     rows = _integer_rows(spec)
-    bad = _nonzero_minor_primes(rows)
+    bad = spec._bad_primes
     floor = max((abs(v) for row in rows for v in row), default=1)
     out: list[int] = []
     q = floor
@@ -1004,7 +1039,7 @@ def finite_field_count(spec: ArrangementSpec, q: int) -> int:
         raise ValueError(f"{q} is not prime")
     if any(abs(v) >= q for row in rows for v in row):
         raise BadPrimeError(f"q = {q} does not exceed all coefficient magnitudes")
-    if q in _nonzero_minor_primes(rows):
+    if q in spec._bad_primes:
         raise BadPrimeError(f"q = {q} is a bad prime for this arrangement")
     dim = spec.dim
     if q ** dim > MAX_FIELD_POINTS:

@@ -7,8 +7,9 @@ output is canonical (sorted keys, no whitespace), so reruns with the same
 configuration are byte-identical; tables are rendered from that same JSON.
 
 Exit codes: 0 success; 2 unparseable input, unknown ids, invalid models;
-3 reflector features; 4 size guard rails; 5 a covering verification that
-ran but failed; 6 no quasifibration witness (fixed-point-free action).
+3 reflector features; 4 size guard rails (arrangement size, squaring n);
+5 a covering verification that ran but failed; 6 no quasifibration witness
+(fixed-point-free action).
 """
 
 from __future__ import annotations
@@ -186,6 +187,8 @@ def _cmd_verify_cover(args) -> tuple[dict, dict, int]:
             eps=args.epsilon,
             seed=args.seed,
         )
+    except SizeGuardError:
+        raise
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
     code = EXIT_OK if report.passed else EXIT_COVER_FAIL

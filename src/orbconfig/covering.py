@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
+from .arrangement import SizeGuardError
 from .exactfield import DEFAULT_EPS, ComplexPoint, complex_sqrt_exact
 from .orbmodel import CyclicRotation, DomainError, IntegerDihedral, SignFlipPunctured
 from .orbit_config import MembershipError, is_orbit_config, sample_orbit_config
@@ -26,6 +27,10 @@ from .orbit_config import MembershipError, is_orbit_config, sample_orbit_config
 _ZERO = ComplexPoint.exact(0)
 _ONE = ComplexPoint.exact(1)
 _TWO_PI = 2.0 * math.pi
+
+#: Rail on the squaring check: each sample enumerates 2^n fiber points and
+#: compares them pairwise, so its cost grows like 2^n * n^2.
+MAX_SQUARING_N = 10
 
 
 def joukowski_map(w: ComplexPoint) -> ComplexPoint:
@@ -434,7 +439,8 @@ def verify_cover(
     enumeration), "qE" (the exponential-then-quotient composite; 2^n
     preimages per fundamental window, scanned over window^n cells).
     Singular samples (branch values, degenerate coordinates) are skipped
-    and counted, never silently dropped.
+    and counted, never silently dropped.  Guard rail: squaring takes
+    n <= MAX_SQUARING_N.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -453,6 +459,11 @@ def verify_cover(
     elif map_id == "squaring":
         if n < 1:
             raise ValueError("squaring needs n >= 1")
+        if n > MAX_SQUARING_N:
+            raise SizeGuardError(
+                f"squaring verification capped at n = {MAX_SQUARING_N} "
+                f"(2^n fiber points per sample)"
+            )
         n_effective = n
         declared = 2**n
         _verify_squaring(rb, n, samples, eps, rng)

@@ -38,6 +38,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(str(text).strip())
 
 
+def json_int(value, name: str) -> int:
+    """A JSON integer field; bools, floats, strings and nulls raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def format_rational(q: RationalLike) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

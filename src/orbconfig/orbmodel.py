@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exactfield import ComplexPoint, DEFAULT_EPS, format_rational
+from .exactfield import ComplexPoint, DEFAULT_EPS, format_rational, json_int
 
 
 class ReflectorError(ValueError):
@@ -84,12 +84,18 @@ class Orbifold2D:
                 "reflector features are not representable; double the orbifold "
                 "along its reflector locus and resubmit the cone data"
             )
+        orientable = data.get("orientable", True)
+        if not isinstance(orientable, bool):
+            raise ValueError(f"orientable must be true or false, got {orientable!r}")
+        cones = data.get("cones", [])
+        if not isinstance(cones, (list, tuple)):
+            raise ValueError(f"cones must be a list of integers, got {cones!r}")
         return cls(
-            genus=int(data.get("genus", 0)),
-            orientable=bool(data.get("orientable", True)),
-            punctures=int(data.get("punctures", 0)),
-            boundary=int(data.get("boundary", 0)),
-            cone_orders=tuple(data.get("cones", ())),
+            genus=json_int(data.get("genus", 0), "genus"),
+            orientable=orientable,
+            punctures=json_int(data.get("punctures", 0), "punctures"),
+            boundary=json_int(data.get("boundary", 0), "boundary"),
+            cone_orders=tuple(json_int(m, "cone order") for m in cones),
         )
 
 

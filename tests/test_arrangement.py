@@ -8,6 +8,7 @@ pictures (concurrent lines, crossing lines) from elementary geometry.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,66 @@ def test_mobius_signs_alternate_with_codimension():
             assert f.mobius * (-1) ** codim > 0
 
 
+def _oracle_rank(rows):
+    """(rank of the normals, consistency) of the rows [a | b] by forward
+    Fraction elimination; a pivot in the offset column is a contradiction."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if col == len(rows[0]) - 1:
+            return rank, False
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank, True
+
+
+def _oracle_flats(dim, rows):
+    """{members: (dim, mu)} from every subset of the hyperplanes.
+
+    Each consistent subset S cuts out the flat whose members are the
+    hyperplanes that add no rank to S; mu comes from Whitney's crosscut
+    formula mu(X) = sum of (-1)^|S| over the subsets S cutting out X.
+    """
+    flats = {}
+    for size in range(len(rows) + 1):
+        for subset in combinations(range(len(rows)), size):
+            chosen = [rows[i] for i in subset]
+            rank, consistent = _oracle_rank(chosen)
+            if not consistent:
+                continue
+            members = frozenset(
+                j for j, row in enumerate(rows)
+                if _oracle_rank(chosen + [row]) == (rank, True)
+            )
+            flat_dim, mu = flats.get(members, (dim - rank, 0))
+            flats[members] = (flat_dim, mu + (-1) ** size)
+    return flats
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=3), data=st.data())
+def test_flat_poset_matches_brute_force_intersections(dim, data):
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    raw = data.draw(
+        st.lists(
+            st.tuples(st.tuples(*([entry] * dim)), entry), min_size=0, max_size=6
+        )
+    )
+    raw = [(normal, offset) for normal, offset in raw if any(normal)]
+    spec = make_arrangement(dim, QQ, raw)
+    rows = [list(h.normal) + [h.offset] for h in spec.hyperplanes]
+    poset = flat_poset(spec)
+    found = {f.contains: (f.dim, f.mobius) for f in poset.flats}
+    assert len(found) == len(poset.flats)
+    assert found == _oracle_flats(dim, rows)
+
+
 # -- characteristic and Poincare polynomials --------------------------------
 
 
@@ -123,13 +184,26 @@ def test_braid_characteristic_polynomials():
     )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_braid_poincare_product_formula(n):
     pi = poincare_polynomial(flat_poset(braid_arrangement(n)))
     product = Polynomial((1,))
     for i in range(1, n):
         product = product * Polynomial((1, i))
     assert pi == product
+
+
+@pytest.mark.parametrize("n, m", [(3, 4), (3, 5), (4, 3)])
+def test_rotation_poincare_freeness_product(n, m):
+    # rotation_arrangement(n, m) is the reflection arrangement of G(m, m, n),
+    # a free arrangement with exponents 1, m + 1, ..., (n - 2)m + 1 and
+    # (n - 1)(m - 1) (Orlik-Terao, Arrangements of Hyperplanes, 6.4), so its
+    # Poincare polynomial is the product of the factors 1 + e t.
+    exponents = [k * m + 1 for k in range(n - 1)] + [(n - 1) * (m - 1)]
+    product = Polynomial((1,))
+    for e in exponents:
+        product = product * Polynomial((1, e))
+    assert poincare_polynomial(flat_poset(rotation_arrangement(n, m))) == product
 
 
 def test_rotation_arrangement_cyclotomic_invariants():

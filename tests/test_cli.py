@@ -227,6 +227,13 @@ def test_verify_cover_unknown_map_exit_2(capsys):
     assert run(capsys, ["verify-cover", "zeta"])[0] == 2
 
 
+def test_verify_cover_squaring_n_rail_exit_4(capsys):
+    code, out, err = run(capsys, ["verify-cover", "squaring", "--n", "20", "--samples", "1"])
+    assert code == 4
+    assert out == ""
+    assert "squaring verification capped at n = 10" in err
+
+
 # ---------------------------------------------------------------------------
 # obstruction
 # ---------------------------------------------------------------------------
@@ -374,6 +381,37 @@ def test_missing_schema_exit_2(capsys):
     code, _, err = run(capsys, ["classify", '{"genus": 0}'])
     assert code == 2
     assert "schema" in err
+
+
+def test_classify_cones_not_a_list_exit_2(capsys):
+    code, out, err = run(
+        capsys, ["classify", '{"schema":1,"genus":0,"punctures":1,"cones":3}']
+    )
+    assert code == 2
+    assert out == ""
+    assert "cones must be a list of integers" in err
+
+
+def test_classify_null_cone_order_exit_2(capsys):
+    code, out, err = run(
+        capsys, ["classify", '{"schema":1,"genus":0,"punctures":1,"cones":[null]}']
+    )
+    assert code == 2
+    assert out == ""
+    assert "cone order must be an integer" in err
+
+
+def test_arrangement_string_dim_exit_2(capsys):
+    spec = {
+        "schema": 1,
+        "dim": "2",
+        "field": {"type": "Q"},
+        "hyperplanes": [{"normal": ["1", "0"], "offset": "0"}],
+    }
+    code, out, err = run(capsys, ["arrangement", json.dumps(spec)])
+    assert code == 2
+    assert out == ""
+    assert "dim must be an integer" in err
 
 
 def test_missing_file_exit_2(capsys, tmp_path):
