@@ -7,7 +7,8 @@ output is canonical (sorted keys, no whitespace), so reruns with the same
 configuration are byte-identical; tables are rendered from that same JSON.
 
 Exit codes: 0 success; 2 unparseable input, unknown ids, invalid models;
-3 reflector features; 4 size guard rails (arrangement size, squaring n);
+3 reflector features; 4 size guard rails (arrangement size, squaring n,
+groupoid group order groupoid.MAX_GROUP_ORDER, `forget` size MAX_FORGET_PAIRS);
 5 a covering verification that ran but failed; 6 no quasifibration witness
 (fixed-point-free action).
 """
@@ -32,7 +33,7 @@ from .arrangement import (
     poincare_polynomial,
 )
 from .covering import verify_cover
-from .exactfield import DEFAULT_EPS
+from .exactfield import DEFAULT_EPS, json_int
 from .groupoid import (
     InvalidModelError,
     _freeze,
@@ -65,6 +66,9 @@ EXIT_NO_WITNESS = 6
 
 MAX_CLI_DIM = 6
 MAX_CLI_HYPERPLANES = 16
+# `forget` builds the n-point configuration groupoid, whose composable pairs
+# number at most (|points| * |group|^2)^n; its compose table is the cost
+MAX_FORGET_PAIRS = 500_000
 
 
 class CliError(Exception):
@@ -232,7 +236,15 @@ def _cmd_groupoid(args) -> tuple[dict, dict, int]:
             summary = {"points": len(action.points), "group_order": action.group.order}
         elif kind == "forget":
             action = _groupoid_action(data)
-            hom = forget_map(translation_groupoid(action, verify=False), int(data.get("n", 2)))
+            n = json_int(data.get("n", 2), "forget n")
+            width = len(action.points) * action.group.order**2
+            # capping the exponent keeps the test exact and cheap for huge n
+            if n > 1 and width ** min(n, MAX_FORGET_PAIRS.bit_length()) > MAX_FORGET_PAIRS:
+                raise SizeGuardError(
+                    f"forget with n = {n} exceeds the groupoid rail "
+                    f"((|points| * |group|^2)^n <= {MAX_FORGET_PAIRS})"
+                )
+            hom = forget_map(translation_groupoid(action, verify=False), n)
             checks = [hom.verify().to_json(), is_covering_hom(hom).to_json()]
             summary = {
                 "configuration_objects": len(hom.src.objects),

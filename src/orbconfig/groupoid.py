@@ -10,9 +10,19 @@ discretized to plain surjectivity and set-level fibered products.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
+from math import prod
 from typing import Callable, Iterable, Optional, Sequence
+
+from .arrangement import SizeGuardError
+from .exactfield import json_int
+
+# Largest group a JSON model may name: validating the group's table and a
+# regular action's table each take O(|G|^3) steps.
+MAX_GROUP_ORDER = 32
 
 
 class InvalidModelError(ValueError):
@@ -314,17 +324,6 @@ class CheckResult:
         }
 
 
-class _Checks:
-    def __init__(self) -> None:
-        self.rows: list[tuple[str, bool, str]] = []
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.rows.append((name, ok, detail if not ok else detail))
-
-    def result(self, subject: str) -> CheckResult:
-        return CheckResult(subject, tuple(self.rows))
-
-
 # ---------------------------------------------------------------------------
 # Finite groupoids
 # ---------------------------------------------------------------------------
@@ -357,17 +356,33 @@ class FiniteGroupoid:
     def __repr__(self) -> str:
         return f"FiniteGroupoid({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
+    # Built on first use, so the morphisms and structure maps must not change
+    # afterwards.  Keyed with .get, as the checks read the maps.
+    @cached_property
+    def _hom_index(self) -> tuple[dict, dict]:
+        """Morphisms by source and by target, each list in morphism order."""
+        outgoing, incoming = {}, {}
+        for m in self.morphisms:
+            outgoing.setdefault(self.source.get(m), []).append(m)
+            incoming.setdefault(self.target.get(m), []).append(m)
+        return outgoing, incoming
+
     def verify_axioms(self) -> CheckResult:
         """Exhaustive check of every groupoid axiom on the dense tables."""
-        checks = _Checks()
+        checks = []
         objects = set(self.objects)
         morphisms = set(self.morphisms)
+        _, incoming = self._hom_index
+        stray: dict = {}  # g -> the f with (g, f) keyed in compose but not composable
+        for g, f in self.compose:
+            if f in morphisms and self.source.get(g) != self.target.get(f):
+                stray.setdefault(g, []).append(f)
 
         total = all(
             m in self.source and m in self.target and self.source[m] in objects and self.target[m] in objects
             for m in morphisms
         )
-        checks.add("structure_maps_total", total, "" if total else "a morphism lacks source or target")
+        checks.append(("structure_maps_total", total, "" if total else "a morphism lacks source or target"))
 
         id_ok, id_detail = True, ""
         for x in self.objects:
@@ -375,17 +390,25 @@ class FiniteGroupoid:
             if e not in morphisms or self.source.get(e) != x or self.target.get(e) != x:
                 id_ok, id_detail = False, f"identity of {x!r} is missing or has wrong endpoints"
                 break
-        checks.add("identities_exist", id_ok, id_detail)
+        checks.append(("identities_exist", id_ok, id_detail))
 
+        # only composable pairs and stray ones can fail; visit them in
+        # row-major order so the first failure named is the first of all pairs
         comp_ok, comp_detail = True, ""
+        composable_after: dict = {}  # g -> the f with g o f defined, in morphism order
         for g in self.morphisms:
-            for f in self.morphisms:
+            row = incoming.get(self.source.get(g), [])
+            if g in stray:
+                row = sorted({*row, *stray[g]}, key=self.morphisms.index)
+            after = composable_after[g] = []
+            for f in row:
                 composable = self.source.get(g) == self.target.get(f)
                 if composable != ((g, f) in self.compose):
                     comp_ok = False
                     comp_detail = f"composition defined on the wrong pairs at (g={g!r}, f={f!r})"
                     break
                 if composable:
+                    after.append(f)
                     h = self.compose[(g, f)]
                     if h not in morphisms or self.source[h] != self.source[f] or self.target[h] != self.target[g]:
                         comp_ok = False
@@ -393,7 +416,7 @@ class FiniteGroupoid:
                         break
             if not comp_ok:
                 break
-        checks.add("composition_wellformed", comp_ok, comp_detail)
+        checks.append(("composition_wellformed", comp_ok, comp_detail))
 
         unit_ok, unit_detail = True, ""
         if id_ok and comp_ok:
@@ -403,18 +426,15 @@ class FiniteGroupoid:
                 if left != f or right != f:
                     unit_ok, unit_detail = False, f"unit law fails at {f!r}"
                     break
-        checks.add("unit_laws", unit_ok and id_ok, unit_detail)
+        checks.append(("unit_laws", unit_ok and id_ok, unit_detail))
 
         assoc_ok, assoc_detail = True, ""
         if comp_ok:
             for g in self.morphisms:
-                for f in self.morphisms:
-                    if self.source[g] != self.target[f]:
-                        continue
-                    for e in self.morphisms:
-                        if self.source[f] != self.target[e]:
-                            continue
-                        if self.compose[(self.compose[(g, f)], e)] != self.compose[(g, self.compose[(f, e)])]:
+                for f in composable_after[g]:
+                    gf = self.compose[(g, f)]
+                    for e in composable_after[f]:
+                        if self.compose[(gf, e)] != self.compose[(g, self.compose[(f, e)])]:
                             assoc_ok = False
                             assoc_detail = (
                                 f"associativity fails on the triple (g={g!r}, f={f!r}, e={e!r})"
@@ -424,7 +444,7 @@ class FiniteGroupoid:
                         break
                 if not assoc_ok:
                     break
-        checks.add("associativity", assoc_ok, assoc_detail)
+        checks.append(("associativity", assoc_ok, assoc_detail))
 
         inv_ok, inv_detail = True, ""
         if id_ok and comp_ok:
@@ -439,11 +459,8 @@ class FiniteGroupoid:
                 ):
                     inv_ok, inv_detail = False, f"inverse law fails at {f!r}"
                     break
-        checks.add("inverse_laws", inv_ok, inv_detail)
-        return checks.result("groupoid axioms")
-
-    def morphisms_from(self, x) -> tuple:
-        return tuple(m for m in self.morphisms if self.source[m] == x)
+        checks.append(("inverse_laws", inv_ok, inv_detail))
+        return CheckResult("groupoid axioms", tuple(checks))
 
 
 def translation_groupoid(action: GroupAction, verify: bool = True) -> FiniteGroupoid:
@@ -487,6 +504,7 @@ class OrbitSpace:
 def orbit_space(groupoid: FiniteGroupoid) -> OrbitSpace:
     """Partition of objects by reachability: y in orbit(x) iff some
     morphism runs x -> y."""
+    outgoing, _ = groupoid._hom_index
     index: dict = {}
     blocks: list[set] = []
     for x in groupoid.objects:
@@ -496,8 +514,8 @@ def orbit_space(groupoid: FiniteGroupoid) -> OrbitSpace:
         frontier = [x]
         while frontier:
             current = frontier.pop()
-            for m in groupoid.morphisms:
-                if groupoid.source[m] == current and groupoid.target[m] not in block:
+            for m in outgoing.get(current, ()):
+                if groupoid.target[m] not in block:
                     block.add(groupoid.target[m])
                     frontier.append(groupoid.target[m])
         for y in block:
@@ -535,14 +553,13 @@ def configuration_groupoid(groupoid: FiniteGroupoid, n: int, verify: bool = True
             morphisms.append(tup)
     source = {m: tuple(groupoid.source[c] for c in m) for m in morphisms}
     target = {m: tuple(groupoid.target[c] for c in m) for m in morphisms}
-    compose = {}
-    for f in morphisms:
-        for g in morphisms:
-            if source[g] == target[f]:
-                compose[(g, f)] = tuple(groupoid.compose[(g[i], f[i])] for i in range(n))
     identity = {obj: tuple(groupoid.identity[x] for x in obj) for obj in objects}
     inverse = {m: tuple(groupoid.inverse[c] for c in m) for m in morphisms}
-    result = FiniteGroupoid(objects, morphisms, source, target, compose, identity, inverse, warning)
+    result = FiniteGroupoid(objects, morphisms, source, target, {}, identity, inverse, warning)
+    outgoing, _ = result._hom_index
+    for f in morphisms:
+        for g in outgoing.get(target[f], ()):
+            result.compose[(g, f)] = tuple(groupoid.compose[(g[i], f[i])] for i in range(n))
     if verify:
         report = result.verify_axioms()
         if not report:
@@ -564,41 +581,36 @@ class GroupoidHom:
     name: str = "f"
 
     def verify(self) -> CheckResult:
-        checks = _Checks()
+        checks = []
         f0, f1 = self.object_map, self.morphism_map
-        objects_ok = all(f0.get(x) in set(self.dst.objects) for x in self.src.objects)
-        checks.add("object_map_total", objects_ok, "" if objects_ok else "object map misses an object")
-        morphs_ok = all(f1.get(m) in set(self.dst.morphisms) for m in self.src.morphisms)
-        checks.add("morphism_map_total", morphs_ok, "" if morphs_ok else "morphism map misses a morphism")
+        dst_objects, dst_morphisms = set(self.dst.objects), set(self.dst.morphisms)
+        objects_ok = all(f0.get(x) in dst_objects for x in self.src.objects)
+        checks.append(("object_map_total", objects_ok, "" if objects_ok else "object map misses an object"))
+        morphs_ok = all(f1.get(m) in dst_morphisms for m in self.src.morphisms)
+        checks.append(("morphism_map_total", morphs_ok, "" if morphs_ok else "morphism map misses a morphism"))
         if not (objects_ok and morphs_ok):
-            return checks.result(f"homomorphism {self.name}")
+            return CheckResult(f"homomorphism {self.name}", tuple(checks))
         st_ok, st_detail = True, ""
         for m in self.src.morphisms:
             if self.dst.source[f1[m]] != f0[self.src.source[m]] or self.dst.target[f1[m]] != f0[self.src.target[m]]:
                 st_ok, st_detail = False, f"endpoints not preserved at {m!r}"
                 break
-        checks.add("preserves_endpoints", st_ok, st_detail)
+        checks.append(("preserves_endpoints", st_ok, st_detail))
         id_ok = all(f1[self.src.identity[x]] == self.dst.identity[f0[x]] for x in self.src.objects)
-        checks.add("preserves_identities", id_ok, "" if id_ok else "an identity is not preserved")
+        checks.append(("preserves_identities", id_ok, "" if id_ok else "an identity is not preserved"))
         comp_ok, comp_detail = True, ""
         for (g, f), h in self.src.compose.items():
             if self.dst.compose.get((f1[g], f1[f])) != f1[h]:
                 comp_ok, comp_detail = False, f"composition not preserved at (g={g!r}, f={f!r})"
                 break
-        checks.add("preserves_composition", comp_ok, comp_detail)
+        checks.append(("preserves_composition", comp_ok, comp_detail))
         inv_ok = all(f1[self.src.inverse[m]] == self.dst.inverse[f1[m]] for m in self.src.morphisms)
-        checks.add("preserves_inverses", inv_ok, "" if inv_ok else "an inverse is not preserved")
-        return checks.result(f"homomorphism {self.name}")
+        checks.append(("preserves_inverses", inv_ok, "" if inv_ok else "an inverse is not preserved"))
+        return CheckResult(f"homomorphism {self.name}", tuple(checks))
 
 
 def identity_hom(groupoid: FiniteGroupoid) -> GroupoidHom:
-    return GroupoidHom(
-        groupoid,
-        groupoid,
-        {x: x for x in groupoid.objects},
-        {m: m for m in groupoid.morphisms},
-        name="id",
-    )
+    return inclusion_hom(groupoid, groupoid, name="id")
 
 
 def forget_map(groupoid: FiniteGroupoid, n: int) -> GroupoidHom:
@@ -661,13 +673,7 @@ def subgroup_covering_hom(action: GroupAction, subgroup: frozenset) -> GroupoidH
     restricted = action.restrict_group(subgroup)
     small = translation_groupoid(restricted, verify=False)
     big = translation_groupoid(action, verify=False)
-    return GroupoidHom(
-        small,
-        big,
-        {x: x for x in small.objects},
-        {m: m for m in small.morphisms},
-        name="subgroup_inclusion",
-    )
+    return inclusion_hom(small, big, name="subgroup_inclusion")
 
 
 # ---------------------------------------------------------------------------
@@ -685,47 +691,47 @@ def is_covering_hom(f: GroupoidHom) -> CheckResult:
     the others and is what makes the induced map on orbit spaces an even
     covering in the finite picture.
     """
-    checks = _Checks()
+    checks = []
     hom = f.verify()
-    checks.add("homomorphism", hom.passed, "" if hom else f"not a homomorphism: {hom.first_failure()}")
+    checks.append(("homomorphism", hom.passed, "" if hom else f"not a homomorphism: {hom.first_failure()}"))
     if not hom.passed:
-        return checks.result(f"covering {f.name}")
+        return CheckResult(f"covering {f.name}", tuple(checks))
     f0, f1 = f.object_map, f.morphism_map
     surjective = set(f0.values()) == set(f.dst.objects)
-    checks.add(
+    checks.append((
         "object_map_surjective",
         surjective,
         "" if surjective else "object map misses part of the base",
-    )
-    fibered = {(g, y) for g in f.dst.morphisms for y in f.src.objects if f.dst.source[g] == f0[y]}
+    ))
     image = {}
     injective, inj_detail = True, ""
     for h in f.src.morphisms:
         key = (f1[h], f.src.source[h])
         if key in image:
             injective = False
+            fibered = sum(len(set(f.dst._hom_index[0].get(f0[y], ()))) for y in set(f.src.objects))
             inj_detail = (
                 f"morphisms {image[key]!r} and {h!r} share image and source; "
-                f"|H1|={len(f.src.morphisms)} vs fibered product {len(fibered)}"
+                f"|H1|={len(f.src.morphisms)} vs fibered product {fibered}"
             )
             break
         image[key] = h
-    checks.add("unique_source_lift", injective, inj_detail)
+    checks.append(("unique_source_lift", injective, inj_detail))
     base_orbits = orbit_space(f.dst)
     fiber_sizes: dict[int, set] = {}
+    counts = Counter(f0[x] for x in f.src.objects)
     for y in f.dst.objects:
-        count = sum(1 for x in f.src.objects if f0[x] == y)
-        fiber_sizes.setdefault(base_orbits.of(y), set()).add(count)
+        fiber_sizes.setdefault(base_orbits.of(y), set()).add(counts[y])
     constant = all(len(sizes) == 1 for sizes in fiber_sizes.values())
-    checks.add(
+    checks.append((
         "fiber_constant_on_orbits",
         constant,
         ""
         if constant
         else "object fibers vary along one base orbit: "
         + repr({k: sorted(v) for k, v in fiber_sizes.items() if len(v) > 1}),
-    )
-    return checks.result(f"covering {f.name}")
+    ))
+    return CheckResult(f"covering {f.name}", tuple(checks))
 
 
 def is_equivalence(f: GroupoidHom) -> CheckResult:
@@ -736,31 +742,21 @@ def is_equivalence(f: GroupoidHom) -> CheckResult:
     Condition 2: h -> (f1(h), s(h), t(h)) is a bijection onto the triples
     (g, x, x') with s(g) = f0(x) and t(g) = f0(x').
     """
-    checks = _Checks()
+    checks = []
     hom = f.verify()
-    checks.add("homomorphism", hom.passed, "" if hom else f"not a homomorphism: {hom.first_failure()}")
+    checks.append(("homomorphism", hom.passed, "" if hom else f"not a homomorphism: {hom.first_failure()}"))
     if not hom.passed:
-        return checks.result(f"equivalence {f.name}")
-    f0, f1 = f.object_map, f.morphism_map
-    reached = {
-        f.dst.target[g]
-        for g in f.dst.morphisms
-        for x in f.src.objects
-        if f.dst.source[g] == f0[x]
-    }
+        return CheckResult(f"equivalence {f.name}", tuple(checks))
+    f1 = f.morphism_map
+    fiber = Counter(f.object_map[x] for x in set(f.src.objects))  # |f0^-1(y)|
+    reached = {f.dst.target[g] for g in f.dst.morphisms if f.dst.source[g] in fiber}
     cond1 = reached == set(f.dst.objects)
-    checks.add(
+    checks.append((
         "essentially_surjective",
         cond1,
         "" if cond1 else f"misses base objects {sorted(map(repr, set(f.dst.objects) - reached))}",
-    )
-    triples = {
-        (g, x, x2)
-        for g in f.dst.morphisms
-        for x in f.src.objects
-        for x2 in f.src.objects
-        if f.dst.source[g] == f0[x] and f.dst.target[g] == f0[x2]
-    }
+    ))
+    triples = sum(fiber[f.dst.source[g]] * fiber[f.dst.target[g]] for g in set(f.dst.morphisms))
     image = {}
     bijective, detail = True, ""
     for h in f.src.morphisms:
@@ -769,12 +765,13 @@ def is_equivalence(f: GroupoidHom) -> CheckResult:
             bijective, detail = False, f"two morphisms map to the same triple {key!r}"
             break
         image[key] = h
-    if bijective and set(image) != triples:
+    # a verified hom maps each h to a triple, so distinct images are onto
+    # exactly when they are as many as the triples
+    if bijective and len(image) != triples:
         bijective = False
-        missing = len(triples - set(image))
-        detail = f"{missing} fibered-product triples have no preimage"
-    checks.add("fully_faithful_bijection", bijective, detail)
-    return checks.result(f"equivalence {f.name}")
+        detail = f"{triples - len(image)} fibered-product triples have no preimage"
+    checks.append(("fully_faithful_bijection", bijective, detail))
+    return CheckResult(f"equivalence {f.name}", tuple(checks))
 
 
 def induced_configuration_hom(f: GroupoidHom, n: int) -> GroupoidHom:
@@ -836,19 +833,15 @@ class MoritaTriple:
 
 
 def _quotient_arrow(
-    action: GroupAction, inner: frozenset, outer: frozenset, name: str
+    action: GroupAction, fine: FiniteGroupoid, projections: Sequence, outer: frozenset, name: str
 ) -> GroupoidHom:
-    """G(S/inner, Gamma/inner) -> G(S/outer, Gamma/outer) for inner <= outer."""
-    fine_action, fine_points, fine_groups = action.quotient_action(inner)
+    """fine = G(S/inner, Gamma/inner) -> G(S/outer, Gamma/outer) for inner <= outer,
+    given the point and group projections onto fine."""
+    fine_points, fine_groups = projections
     coarse_action, coarse_points, coarse_groups = action.quotient_action(outer)
-    fine = translation_groupoid(fine_action, verify=False)
     coarse = translation_groupoid(coarse_action, verify=False)
-    point_map = {}
-    for x in action.points:
-        point_map[fine_points[x]] = coarse_points[x]
-    group_map = {}
-    for g in action.group.elements:
-        group_map[fine_groups[g]] = coarse_groups[g]
+    point_map = {fine_points[x]: coarse_points[x] for x in action.points}
+    group_map = {fine_groups[g]: coarse_groups[g] for g in action.group.elements}
     return GroupoidHom(
         fine,
         coarse,
@@ -872,10 +865,12 @@ def morita_triple(
         if not action.group.is_normal(frozenset(candidate)):
             raise InvalidModelError(f"{sorted(map(repr, candidate))} is not a normal subgroup")
     intersection = frozenset(normal_first) & frozenset(normal_second)
-    e1 = _quotient_arrow(action, intersection, frozenset(normal_first), "to_first")
-    e2 = _quotient_arrow(action, intersection, frozenset(normal_second), "to_second")
+    middle_action, *projections = action.quotient_action(intersection)
+    middle = translation_groupoid(middle_action, verify=False)
+    e1 = _quotient_arrow(action, middle, projections, frozenset(normal_first), "to_first")
+    e2 = _quotient_arrow(action, middle, projections, frozenset(normal_second), "to_second")
     return MoritaTriple(
-        middle=e1.src,
+        middle=middle,
         to_first=e1,
         to_second=e2,
         first_check=is_equivalence(e1),
@@ -894,18 +889,27 @@ def _freeze(value):
     return value
 
 
+def _guard_order(order: int) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise SizeGuardError(f"group order {order} exceeds the groupoid rail (order <= {MAX_GROUP_ORDER})")
+
+
 def group_from_json(data: dict) -> FiniteGroup:
+    """The group a JSON model names; no table above MAX_GROUP_ORDER is built."""
     kind = data.get("kind")
-    if kind == "cyclic":
-        return FiniteGroup.cyclic(int(data["n"]))
+    if kind in ("cyclic", "dihedral"):
+        n = json_int(data["n"], f"{kind} n")
+        _guard_order(n if kind == "cyclic" else 2 * n)
+        return FiniteGroup.cyclic(n) if kind == "cyclic" else FiniteGroup.dihedral(n)
     if kind == "klein":
         return FiniteGroup.klein()
-    if kind == "dihedral":
-        return FiniteGroup.dihedral(int(data["n"]))
     if kind == "product":
+        if not isinstance(data["factors"], list):
+            raise InvalidModelError("product factors must be a list of group models")
         factors = [group_from_json(f) for f in data["factors"]]
         if len(factors) < 2:
             raise InvalidModelError("product needs at least two factors")
+        _guard_order(prod(g.order for g in factors))
         out = factors[0]
         for nxt in factors[1:]:
             out = FiniteGroup.product(out, nxt)
@@ -920,8 +924,7 @@ def group_action_from_json(data: dict, group: FiniteGroup) -> GroupAction:
     if kind == "negation":
         if group.order != 2:
             raise InvalidModelError("negation model acts through a group of order 2")
-        n = int(data["n"])
-        base = GroupAction.negation_mod(n)
+        base = GroupAction.negation_mod(json_int(data["n"], "negation n"))
         table = {
             (g, x): base.apply(gi, x)
             for gi, g in zip(base.group.elements, group.elements)
@@ -929,7 +932,7 @@ def group_action_from_json(data: dict, group: FiniteGroup) -> GroupAction:
         }
         return GroupAction(group, base.points, table)
     if kind == "rotation":
-        return GroupAction.rotation_mod(int(data["n"]), group.order)
+        return GroupAction.rotation_mod(json_int(data["n"], "rotation n"), group.order)
     if kind == "table":
         points = [_freeze(p) for p in data["points"]]
         table = {}

@@ -368,6 +368,70 @@ def test_groupoid_non_normal_subgroup_exit_2(capsys):
     assert run(capsys, ["groupoid", json.dumps(model)])[0] == 2
 
 
+def _negation_forget(n):
+    return {
+        "schema": 1,
+        "type": "forget",
+        "group": {"kind": "cyclic", "n": 2},
+        "action": {"kind": "negation", "n": 6},
+        "n": n,
+    }
+
+
+def test_groupoid_null_group_order_exit_2(capsys):
+    model = {"schema": 1, "type": "subgroup_cover", "group": {"kind": "cyclic", "n": None}, "subgroup": [0]}
+    code, out, err = run(capsys, ["groupoid", json.dumps(model)])
+    assert (code, out) == (2, "")
+    assert "cyclic n must be an integer" in err
+
+
+def test_groupoid_string_forget_n_exit_2(capsys):
+    code, out, err = run(capsys, ["groupoid", json.dumps(_negation_forget("4"))])
+    assert (code, out) == (2, "")
+    assert "forget n must be an integer" in err
+
+
+def test_groupoid_float_negation_n_exit_2(capsys):
+    model = _negation_forget(2)
+    model["action"]["n"] = 4.7
+    code, out, err = run(capsys, ["groupoid", json.dumps(model)])
+    assert (code, out) == (2, "")
+    assert "negation n must be an integer" in err
+
+
+def test_groupoid_product_factors_not_a_list_exit_2(capsys):
+    model = {"schema": 1, "type": "subgroup_cover", "group": {"kind": "product", "factors": 3}, "subgroup": [0]}
+    code, out, err = run(capsys, ["groupoid", json.dumps(model)])
+    assert (code, out) == (2, "")
+    assert "factors must be a list" in err
+
+
+def test_groupoid_group_order_rail_exit_4(capsys):
+    def cover(group):
+        return json.dumps({"schema": 1, "type": "subgroup_cover", "group": group, "subgroup": [0]})
+
+    assert run(capsys, ["groupoid", cover({"kind": "cyclic", "n": 32})])[0] == 0
+    for group in (
+        {"kind": "cyclic", "n": 33},
+        {"kind": "cyclic", "n": 128},
+        {"kind": "dihedral", "n": 17},
+        {"kind": "product", "factors": [{"kind": "cyclic", "n": 8}, {"kind": "dihedral", "n": 4}]},
+    ):
+        code, out, err = run(capsys, ["groupoid", cover(group)])
+        assert (code, out) == (4, ""), group
+        assert "group order" in err
+
+
+def test_groupoid_forget_size_rail_exit_4(capsys):
+    # (6 points * 2^2)^3 = 13,824 composable-pair bound passes; n = 5 and a
+    # huge n exceed the 500,000 rail before a configuration table is built
+    assert run(capsys, ["groupoid", json.dumps(_negation_forget(3))])[0] == 0
+    for n in (5, 10**9):
+        code, out, err = run(capsys, ["groupoid", json.dumps(_negation_forget(n))])
+        assert (code, out) == (4, ""), n
+        assert "forget" in err
+
+
 # ---------------------------------------------------------------------------
 # Input plumbing
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Finite groupoid models: translation groupoids, configurations,
 coverings, equivalences, and the Morita triple construction."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -323,8 +324,11 @@ def test_non_full_inclusion_fails_condition_two():
     report = is_equivalence(hom)
     assert not report.passed
     assert dict((n, ok) for n, ok, _ in report.checks)["essentially_surjective"]
-    name, _ = report.first_failure()
+    name, detail = report.first_failure()
     assert name == "fully_faithful_bijection"
+    # six ambient arrows join skeleton objects: the identities and the
+    # negations at 0 and 3; the thin groupoid covers only the identities
+    assert detail == "2 fibered-product triples have no preimage"
 
 
 def test_equivalence_commutes_with_forgetting():
@@ -351,6 +355,8 @@ def test_morita_klein_factors():
         action, frozenset({(0, 0), (1, 0)}), frozenset({(0, 0), (0, 1)})
     )
     assert triple.passed
+    assert triple.to_first.src is triple.middle
+    assert triple.to_second.src is triple.middle
     # N1 n N2 is trivial, so the middle model is G(S, Gamma) itself
     assert len(triple.middle.objects) == 4
     assert len(triple.middle.morphisms) == 16
@@ -439,3 +445,135 @@ def test_check_result_json():
     data = report.to_json()
     assert data["pass"] is True
     assert {row["name"] for row in data["checks"]} >= {"associativity", "inverse_laws"}
+
+
+# -- verify_axioms against an all-pairs brute force --------------------------------
+
+
+def _brute_force_axioms(groupoid):
+    """The rows verify_axioms must report, from the public tables alone:
+    every ordered pair and every composable triple is visited in row-major
+    morphism order, and each check names its first failure."""
+    objects, arrows = set(groupoid.objects), set(groupoid.morphisms)
+    src, tgt, comp = groupoid.source, groupoid.target, groupoid.compose
+    ident, inv = groupoid.identity, groupoid.inverse
+    order = groupoid.morphisms
+    total = all(m in src and m in tgt and src[m] in objects and tgt[m] in objects for m in arrows)
+    id_detail = ""
+    for x in groupoid.objects:
+        e = ident.get(x)
+        if e not in arrows or src.get(e) != x or tgt.get(e) != x:
+            id_detail = f"identity of {x!r} is missing or has wrong endpoints"
+            break
+    id_ok = not id_detail
+    comp_detail = ""
+    for g in order:
+        for f in order:
+            defined = src.get(g) == tgt.get(f)
+            if defined != ((g, f) in comp):
+                comp_detail = f"composition defined on the wrong pairs at (g={g!r}, f={f!r})"
+            elif defined:
+                h = comp[(g, f)]
+                if h not in arrows or src[h] != src[f] or tgt[h] != tgt[g]:
+                    comp_detail = f"composite of (g={g!r}, f={f!r}) has wrong endpoints"
+            if comp_detail:
+                break
+        if comp_detail:
+            break
+    comp_ok = not comp_detail
+    unit_detail = assoc_detail = inv_detail = ""
+    if id_ok and comp_ok:
+        for f in order:
+            if comp.get((ident[tgt[f]], f)) != f or comp.get((f, ident[src[f]])) != f:
+                unit_detail = f"unit law fails at {f!r}"
+                break
+        for f in order:
+            g = inv.get(f)
+            if (
+                g not in arrows
+                or src.get(g) != tgt[f]
+                or tgt.get(g) != src[f]
+                or comp.get((g, f)) != ident[src[f]]
+                or comp.get((f, g)) != ident[tgt[f]]
+            ):
+                inv_detail = f"inverse law fails at {f!r}"
+                break
+    if comp_ok:
+        triples = (
+            (g, f, e)
+            for g in order
+            for f in order
+            for e in order
+            if src[g] == tgt[f] and src[f] == tgt[e]
+        )
+        for g, f, e in triples:
+            if comp[(comp[(g, f)], e)] != comp[(g, comp[(f, e)])]:
+                assoc_detail = f"associativity fails on the triple (g={g!r}, f={f!r}, e={e!r})"
+                break
+    return (
+        ("structure_maps_total", total, "" if total else "a morphism lacks source or target"),
+        ("identities_exist", id_ok, id_detail),
+        ("composition_wellformed", comp_ok, comp_detail),
+        ("unit_laws", id_ok and not unit_detail, unit_detail),
+        ("associativity", not assoc_detail, assoc_detail),
+        ("inverse_laws", not inv_detail, inv_detail),
+    )
+
+
+def _corruptions(groupoid):
+    """Tables of the groupoid with one entry wrong, each corruption kind
+    applied systematically: every compose entry dropped and redirected,
+    extra entries on non-composable pairs, and every wrong identity,
+    inverse and target."""
+    tables = {
+        "objects": groupoid.objects,
+        "morphisms": groupoid.morphisms,
+        "source": groupoid.source,
+        "target": groupoid.target,
+        "compose": groupoid.compose,
+        "identity": groupoid.identity,
+        "inverse": groupoid.inverse,
+    }
+    arrows, compose = groupoid.morphisms, groupoid.compose
+    for pair, h in compose.items():
+        yield {**tables, "compose": {k: v for k, v in compose.items() if k != pair}}
+        for other in arrows:
+            if other != h:
+                yield {**tables, "compose": {**compose, pair: other}}
+    for g in arrows:
+        for f in arrows:
+            if (g, f) not in compose:
+                yield {**tables, "compose": {**compose, (g, f): g}}
+    for x, e in groupoid.identity.items():
+        for other in arrows:
+            if other != e:
+                yield {**tables, "identity": {**groupoid.identity, x: other}}
+    for m in arrows:
+        for other in arrows:
+            if other != groupoid.inverse[m]:
+                yield {**tables, "inverse": {**groupoid.inverse, m: other}}
+        for y in groupoid.objects:
+            if y != groupoid.target[m]:
+                yield {**tables, "target": {**groupoid.target, m: y}}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: translation_groupoid(GroupAction.negation_mod(4)),
+        lambda: groupoid_from_json(_cyclic3_spec()),
+        lambda: _pair_groupoid(["a", "b"]),
+    ],
+    ids=["negation4", "cyclic3", "pair2"],
+)
+def test_verify_axioms_matches_all_pairs_brute_force(make):
+    rng = random.Random(4)
+    cases = 0
+    for tables in _corruptions(make()):
+        shuffled = list(tables["morphisms"])
+        rng.shuffle(shuffled)
+        for morphisms in (tables["morphisms"], shuffled):
+            groupoid = FiniteGroupoid(**{**tables, "morphisms": morphisms})
+            assert groupoid.verify_axioms().checks == _brute_force_axioms(groupoid), (tables, morphisms)
+            cases += 1
+    assert cases >= 70
