@@ -7,10 +7,10 @@ row, and the extended form is the dedup key, so the members of each flat are
 found once.  No floating point enters any rank or membership decision.  The
 intersection poset drives the Mobius recursion, the characteristic and
 Poincare polynomials, and the chamber counts.  Chambers of rational
-arrangements are enumerated by incremental hyperplane insertion with exact
-rational witness points; feasibility falls back to Fourier-Motzkin
-elimination only when a direct normal-direction shot from the current
-witness is inconclusive.
+arrangements are enumerated by deletion and restriction on primitive integer
+rows: a new hyperplane cuts exactly the chambers whose sign vectors are
+realized on it, which is the same enumeration one dimension lower, so no
+linear program runs.  Every chamber carries an exact interior witness.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exactfield import (
@@ -603,202 +604,118 @@ class ChamberSet:
         }
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    g = math.gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
 
 
-def _fm_feasible(
-    ineqs: list[tuple[tuple[Fraction, ...], Fraction]], nvars: int
-) -> Optional[list[Fraction]]:
-    """Strict feasibility of {a . x + c > 0} by Fourier-Motzkin; returns a point.
+def _restrict(row: Sequence[int], onto: Sequence[int], p: int) -> tuple[int, ...]:
+    """row on the hyperplane of onto, with x_p eliminated, as a primitive row.
 
-    Rows are normalized and deduplicated at each elimination step; variables
-    are eliminated in an order that minimizes the pos*neg product.  Midpoints
-    of the final feasibility intervals are back-substituted, so the returned
-    point satisfies every inequality strictly.
+    The row is scaled by |onto[p]| > 0, so every point keeps its sign.
     """
-
-    def normalize(rows):
-        out = set()
-        for coeffs, c in rows:
-            scale = next((abs(v) for v in coeffs if v), None)
-            if scale is None:
-                if c <= 0:
-                    return None
-                continue
-            out.add((tuple(v / scale for v in coeffs), c / scale))
-        return out
-
-    def solve(rows: set, nvars: int) -> Optional[list[Fraction]]:
-        if nvars == 0:
-            return []
-        # choose the variable with the smallest pos*neg fan-out
-        best_var, best_cost = None, None
-        for var in range(nvars):
-            pos = sum(1 for coeffs, _ in rows if coeffs[var] > 0)
-            neg = sum(1 for coeffs, _ in rows if coeffs[var] < 0)
-            cost = pos * neg
-            if best_cost is None or cost < best_cost:
-                best_var, best_cost = var, cost
-        var = best_var
-        uppers, lowers, rest = [], [], []
-        for coeffs, c in rows:
-            v = coeffs[var]
-            reduced = coeffs[:var] + coeffs[var + 1 :]
-            if v > 0:
-                lowers.append((tuple(x / v for x in reduced), c / v))  # x_var > -(r.y + c)
-            elif v < 0:
-                uppers.append((tuple(x / -v for x in reduced), c / -v))  # x_var < r.y + c
-            else:
-                rest.append((reduced, c))
-        combined = list(rest)
-        for lc, lcst in lowers:
-            for uc, ucst in uppers:
-                combined.append(
-                    (tuple(u + l for u, l in zip(uc, lc)), ucst + lcst)
-                )
-        normalized = normalize(combined)
-        if normalized is None:
-            return None
-        partial = solve(normalized, nvars - 1)
-        if partial is None:
-            return None
-        lo, hi = None, None
-        for lc, lcst in lowers:
-            bound = -(_dot(lc, partial) + lcst)
-            lo = bound if lo is None else max(lo, bound)
-        for uc, ucst in uppers:
-            bound = _dot(uc, partial) + ucst
-            hi = bound if hi is None else min(hi, bound)
-        if lo is None and hi is None:
-            value = Fraction(0)
-        elif lo is None:
-            value = hi - 1
-        elif hi is None:
-            value = lo + 1
-        else:
-            if not lo < hi:
-                return None
-            value = (lo + hi) / 2
-        return partial[:var] + [value] + partial[var:]
-
-    normalized = normalize(ineqs)
-    if normalized is None:
-        return None
-    return solve(normalized, nvars)
-
-
-def _chamber_rows(
-    spec: ArrangementSpec, signs: Sequence[int], upto: int
-) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    rows = []
-    for i in range(upto):
-        h = spec.hyperplanes[i]
-        s = signs[i]
-        rows.append((tuple(s * a for a in h.normal), -s * h.offset))
-    return rows
-
-
-def _interior_on_hyperplane(
-    rows: list[tuple[tuple[Fraction, ...], Fraction]],
-    normal: tuple[Fraction, ...],
-    offset: Fraction,
-) -> Optional[list[Fraction]]:
-    """A point with normal.x = offset satisfying all rows strictly, or None."""
-    pivot = next(i for i, v in enumerate(normal) if v)
-    inv = 1 / normal[pivot]
-    # substitute x_pivot = (offset - sum_{j != pivot} normal_j x_j) / normal_pivot
-    reduced = []
-    for coeffs, c in rows:
-        factor = coeffs[pivot] * inv
-        new_coeffs = tuple(
-            coeffs[j] - factor * normal[j] for j in range(len(coeffs)) if j != pivot
-        )
-        reduced.append((new_coeffs, c + factor * offset))
-    solution = _fm_feasible(reduced, len(normal) - 1)
-    if solution is None:
-        return None
-    lifted = list(solution)
-    rest = sum(
-        (normal[j] * solution[k] for k, j in enumerate(i for i in range(len(normal)) if i != pivot)),
-        Fraction(0),
-    )
-    lifted.insert(pivot, (offset - rest) * inv)
-    return lifted
+    ap, cp = onto[p], row[p]
+    unit = 1 if ap > 0 else -1
+    out = [unit * (ap * c - cp * a) for j, (c, a) in enumerate(zip(row, onto)) if j != p]
+    g = math.gcd(*out) or 1  # a row that vanishes with its offset stays zero
+    return tuple(x // g for x in out)
 
 
 def _step_off(
-    rows: list[tuple[tuple[Fraction, ...], Fraction]],
-    point: list[Fraction],
-    direction: tuple[Fraction, ...],
-) -> Fraction:
-    """Half the exit time from {rows strictly satisfied} along direction."""
-    limit = None
-    for coeffs, c in rows:
-        slope = _dot(coeffs, direction)
-        if slope < 0:
-            t = -(_dot(coeffs, point) + c) / slope
-            limit = t if limit is None else min(limit, t)
-    return (limit / 2) if limit is not None else Fraction(1)
+    rows: Sequence[Sequence[int]],
+    slopes: Sequence[int],
+    mask: int,
+    point: tuple[tuple[int, ...], int],
+    normal: Sequence[int],
+    direction: int,
+) -> tuple[tuple[int, ...], int]:
+    """Move point along direction * normal by half its exit time from the chamber.
+
+    The chamber is the one of rows with sign vector mask; slopes[i] is
+    rows[i] . normal.  Halving keeps the new point strictly inside.
+    """
+    nums, den = point
+    best = None  # exit time v / (q * den)
+    for i, (row, slope) in enumerate(zip(rows, slopes)):
+        sign = 1 if mask >> i & 1 else -1
+        q = -sign * direction * slope
+        if q > 0:
+            v = sign * (sum(map(mul, row, nums)) - row[-1] * den)
+            if best is None or v * best[1] < best[0] * q:
+                best = (v, q)
+    if best is None:
+        return _reduced([x + direction * den * a for x, a in zip(nums, normal)], den)
+    v, q = best
+    return _reduced(
+        [2 * q * x + direction * v * a for x, a in zip(nums, normal)], 2 * q * den
+    )
 
 
 def _enumerate_chambers(
-    spec: ArrangementSpec, box_rows: Optional[list] = None
-) -> list[tuple[list[int], list[Fraction]]]:
-    dim = spec.dim
-    chambers: list[tuple[list[int], list[Fraction]]] = [
-        ([], [Fraction(0)] * dim)
-    ]
-    if box_rows:
-        witness = _fm_feasible(list(box_rows), dim)
-        if witness is None:
-            return []
-        chambers = [([], witness)]
-    for idx, h in enumerate(spec.hyperplanes):
-        normal = h.normal
-        offset = h.offset
-        nn = _dot(normal, normal)
-        updated: list[tuple[list[int], list[Fraction]]] = []
-        for signs, witness in chambers:
-            rows = _chamber_rows(spec, signs, idx)
-            if box_rows:
-                rows = rows + box_rows
-            gap = _dot(normal, witness) - offset
-            crossing: Optional[list[Fraction]] = None
-            if gap == 0:
-                crossing = witness
-            else:
-                side = 1 if gap > 0 else -1
-                direction = tuple(-side * a for a in normal)
-                t_hit = abs(gap) / nn
-                t_exit = None
-                for coeffs, c in rows:
-                    slope = _dot(coeffs, direction)
-                    if slope < 0:
-                        t = -(_dot(coeffs, witness) + c) / slope
-                        t_exit = t if t_exit is None else min(t_exit, t)
-                if t_exit is None or t_exit > t_hit:
-                    far_t = t_hit + ((t_exit - t_hit) / 2 if t_exit is not None else Fraction(1))
-                    far = [w + far_t * d for w, d in zip(witness, direction)]
-                    updated.append((signs + [side], witness))
-                    updated.append((signs + [-side], far))
-                    continue
-                crossing = _interior_on_hyperplane(rows, normal, offset)
-                if crossing is None:
-                    updated.append((signs + [side], witness))
-                    continue
-            # witness sits on the new hyperplane strictly inside the chamber:
-            # nudge along both normal directions
-            plus_dir = tuple(normal)
-            minus_dir = tuple(-a for a in normal)
-            t_plus = _step_off(rows, crossing, plus_dir)
-            t_minus = _step_off(rows, crossing, minus_dir)
-            plus_point = [w + t_plus * d for w, d in zip(crossing, plus_dir)]
-            minus_point = [w + t_minus * d for w, d in zip(crossing, minus_dir)]
-            updated.append((signs + [1], plus_point))
-            updated.append((signs + [-1], minus_point))
-        chambers = updated
-    return chambers
+    rows: Sequence[Sequence[int]], dim: int, fixed: int = 0
+) -> dict[int, tuple[tuple[int, ...], int]]:
+    """Chambers of the integer rows (a | b), by deletion and restriction.
+
+    Returns {mask: (numerators, denominator)}: bit i of mask is set when
+    a_i . x > b_i on the chamber, and the numerators over the positive
+    denominator are a point strictly inside it.  The first ``fixed`` rows
+    keep only their positive side; they bound a box.  Row k cuts the
+    chamber of rows 0..k-1 with mask m exactly when m is realized on the
+    hyperplane a_k . x = b_k, which is the same enumeration one dimension
+    lower.  There, a row that vanishes keeps the constant sign of -b, and a
+    row that vanishes with its offset leaves no chamber.  The two halves of
+    a cut chamber step off the lifted witness along +-a_k; the half that
+    holds the old witness keeps it.
+    """
+    for i, row in enumerate(rows):
+        if not any(row[:-1]) and (row[-1] == 0 or (i < fixed and row[-1] > 0)):
+            return {}
+    cells = {0: ((0,) * dim, 1)}
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        *normal, b = row
+        if not any(normal):
+            if b < 0:
+                cells = {m | bit: w for m, w in cells.items()}
+            continue
+        p = next(j for j, a in enumerate(normal) if a)
+        ap = normal[p]
+        unit = 1 if ap > 0 else -1
+        rest = normal[:p] + normal[p + 1 :]
+        earlier = rows[:k]
+        on_h = _enumerate_chambers(
+            [_restrict(other, row, p) for other in earlier], dim - 1, min(fixed, k)
+        )
+        slopes = [sum(map(mul, other, normal)) for other in earlier]
+        keep_minus = k >= fixed
+        updated = {}
+        for m, witness in cells.items():
+            nums, den = witness
+            gap = sum(map(mul, normal, nums)) - b * den
+            inside = on_h.get(m)
+            if inside is None:  # the chamber lies on one side of row k
+                if gap > 0:
+                    updated[m | bit] = witness
+                elif keep_minus:
+                    updated[m] = witness
+                continue
+            ys, dy = inside
+            lifted = [abs(ap) * y for y in ys]
+            lifted.insert(p, unit * (b * dy - sum(map(mul, rest, ys))))
+            lifted = (lifted, abs(ap) * dy)
+            updated[m | bit] = (
+                witness if gap > 0 else _step_off(earlier, slopes, m, lifted, normal, 1)
+            )
+            if keep_minus:
+                updated[m] = (
+                    witness if gap < 0 else _step_off(earlier, slopes, m, lifted, normal, -1)
+                )
+        cells = updated
+    return cells
+
+
+def _sign_string(mask: int, count: int) -> str:
+    return "".join("+" if mask >> i & 1 else "-" for i in range(count))
 
 
 def enumerate_chambers(spec: ArrangementSpec, bound: Optional[Fraction] = None) -> ChamberSet:
@@ -815,23 +732,23 @@ def enumerate_chambers(spec: ArrangementSpec, bound: Optional[Fraction] = None) 
             f"chamber enumeration capped at dim {MAX_ENUM_DIM} and "
             f"{MAX_ENUM_HYPERPLANES} hyperplanes"
         )
-    box_rows = None
+    box = []
     if bound is not None:
         bound = Fraction(bound)
         if bound <= 0:
             raise ValueError("bound must be positive")
-        box_rows = []
         for i in range(spec.dim):
-            unit = tuple(Fraction(int(i == j)) for j in range(spec.dim))
-            box_rows.append((unit, bound))
-            box_rows.append((tuple(-u for u in unit), bound))
-    raw = _enumerate_chambers(spec, box_rows)
+            for unit in (1, -1):
+                face = [0] * spec.dim + [-bound.numerator]
+                face[i] = unit * bound.denominator
+                box.append(face)  # unit * x_i > -bound
+    raw = _enumerate_chambers(box + _integer_rows(spec), spec.dim, len(box))
     chambers = tuple(
         Chamber(
-            signs="".join("+" if s > 0 else "-" for s in signs),
-            witness=tuple(witness),
+            signs=_sign_string(mask >> len(box), len(spec.hyperplanes)),
+            witness=tuple(Fraction(x, den) for x in nums),
         )
-        for signs, witness in raw
+        for mask, (nums, den) in raw.items()
     )
     return ChamberSet(spec=spec, chambers=chambers)
 
@@ -912,8 +829,8 @@ def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
         raise NotRealError("simpliciality is checked on the rational real form")
     essential = essentialize(spec)  # raises CentralityError when not central
     rank = essential.dim
-    raw = _enumerate_chambers(essential)
-    realized = {"".join("+" if s > 0 else "-" for s in signs) for signs, _ in raw}
+    raw = _enumerate_chambers(_integer_rows(essential), rank)
+    realized = {_sign_string(mask, len(essential.hyperplanes)) for mask in raw}
     wall_counts = []
     simplicial = True
     for signs in sorted(realized):

@@ -8,8 +8,10 @@ configuration are byte-identical; tables are rendered from that same JSON.
 
 Exit codes: 0 success; 2 unparseable input, unknown ids, invalid models;
 3 reflector features; 4 size guard rails (arrangement size, squaring n,
-groupoid group order groupoid.MAX_GROUP_ORDER, `forget` size MAX_FORGET_PAIRS);
-5 a covering verification that ran but failed; 6 no quasifibration witness
+qE logarithm combinations covering.MAX_EXP_COMBINATIONS, groupoid group
+order groupoid.MAX_GROUP_ORDER, negation and rotation point count
+groupoid.MAX_ACTION_POINTS, `forget` size MAX_FORGET_PAIRS); 5 a covering
+verification that ran but failed; 6 no quasifibration witness
 (fixed-point-free action).
 """
 
@@ -37,6 +39,7 @@ from .exactfield import DEFAULT_EPS, json_int
 from .groupoid import (
     InvalidModelError,
     _freeze,
+    _json_shape,
     forget_map,
     group_action_from_json,
     group_from_json,
@@ -211,6 +214,10 @@ def _cmd_obstruction(args) -> tuple[dict, dict, int]:
     return report.to_json(), {"input": data, "n": args.n}, EXIT_OK
 
 
+def _element_set(data: dict, key: str) -> frozenset:
+    return frozenset(_freeze(el) for el in _json_shape(data[key], list, key))
+
+
 def _groupoid_action(data: dict):
     group = group_from_json(data["group"])
     action_spec = data.get("action", {"kind": "regular"})
@@ -230,7 +237,7 @@ def _cmd_groupoid(args) -> tuple[dict, dict, int]:
             }
         elif kind == "subgroup_cover":
             action = _groupoid_action(data)
-            subgroup = frozenset(_freeze(el) for el in data["subgroup"])
+            subgroup = _element_set(data, "subgroup")
             hom = subgroup_covering_hom(action, subgroup)
             checks = [hom.verify().to_json(), is_covering_hom(hom).to_json()]
             summary = {"points": len(action.points), "group_order": action.group.order}
@@ -257,8 +264,8 @@ def _cmd_groupoid(args) -> tuple[dict, dict, int]:
             summary = {"skeleton_objects": len(hom.src.objects)}
         elif kind == "morita":
             action = _groupoid_action(data)
-            first = frozenset(_freeze(el) for el in data["n1"])
-            second = frozenset(_freeze(el) for el in data["n2"])
+            first = _element_set(data, "n1")
+            second = _element_set(data, "n2")
             triple = morita_triple(action, first, second)
             body = triple.to_json()
             body["model"] = kind

@@ -32,6 +32,10 @@ _TWO_PI = 2.0 * math.pi
 #: compares them pairwise, so its cost grows like 2^n * n^2.
 MAX_SQUARING_N = 10
 
+#: Rail on the qE check: each sample walks every combination of the 2 * window
+#: logarithms per coordinate, (2 * window)^n of them.
+MAX_EXP_COMBINATIONS = 1_000_000
+
 
 def joukowski_map(w: ComplexPoint) -> ComplexPoint:
     """v = (1/4)(1 - (1 + w^2) / (2w)), the degree-2 quotient of the
@@ -439,8 +443,8 @@ def verify_cover(
     enumeration), "qE" (the exponential-then-quotient composite; 2^n
     preimages per fundamental window, scanned over window^n cells).
     Singular samples (branch values, degenerate coordinates) are skipped
-    and counted, never silently dropped.  Guard rail: squaring takes
-    n <= MAX_SQUARING_N.
+    and counted, never silently dropped.  Guard rails: squaring takes
+    n <= MAX_SQUARING_N, and qE takes (2 * window)^n <= MAX_EXP_COMBINATIONS.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -471,6 +475,12 @@ def verify_cover(
     elif map_id == "qE":
         if n < 1:
             raise ValueError("the exponential composite needs n >= 1")
+        # 2 * window >= 2, so an exponent past the cap's bit length exceeds it
+        if (2 * window) ** min(n, MAX_EXP_COMBINATIONS.bit_length()) > MAX_EXP_COMBINATIONS:
+            raise SizeGuardError(
+                f"qE verification capped at (2 * window)^n <= {MAX_EXP_COMBINATIONS} "
+                f"(logarithm combinations per sample)"
+            )
         n_effective = n
         declared = 2**n
         _verify_exp_composite(rb, n, samples, window, eps, rng)

@@ -23,6 +23,11 @@ from .exactfield import json_int
 # Largest group a JSON model may name: validating the group's table and a
 # regular action's table each take O(|G|^3) steps.
 MAX_GROUP_ORDER = 32
+# Largest point count of a negation or rotation model, read from the JSON
+# before any table is built.  Tables grow with points times group order; a
+# Morita triple of rotation(128) under C32 with trivial subgroups, the worst
+# case the two rails allow, builds about 140 MB of them.
+MAX_ACTION_POINTS = 128
 
 
 class InvalidModelError(ValueError):
@@ -886,7 +891,25 @@ def morita_triple(
 def _freeze(value):
     if isinstance(value, list):
         return tuple(_freeze(v) for v in value)
+    if isinstance(value, dict):
+        raise InvalidModelError(f"a label must not be a JSON object, got {value!r}")
     return value
+
+
+def _json_shape(value, shape: type, what: str):
+    """value, when it is the JSON object (shape dict) or list (shape list)."""
+    if not isinstance(value, shape):
+        noun = "an object" if shape is dict else "a list"
+        raise InvalidModelError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
+def _point_count(data: dict, kind: str) -> int:
+    """The point count of a negation or rotation model, inside its rail."""
+    n = json_int(data["n"], f"{kind} n")
+    if n > MAX_ACTION_POINTS:
+        raise SizeGuardError(f"{kind} with n = {n} exceeds the groupoid rail (n <= {MAX_ACTION_POINTS})")
+    return n
 
 
 def _guard_order(order: int) -> None:
@@ -896,7 +919,7 @@ def _guard_order(order: int) -> None:
 
 def group_from_json(data: dict) -> FiniteGroup:
     """The group a JSON model names; no table above MAX_GROUP_ORDER is built."""
-    kind = data.get("kind")
+    kind = _json_shape(data, dict, "group model").get("kind")
     if kind in ("cyclic", "dihedral"):
         n = json_int(data["n"], f"{kind} n")
         _guard_order(n if kind == "cyclic" else 2 * n)
@@ -904,9 +927,7 @@ def group_from_json(data: dict) -> FiniteGroup:
     if kind == "klein":
         return FiniteGroup.klein()
     if kind == "product":
-        if not isinstance(data["factors"], list):
-            raise InvalidModelError("product factors must be a list of group models")
-        factors = [group_from_json(f) for f in data["factors"]]
+        factors = [group_from_json(f) for f in _json_shape(data["factors"], list, "product factors")]
         if len(factors) < 2:
             raise InvalidModelError("product needs at least two factors")
         _guard_order(prod(g.order for g in factors))
@@ -918,13 +939,15 @@ def group_from_json(data: dict) -> FiniteGroup:
 
 
 def group_action_from_json(data: dict, group: FiniteGroup) -> GroupAction:
-    kind = data.get("kind")
+    """The action a JSON model names; negation and rotation models have at
+    most MAX_ACTION_POINTS points."""
+    kind = _json_shape(data, dict, "action model").get("kind")
     if kind == "regular":
         return GroupAction.regular(group)
     if kind == "negation":
         if group.order != 2:
             raise InvalidModelError("negation model acts through a group of order 2")
-        base = GroupAction.negation_mod(json_int(data["n"], "negation n"))
+        base = GroupAction.negation_mod(_point_count(data, kind))
         table = {
             (g, x): base.apply(gi, x)
             for gi, g in zip(base.group.elements, group.elements)
@@ -932,11 +955,12 @@ def group_action_from_json(data: dict, group: FiniteGroup) -> GroupAction:
         }
         return GroupAction(group, base.points, table)
     if kind == "rotation":
-        return GroupAction.rotation_mod(json_int(data["n"], "rotation n"), group.order)
+        return GroupAction.rotation_mod(_point_count(data, kind), group.order)
     if kind == "table":
-        points = [_freeze(p) for p in data["points"]]
+        points = [_freeze(p) for p in _json_shape(data["points"], list, "action points")]
         table = {}
-        for row in data["table"]:
+        for row in _json_shape(data["table"], list, "action table"):
+            row = _json_shape(row, dict, "action table row")
             table[(_freeze(row["g"]), _freeze(row["x"]))] = _freeze(row["y"])
         return GroupAction(group, points, table)
     raise InvalidModelError(f"unknown action kind {kind!r}")
@@ -958,7 +982,7 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
             compose[(_freeze(g), _freeze(f))] = _freeze(h)
         identity = {_freeze(x): _freeze(m) for x, m in data["identities"].items()}
         inverse = {_freeze(m): _freeze(v) for m, v in data["inverses"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidModelError(f"malformed groupoid spec: {exc}") from exc
     if set(identity) != set(objects):
         # JSON object keys are strings; tolerate integer-labeled objects

@@ -333,6 +333,73 @@ def test_enumeration_matches_zaslavsky(dim, data):
         _witness_ok(spec, c)
 
 
+def _oracle_strictly_feasible(rows):
+    """Whether {x : a . x + c > 0 for every (a, c) in rows} is nonempty.
+
+    Fourier-Motzkin on the last variable: each pair of a lower and an upper
+    bound on it combines, positively, into one strict row without it, and
+    the system is feasible exactly when the combined one is.  Rows are
+    scaled to a leading coefficient of +-1 and deduplicated.
+    """
+    rows = set(rows)
+    while True:
+        scaled = set()
+        for a, c in rows:
+            lead = next((abs(x) for x in a if x), None)
+            if lead is None:
+                if c <= 0:
+                    return False
+            else:
+                scaled.add((tuple(x / lead for x in a), c / lead))
+        if not scaled:
+            return True
+        lower = [(a, c) for a, c in scaled if a[-1] > 0]
+        upper = [(a, c) for a, c in scaled if a[-1] < 0]
+        rows = {(a[:-1], c) for a, c in scaled if a[-1] == 0}
+        for a, c in lower:
+            for b, d in upper:
+                rows.add(
+                    (
+                        tuple(-b[-1] * x + a[-1] * y for x, y in zip(a[:-1], b[:-1])),
+                        -b[-1] * c + a[-1] * d,
+                    )
+                )
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=3), data=st.data())
+def test_enumeration_matches_fourier_motzkin_feasibility(dim, data):
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    raw = data.draw(
+        st.lists(
+            st.tuples(st.tuples(*([entry] * dim)), entry), min_size=0, max_size=5
+        )
+    )
+    raw = [(normal, offset) for normal, offset in raw if any(normal)]
+    bound = data.draw(st.none() | st.fractions(min_value=F(1, 2), max_value=3, max_denominator=2))
+    spec = make_arrangement(dim, QQ, raw)
+    chambers = enumerate_chambers(spec, bound=bound)
+    box = []
+    if bound is not None:
+        for i in range(dim):
+            for unit in (1, -1):
+                box.append((tuple(F(unit * (i == j)) for j in range(dim)), bound))
+    realized = chambers.sign_vectors()
+    assert len(realized) == len(chambers)
+    count = len(spec.hyperplanes)
+    for mask in range(2**count):
+        signs = [1 if mask >> i & 1 else -1 for i in range(count)]
+        rows = [
+            (tuple(s * a for a in h.normal), -s * h.offset)
+            for h, s in zip(spec.hyperplanes, signs)
+        ]
+        text = "".join("+" if s > 0 else "-" for s in signs)
+        assert (text in realized) == _oracle_strictly_feasible(rows + box), text
+    for c in chambers.chambers:
+        _witness_ok(spec, c)
+        assert bound is None or all(abs(x) < bound for x in c.witness)
+
+
 # -- centrality, essentialization, simpliciality ----------------------------
 
 

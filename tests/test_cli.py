@@ -234,6 +234,18 @@ def test_verify_cover_squaring_n_rail_exit_4(capsys):
     assert "squaring verification capped at n = 10" in err
 
 
+def test_verify_cover_qe_combination_rail_exit_4(capsys):
+    # (2 * 3)^3 = 216 logarithm combinations per sample pass; (2 * 3)^8,
+    # (2 * 6)^6 and a huge n exceed the 1,000,000 rail before any sampling
+    code, env = run_json(capsys, ["verify-cover", "qE", "--n", "3", "--window", "3", "--samples", "1"])
+    assert code == 0 and env["report"]["window"] == 3
+    for n, window in ((8, 3), (6, 6), (10**9, 3)):
+        argv = ["verify-cover", "qE", "--n", str(n), "--window", str(window), "--samples", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, ""), (n, window)
+        assert "qE verification capped" in err
+
+
 # ---------------------------------------------------------------------------
 # obstruction
 # ---------------------------------------------------------------------------
@@ -430,6 +442,47 @@ def test_groupoid_forget_size_rail_exit_4(capsys):
         code, out, err = run(capsys, ["groupoid", json.dumps(_negation_forget(n))])
         assert (code, out) == (4, ""), n
         assert "forget" in err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"group": 3}, "group model must be an object"),
+        ({"action": 3}, "action model must be an object"),
+        ({"group": {"kind": "product", "factors": [3, 4]}}, "group model must be an object"),
+        ({"subgroup": 3}, "subgroup must be a list"),
+        ({"type": "morita", "n1": 3, "n2": [0]}, "n1 must be a list"),
+    ],
+    ids=["group", "action", "factors", "subgroup", "morita_n1"],
+)
+def test_groupoid_wrong_json_shape_exit_2(capsys, change, message):
+    model = {
+        "schema": 1,
+        "type": "subgroup_cover",
+        "group": {"kind": "cyclic", "n": 2},
+        "action": {"kind": "negation", "n": 6},
+        "subgroup": [0],
+    }
+    model.update(change)
+    code, out, err = run(capsys, ["groupoid", json.dumps(model)])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_groupoid_action_point_rail_exit_4(capsys):
+    def skeleton(action, order):
+        group = {"kind": "cyclic", "n": order}
+        return json.dumps({"schema": 1, "type": "skeleton", "group": group, "action": action})
+
+    assert run(capsys, ["groupoid", skeleton({"kind": "negation", "n": 128}, 2)])[0] == 0
+    for action, order in (
+        ({"kind": "negation", "n": 129}, 2),
+        ({"kind": "negation", "n": 10**7}, 2),
+        ({"kind": "rotation", "n": 10**9}, 4),
+    ):
+        code, out, err = run(capsys, ["groupoid", skeleton(action, order)])
+        assert (code, out) == (4, ""), action
+        assert "exceeds the groupoid rail (n <= 128)" in err
 
 
 # ---------------------------------------------------------------------------
