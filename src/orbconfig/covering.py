@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .arrangement import SizeGuardError
 from .exactfield import DEFAULT_EPS, ComplexPoint, complex_sqrt_exact
 from .orbmodel import CyclicRotation, DomainError, IntegerDihedral, SignFlipPunctured
-from .orbit_config import MembershipError, is_orbit_config, sample_orbit_config
+from .orbit_config import MembershipError, _config_invariants, is_orbit_config, sample_orbit_config
 
 _ZERO = ComplexPoint.exact(0)
 _ONE = ComplexPoint.exact(1)
@@ -216,10 +216,13 @@ def power_difference_map(
         raise ValueError("rotation order must be >= 1")
     if not zs:
         raise MembershipError("need at least one coordinate")
-    if not is_orbit_config(CyclicRotation(m), zs, eps):
+    # the rotation about 0 has orbit invariant z^m, so the membership check
+    # hands back every power the map needs
+    is_config, powers = _config_invariants(CyclicRotation(m), list(zs), eps)
+    if not is_config:
         raise MembershipError("input coordinates do not lie in distinct rotation orbits")
-    last = zs[-1] ** m
-    base = tuple(last - z**m for z in zs[:-1])
+    last = powers[-1]
+    base = tuple(last - p for p in powers[:-1])
     if not in_punctured_configuration(base, eps):
         raise MembershipError("power differences left the punctured configuration space")
     return base

@@ -5,8 +5,11 @@ fiber count is made in exact arithmetic.  Rationals are ``fractions.Fraction``
 (arbitrary precision, always reduced, positive denominator).  An element of
 Q(zeta_m) is a dense coefficient vector in the power basis
 1, zeta, ..., zeta^(phi(m)-1), reduced modulo the m-th cyclotomic polynomial.
-Complex points come in an exact mode (Gaussian rationals) and an approximate
-mode (floats plus an explicit tolerance carried by the point).
+Complex points come in an exact mode and an approximate mode.  An exact
+point is a Gaussian rational stored as integer numerators over one positive
+denominator, (a + b*i) / d with gcd(a, b, d) = 1, so each value has one
+canonical form and its arithmetic runs on ints.  An approximate point is a
+pair of floats plus an explicit tolerance carried by the point.
 """
 
 from __future__ import annotations
@@ -348,10 +351,23 @@ def rational_sqrt(value: RationalLike) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
+def _parts(value) -> tuple[int, int]:
+    """(numerator, denominator) of anything Fraction() accepts; ints and
+    Fractions are read without building a new Fraction."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
 class ComplexPoint:
     """A point of C, either exact (Gaussian rational) or approximate.
 
-    Exact points carry Fraction coordinates and support decidable equality.
+    An exact point is stored as integers (a + b*i) / d with d > 0 and
+    gcd(a, b, d) = 1.  That triple is canonical, so equality and hashing
+    compare triples, and exact arithmetic runs on ints with one gcd
+    reduction per result; ``re`` and ``im`` read back as Fractions.
     Approximate points carry float coordinates plus the eps they were built
     with; comparisons take an explicit eps and fall back to the carried one.
     Mixing modes in arithmetic coerces to approximate.
@@ -360,25 +376,45 @@ class ComplexPoint:
     EXACT = "exact"
     APPROX = "approx"
 
-    __slots__ = ("re", "im", "mode", "eps")
+    # exact: integer numerators _a, _b over the denominator _d > 0;
+    # approximate: float coordinates _a, _b with _d = 0 and the tolerance _eps
+    __slots__ = ("_a", "_b", "_d", "_eps")
 
     def __init__(self, re, im=0, mode: str = EXACT, eps: Optional[float] = None):
         if mode == self.EXACT:
-            object.__setattr__(self, "re", Fraction(re))
-            object.__setattr__(self, "im", Fraction(im))
-            object.__setattr__(self, "eps", None)
+            (p, q), (s, t) = _parts(re), _parts(im)
+            d = math.lcm(q, t)
+            # over the lcm of two reduced denominators, gcd(a, b, d) is 1
+            _set_point(self, p * (d // q), s * (d // t), d, None)
         elif mode == self.APPROX:
             if eps is None or not eps > 0:
                 raise ValueError("approximate points require an explicit eps > 0")
-            object.__setattr__(self, "re", float(re))
-            object.__setattr__(self, "im", float(im))
-            object.__setattr__(self, "eps", float(eps))
+            _set_point(self, float(re), float(im), 0, float(eps))
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexPoint is immutable")
+
+    @property
+    def re(self):
+        """The real part: a Fraction when exact, a float when approximate."""
+        d = self._d
+        return Fraction(self._a, d) if d else self._a
+
+    @property
+    def im(self):
+        """The imaginary part: a Fraction when exact, a float when approximate."""
+        d = self._d
+        return Fraction(self._b, d) if d else self._b
+
+    @property
+    def mode(self) -> str:
+        return self.EXACT if self._d else self.APPROX
+
+    @property
+    def eps(self) -> Optional[float]:
+        return self._eps
 
     # -- constructors --------------------------------------------------------
 
@@ -396,7 +432,7 @@ class ComplexPoint:
 
     @property
     def is_exact(self) -> bool:
-        return self.mode == self.EXACT
+        return self._d != 0
 
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
@@ -407,6 +443,8 @@ class ComplexPoint:
         return self
 
     # -- arithmetic ----------------------------------------------------------
+    # Each operator first tests for two exact points and then works on the
+    # integer triples; every other combination goes through _pair.
 
     def _pair(self, other) -> tuple["ComplexPoint", "ComplexPoint"]:
         if isinstance(other, (int, Fraction)):
@@ -428,19 +466,25 @@ class ComplexPoint:
         return max(self.eps or 0.0, other.eps or 0.0) or DEFAULT_EPS
 
     def __add__(self, other):
+        if type(other) is ComplexPoint and self._d and other._d:
+            d, f = self._d, other._d
+            return _reduced_point(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
         a, b = self._pair(other)
         if a.is_exact:
-            return ComplexPoint.exact(a.re + b.re, a.im + b.im)
+            return a + b
         return ComplexPoint.approx(a.re + b.re, a.im + b.im, a._out_eps(b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_exact:
-            return ComplexPoint.exact(-self.re, -self.im)
+        if self._d:
+            return _exact_point(-self._a, -self._b, self._d)
         return ComplexPoint.approx(-self.re, -self.im, self.eps)
 
     def __sub__(self, other):
+        if type(other) is ComplexPoint and self._d and other._d:
+            d, f = self._d, other._d
+            return _reduced_point(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
         a, b = self._pair(other)
         return a + (-b)
 
@@ -448,33 +492,45 @@ class ComplexPoint:
         return -(self - other)
 
     def __mul__(self, other):
+        if type(other) is ComplexPoint and self._d and other._d:
+            a, b, c, e = self._a, self._b, other._a, other._b
+            return _reduced_point(a * c - b * e, a * e + b * c, self._d * other._d)
         a, b = self._pair(other)
+        if a.is_exact:
+            return a * b
         re = a.re * b.re - a.im * b.im
         im = a.re * b.im + a.im * b.re
-        if a.is_exact:
-            return ComplexPoint.exact(re, im)
         return ComplexPoint.approx(re, im, a._out_eps(b))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ComplexPoint":
-        if self.is_exact:
-            return ComplexPoint.exact(self.re, -self.im)
+        if self._d:
+            return _exact_point(self._a, -self._b, self._d)
         return ComplexPoint.approx(self.re, -self.im, self.eps)
 
     def norm2(self):
-        """|z|^2, exact for exact points."""
+        """|z|^2, a Fraction for exact points."""
+        if self._d:
+            return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
         return self.re * self.re + self.im * self.im
 
     def inverse(self) -> "ComplexPoint":
+        if self._d:
+            # d / (a + bi) = d (a - bi) / (a^2 + b^2)
+            a, b, d = self._a, self._b, self._d
+            n = a * a + b * b
+            if not n:
+                raise ZeroDivisionError("inverse of zero complex point")
+            return _reduced_point(a * d, -b * d, n)
         n = self.norm2()
         if not n:
             raise ZeroDivisionError("inverse of zero complex point")
-        if self.is_exact:
-            return ComplexPoint.exact(self.re / n, -self.im / n)
         return ComplexPoint.approx(self.re / n, -self.im / n, self.eps)
 
     def __truediv__(self, other):
+        if type(other) is ComplexPoint and self._d and other._d:
+            return self * other.inverse()
         a, b = self._pair(other)
         return a * b.inverse()
 
@@ -484,7 +540,18 @@ class ComplexPoint:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = ComplexPoint.exact(1) if self.is_exact else ComplexPoint.approx(1.0, 0.0, self.eps)
+        if self._d:
+            # square-and-multiply on the Gaussian integer a + bi; the
+            # denominator is d^exponent, reduced once at the end
+            re, im, x, y, e = 1, 0, self._a, self._b, exponent
+            while e:
+                if e & 1:
+                    re, im = re * x - im * y, re * y + im * x
+                e >>= 1
+                if e:
+                    x, y = x * x - y * y, 2 * x * y
+            return _reduced_point(re, im, self._d**exponent)
+        result = ComplexPoint.approx(1.0, 0.0, self.eps)
         base = self
         while exponent:
             if exponent & 1:
@@ -496,21 +563,19 @@ class ComplexPoint:
     # -- comparison ----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a) or bool(self._b)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)) and self.is_exact:
-            other = ComplexPoint.exact(other)
-        if not isinstance(other, ComplexPoint):
-            return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.re == other.re
-            and self.im == other.im
-        )
+        if type(other) is not ComplexPoint:
+            if isinstance(other, (int, Fraction)) and self._d:
+                other = ComplexPoint.exact(other)
+            elif not isinstance(other, ComplexPoint):
+                return NotImplemented
+        # exact triples are canonical; approximate points have _d == 0
+        return self._d == other._d and self._a == other._a and self._b == other._b
 
     def __hash__(self) -> int:
-        return hash((self.mode, self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def isclose(self, other, eps: Optional[float] = None) -> bool:
         """|self - other| <= eps; eps falls back to the carried tolerance."""
@@ -542,6 +607,35 @@ class ComplexPoint:
         if isinstance(data, dict):
             return cls.exact(parse_rational(data["re"]), parse_rational(data.get("im", 0)))
         return cls.exact(parse_rational(data))
+
+
+_new_point = object.__new__
+_set_a = ComplexPoint._a.__set__
+_set_b = ComplexPoint._b.__set__
+_set_d = ComplexPoint._d.__set__
+_set_eps = ComplexPoint._eps.__set__
+
+
+def _set_point(z: ComplexPoint, a, b, d: int, eps: Optional[float]) -> None:
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    _set_eps(z, eps)
+
+
+def _exact_point(a: int, b: int, d: int) -> ComplexPoint:
+    """The exact point (a + bi) / d from a triple that is already canonical."""
+    z = _new_point(ComplexPoint)
+    _set_point(z, a, b, d, None)
+    return z
+
+
+def _reduced_point(a: int, b: int, d: int) -> ComplexPoint:
+    """The exact point (a + bi) / d for d > 0, reduced by gcd(a, b, d)."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _exact_point(a, b, d)
 
 
 def complex_sqrt_exact(z: ComplexPoint) -> Optional[ComplexPoint]:

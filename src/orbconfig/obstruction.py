@@ -22,6 +22,12 @@ _ZERO = ComplexPoint.exact(0)
 _HALF = ComplexPoint.exact(Fraction(1, 2))
 
 
+#: Candidate free points s + k/2, k = 1..MAX_WITNESS_STEPS, that the witness
+#: search tries; each places at most one coordinate after the anchor, so no
+#: n above MAX_WITNESS_STEPS + 1 can succeed.
+MAX_WITNESS_STEPS = 400
+
+
 class UnsupportedActionError(ValueError):
     """The acting group is infinite; fiber puncture counts diverge."""
 
@@ -159,9 +165,11 @@ def quasifibration_witness(
             "quasifibration witnesses are defined for finite acting groups"
         )
     s = _find_fixed_point(action)
+    if n - 1 > MAX_WITNESS_STEPS:
+        raise NoWitnessError("could not place enough free witness coordinates")
     chosen: list[ComplexPoint] = [s]
     step = 0
-    while len(chosen) < n and step < 400:
+    while len(chosen) < n and step < MAX_WITNESS_STEPS:
         step += 1
         candidate = s + _HALF * step
         if not action.contains(candidate):

@@ -56,18 +56,27 @@ def is_orbit_config(
     and every point's invariant is exact, orbits are compared by hashing one
     invariant per point; otherwise every pair goes through same_orbit.
     """
-    pts = list(points)
+    return _config_invariants(action, list(points), eps)[0]
+
+
+def _config_invariants(
+    action: PlanarAction, pts: list[ComplexPoint], eps: Optional[float]
+) -> tuple[bool, Optional[list[ComplexPoint]]]:
+    """is_orbit_config, plus the orbit invariant of each point when the
+    action has one and the points lie in its domain (None otherwise), so a
+    caller that needs the invariants does not compute them again."""
     if any(not action.contains(z, eps) for z in pts):
-        return False
+        return False, None
+    keys = None
     if action.orbit_invariant is not None:
         keys = [action.orbit_invariant(z) for z in pts]
         if all(k.is_exact for k in keys):
-            return len(set(keys)) == len(keys)
+            return len(set(keys)) == len(keys), keys
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if action.same_orbit(pts[i], pts[j], eps):
-                return False
-    return True
+                return False, keys
+    return True, keys
 
 
 @dataclass(frozen=True)

@@ -264,7 +264,10 @@ class CyclicRotation(PlanarAction):
         return True
 
     def orbit_invariant(self, z: ComplexPoint) -> ComplexPoint:
-        return (z - self.center) ** self.order
+        # an approximate center still coerces z to approximate
+        if self.center != _ZERO:
+            z = z - self.center
+        return z**self.order
 
     def same_orbit(self, z, w, eps=None) -> bool:
         a, b = self.orbit_invariant(z), self.orbit_invariant(w)

@@ -12,7 +12,7 @@ import pytest
 from orbconfig import __version__
 from orbconfig import cli
 from orbconfig.cli import main
-from orbconfig.obstruction import NoWitnessError
+from orbconfig.obstruction import MAX_WITNESS_STEPS, NoWitnessError
 
 
 def run(capsys, argv):
@@ -283,6 +283,25 @@ def test_obstruction_fixed_point_free_exit_6(capsys, monkeypatch):
     )
     assert code == 6
     assert "fixed point" in err
+
+
+def test_obstruction_n_past_the_witness_steps_exits_6_without_searching(capsys):
+    code, out, err = run(
+        capsys,
+        ["obstruction", '{"schema":1,"kind":"rotation","order":4}', "--n", "1000000000"],
+    )
+    assert code == 6
+    assert out == ""
+    assert "could not place enough free witness coordinates" in err
+
+
+@pytest.mark.parametrize("n", [400, MAX_WITNESS_STEPS + 1])
+def test_obstruction_n_within_the_witness_steps_succeeds(capsys, n):
+    code, env = run_json(
+        capsys, ["obstruction", '{"schema":1,"kind":"rotation","order":4}', "--n", str(n)]
+    )
+    assert code == 0
+    assert env["report"]["b1_pair"] == [1 + 4 * (n - 2), 4 * (n - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -207,3 +207,99 @@ def test_gaussian_rational_cyclotomic_embedding(re, im):
         image = complex_to_cyclotomic(z, order)
         square = complex_to_cyclotomic(z * z, order)
         assert image * image == square
+
+
+# ---------------------------------------------------------------------------
+# Exact points against Gaussian rationals kept as Fraction pairs
+# ---------------------------------------------------------------------------
+
+gaussian_rationals = st.tuples(
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+
+
+def _g_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _g_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _g_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _g_pow(x, k):
+    base = _g_inverse(x) if k < 0 else x
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = _g_mul(out, base)
+    return out
+
+
+def _same_point(z, expected):
+    """z has the oracle's value, Fraction parts, and the canonical form:
+    it equals and hashes like the point built directly from the value."""
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == expected
+    direct = ComplexPoint.exact(*expected)
+    assert z == direct and hash(z) == hash(direct)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_rationals, gaussian_rationals, st.integers(min_value=-4, max_value=6))
+def test_exact_points_match_the_fraction_pair_oracle(x, y, k):
+    z, w = ComplexPoint.exact(*x), ComplexPoint.exact(*y)
+    zero = (Fraction(0), Fraction(0))
+    _same_point(z, x)
+    _same_point(z + w, _g_add(x, y))
+    _same_point(z - w, _g_add(x, (-y[0], -y[1])))
+    _same_point(z * w, _g_mul(x, y))
+    _same_point(-z, (-x[0], -x[1]))
+    _same_point(z.conjugate(), (x[0], -x[1]))
+    _same_point(z + 3, _g_add(x, (Fraction(3), Fraction(0))))
+    _same_point(w * Fraction(1, 3), _g_mul(y, (Fraction(1, 3), Fraction(0))))
+    norm = z.norm2()
+    assert type(norm) is Fraction and norm == x[0] ** 2 + x[1] ** 2
+    assert bool(z) == (x != zero)
+    assert (z == w) == (x == y) and (z != w) == (x != y)
+    if x == y:
+        assert hash(z) == hash(w)
+    for point, value in ((z, x), (z * w, _g_mul(x, y))):
+        back = ComplexPoint.from_json(point.to_json())
+        _same_point(back, value)
+    if x == zero:
+        for op in (z.inverse, lambda: w / z, lambda: z ** -1):
+            with pytest.raises(ZeroDivisionError):
+                op()
+        if k >= 0:
+            _same_point(z ** k, _g_pow(x, k))
+        return
+    _same_point(z.inverse(), _g_inverse(x))
+    _same_point(w / z, _g_mul(y, _g_inverse(x)))
+    _same_point(z ** k, _g_pow(x, k))
+    # the same value reached by different routes has one form
+    _same_point((w * z) / z, y)
+    _same_point((w + z) - z, y)
+
+
+def test_exact_points_are_canonical():
+    half = ComplexPoint.exact(Fraction(1, 2))
+    for same in (
+        ComplexPoint.exact(Fraction(2, 4), 0),
+        ComplexPoint.exact("2/4"),
+        ComplexPoint.exact(0.5),
+        ComplexPoint(Fraction(3, 6), "0"),
+        ComplexPoint.exact(Fraction(1, 4)) * 2,
+    ):
+        assert same == half and hash(same) == hash(half)
+    square = ComplexPoint.exact(1, 1) ** 2
+    assert square == ComplexPoint.exact(0, 2)
+    assert hash(square) == hash(ComplexPoint.exact(0, 2))
+    assert len({square, ComplexPoint.exact(0, 2), ComplexPoint.exact(0, Fraction(4, 2))}) == 1
+    quarter = ComplexPoint.exact(Fraction(1, 2), Fraction(1, 2)) ** 2
+    assert quarter == ComplexPoint.exact(0, Fraction(1, 2))
+    assert type(quarter.re) is Fraction and quarter.im == Fraction(1, 2)
