@@ -1,13 +1,17 @@
 """Hyperplane arrangements over Q and Q(zeta_m), with exact invariants.
 
-Flats are computed as a breadth-first closure under intersection that
-extends each flat's canonical reduced row echelon form by one row at a time:
-a hyperplane's row, already reduced against the flat, becomes the new pivot
-row, and the extended form is the dedup key, so the members of each flat are
-found once.  No floating point enters any rank or membership decision.  The
-intersection poset drives the Mobius recursion, the characteristic and
-Poincare polynomials, and the chamber counts.  Chambers of rational
-arrangements are enumerated by deletion and restriction on primitive integer
+Rational arrangements are worked on their primitive integer rows [a | b],
+computed once per spec; no floating point enters any rank or membership
+decision.  Flats are computed as a breadth-first closure under intersection:
+each flat carries the residues of the hyperplanes not containing it, and
+the hyperplanes whose residues are proportional cut out one flat together.
+Over Q the elimination is fraction free (Bareiss, Math. Comp. 1968) on
+primitive rows; over Q(zeta_m) pivots are scaled to one in the field.  The
+search records which flats produce each flat; those are its covers, so the
+Mobius function is a sum over each interval [V, X] alone (Orlik-Terao,
+Arrangements of Hyperplanes, 2.3).  The poset drives the characteristic and
+Poincare polynomials and the chamber counts.  Chambers of rational
+arrangements are enumerated by deletion and restriction on the integer
 rows: a new hyperplane cuts exactly the chambers whose sign vectors are
 realized on it, which is the same enumeration one dimension lower, so no
 linear program runs.  Every chamber carries an exact interior witness.
@@ -15,7 +19,6 @@ linear program runs.  Every chamber carries an exact interior witness.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,13 +209,32 @@ class ArrangementSpec:
         return tuple(compiled)
 
     @cached_property
+    def _integer_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each hyperplane of a rational spec as a primitive integer row [a | b].
+
+        The row is the hyperplane's (normal, offset) times the lcm of its
+        denominators, divided by the gcd of its entries.  Its first nonzero
+        entry is positive, because make_arrangement scales it to one.
+        """
+        if not self.field.is_rational:
+            raise NotRealError("finite field counts need integer (rational) coefficients")
+        rows = []
+        for h in self.hyperplanes:
+            entries = h.normal + (h.offset,)
+            lcm = math.lcm(*(e.denominator for e in entries))
+            row = [e.numerator * (lcm // e.denominator) for e in entries]
+            g = math.gcd(*row)
+            rows.append(tuple(v // g for v in row))
+        return tuple(rows)
+
+    @cached_property
     def _bad_primes(self) -> frozenset[int]:
         """Primes dividing some nonzero minor of the integer system [A | b].
 
         Computed once per spec: bad_primes, good_primes and
         finite_field_count all read it.
         """
-        return frozenset(_nonzero_minor_primes(_integer_rows(self)))
+        return frozenset(_nonzero_minor_primes(self._integer_rows))
 
     @classmethod
     def from_json(cls, data: dict) -> "ArrangementSpec":
@@ -396,82 +418,113 @@ def _eliminate(row: tuple, pivot_row: tuple, col: int) -> tuple:
     return tuple(x - factor * y if y else x for x, y in zip(row, pivot_row))
 
 
+def _lead_positive(residue: tuple, col: int) -> tuple:
+    """A primitive integer row, negated if its entry in col is negative."""
+    return residue if residue[col] > 0 else tuple(-x for x in residue)
+
+
+def _eliminate_integer(row: tuple, pivot_row: tuple, col: int) -> tuple:
+    """p * row - row[col] * pivot_row over the gcd, with p = pivot_row[col] > 0.
+
+    Fraction-free: the result is primitive and zero in column col.
+    """
+    factor = row[col]
+    if not factor:
+        return row
+    p = pivot_row[col]
+    out = [p * x - factor * y for x, y in zip(row, pivot_row)]
+    g = math.gcd(*out)
+    return tuple(out) if g < 2 else tuple([x // g for x in out])
+
+
 def flat_poset(spec: ArrangementSpec) -> FlatPoset:
     """All nonempty intersections, with Mobius values from the top.
 
-    Flats are closed under intersection breadth first.  Each flat X of the
-    frontier carries the canonical reduced row echelon form of its system
-    [A | b] and, for every hyperplane not containing X, that hyperplane's
-    residue: its row with X's pivot columns eliminated, which is zero
-    exactly for the hyperplanes that contain X.  Cutting X by H scales H's
-    residue to a leading one.  A leading entry in the offset column means
-    X cap H is empty; otherwise eliminating the new pivot column from X's
-    rows and inserting the new row gives the canonical form of X cap H.
-    That form is the dedup key, so each flat's members are computed once:
-    they are X's members, H, and every hyperplane whose residue vanishes
-    once the new pivot column is eliminated.  Every step is one row
-    operation in the spec's exact field, and flats keep the order of their
-    first discovery.
+    Flats are closed under intersection breadth first, one rank per pass.
+    Each flat X of the frontier carries, for every hyperplane not
+    containing X, that hyperplane's residue: its row [a | b] with the pivot
+    columns of X's reduced echelon form eliminated.  A residue is never
+    zero, and one that is zero outside the offset column marks a hyperplane
+    parallel to X.  H_j contains X cap H exactly when H_j's row lies in the
+    span of X's rows and H's, that is, when H_j's residue is a multiple of
+    H's: the vectors of that span that vanish on X's pivot columns are the
+    multiples of H's residue.  So the normalized residues of X fall into classes,
+    one per flat X cap H, and each class is the set of hyperplanes that
+    flat adds to X's members.  The member set is the flat's canonical key.
+    A new flat's residues are X's other residues with the class's pivot
+    column eliminated.  Flats keep the order of their first discovery.
 
-    mu(ambient) = 1 and mu(X) = -sum of mu(Z) over flats Z strictly
-    containing X; the zero-sum identity over each lower interval is a
+    Over Q the rows are the spec's primitive integer rows.  A residue is
+    normalized to a positive leading entry, and elimination is fraction
+    free: p * row - row[col] * pivot_row over the gcd (Bareiss, Math. Comp.
+    1968), so residues stay primitive.  Over Q(zeta_m) a residue is scaled
+    to a leading one and elimination is the field's row operation.
+
+    Every flat Y that produces X = Y cap H is covered by X, and every cover
+    Y of X produces it: take H containing X but not Y.  So the producers of
+    X, found again or not, are its covers, and the flats strictly above X
+    are its covers and theirs.  mu(ambient) = 1 and mu(X) = -sum of mu(Z)
+    over that set, the interval [V, X] alone (Orlik-Terao, Arrangements of
+    Hyperplanes, 2.3).  The zero-sum identity over each lower interval is a
     consequence and is exercised by the tests.
     """
     dim = spec.dim
-    one = spec.field.one()
-    dims: dict[frozenset, int] = {frozenset(): dim}
-    ambient_residues = {
-        j: tuple(_hyperplane_row(h)) for j, h in enumerate(spec.hyperplanes)
-    }
-    frontier = [(frozenset(), (), (), ambient_residues)]
+    if spec.field.is_rational:
+        rows = spec._integer_rows
+        normalize, eliminate = _lead_positive, _eliminate_integer
+    else:
+        rows = [tuple(_hyperplane_row(h)) for h in spec.hyperplanes]
+        one = spec.field.one()
+
+        def normalize(residue: tuple, col: int) -> tuple:
+            lead = residue[col]
+            if lead == one:
+                return residue
+            inv = one / lead
+            return tuple(x * inv if x else x for x in residue)
+
+        eliminate = _eliminate
+    members_of = [frozenset()]
+    dims = [dim]
+    covers: list[list[int]] = [[]]
+    frontier = [(0, dict(enumerate(rows)))]
     while frontier:
         next_frontier = []
-        seen: set[tuple] = set()  # every flat found in one pass has the same rank
-        for members, pivots, rows, residues in frontier:
-            for idx, residue in residues.items():
+        found: dict[frozenset, int] = {}
+        for source, residues in frontier:
+            classes: dict[tuple, tuple[int, list[int]]] = {}
+            for j, residue in residues.items():
                 col = next(c for c, x in enumerate(residue) if x)
-                if col == dim:
-                    continue  # X cap H is empty
-                lead = residue[col]
-                if lead != one:
-                    inv = one / lead
-                    residue = tuple(x * inv if x else x for x in residue)
-                at = bisect.bisect(pivots, col)
-                reduced = tuple(_eliminate(row, residue, col) for row in rows)
-                key = reduced[:at] + (residue,) + reduced[at:]
-                if key in seen:
+                if col < dim:  # otherwise H_j is parallel to X
+                    pivot_row = normalize(residue, col)
+                    classes.setdefault(pivot_row, (col, []))[1].append(j)
+            for pivot_row, (col, joined) in classes.items():
+                members = members_of[source].union(joined)
+                target = found.get(members)
+                if target is not None:
+                    covers[target].append(source)
                     continue
-                seen.add(key)
-                new_members = set(members)
-                new_residues = {}
-                for j, other in residues.items():
-                    other = _eliminate(other, residue, col)
-                    if any(other):
-                        new_residues[j] = other
-                    else:
-                        new_members.add(j)
-                new_members = frozenset(new_members)
-                dims[new_members] = dim - len(key)
-                next_frontier.append(
-                    (new_members, pivots[:at] + (col,) + pivots[at:], key, new_residues)
-                )
+                target = found[members] = len(members_of)
+                members_of.append(members)
+                dims.append(dims[source] - 1)
+                covers.append([source])
+                remaining = {
+                    j: eliminate(other, pivot_row, col)
+                    for j, other in residues.items()
+                    if j not in members
+                }
+                next_frontier.append((target, remaining))
         frontier = next_frontier
 
-    order = sorted(dims, key=lambda m: -dims[m])
-    mobius: dict[frozenset, int] = {}
-    for members in order:
-        if not members:
-            mobius[members] = 1
-            continue
-        total = 0
-        for other in order:
-            if other != members and other < members:
-                total += mobius[other]
-        mobius[members] = -total
-    flats = tuple(
-        Flat(contains=members, dim=dims[members], mobius=mobius[members])
-        for members in order
-    )
+    above: list[set[int]] = []
+    mobius: list[int] = []
+    for index, parents in enumerate(covers):
+        up = set(parents)
+        for parent in parents:
+            up |= above[parent]
+        above.append(up)
+        mobius.append(-sum(mobius[z] for z in up) if index else 1)
+    flats = tuple(map(Flat, members_of, dims, mobius))
     return FlatPoset(spec=spec, flats=flats)
 
 
@@ -742,7 +795,7 @@ def enumerate_chambers(spec: ArrangementSpec, bound: Optional[Fraction] = None) 
                 face = [0] * spec.dim + [-bound.numerator]
                 face[i] = unit * bound.denominator
                 box.append(face)  # unit * x_i > -bound
-    raw = _enumerate_chambers(box + _integer_rows(spec), spec.dim, len(box))
+    raw = _enumerate_chambers(box + list(spec._integer_rows), spec.dim, len(box))
     chambers = tuple(
         Chamber(
             signs=_sign_string(mask >> len(box), len(spec.hyperplanes)),
@@ -798,6 +851,10 @@ def essentialize(spec: ArrangementSpec) -> ArrangementSpec:
     return make_arrangement(rank, field, new_rows, label=f"{spec.label} (essential)")
 
 
+MAX_SIMPLICIAL_DIM = 6
+MAX_SIMPLICIAL_HYPERPLANES = 16
+
+
 @dataclass(frozen=True)
 class SimplicialityReport:
     simplicial: bool
@@ -822,36 +879,42 @@ def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
 
     A chamber is simplicial when it has exactly rank walls with linearly
     independent normals.  Walls are read off the full chamber list: the i-th
-    hyperplane bounds a chamber exactly when flipping the i-th sign of its
+    hyperplane bounds a chamber exactly when flipping the i-th bit of its
     sign vector yields another realizable chamber.
+
+    Independence needs no check.  Let v lie in the kernel of every wall
+    normal of a chamber C of an essential central arrangement.  C is cut
+    out by its walls alone, so x + t v lies in C for every x in C and every
+    real t; then v lies in every hyperplane, and v = 0.  So the wall normals
+    of every chamber span R^rank, every chamber has at least rank walls, and
+    exactly rank walls are independent.  wall_counts lists the chambers in
+    sorted sign-string order.
+
+    Guard rails: at most MAX_SIMPLICIAL_HYPERPLANES hyperplanes and rank at
+    most MAX_SIMPLICIAL_DIM, the CLI's arrangement rails.
     """
     if not spec.field.is_rational:
         raise NotRealError("simpliciality is checked on the rational real form")
+    if len(spec.hyperplanes) > MAX_SIMPLICIAL_HYPERPLANES:
+        raise SizeGuardError(
+            f"simpliciality capped at {MAX_SIMPLICIAL_HYPERPLANES} hyperplanes"
+        )
     essential = essentialize(spec)  # raises CentralityError when not central
     rank = essential.dim
-    raw = _enumerate_chambers(_integer_rows(essential), rank)
-    realized = {_sign_string(mask, len(essential.hyperplanes)) for mask in raw}
-    wall_counts = []
-    simplicial = True
-    for signs in sorted(realized):
-        walls = []
-        for i in range(len(signs)):
-            flipped = signs[:i] + ("-" if signs[i] == "+" else "+") + signs[i + 1 :]
-            if flipped in realized:
-                walls.append(i)
-        wall_counts.append(len(walls))
-        if len(walls) != rank:
-            simplicial = False
-            continue
-        wall_normals = [list(essential.hyperplanes[i].normal) for i in walls]
-        _, pivots = _rref(wall_normals, essential.field)
-        if len(pivots) != rank:
-            simplicial = False
+    if rank > MAX_SIMPLICIAL_DIM:
+        raise SizeGuardError(f"simpliciality capped at rank {MAX_SIMPLICIAL_DIM}")
+    raw = _enumerate_chambers(essential._integer_rows, rank)
+    count = len(essential.hyperplanes)
+    bits = [1 << i for i in range(count)]
+    wall_counts = tuple(
+        sum(mask ^ bit in raw for bit in bits)
+        for mask in sorted(raw, key=lambda mask: _sign_string(mask, count))
+    )
     return SimplicialityReport(
-        simplicial=simplicial,
+        simplicial=all(walls == rank for walls in wall_counts),
         rank=rank,
         chamber_count=len(raw),
-        wall_counts=tuple(wall_counts),
+        wall_counts=wall_counts,
     )
 
 
@@ -860,23 +923,6 @@ def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
 # ---------------------------------------------------------------------------
 
 MAX_FIELD_POINTS = 2_000_000
-
-
-def _integer_rows(spec: ArrangementSpec) -> list[list[int]]:
-    if not spec.field.is_rational:
-        raise NotRealError("finite field counts need integer (rational) coefficients")
-    rows = []
-    for h in spec.hyperplanes:
-        entries = list(h.normal) + [h.offset]
-        lcm = 1
-        for e in entries:
-            lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-        row = [int(e * lcm) for e in entries]
-        g = 0
-        for v in row:
-            g = math.gcd(g, v)
-        rows.append([v // g for v in row] if g else row)
-    return rows
 
 
 def _nonzero_minor_primes(rows: list[list[int]]) -> set[int]:
@@ -933,7 +979,7 @@ def _is_prime(n: int) -> bool:
 
 def good_primes(spec: ArrangementSpec, count: int = 2) -> list[int]:
     """The smallest admissible primes for finite_field_count."""
-    rows = _integer_rows(spec)
+    rows = spec._integer_rows
     bad = spec._bad_primes
     floor = max((abs(v) for row in rows for v in row), default=1)
     out: list[int] = []
@@ -949,9 +995,14 @@ def finite_field_count(spec: ArrangementSpec, q: int) -> int:
     """Points of F_q^d avoiding every hyperplane, by direct enumeration.
 
     Requires a prime q larger than every coefficient magnitude and outside
-    the precomputed bad-prime set.
+    the precomputed bad-prime set.  The count walks F_q^(d-1), the first
+    d - 1 coordinates, with an odometer: each step of coordinate i adds a_i
+    to every row's value a . x - b mod q, a wrap included.  The last
+    coordinate is counted on its line in closed form.  A row with a_d != 0
+    excludes the one residue x_d = (b - a' . x') / a_d, and a row with
+    a_d = 0 excludes every residue or none.
     """
-    rows = _integer_rows(spec)
+    rows = spec._integer_rows
     if not _is_prime(q):
         raise ValueError(f"{q} is not prime")
     if any(abs(v) >= q for row in rows for v in row):
@@ -961,25 +1012,31 @@ def finite_field_count(spec: ArrangementSpec, q: int) -> int:
     dim = spec.dim
     if q ** dim > MAX_FIELD_POINTS:
         raise SizeGuardError(f"{q}^{dim} exceeds the enumeration cap")
-    mod_rows = [[v % q for v in row] for row in rows]
+    if dim == 0:
+        return 1  # the one point of F_q^0; a hyperplane needs a nonzero normal
+    # For rows with a_d != 0, track the excluded x_d = (a' . x' - b) / -a_d;
+    # for rows with a_d = 0, the value a' . x' - b.  Both start at x' = 0.
+    cut = [row for row in rows if row[dim - 1]]
+    flat = [row for row in rows if not row[dim - 1]]
+    units = [pow(-row[dim - 1], -1, q) for row in cut]
+    cut_vals = [-row[dim] * u % q for row, u in zip(cut, units)]
+    flat_vals = [-row[dim] % q for row in flat]
+    cut_steps = [[row[i] * u % q for row, u in zip(cut, units)] for i in range(dim - 1)]
+    flat_steps = [[row[i] % q for row in flat] for i in range(dim - 1)]
+    digits = [0] * (dim - 1)
     count = 0
-    point = [0] * dim
-    total = q ** dim
-    for index in range(total):
-        value = index
-        for i in range(dim):
-            point[i] = value % q
-            value //= q
-        ok = True
-        for row in mod_rows:
-            acc = -row[dim]
-            for a, x in zip(row, point):
-                acc += a * x
-            if acc % q == 0:
-                ok = False
+    while True:
+        if all(flat_vals):
+            count += q - len(set(cut_vals))
+        for i in range(dim - 1):
+            cut_vals = [(v + s) % q for v, s in zip(cut_vals, cut_steps[i])]
+            flat_vals = [(v + s) % q for v, s in zip(flat_vals, flat_steps[i])]
+            digits[i] += 1
+            if digits[i] < q:
                 break
-        count += ok
-    return count
+            digits[i] = 0
+        else:
+            return count
 
 
 # ---------------------------------------------------------------------------

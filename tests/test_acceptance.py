@@ -2,15 +2,20 @@
 
 Each test states one headline promise: exact branch data for the degree-two
 quotient map, simpliciality of the sign-flip complements, agreement between
-the three independent chamber counters, predicate/arrangement equivalence
+the three independent chamber counters, the arrangement report at the CLI's
+size rail, predicate/arrangement equivalence
 for rotation configurations, well-definedness of the power-difference map,
 covering degrees with deck identities, the first-Betti-number obstruction,
 the exhaustive groupoid suite, and the orbifold decision table.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
+from math import comb
+
+from orbconfig import cli
 
 from orbconfig.arrangement import (
     QQ,
@@ -152,6 +157,45 @@ def test_characteristic_polynomial_matches_finite_field_counts():
         for q in good_primes(spec, 2):
             assert chi(q) == finite_field_count(spec, q), (spec.label, q)
     assert time.monotonic() - start < 60.0
+
+
+def _rail_spec(central):
+    """16 random integer hyperplanes in Q^6, the largest input the CLI's
+    arrangement rail admits; offsets zero when central."""
+    rng = random.Random(1)
+    hyperplanes = []
+    for _ in range(16):
+        normal = [rng.randint(-9, 9) for _ in range(6)]
+        offset = rng.randint(-9, 9)
+        hyperplanes.append({"normal": normal, "offset": 0 if central else offset})
+    return json.dumps(
+        {"schema": 1, "dim": 6, "field": {"type": "Q"}, "hyperplanes": hyperplanes}
+    )
+
+
+def test_arrangement_report_at_the_size_rail(capsys):
+    # Generic position pins every invariant: chi(t) = sum over k of
+    # (-1)^k C(16, k) t^(6 - k), with k <= 5 and mu(0) = C(15, 5) when
+    # central, and a central generic arrangement has 2 sum_{i <= 5} C(15, i)
+    # chambers, not all simplicial.
+    start = time.monotonic()
+    assert cli.main(["arrangement", _rail_spec(central=False)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    affine = [(-1) ** k * comb(16, k) for k in range(7)][::-1]
+    assert report["characteristic"]["coefficients"] == affine
+    assert report["chambers"]["total"] == sum(comb(16, k) for k in range(7))
+    assert report["simplicial"] is None
+
+    assert cli.main(["arrangement", _rail_spec(central=True)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    central = [comb(15, 5)] + affine[1:]
+    assert report["characteristic"]["coefficients"] == central
+    chambers = 2 * sum(comb(15, i) for i in range(6))
+    assert chambers == 9888
+    assert report["chambers"]["total"] == chambers
+    assert report["simplicial"]["chambers"] == chambers
+    assert report["simplicial"]["simplicial"] is False
+    assert time.monotonic() - start < 20.0
 
 
 def test_rotation_complement_equals_configuration_predicate():

@@ -7,8 +7,9 @@ from direct orbit counting over F_q with q = 1 mod m, and small chamber
 pictures (concurrent lines, crossing lines) from elementary geometry.
 """
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,70 @@ def test_flat_poset_matches_brute_force_intersections(dim, data):
     found = {f.contains: (f.dim, f.mobius) for f in poset.flats}
     assert len(found) == len(poset.flats)
     assert found == _oracle_flats(dim, rows)
+
+
+def _rational_flats(spec):
+    """{frozenset of (normal, offset) as rationals: (dim, mu)} of a spec over
+    either field, so that posets over Q and over Q(zeta_m) compare."""
+    def rational(x):
+        return x.as_rational() if isinstance(x, Cyclotomic) else x
+
+    keys = [
+        (tuple(rational(a) for a in h.normal), rational(h.offset))
+        for h in spec.hyperplanes
+    ]
+    return {
+        frozenset(keys[i] for i in f.contains): (f.dim, f.mobius)
+        for f in flat_poset(spec).flats
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=4), data=st.data())
+def test_flat_poset_agrees_across_fields(dim, data):
+    # the rational search runs on integer rows, the cyclotomic one on field
+    # elements; the same hyperplanes must give the same lattice
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    raw = data.draw(
+        st.lists(
+            st.tuples(st.tuples(*([entry] * dim)), entry), min_size=0, max_size=8
+        )
+    )
+    raw = [(normal, offset) for normal, offset in raw if any(normal)]
+    over_q = make_arrangement(dim, QQ, raw)
+    over_zeta = make_arrangement(dim, ScalarField("cyclotomic", 3), raw)
+    assert _rational_flats(over_q) == _rational_flats(over_zeta)
+
+
+def _all_pairs_mobius(poset):
+    """{members: mu} by mu(X) = -sum of mu(Z) over every flat Z strictly
+    containing X, walking the flats from the ambient space down."""
+    mu = {}
+    for f in sorted(poset.flats, key=lambda f: -f.dim):
+        above = [mu[g] for g in mu if g < f.contains]
+        mu[f.contains] = -sum(above) if f.contains else 1
+    return mu
+
+
+def _random_spec(rng, dim, count):
+    raw = []
+    for _ in range(count):
+        normal = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+        if any(normal):
+            raw.append((normal, F(rng.randint(-2, 2))))
+    return make_arrangement(dim, QQ, raw)
+
+
+def test_mobius_matches_all_pairs_recursion():
+    rng = random.Random(5)
+    specs = [
+        braid_arrangement(5),
+        sign_flip_arrangement(3),
+        rotation_arrangement(3, 3),
+    ] + [_random_spec(rng, rng.randint(1, 4), rng.randint(1, 8)) for _ in range(40)]
+    for spec in specs:
+        poset = flat_poset(spec)
+        assert {f.contains: f.mobius for f in poset.flats} == _all_pairs_mobius(poset)
 
 
 # -- characteristic and Poincare polynomials --------------------------------
@@ -454,6 +519,55 @@ def test_is_simplicial_requires_central_rational_input():
         is_simplicial(rotation_arrangement(2, 3))
 
 
+def _walls(signs, realized):
+    """Indices of the hyperplanes whose flip leads to another chamber."""
+    flip = {"+": "-", "-": "+"}
+    return [
+        i for i in range(len(signs))
+        if signs[:i] + flip[signs[i]] + signs[i + 1 :] in realized
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=4), data=st.data())
+def test_chambers_with_rank_walls_have_independent_walls(dim, data):
+    normal = st.tuples(*([st.integers(min_value=-2, max_value=2)] * dim))
+    normals = data.draw(st.lists(normal, min_size=1, max_size=7))
+    raw = [(tuple(map(F, a)), F(0)) for a in normals if any(a)]
+    if not raw:
+        return
+    spec = make_arrangement(dim, QQ, raw)
+    essential = essentialize(spec)
+    rank = essential.dim
+    realized = enumerate_chambers(essential).sign_vectors()
+    simplicial = True
+    wall_counts = []
+    for signs in sorted(realized):
+        walls = _walls(signs, realized)
+        wall_counts.append(len(walls))
+        wall_rows = [list(essential.hyperplanes[i].normal) + [F(0)] for i in walls]
+        assert len(walls) >= rank
+        if len(walls) == rank:
+            assert _oracle_rank(wall_rows) == (rank, True)
+        else:
+            simplicial = False
+    report = is_simplicial(spec)
+    assert report.rank == rank
+    assert report.chamber_count == len(realized)
+    assert report.wall_counts == tuple(wall_counts)
+    assert report.simplicial == simplicial
+
+
+def test_is_simplicial_guard_rail():
+    report = is_simplicial(braid_arrangement(6))  # 15 hyperplanes
+    assert report.simplicial and report.chamber_count == 720
+    wide = make_arrangement(
+        3, QQ, [((F(1), F(k), F(k * k)), F(0)) for k in range(17)]
+    )
+    with pytest.raises(SizeGuardError):
+        is_simplicial(wide)
+
+
 # -- finite field counts -----------------------------------------------------
 
 
@@ -477,6 +591,36 @@ def test_finite_field_guards():
         finite_field_count(braid_arrangement(5), 23)
     with pytest.raises(NotRealError):
         finite_field_count(rotation_arrangement(2, 3), 7)
+
+
+def _points_off(spec, q):
+    """Points of F_q^d on no hyperplane, one point at a time: x lies on
+    normal . x = offset mod q when q divides the numerator of the rational
+    gap, whose denominator is a unit mod q."""
+    count = 0
+    for point in product(range(q), repeat=spec.dim):
+        count += all(h.eval_gap(point).numerator % q for h in spec.hyperplanes)
+    return count
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=3), data=st.data())
+def test_finite_field_count_matches_pointwise_count(dim, data):
+    # the last coordinate is often zero, so rows with a_d = 0 are common
+    head = st.integers(min_value=-3, max_value=3)
+    last = st.sampled_from([0, 0, 0, 1, -2, 3])
+    rows = data.draw(
+        st.lists(
+            st.tuples(st.tuples(*([head] * (dim - 1) + [last])), head),
+            min_size=0,
+            max_size=6,
+        )
+    )
+    raw = [(tuple(map(F, a)), F(b)) for a, b in rows if any(a)]
+    spec = make_arrangement(dim, QQ, raw)
+    for q in good_primes(spec, 2):
+        if q**dim <= 3000:
+            assert finite_field_count(spec, q) == _points_off(spec, q)
 
 
 # -- polynomial helper -------------------------------------------------------
