@@ -171,13 +171,11 @@ class FiniteGroup:
         if not self.is_normal(normal):
             raise InvalidModelError("quotient requires a normal subgroup")
         projection = {}
-        cosets = []
+        reps = {}  # coset -> its first element, cosets in order of first appearance
         for g in self.elements:
-            coset = frozenset(self.op(g, n) for n in normal)
-            if coset not in projection.values():
-                cosets.append(coset)
-            projection[g] = coset
-        reps = {coset: next(g for g in self.elements if projection[g] == coset) for coset in cosets}
+            coset = projection[g] = frozenset(self.op(g, n) for n in normal)
+            reps.setdefault(coset, g)
+        cosets = list(reps)
         table = {
             (a, b): projection[self.op(reps[a], reps[b])] for a in cosets for b in cosets
         }
@@ -200,6 +198,7 @@ class GroupAction:
         self.points = tuple(points)
         self.table = dict(table)
         self._validate()
+        self._quotients: dict = {}  # frozenset(N) -> quotient_action(N)
 
     def _validate(self) -> None:
         points = set(self.points)
@@ -274,23 +273,30 @@ class GroupAction:
         """The induced action of group/N on the N-orbit space of the points.
 
         Returns (action, point projection, group projection); well-defined
-        because conjugation by any group element preserves N.
+        because conjugation by any group element preserves N.  The result is
+        built once per N (given as a set or frozenset) and shared by every
+        later call on this action, so callers must not mutate it.
         """
+        normal = frozenset(normal)
+        if normal in self._quotients:
+            return self._quotients[normal]
         quotient, group_proj = self.group.quotient(normal)
         point_proj = {}
         blocks = []
         for x in self.points:
-            block = frozenset(self.apply(n, x) for n in normal)
+            # N is a subgroup, so the block of a point not yet projected is new
             if x not in point_proj:
-                if block not in blocks:
-                    blocks.append(block)
-                for y in block:
-                    point_proj[y] = block
-        reps = {coset: next(g for g in self.group.elements if group_proj[g] == coset) for coset in quotient.elements}
+                block = frozenset(self.apply(n, x) for n in normal)
+                blocks.append(block)
+                point_proj.update(dict.fromkeys(block, block))
+        reps = {}
+        for g in self.group.elements:
+            reps.setdefault(group_proj[g], g)
         action = GroupAction.from_function(
             quotient, blocks, lambda coset, block: point_proj[self.apply(reps[coset], next(iter(block)))]
         )
-        return action, point_proj, group_proj
+        self._quotients[normal] = action, point_proj, group_proj
+        return self._quotients[normal]
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +378,93 @@ class FiniteGroupoid:
             incoming.setdefault(self.target.get(m), []).append(m)
         return outgoing, incoming
 
+    def _generators(self) -> list:
+        """A set S of morphisms whose composites give every morphism.
+
+        S starts from a spanning forest of the object graph and each forest
+        arrow's inverse entry; then, in morphism order, every morphism the
+        closure of S has not reached joins S.  The closure is a BFS by left
+        multiplication through the compose table, so each morphism it reaches
+        is a composite of elements of S.  Needs a well-formed composition.
+        """
+        outgoing, _ = self._hom_index
+        source, target, compose = self.source.get, self.target.get, self.compose
+        generators: list = []
+        leaving: dict = {}  # object -> the generators with that source
+        entering: dict = {}  # object -> the reached morphisms with that target
+        reached: set = set()
+        frontier: list = []
+
+        def reach(m) -> None:
+            reached.add(m)
+            entering.setdefault(target(m), []).append(m)
+            frontier.append(m)
+
+        def generate(a) -> None:
+            if a in reached:
+                return
+            generators.append(a)
+            leaving.setdefault(source(a), []).append(a)
+            reach(a)
+            for m in entering.get(source(a), ()):
+                if (am := compose[(a, m)]) not in reached:
+                    reach(am)
+            while frontier:
+                m = frontier.pop()
+                for b in leaving.get(target(m), ()):
+                    if (bm := compose[(b, m)]) not in reached:
+                        reach(bm)
+
+        morphisms = set(self.morphisms)
+        seen: set = set()
+        for root in self.objects:
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [root]
+            while stack:
+                for m in outgoing.get(stack.pop(), ()):
+                    if target(m) not in seen:
+                        seen.add(target(m))
+                        stack.append(target(m))
+                        generate(m)
+                        if self.inverse.get(m) in morphisms:
+                            generate(self.inverse[m])
+        for m in self.morphisms:
+            generate(m)
+        return generators
+
+    def _generators_associate(self) -> bool:
+        """(x o a) o y == x o (a o y) for every a in _generators() and every
+        composable x and y.  Needs a well-formed composition."""
+        outgoing, incoming = self._hom_index
+        source, target, compose = self.source.get, self.target.get, self.compose
+        for a in self._generators():
+            after = incoming.get(source(a), ())
+            composites = [compose[(a, y)] for y in after]
+            for x in outgoing.get(target(a), ()):
+                xa = compose[(x, a)]
+                for y, ay in zip(after, composites):
+                    if compose[(xa, y)] != compose[(x, ay)]:
+                        return False
+        return True
+
     def verify_axioms(self) -> CheckResult:
-        """Exhaustive check of every groupoid axiom on the dense tables."""
+        """Exhaustive check of every groupoid axiom on the dense tables.
+
+        Each row names the first failure in row-major morphism order.
+        Associativity is decided by Light's test once the
+        composition_wellformed row has passed, that is once compose is
+        defined exactly on the composable pairs and every composite has the
+        right endpoints.  The middles a at which (x o a) o y == x o (a o y)
+        holds for every composable x, y are closed under composition: for
+        such a and b, (x o ab) o y = ((x o a) o b) o y = (x o a) o (b o y)
+        = x o (a o (b o y)) = x o (ab o y).  So checking only the middles of
+        a set S whose composites give every morphism (_generators) decides
+        the law everywhere.  When that short check fails, the full scan over
+        every composable triple runs, so the failure named is the first one
+        in row-major order.
+        """
         checks = []
         objects = set(self.objects)
         morphisms = set(self.morphisms)
@@ -400,22 +491,21 @@ class FiniteGroupoid:
         # only composable pairs and stray ones can fail; visit them in
         # row-major order so the first failure named is the first of all pairs
         comp_ok, comp_detail = True, ""
-        composable_after: dict = {}  # g -> the f with g o f defined, in morphism order
+        source, target, compose = self.source, self.target, self.compose
         for g in self.morphisms:
-            row = incoming.get(self.source.get(g), [])
+            s_g = source.get(g)
+            row = incoming.get(s_g, [])
             if g in stray:
                 row = sorted({*row, *stray[g]}, key=self.morphisms.index)
-            after = composable_after[g] = []
             for f in row:
-                composable = self.source.get(g) == self.target.get(f)
-                if composable != ((g, f) in self.compose):
+                composable = s_g == target.get(f)
+                if composable != ((g, f) in compose):
                     comp_ok = False
                     comp_detail = f"composition defined on the wrong pairs at (g={g!r}, f={f!r})"
                     break
                 if composable:
-                    after.append(f)
-                    h = self.compose[(g, f)]
-                    if h not in morphisms or self.source[h] != self.source[f] or self.target[h] != self.target[g]:
+                    h = compose[(g, f)]
+                    if h not in morphisms or source[h] != source[f] or target[h] != target[g]:
                         comp_ok = False
                         comp_detail = f"composite of (g={g!r}, f={f!r}) has wrong endpoints"
                         break
@@ -434,11 +524,13 @@ class FiniteGroupoid:
         checks.append(("unit_laws", unit_ok and id_ok, unit_detail))
 
         assoc_ok, assoc_detail = True, ""
-        if comp_ok:
+        if comp_ok and not self._generators_associate():
+            # with composition well-formed, g o f is defined exactly for the
+            # f in incoming[s(g)]
             for g in self.morphisms:
-                for f in composable_after[g]:
+                for f in incoming.get(self.source.get(g), ()):
                     gf = self.compose[(g, f)]
-                    for e in composable_after[f]:
+                    for e in incoming.get(self.source.get(f), ()):
                         if self.compose[(gf, e)] != self.compose[(g, self.compose[(f, e)])]:
                             assoc_ok = False
                             assoc_detail = (
@@ -604,8 +696,9 @@ class GroupoidHom:
         id_ok = all(f1[self.src.identity[x]] == self.dst.identity[f0[x]] for x in self.src.objects)
         checks.append(("preserves_identities", id_ok, "" if id_ok else "an identity is not preserved"))
         comp_ok, comp_detail = True, ""
+        dst_compose = self.dst.compose
         for (g, f), h in self.src.compose.items():
-            if self.dst.compose.get((f1[g], f1[f])) != f1[h]:
+            if dst_compose.get((f1[g], f1[f])) != f1[h]:
                 comp_ok, comp_detail = False, f"composition not preserved at (g={g!r}, f={f!r})"
                 break
         checks.append(("preserves_composition", comp_ok, comp_detail))

@@ -387,6 +387,38 @@ def test_morita_dihedral_center_and_rotations():
     assert triple.passed
 
 
+def _quotient_tables(result):
+    action, point_proj, group_proj = result
+    return action.group.elements, action.group.multiply, action.points, action.table, point_proj, group_proj
+
+
+def test_quotient_action_is_shared_per_normal_subgroup():
+    action = GroupAction.regular(FiniteGroup.dihedral(4))
+    center = frozenset({(0, 0), (2, 0)})
+    first = action.quotient_action(center)
+    assert action.quotient_action(center) is first
+    assert action.quotient_action(set(center)) is first
+    fresh = GroupAction.regular(FiniteGroup.dihedral(4)).quotient_action(set(center))
+    assert _quotient_tables(fresh) == _quotient_tables(first)
+    reflection = frozenset({(0, 0), (0, 1)})  # not normal in D4
+    for normal in (reflection, set(reflection)):
+        with pytest.raises(InvalidModelError):
+            action.quotient_action(normal)
+
+
+def test_morita_reports_agree_on_shared_and_fresh_actions():
+    group = FiniteGroup.product(FiniteGroup.dihedral(4), FiniteGroup.cyclic(2))
+    shared = GroupAction.regular(group)
+    normals = group.normal_subgroups()
+    for first in normals:
+        for second in normals:
+            fresh = GroupAction.regular(group)
+            assert (
+                morita_triple(shared, first, second).to_json()
+                == morita_triple(fresh, first, second).to_json()
+            ), (first, second)
+
+
 def test_morita_rejects_non_normal_inputs():
     d4 = FiniteGroup.dihedral(4)
     action = GroupAction.regular(d4)
@@ -524,7 +556,7 @@ def _corruptions(groupoid):
     """Tables of the groupoid with one entry wrong, each corruption kind
     applied systematically: every compose entry dropped and redirected,
     extra entries on non-composable pairs, and every wrong identity,
-    inverse and target."""
+    inverse and target.  Yields (tables, the redirected compose key or None)."""
     tables = {
         "objects": groupoid.objects,
         "morphisms": groupoid.morphisms,
@@ -536,44 +568,69 @@ def _corruptions(groupoid):
     }
     arrows, compose = groupoid.morphisms, groupoid.compose
     for pair, h in compose.items():
-        yield {**tables, "compose": {k: v for k, v in compose.items() if k != pair}}
+        yield {**tables, "compose": {k: v for k, v in compose.items() if k != pair}}, None
         for other in arrows:
             if other != h:
-                yield {**tables, "compose": {**compose, pair: other}}
+                yield {**tables, "compose": {**compose, pair: other}}, pair
     for g in arrows:
         for f in arrows:
             if (g, f) not in compose:
-                yield {**tables, "compose": {**compose, (g, f): g}}
+                yield {**tables, "compose": {**compose, (g, f): g}}, None
     for x, e in groupoid.identity.items():
         for other in arrows:
             if other != e:
-                yield {**tables, "identity": {**groupoid.identity, x: other}}
+                yield {**tables, "identity": {**groupoid.identity, x: other}}, None
     for m in arrows:
         for other in arrows:
             if other != groupoid.inverse[m]:
-                yield {**tables, "inverse": {**groupoid.inverse, m: other}}
+                yield {**tables, "inverse": {**groupoid.inverse, m: other}}, None
         for y in groupoid.objects:
             if y != groupoid.target[m]:
-                yield {**tables, "target": {**groupoid.target, m: y}}
+                yield {**tables, "target": {**groupoid.target, m: y}}, None
 
 
+def _d3_sign_action():
+    """D3 acting on two points through the parity of its reflections: two
+    objects, each with vertex group C3."""
+    return GroupAction.from_function(FiniteGroup.dihedral(3), [0, 1], lambda g, x: (x + g[1]) % 2)
+
+
+# (builder, share of the corruptions checked, least number of associativity
+# failures at a redirected composite of two morphisms outside the
+# generating set S that verify_axioms checks middles from)
 @pytest.mark.parametrize(
-    "make",
+    "make, share, outside",
     [
-        lambda: translation_groupoid(GroupAction.negation_mod(4)),
-        lambda: groupoid_from_json(_cyclic3_spec()),
-        lambda: _pair_groupoid(["a", "b"]),
+        (lambda: translation_groupoid(GroupAction.negation_mod(4)), 1, 0),
+        (lambda: groupoid_from_json(_cyclic3_spec()), 1, 0),
+        (lambda: _pair_groupoid(["a", "b"]), 1, 0),
+        # six objects; vertex groups C2 at the fixed points 0 and 3
+        (lambda: translation_groupoid(GroupAction.negation_mod(6)), 1, 0),
+        # the pair groupoid on the six elements of D3: every hom-set is one
+        # morphism; its 10,000 or so corruptions are sampled
+        (lambda: translation_groupoid(GroupAction.regular(FiniteGroup.dihedral(3))), 0.015, 0),
+        (lambda: translation_groupoid(_d3_sign_action()), 1, 100),
     ],
-    ids=["negation4", "cyclic3", "pair2"],
+    ids=["negation4", "cyclic3", "pair2", "negation6", "regular_d3", "d3_sign"],
 )
-def test_verify_axioms_matches_all_pairs_brute_force(make):
+def test_verify_axioms_matches_all_pairs_brute_force(make, share, outside):
     rng = random.Random(4)
-    cases = 0
-    for tables in _corruptions(make()):
+    pristine = make()
+    generators = set(pristine._generators())
+    cases = hidden = 0
+    for tables, redirected in _corruptions(pristine):
+        if share < 1 and rng.random() >= share:
+            continue
         shuffled = list(tables["morphisms"])
         rng.shuffle(shuffled)
         for morphisms in (tables["morphisms"], shuffled):
             groupoid = FiniteGroupoid(**{**tables, "morphisms": morphisms})
-            assert groupoid.verify_axioms().checks == _brute_force_axioms(groupoid), (tables, morphisms)
+            expected = _brute_force_axioms(groupoid)
+            assert groupoid.verify_axioms().checks == expected, (tables, morphisms)
             cases += 1
+            # such a wrong composite reaches the short check only inside
+            # (x o a) o y or x o (a o y) for a middle a in S
+            if redirected and not generators & set(redirected) and not expected[4][1]:
+                hidden += 1
     assert cases >= 70
+    assert hidden >= outside
