@@ -292,7 +292,7 @@ def complement_contains(spec: ArrangementSpec, point: Sequence[ComplexPoint]) ->
     """
     if len(point) != spec.dim:
         raise ValueError(f"point of length {len(point)} in dimension {spec.dim}")
-    if any(z.mode != ComplexPoint.EXACT for z in point):
+    if any(type(z) is not ComplexPoint for z in point):
         raise ValueError("complement membership is decided on exact points only")
     coords = [x for z in point for x in (z.re, z.im)]
     for equations in spec._real_equations:

@@ -10,7 +10,8 @@ Exit codes: 0 success; 2 unparseable input, unknown ids, invalid models;
 3 reflector features; 4 size guard rails (arrangement size, squaring n,
 qE logarithm combinations covering.MAX_EXP_COMBINATIONS, groupoid group
 order groupoid.MAX_GROUP_ORDER, negation and rotation point count
-groupoid.MAX_ACTION_POINTS, `forget` size MAX_FORGET_PAIRS); 5 a covering
+groupoid.MAX_ACTION_POINTS, `forget` size MAX_FORGET_PAIRS, `obstruction`
+rotation order orbmodel.MAX_ROTATION_ORDER); 5 a covering
 verification that ran but failed; 6 no quasifibration witness
 (fixed-point-free action).
 """
@@ -34,8 +35,8 @@ from .arrangement import (
     is_simplicial,
     poincare_polynomial,
 )
-from .covering import verify_cover
-from .exactfield import DEFAULT_EPS, json_int
+from .covering import DEFAULT_EPS, verify_cover
+from .exactfield import json_int
 from .groupoid import (
     InvalidModelError,
     _freeze,
@@ -206,11 +207,11 @@ def _cmd_obstruction(args) -> tuple[dict, dict, int]:
     data = _load_input(args.spec)
     try:
         action = action_from_json(data)
-    except ReflectorError:
+    except (ReflectorError, SizeGuardError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_INPUT, f"bad action spec: {exc}") from exc
-    report = quasifibration_witness(action, args.n, eps=args.epsilon)
+    report = quasifibration_witness(action, args.n)
     return report.to_json(), {"input": data, "n": args.n}, EXIT_OK
 
 
@@ -346,7 +347,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"orbconfig {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the report")
-    common.add_argument("--epsilon", type=_positive_float, default=DEFAULT_EPS)
+    common.add_argument(
+        "--epsilon",
+        type=_positive_float,
+        default=DEFAULT_EPS,
+        help="tolerance of verify-cover's floating-point checks; recorded in every report",
+    )
     common.add_argument("--samples", type=_positive_int, default=200)
     common.add_argument("--window", type=_positive_int, default=3)
     common.add_argument("--format", choices=("json", "table"), default="json")

@@ -1,12 +1,15 @@
 """Explicit covering and fibration maps between planar configuration spaces.
 
 The algebraic maps (the degree-2 rational quotient map, coordinatewise
-squaring, the power-difference fibration) evaluate exactly on exact points;
-the transcendental exponential cover runs in approximate mode only.
-verify_cover spot-checks the covering claims on seeded samples: constant
-generic fiber cardinality, exact branch data via discriminant vanishing,
-and deck-transformation invariance, recording per check whether it ran
-exactly or to a tolerance.
+squaring, the power-difference fibration) evaluate exactly on ComplexPoint
+inputs, and their membership checks take no tolerance.  The transcendental
+exponential cover is the one float map: it takes and returns builtin
+``complex`` values, compared to an explicit eps (DEFAULT_EPS unless given).
+Square roots outside Q(i), in the quotient map's fiber and in squaring,
+fall back to ``complex`` values too.  verify_cover spot-checks the covering
+claims on seeded samples: constant generic fiber cardinality, exact branch
+data via discriminant vanishing, and deck-transformation invariance,
+recording per check whether it ran exactly or to a tolerance.
 """
 
 from __future__ import annotations
@@ -20,13 +23,17 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .arrangement import SizeGuardError
-from .exactfield import DEFAULT_EPS, ComplexPoint, complex_sqrt_exact
+from .exactfield import ComplexPoint, complex_sqrt_exact
 from .orbmodel import CyclicRotation, DomainError, IntegerDihedral, SignFlipPunctured
 from .orbit_config import MembershipError, _config_invariants, is_orbit_config, sample_orbit_config
 
 _ZERO = ComplexPoint.exact(0)
 _ONE = ComplexPoint.exact(1)
-_TWO_PI = 2.0 * math.pi
+
+#: Default tolerance of the floating-point checks (the exponential cover and
+#: the float fallbacks of the quotient map and of squaring).  Exact checks
+#: take no tolerance.
+DEFAULT_EPS = 1e-9
 
 #: Rail on the squaring check: each sample enumerates 2^n fiber points and
 #: compares them pairwise, so its cost grows like 2^n * n^2.
@@ -39,56 +46,56 @@ MAX_EXP_COMBINATIONS = 1_000_000
 
 def joukowski_map(w: ComplexPoint) -> ComplexPoint:
     """v = (1/4)(1 - (1 + w^2) / (2w)), the degree-2 quotient of the
-    punctured plane folding w with 1/w; exact on exact points."""
-    if w.is_exact:
-        if w == _ZERO:
-            raise DomainError("the quotient map has a pole at 0")
-        return (_ONE - (_ONE + w * w) * (w * 2).inverse()) * Fraction(1, 4)
-    if w.norm2() == 0.0:
+    punctured plane folding w with 1/w."""
+    if not w:
         raise DomainError("the quotient map has a pole at 0")
-    wc = w.to_complex()
-    return ComplexPoint.from_complex((1 - (1 + wc * wc) / (2 * wc)) / 4, w.eps or DEFAULT_EPS)
+    return (_ONE - (_ONE + w * w) * (w * 2).inverse()) * Fraction(1, 4)
 
 
-def joukowski_fiber(
-    v: ComplexPoint, eps: Optional[float] = None
-) -> tuple[ComplexPoint, ...]:
+def _joukowski_float(w: complex) -> complex:
+    """joukowski_map on a float value, for the exponential composite."""
+    if not w:
+        raise DomainError("the quotient map has a pole at 0")
+    return (1 - (1 + w * w) / (2 * w)) / 4
+
+
+def joukowski_fiber(v: ComplexPoint, eps: float = DEFAULT_EPS) -> tuple:
     """Roots of w^2 - (2 - 8v) w + 1 = 0; both preimages of v, or one
     double root at the branch values v = 0 and v = 1/2.
 
     The two generic roots are reciprocal (their product is the constant
-    term 1).  Roots are exact whenever the discriminant is a Gaussian
-    rational square; otherwise they fall back to floating point.
+    term 1).  Roots are exact points whenever the discriminant is a square
+    in Q(i); otherwise they are ``complex`` values from
+    ``_joukowski_float_roots`` with tolerance eps.
     """
-    if v.is_exact:
-        trace = _ONE * 2 - v * 8
-        disc = trace * trace - 4
-        half = Fraction(1, 2)
-        if disc == _ZERO:
-            return (trace * half,)
-        root = complex_sqrt_exact(disc)
-        if root is not None:
-            pair = [(trace - root) * half, (trace + root) * half]
-            pair.sort(key=lambda z: (z.re, z.im))
-            return tuple(pair)
-        vc = v.to_complex()
-        out_eps = eps or DEFAULT_EPS
-    else:
-        vc = v.to_complex()
-        out_eps = eps or v.eps or DEFAULT_EPS
-    trace_c = 2 - 8 * vc
-    disc_c = trace_c * trace_c - 4
-    if abs(disc_c) <= out_eps * out_eps:
-        return (ComplexPoint.from_complex(trace_c / 2, out_eps),)
-    root_c = cmath.sqrt(disc_c)
+    trace = _ONE * 2 - v * 8
+    disc = trace * trace - 4
+    half = Fraction(1, 2)
+    if not disc:
+        return (trace * half,)
+    root = complex_sqrt_exact(disc)
+    if root is None:
+        return _joukowski_float_roots(v.to_complex(), eps)
+    pair = [(trace - root) * half, (trace + root) * half]
+    pair.sort(key=lambda z: (z.re, z.im))
+    return tuple(pair)
+
+
+def _joukowski_float_roots(v: complex, eps: float) -> tuple[complex, ...]:
+    """joukowski_fiber in floating point: one root when the discriminant is
+    within eps^2 of 0, else both roots sorted by (real, imag)."""
+    trace = 2 - 8 * v
+    disc = trace * trace - 4
+    if abs(disc) <= eps * eps:
+        return (trace / 2,)
+    root = cmath.sqrt(disc)
     # Take the larger-magnitude root first and recover the other from the
     # exact product 1; this avoids cancellation when |trace| is large.
-    big = (trace_c + root_c) / 2
-    alt = (trace_c - root_c) / 2
+    big = (trace + root) / 2
+    alt = (trace - root) / 2
     if abs(alt) > abs(big):
         big = alt
-    pair = sorted((big, 1 / big), key=lambda z: (z.real, z.imag))
-    return tuple(ComplexPoint.from_complex(z, out_eps) for z in pair)
+    return tuple(sorted((big, 1 / big), key=lambda z: (z.real, z.imag)))
 
 
 def joukowski_branch_points() -> tuple[tuple[ComplexPoint, ComplexPoint, int], ...]:
@@ -99,112 +106,84 @@ def joukowski_branch_points() -> tuple[tuple[ComplexPoint, ComplexPoint, int], .
     )
 
 
-def exp_cover(z: ComplexPoint) -> ComplexPoint:
-    """z -> exp(2 pi i z); transcendental, so always approximate."""
-    value = cmath.exp(2j * math.pi * z.to_complex())
-    return ComplexPoint.from_complex(value, z.eps or DEFAULT_EPS)
+def exp_cover(z: complex) -> complex:
+    """z -> exp(2 pi i z); transcendental, so evaluated in floating point."""
+    return cmath.exp(2j * math.pi * z)
 
 
-def exp_fiber(
-    w: ComplexPoint, window: int = 3, eps: Optional[float] = None
-) -> tuple[ComplexPoint, ...]:
+def exp_fiber(w: complex, window: int = 3, eps: float = DEFAULT_EPS) -> tuple[complex, ...]:
     """Preimages z0 + k, |k| <= window, of w under exp(2 pi i .); z0 is the
-    principal logarithm divided by 2 pi i."""
-    out_eps = eps or w.eps or DEFAULT_EPS
-    if (w.is_exact and w == _ZERO) or (not w.is_exact and abs(w.to_complex()) <= out_eps):
+    principal logarithm divided by 2 pi i.  |w| <= eps counts as 0, which is
+    not in the image."""
+    if abs(w) <= eps:
         raise DomainError("0 is not in the image of the exponential cover")
-    z0 = cmath.log(w.to_complex()) / (2j * math.pi)
-    return tuple(
-        ComplexPoint.from_complex(z0 + k, out_eps)
-        for k in range(-window, window + 1)
-    )
+    z0 = cmath.log(w) / (2j * math.pi)
+    return tuple(z0 + k for k in range(-window, window + 1))
 
 
 def exp_joukowski_composite(
-    zs: Sequence[ComplexPoint], eps: Optional[float] = None
-) -> tuple[ComplexPoint, ...]:
-    """Coordinatewise v_j = joukowski(exp(2 pi i z_j)).
+    zs: Sequence[ComplexPoint], eps: float = DEFAULT_EPS
+) -> tuple[complex, ...]:
+    """Coordinatewise v_j = joukowski(exp(2 pi i z_j)), as ``complex`` values.
 
-    The input must be a configuration for the integer dihedral action
-    (z_i +- z_j never an integer); the images are then pairwise distinct,
-    which is re-checked to tolerance.  Cone values 0 and 1/2 are allowed
-    as outputs.
+    The input must be an exact configuration for the integer dihedral
+    action (z_i +- z_j never an integer); the images are then pairwise
+    distinct, which is re-checked to the tolerance eps.  Cone values 0 and
+    1/2 are allowed as outputs.
     """
     zs = tuple(zs)
-    if not is_orbit_config(IntegerDihedral(), zs, eps):
+    if not is_orbit_config(IntegerDihedral(), zs):
         raise MembershipError(
             "input is not an integer-dihedral configuration (z_i +- z_j hits Z)"
         )
-    images = tuple(joukowski_map(exp_cover(z)) for z in zs)
+    images = tuple(_joukowski_float(exp_cover(z.to_complex())) for z in zs)
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            if images[i].isclose(images[j], eps):
+            if abs(images[i] - images[j]) <= eps:
                 raise MembershipError("composite images collided within tolerance")
     return images
 
 
-def squaring_cover(
-    ws: Sequence[ComplexPoint], eps: Optional[float] = None
-) -> tuple[ComplexPoint, ...]:
+def squaring_cover(ws: Sequence[ComplexPoint]) -> tuple[ComplexPoint, ...]:
     """(w_1, ..., w_n) -> (w_1^2, ..., w_n^2) on sign-flip configurations.
 
     Output coordinates are pairwise distinct and never 1; the fiber over a
     generic image has the full 2^n sign choices.
     """
     ws = tuple(ws)
-    if not is_orbit_config(SignFlipPunctured(), ws, eps):
+    if not is_orbit_config(SignFlipPunctured(), ws):
         raise MembershipError("input is not a sign-flip configuration")
     return tuple(w * w for w in ws)
 
 
-def squaring_fiber(
-    vs: Sequence[ComplexPoint], eps: Optional[float] = None
-) -> tuple[tuple[ComplexPoint, ...], ...]:
+def squaring_fiber(vs: Sequence[ComplexPoint], eps: float = DEFAULT_EPS) -> tuple[tuple, ...]:
     """All sign-enumeration preimage tuples of vs under coordinatewise
     squaring: one square root per coordinate, then every sign pattern.
-    Coordinates equal to 0 contribute a single degenerate root."""
-    choices: list[tuple[ComplexPoint, ...]] = []
+
+    A root is an exact point when the coordinate is a square in Q(i) and a
+    ``complex`` value otherwise.  A root equal to 0 (within eps for a
+    ``complex`` root) contributes a single degenerate choice.
+    """
+    choices: list[tuple] = []
     for v in vs:
-        root: Optional[ComplexPoint] = None
-        if v.is_exact:
-            root = complex_sqrt_exact(v)
+        root = complex_sqrt_exact(v)
         if root is None:
-            root = ComplexPoint.from_complex(
-                cmath.sqrt(v.to_complex()), eps or v.eps or DEFAULT_EPS
-            )
-        if (root.is_exact and root == _ZERO) or (
-            not root.is_exact and abs(root.to_complex()) <= (eps or DEFAULT_EPS)
-        ):
-            choices.append((root,))
+            root = cmath.sqrt(v.to_complex())
+            degenerate = abs(root) <= eps
         else:
-            choices.append((root, -root))
+            degenerate = not root
+        choices.append((root,) if degenerate else (root, -root))
     return tuple(product(*choices))
 
 
-def in_punctured_configuration(
-    points: Sequence[ComplexPoint], eps: Optional[float] = None
-) -> bool:
+def in_punctured_configuration(points: Sequence[ComplexPoint]) -> bool:
     """Membership in the configuration space of the punctured plane:
     every coordinate nonzero and pairwise distinct."""
-    pts = list(points)
-    for i, z in enumerate(pts):
-        if z.is_exact:
-            if z == _ZERO:
-                return False
-        elif z.isclose(_ZERO, eps):
-            return False
-        for w in pts[i + 1 :]:
-            if z.is_exact and w.is_exact:
-                if z == w:
-                    return False
-            elif z.isclose(w, eps):
-                return False
-    return True
+    distinct = set(points)
+    return _ZERO not in distinct and len(distinct) == len(points)
 
 
-def power_difference_map(
-    zs: Sequence[ComplexPoint], m: int, eps: Optional[float] = None
-) -> tuple[ComplexPoint, ...]:
+def power_difference_map(zs: Sequence[ComplexPoint], m: int) -> tuple[ComplexPoint, ...]:
     """b_j = z_n^m - z_j^m for j < n, on rotation-orbit configurations.
 
     The output lies in the configuration space of the punctured plane:
@@ -218,12 +197,12 @@ def power_difference_map(
         raise MembershipError("need at least one coordinate")
     # the rotation about 0 has orbit invariant z^m, so the membership check
     # hands back every power the map needs
-    is_config, powers = _config_invariants(CyclicRotation(m), list(zs), eps)
+    is_config, powers = _config_invariants(CyclicRotation(m), list(zs))
     if not is_config:
         raise MembershipError("input coordinates do not lie in distinct rotation orbits")
     last = powers[-1]
     base = tuple(last - p for p in powers[:-1])
-    if not in_punctured_configuration(base, eps):
+    if not in_punctured_configuration(base):
         raise MembershipError("power differences left the punctured configuration space")
     return base
 
@@ -339,9 +318,7 @@ def _verify_quotient_map(rb: _ReportBuilder, samples: int, rng: random.Random) -
     return tuple(branch_records)
 
 
-def _verify_squaring(
-    rb: _ReportBuilder, n: int, samples: int, eps: float, rng: random.Random
-) -> None:
+def _verify_squaring(rb: _ReportBuilder, n: int, samples: int, rng: random.Random) -> None:
     signs = list(product((1, -1), repeat=n))
     for _ in range(samples):
         ws = sample_orbit_config(
@@ -376,7 +353,7 @@ def _verify_squaring(
         )
 
 
-def _strip_logs(w: complex, window: int, eps: float) -> list[complex]:
+def _strip_logs(w: complex, window: int) -> list[complex]:
     z0 = cmath.log(w) / (2j * math.pi)
     z0 -= math.floor(z0.real)
     return [z0 + k for k in range(window)]
@@ -395,13 +372,11 @@ def _verify_exp_composite(
         per_coord: list[list[complex]] = []
         singular = False
         for v in vs:
-            vc = v.to_complex()
-            disc = (2 - 8 * vc) ** 2 - 4
+            disc = (2 - 8 * v) ** 2 - 4
             if abs(disc) <= eps:
                 singular = True
                 break
-            roots = [r.to_complex() for r in joukowski_fiber(v, eps)]
-            logs = [z for r in roots for z in _strip_logs(r, window, eps)]
+            logs = [z for r in _joukowski_float_roots(v, eps) for z in _strip_logs(r, window)]
             per_coord.append(logs)
         if singular:
             rb.skipped += 1
@@ -416,18 +391,15 @@ def _verify_exp_composite(
         rb.check("per_window_count", "approx", cells_ok)
         rb.fiber(min(window_counts.values()) if window_counts else 0)
         probe = [per_coord[i][0] for i in range(n)]
-        back = [
-            joukowski_map(exp_cover(ComplexPoint.from_complex(zc, eps)))
-            for zc in probe
-        ]
-        defect = max(abs(a.to_complex() - b.to_complex()) for a, b in zip(back, vs))
+        back = [_joukowski_float(exp_cover(zc)) for zc in probe]
+        defect = max(abs(a - b) for a, b in zip(back, vs))
         rb.defect(defect)
         rb.check("maps_back", "approx", defect <= eps)
         shifted = (zs[0] + 1,) + zs[1:]
         negated = (-zs[0],) + zs[1:]
         for name, moved in (("translation_periodicity", shifted), ("negation_invariance", negated)):
             moved_vs = exp_joukowski_composite(moved, eps)
-            gap = max(abs(a.to_complex() - b.to_complex()) for a, b in zip(moved_vs, vs))
+            gap = max(abs(a - b) for a, b in zip(moved_vs, vs))
             rb.defect(gap)
             rb.check(name, "approx", gap <= eps)
 
@@ -473,7 +445,7 @@ def verify_cover(
             )
         n_effective = n
         declared = 2**n
-        _verify_squaring(rb, n, samples, eps, rng)
+        _verify_squaring(rb, n, samples, rng)
         window_out = None
     elif map_id == "qE":
         if n < 1:

@@ -5,16 +5,16 @@ fiber count is made in exact arithmetic.  Rationals are ``fractions.Fraction``
 (arbitrary precision, always reduced, positive denominator).  An element of
 Q(zeta_m) is a dense coefficient vector in the power basis
 1, zeta, ..., zeta^(phi(m)-1), reduced modulo the m-th cyclotomic polynomial.
-Complex points come in an exact mode and an approximate mode.  An exact
-point is a Gaussian rational stored as integer numerators over one positive
-denominator, (a + b*i) / d with gcd(a, b, d) = 1, so each value has one
-canonical form and its arithmetic runs on ints.  An approximate point is a
-pair of floats plus an explicit tolerance carried by the point.
+A complex point is a Gaussian rational stored as integer numerators over
+one positive denominator, (a + b*i) / d with gcd(a, b, d) = 1, so each value
+has one canonical form and its arithmetic runs on ints.  There is no
+approximate point: the one float map of the package (the exponential cover
+in ``covering``) works on builtin ``complex`` values with an explicit
+tolerance.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -22,11 +22,6 @@ from typing import Iterable, Optional, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
-
-#: Default comparison tolerance for approximate-mode points.  Comparison APIs
-#: take eps explicitly; this value is only the documented fallback.
-DEFAULT_EPS = 1e-9
-
 
 class InvalidOrderError(ValueError):
     """Cyclotomic order must be a positive integer."""
@@ -362,177 +357,106 @@ def _parts(value) -> tuple[int, int]:
 
 
 class ComplexPoint:
-    """A point of C, either exact (Gaussian rational) or approximate.
+    """An exact point of C: a Gaussian rational.
 
-    An exact point is stored as integers (a + b*i) / d with d > 0 and
+    A point is stored as integers (a + b*i) / d with d > 0 and
     gcd(a, b, d) = 1.  That triple is canonical, so equality and hashing
-    compare triples, and exact arithmetic runs on ints with one gcd
-    reduction per result; ``re`` and ``im`` read back as Fractions.
-    Approximate points carry float coordinates plus the eps they were built
-    with; comparisons take an explicit eps and fall back to the carried one.
-    Mixing modes in arithmetic coerces to approximate.
+    compare triples, and arithmetic runs on ints with one gcd reduction per
+    result; ``re`` and ``im`` read back as Fractions.  Arithmetic and
+    equality accept ints and Fractions besides points and refuse floats and
+    complex numbers, so an approximate value never reaches an exact decision.
     """
 
-    EXACT = "exact"
-    APPROX = "approx"
+    # integer numerators _a, _b over the denominator _d > 0
+    __slots__ = ("_a", "_b", "_d")
 
-    # exact: integer numerators _a, _b over the denominator _d > 0;
-    # approximate: float coordinates _a, _b with _d = 0 and the tolerance _eps
-    __slots__ = ("_a", "_b", "_d", "_eps")
-
-    def __init__(self, re, im=0, mode: str = EXACT, eps: Optional[float] = None):
-        if mode == self.EXACT:
-            (p, q), (s, t) = _parts(re), _parts(im)
-            d = math.lcm(q, t)
-            # over the lcm of two reduced denominators, gcd(a, b, d) is 1
-            _set_point(self, p * (d // q), s * (d // t), d, None)
-        elif mode == self.APPROX:
-            if eps is None or not eps > 0:
-                raise ValueError("approximate points require an explicit eps > 0")
-            _set_point(self, float(re), float(im), 0, float(eps))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, re: RationalLike, im: RationalLike = 0):
+        (p, q), (s, t) = _parts(re), _parts(im)
+        d = math.lcm(q, t)
+        # over the lcm of two reduced denominators, gcd(a, b, d) is 1
+        _set_point(self, p * (d // q), s * (d // t), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexPoint is immutable")
 
     @property
-    def re(self):
-        """The real part: a Fraction when exact, a float when approximate."""
-        d = self._d
-        return Fraction(self._a, d) if d else self._a
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
 
     @property
-    def im(self):
-        """The imaginary part: a Fraction when exact, a float when approximate."""
-        d = self._d
-        return Fraction(self._b, d) if d else self._b
-
-    @property
-    def mode(self) -> str:
-        return self.EXACT if self._d else self.APPROX
-
-    @property
-    def eps(self) -> Optional[float]:
-        return self._eps
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def exact(cls, re: RationalLike, im: RationalLike = 0) -> "ComplexPoint":
-        return cls(re, im, mode=cls.EXACT)
-
-    @classmethod
-    def approx(cls, re: float, im: float = 0.0, eps: float = DEFAULT_EPS) -> "ComplexPoint":
-        return cls(re, im, mode=cls.APPROX, eps=eps)
-
-    @classmethod
-    def from_complex(cls, z: complex, eps: float = DEFAULT_EPS) -> "ComplexPoint":
-        return cls(z.real, z.imag, mode=cls.APPROX, eps=eps)
-
-    @property
-    def is_exact(self) -> bool:
-        return self._d != 0
+        return cls(re, im)
 
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
 
-    def to_approx(self, eps: float = DEFAULT_EPS) -> "ComplexPoint":
-        if self.is_exact:
-            return ComplexPoint.approx(float(self.re), float(self.im), eps)
-        return self
-
     # -- arithmetic ----------------------------------------------------------
-    # Each operator first tests for two exact points and then works on the
-    # integer triples; every other combination goes through _pair.
-
-    def _pair(self, other) -> tuple["ComplexPoint", "ComplexPoint"]:
-        if isinstance(other, (int, Fraction)):
-            other = ComplexPoint.exact(other)
-        elif isinstance(other, complex):
-            other = ComplexPoint.from_complex(other, self.eps or DEFAULT_EPS)
-        elif isinstance(other, float):
-            other = ComplexPoint.approx(other, 0.0, self.eps or DEFAULT_EPS)
-        if not isinstance(other, ComplexPoint):
-            raise TypeError(f"cannot combine ComplexPoint with {type(other).__name__}")
-        a, b = self, other
-        if a.is_exact and not b.is_exact:
-            a = a.to_approx(b.eps)
-        elif b.is_exact and not a.is_exact:
-            b = b.to_approx(a.eps)
-        return a, b
-
-    def _out_eps(self, other: "ComplexPoint") -> float:
-        return max(self.eps or 0.0, other.eps or 0.0) or DEFAULT_EPS
+    # Each operator takes another point, an int or a Fraction; anything else
+    # is NotImplemented.
 
     def __add__(self, other):
-        if type(other) is ComplexPoint and self._d and other._d:
-            d, f = self._d, other._d
-            return _reduced_point(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
-        a, b = self._pair(other)
-        if a.is_exact:
-            return a + b
-        return ComplexPoint.approx(a.re + b.re, a.im + b.im, a._out_eps(b))
+        if type(other) is not ComplexPoint:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        return _reduced_point(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._d:
-            return _exact_point(-self._a, -self._b, self._d)
-        return ComplexPoint.approx(-self.re, -self.im, self.eps)
+        return _exact_point(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        if type(other) is ComplexPoint and self._d and other._d:
-            d, f = self._d, other._d
-            return _reduced_point(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
-        a, b = self._pair(other)
-        return a + (-b)
+        if type(other) is not ComplexPoint:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        return _reduced_point(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        if type(other) is ComplexPoint and self._d and other._d:
+        if type(other) is ComplexPoint:
             a, b, c, e = self._a, self._b, other._a, other._b
             return _reduced_point(a * c - b * e, a * e + b * c, self._d * other._d)
-        a, b = self._pair(other)
-        if a.is_exact:
-            return a * b
-        re = a.re * b.re - a.im * b.im
-        im = a.re * b.im + a.im * b.re
-        return ComplexPoint.approx(re, im, a._out_eps(b))
+        if isinstance(other, (int, Fraction)):
+            # a rational scalar scales the numerators and the denominator
+            p, q = _parts(other)
+            return _reduced_point(self._a * p, self._b * p, self._d * q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ComplexPoint":
-        if self._d:
-            return _exact_point(self._a, -self._b, self._d)
-        return ComplexPoint.approx(self.re, -self.im, self.eps)
+        return _exact_point(self._a, -self._b, self._d)
 
-    def norm2(self):
-        """|z|^2, a Fraction for exact points."""
-        if self._d:
-            return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-        return self.re * self.re + self.im * self.im
+    def norm2(self) -> Fraction:
+        """|z|^2."""
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def inverse(self) -> "ComplexPoint":
-        if self._d:
-            # d / (a + bi) = d (a - bi) / (a^2 + b^2)
-            a, b, d = self._a, self._b, self._d
-            n = a * a + b * b
-            if not n:
-                raise ZeroDivisionError("inverse of zero complex point")
-            return _reduced_point(a * d, -b * d, n)
-        n = self.norm2()
+        # d / (a + bi) = d (a - bi) / (a^2 + b^2)
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero complex point")
-        return ComplexPoint.approx(self.re / n, -self.im / n, self.eps)
+        return _reduced_point(a * d, -b * d, n)
 
     def __truediv__(self, other):
-        if type(other) is ComplexPoint and self._d and other._d:
-            return self * other.inverse()
-        a, b = self._pair(other)
-        return a * b.inverse()
+        if type(other) is not ComplexPoint:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -540,25 +464,16 @@ class ComplexPoint:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        if self._d:
-            # square-and-multiply on the Gaussian integer a + bi; the
-            # denominator is d^exponent, reduced once at the end
-            re, im, x, y, e = 1, 0, self._a, self._b, exponent
-            while e:
-                if e & 1:
-                    re, im = re * x - im * y, re * y + im * x
-                e >>= 1
-                if e:
-                    x, y = x * x - y * y, 2 * x * y
-            return _reduced_point(re, im, self._d**exponent)
-        result = ComplexPoint.approx(1.0, 0.0, self.eps)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        # square-and-multiply on the Gaussian integer a + bi; the
+        # denominator is d^exponent, reduced once at the end
+        re, im, x, y, e = 1, 0, self._a, self._b, exponent
+        while e:
+            if e & 1:
+                re, im = re * x - im * y, re * y + im * x
+            e >>= 1
+            if e:
+                x, y = x * x - y * y, 2 * x * y
+        return _reduced_point(re, im, self._d**exponent)
 
     # -- comparison ----------------------------------------------------------
 
@@ -567,44 +482,31 @@ class ComplexPoint:
 
     def __eq__(self, other) -> bool:
         if type(other) is not ComplexPoint:
-            if isinstance(other, (int, Fraction)) and self._d:
-                other = ComplexPoint.exact(other)
-            elif not isinstance(other, ComplexPoint):
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
-        # exact triples are canonical; approximate points have _d == 0
+        # triples are canonical
         return self._d == other._d and self._a == other._a and self._b == other._b
 
     def __hash__(self) -> int:
         return hash((self._a, self._b, self._d))
 
-    def isclose(self, other, eps: Optional[float] = None) -> bool:
-        """|self - other| <= eps; eps falls back to the carried tolerance."""
-        a, b = self._pair(other)
-        if eps is None:
-            eps = self._out_eps(b if isinstance(other, ComplexPoint) else a)
-        if a.is_exact and b.is_exact:
-            return (a - b).norm2() <= Fraction(eps) ** 2
-        return abs(a.to_complex() - b.to_complex()) <= eps
-
     def __repr__(self) -> str:
-        if self.is_exact:
-            return f"ComplexPoint({format_rational(self.re)}, {format_rational(self.im)})"
-        return f"ComplexPoint({self.re!r}, {self.im!r}, approx, eps={self.eps!r})"
+        return f"ComplexPoint({format_rational(self.re)}, {format_rational(self.im)})"
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.is_exact:
-            return {"re": format_rational(self.re), "im": format_rational(self.im), "mode": self.EXACT}
-        return {"re": self.re, "im": self.im, "mode": self.APPROX, "eps": self.eps}
+        return {"re": format_rational(self.re), "im": format_rational(self.im), "mode": "exact"}
 
     @classmethod
     def from_json(cls, data) -> "ComplexPoint":
-        if isinstance(data, dict) and "mode" in data:
-            if data["mode"] == cls.APPROX:
-                return cls.approx(float(data["re"]), float(data["im"]), float(data.get("eps", DEFAULT_EPS)))
-            return cls.exact(parse_rational(data["re"]), parse_rational(data.get("im", 0)))
+        """A point from "p/q" text or {"re", "im"[, "mode": "exact"]}; any
+        other mode raises ValueError."""
         if isinstance(data, dict):
+            mode = data.get("mode", "exact")
+            if mode != "exact":
+                raise ValueError(f"points must be exact, got mode {mode!r}")
             return cls.exact(parse_rational(data["re"]), parse_rational(data.get("im", 0)))
         return cls.exact(parse_rational(data))
 
@@ -613,25 +515,30 @@ _new_point = object.__new__
 _set_a = ComplexPoint._a.__set__
 _set_b = ComplexPoint._b.__set__
 _set_d = ComplexPoint._d.__set__
-_set_eps = ComplexPoint._eps.__set__
 
 
-def _set_point(z: ComplexPoint, a, b, d: int, eps: Optional[float]) -> None:
+def _set_point(z: ComplexPoint, a: int, b: int, d: int) -> None:
     _set_a(z, a)
     _set_b(z, b)
     _set_d(z, d)
-    _set_eps(z, eps)
+
+
+def _operand(value) -> Optional[ComplexPoint]:
+    """An int or Fraction as a point; None for anything else."""
+    if isinstance(value, (int, Fraction)):
+        return ComplexPoint.exact(value)
+    return None
 
 
 def _exact_point(a: int, b: int, d: int) -> ComplexPoint:
-    """The exact point (a + bi) / d from a triple that is already canonical."""
+    """The point (a + bi) / d from a triple that is already canonical."""
     z = _new_point(ComplexPoint)
-    _set_point(z, a, b, d, None)
+    _set_point(z, a, b, d)
     return z
 
 
 def _reduced_point(a: int, b: int, d: int) -> ComplexPoint:
-    """The exact point (a + bi) / d for d > 0, reduced by gcd(a, b, d)."""
+    """The point (a + bi) / d for d > 0, reduced by gcd(a, b, d)."""
     g = math.gcd(a, b, d)
     if g != 1:
         a, b, d = a // g, b // g, d // g
@@ -645,8 +552,6 @@ def complex_sqrt_exact(z: ComplexPoint) -> Optional[ComplexPoint]:
     reduces to two rational square roots.  Returns the root with x > 0, or
     x == 0 and y >= 0.
     """
-    if not z.is_exact:
-        raise ValueError("exact square root requires an exact point")
     a, b = z.re, z.im
     if b == 0:
         if a >= 0:
@@ -665,9 +570,7 @@ def complex_sqrt_exact(z: ComplexPoint) -> Optional[ComplexPoint]:
 
 
 def complex_to_cyclotomic(z: ComplexPoint, order: int) -> Cyclotomic:
-    """Embed an exact Gaussian rational into Q(zeta_L) with 4 | L (i = zeta_L^(L/4))."""
-    if not z.is_exact:
-        raise ValueError("only exact points embed into a cyclotomic field")
+    """Embed a Gaussian rational into Q(zeta_L) with 4 | L (i = zeta_L^(L/4))."""
     if order % 4 != 0:
         raise OrderMismatchError(f"embedding Q(i) needs 4 | order, got {order}")
     i_unit = _zeta_power(order, order // 4)

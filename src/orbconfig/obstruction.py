@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .exactfield import ComplexPoint
 from .orbmodel import PlanarAction
@@ -36,16 +36,14 @@ class NoWitnessError(RuntimeError):
     """The action has no fixed point, so the witness pair cannot anchor."""
 
 
-def orbit_size(
-    action: PlanarAction, z: ComplexPoint, eps: Optional[float] = None
-) -> Union[int, float]:
+def orbit_size(action: PlanarAction, z: ComplexPoint) -> Union[int, float]:
     """|Hz| = |H| / |H_z|; math.inf when the acting group is infinite."""
-    action.require_in_domain(z, eps)
+    action.require_in_domain(z)
     order = action.group_order()
     if order is None:
         return math.inf
     for representative, isotropy in action.special_points():
-        if action.same_orbit(z, representative, eps):
+        if action.same_orbit(z, representative):
             return order // isotropy
     return order
 
@@ -75,20 +73,16 @@ class FiberDescriptor:
         }
 
 
-def fiber_descriptor(
-    action: PlanarAction,
-    base: Sequence[ComplexPoint],
-    eps: Optional[float] = None,
-) -> FiberDescriptor:
+def fiber_descriptor(action: PlanarAction, base: Sequence[ComplexPoint]) -> FiberDescriptor:
     """Puncture bookkeeping for the fiber over a validated base tuple."""
     base = tuple(base)
     if action.group_order() is None:
         raise UnsupportedActionError(
             "fiber descriptors need a finite acting group; orbits here are infinite"
         )
-    if not is_orbit_config(action, base, eps):
+    if not is_orbit_config(action, base):
         raise MembershipError("base tuple is not an orbit configuration")
-    sizes = tuple(orbit_size(action, z, eps) for z in base)
+    sizes = tuple(orbit_size(action, z) for z in base)
     removed = sum(sizes)
     return FiberDescriptor(
         base=base,
@@ -147,15 +141,16 @@ def _find_fixed_point(action: PlanarAction) -> ComplexPoint:
     raise NoWitnessError(f"{action.kind} has no fixed point to anchor the witness")
 
 
-def quasifibration_witness(
-    action: PlanarAction, n: int, eps: Optional[float] = None
-) -> WitnessReport:
+def quasifibration_witness(action: PlanarAction, n: int) -> WitnessReport:
     """The witness pair: two base tuples differing only in their anchor.
 
     One tuple starts at a fixed point s, the other at a free point s'
     chosen from the rational grid s + k/2; the remaining n-2 coordinates
     are shared free points in pairwise distinct orbits.  The verdict is
     not-quasifibration exactly when the two fiber b1 values differ.
+    When the action has an ``orbit_invariant``, a candidate's orbit is
+    compared with the chosen ones by hashing its invariant; otherwise it is
+    compared with each chosen point through same_orbit.
     """
     if n < 2:
         raise ValueError("the forgetting map needs n >= 2 coordinates")
@@ -168,23 +163,31 @@ def quasifibration_witness(
     if n - 1 > MAX_WITNESS_STEPS:
         raise NoWitnessError("could not place enough free witness coordinates")
     chosen: list[ComplexPoint] = [s]
+    invariant = action.orbit_invariant
+    taken = {invariant(s)} if invariant is not None else None
     step = 0
     while len(chosen) < n and step < MAX_WITNESS_STEPS:
         step += 1
         candidate = s + _HALF * step
         if not action.contains(candidate):
             continue
-        if orbit_size(action, candidate, eps) != order:
+        if orbit_size(action, candidate) != order:
             continue
-        if any(action.same_orbit(candidate, taken, eps) for taken in chosen):
-            continue
+        if taken is None:
+            if any(action.same_orbit(candidate, z) for z in chosen):
+                continue
+        else:
+            key = invariant(candidate)
+            if key in taken:
+                continue
+            taken.add(key)
         chosen.append(candidate)
     if len(chosen) < n:
         raise NoWitnessError("could not place enough free witness coordinates")
     s_free = chosen[1]
     shared = tuple(chosen[2:])
-    fixed_anchor = fiber_descriptor(action, (s, *shared), eps)
-    free_anchor = fiber_descriptor(action, (s_free, *shared), eps)
+    fixed_anchor = fiber_descriptor(action, (s, *shared))
+    free_anchor = fiber_descriptor(action, (s_free, *shared))
     verdict = (
         NOT_QUASIFIBRATION if fixed_anchor.b1 != free_anchor.b1 else INCONCLUSIVE
     )

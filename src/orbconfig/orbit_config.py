@@ -33,50 +33,42 @@ class SamplingError(RuntimeError):
     """The rejection sampler ran out of attempts."""
 
 
-def same_orbit(
-    action: PlanarAction, z: ComplexPoint, w: ComplexPoint, eps: Optional[float] = None
-) -> bool:
-    """Whether z and w lie on one orbit of the action.
+def same_orbit(action: PlanarAction, z: ComplexPoint, w: ComplexPoint) -> bool:
+    """Whether z and w lie on one orbit of the action, decided exactly.
 
-    Exact points are compared exactly; approximate points use eps, falling
-    back to the eps carried by the points.  Raises DomainError when the
-    action's domain excludes an argument.
+    Raises DomainError when the action's domain excludes an argument.
     """
-    return action.same_orbit(z, w, eps)
+    return action.same_orbit(z, w)
 
 
-def is_orbit_config(
-    action: PlanarAction, points: Sequence[ComplexPoint], eps: Optional[float] = None
-) -> bool:
+def is_orbit_config(action: PlanarAction, points: Sequence[ComplexPoint]) -> bool:
     """Whether the tuple is a configuration: in the domain, orbits distinct.
 
     Unlike same_orbit, a coordinate outside the domain makes the answer
     False rather than an error; the predicate decides membership in the
-    orbit configuration space.  When the action has an ``orbit_invariant``
-    and every point's invariant is exact, orbits are compared by hashing one
-    invariant per point; otherwise every pair goes through same_orbit.
+    orbit configuration space.  When the action has an ``orbit_invariant``,
+    orbits are compared by hashing one invariant per point; otherwise every
+    pair goes through same_orbit.
     """
-    return _config_invariants(action, list(points), eps)[0]
+    return _config_invariants(action, list(points))[0]
 
 
 def _config_invariants(
-    action: PlanarAction, pts: list[ComplexPoint], eps: Optional[float]
+    action: PlanarAction, pts: list[ComplexPoint]
 ) -> tuple[bool, Optional[list[ComplexPoint]]]:
     """is_orbit_config, plus the orbit invariant of each point when the
     action has one and the points lie in its domain (None otherwise), so a
     caller that needs the invariants does not compute them again."""
-    if any(not action.contains(z, eps) for z in pts):
+    if not all(action.contains(z) for z in pts):
         return False, None
-    keys = None
     if action.orbit_invariant is not None:
         keys = [action.orbit_invariant(z) for z in pts]
-        if all(k.is_exact for k in keys):
-            return len(set(keys)) == len(keys), keys
+        return len(set(keys)) == len(keys), keys
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if action.same_orbit(pts[i], pts[j], eps):
-                return False, keys
-    return True, keys
+            if action.same_orbit(pts[i], pts[j]):
+                return False, None
+    return True, None
 
 
 @dataclass(frozen=True)
@@ -119,18 +111,21 @@ def sample_orbit_config(
     re_lo, re_hi, im_lo, im_hi = (Fraction(b) for b in box)
     if re_lo > re_hi or im_lo > im_hi:
         raise ValueError("empty sampling box")
+    # grid numerators k with lo <= k / denominator <= hi; an empty range is
+    # an error only once a coordinate is drawn, so n = 0 still succeeds
+    re_range = (math.ceil(re_lo * denominator), math.floor(re_hi * denominator))
+    im_range = (math.ceil(im_lo * denominator), math.floor(im_hi * denominator))
     rng = random.Random(seed)
 
-    def draw_scaled(lo: Fraction, hi: Fraction) -> Fraction:
-        lo_n = math.ceil(lo * denominator)
-        hi_n = math.floor(hi * denominator)
+    def draw_scaled(bounds: tuple[int, int]) -> Fraction:
+        lo_n, hi_n = bounds
         if lo_n > hi_n:
             raise ValueError("sampling box contains no grid point")
         return Fraction(rng.randint(lo_n, hi_n), denominator)
 
     for _ in range(max_attempts):
         candidate = tuple(
-            ComplexPoint.exact(draw_scaled(re_lo, re_hi), draw_scaled(im_lo, im_hi))
+            ComplexPoint.exact(draw_scaled(re_range), draw_scaled(im_range))
             for _ in range(n)
         )
         if is_orbit_config(action, candidate):
@@ -217,58 +212,41 @@ def sign_flip_arrangement(n: int) -> ArrangementSpec:
 # ---------------------------------------------------------------------------
 
 
-def in_cone_complement(
-    xs: Sequence[ComplexPoint], eps: Optional[float] = None
-) -> bool:
-    """x_1 != 0 and x_i != +-x_j for all i < j, exactly or within eps."""
-    xs = list(xs)
-    if not xs:
+def in_cone_complement(xs: Sequence[ComplexPoint]) -> bool:
+    """x_1 != 0 and x_i != +-x_j for all i < j.
+
+    Over a field x_i = +-x_j exactly when x_i^2 = x_j^2, so the pairs are
+    compared by hashing one square per coordinate.
+    """
+    if not xs or not xs[0]:
         return False
-    zero = ComplexPoint.exact(0)
-    if xs[0].is_exact:
-        if xs[0] == zero:
-            return False
-    elif xs[0].isclose(zero, eps):
-        return False
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            a, b = xs[i], xs[j]
-            if a.is_exact and b.is_exact:
-                if a == b or a == -b:
-                    return False
-            elif a.isclose(b, eps) or a.isclose(-b, eps):
-                return False
-    return True
+    squares = {x * x for x in xs}
+    return len(squares) == len(xs)
 
 
 def cone_coordinates(
-    lam: ComplexPoint, points: Sequence[ComplexPoint], eps: Optional[float] = None
+    lam: ComplexPoint, points: Sequence[ComplexPoint]
 ) -> tuple[ComplexPoint, ...]:
     """Map (lambda, w_1..w_n) to (lambda, lambda w_1, .., lambda w_n).
 
     Requires lambda != 0 and the w tuple to be a sign-flip configuration;
-    the image then lies in the cone complement, which is re-checked exactly
-    for exact inputs.
+    the image then lies in the cone complement, which is re-checked.
     """
-    zero = ComplexPoint.exact(0)
-    if lam.is_exact:
-        if lam == zero:
-            raise MembershipError("scale coordinate must be nonzero")
-    elif lam.isclose(zero, eps):
+    if not lam:
         raise MembershipError("scale coordinate must be nonzero")
-    if not is_orbit_config(SignFlipPunctured(), points, eps):
+    if not is_orbit_config(SignFlipPunctured(), points):
         raise MembershipError("points do not form a sign-flip configuration")
     image = (lam,) + tuple(lam * w for w in points)
-    if all(x.is_exact for x in image) and not in_cone_complement(image):
+    if not in_cone_complement(image):
         raise MembershipError("image left the cone complement")
     return image
 
 
 def cone_coordinates_inverse(
-    xs: Sequence[ComplexPoint], eps: Optional[float] = None
+    xs: Sequence[ComplexPoint],
 ) -> tuple[ComplexPoint, tuple[ComplexPoint, ...]]:
     """Recover (lambda, w) from a cone-complement point; exact inverse."""
-    if not in_cone_complement(xs, eps):
+    if not in_cone_complement(xs):
         raise MembershipError("point is not in the cone complement")
     lam = xs[0]
     inv = lam.inverse()

@@ -14,12 +14,12 @@ the preimages of the puncture of the quotient).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exactfield import ComplexPoint, DEFAULT_EPS, format_rational, json_int
+from .arrangement import SizeGuardError
+from .exactfield import ComplexPoint, format_rational, json_int
 
 
 class ReflectorError(ValueError):
@@ -198,14 +198,14 @@ _ONE = ComplexPoint.exact(1)
 _MINUS_ONE = ComplexPoint.exact(-1)
 _HALF = ComplexPoint.exact(Fraction(1, 2))
 
+#: Rail on rotation orders read from JSON: a rotation's orbit invariant is
+#: an order-th power, whose digit count grows linearly with the order.
+MAX_ROTATION_ORDER = 1024
+
 
 def _require_exact(z: ComplexPoint):
     if not isinstance(z, ComplexPoint):
         raise TypeError(f"expected ComplexPoint, got {type(z).__name__}")
-
-
-def _dist_to_integer(u: complex) -> float:
-    return math.hypot(u.real - round(u.real), u.imag)
 
 
 class PlanarAction:
@@ -218,14 +218,14 @@ class PlanarAction:
     #: actions that have such an invariant in closed form; None otherwise
     orbit_invariant = None
 
-    def contains(self, z: ComplexPoint, eps: Optional[float] = None) -> bool:
+    def contains(self, z: ComplexPoint) -> bool:
         raise NotImplementedError
 
-    def require_in_domain(self, z: ComplexPoint, eps: Optional[float] = None):
-        if not self.contains(z, eps):
+    def require_in_domain(self, z: ComplexPoint):
+        if not self.contains(z):
             raise DomainError(f"{z!r} is outside the domain of {self.kind}")
 
-    def same_orbit(self, z: ComplexPoint, w: ComplexPoint, eps: Optional[float] = None) -> bool:
+    def same_orbit(self, z: ComplexPoint, w: ComplexPoint) -> bool:
         raise NotImplementedError
 
     def special_points(self) -> tuple[tuple[ComplexPoint, int], ...]:
@@ -260,20 +260,16 @@ class CyclicRotation(PlanarAction):
             raise ValueError("rotation order must be >= 1")
         _require_exact(self.center)
 
-    def contains(self, z, eps=None) -> bool:
+    def contains(self, z) -> bool:
         return True
 
     def orbit_invariant(self, z: ComplexPoint) -> ComplexPoint:
-        # an approximate center still coerces z to approximate
-        if self.center != _ZERO:
+        if self.center:
             z = z - self.center
         return z**self.order
 
-    def same_orbit(self, z, w, eps=None) -> bool:
-        a, b = self.orbit_invariant(z), self.orbit_invariant(w)
-        if a.is_exact and b.is_exact:
-            return a == b
-        return a.isclose(b, eps)
+    def same_orbit(self, z, w) -> bool:
+        return self.orbit_invariant(z) == self.orbit_invariant(w)
 
     def special_points(self):
         if self.order >= 2:
@@ -304,19 +300,14 @@ class IntegerDihedral(PlanarAction):
     kind = "integer_dihedral"
     domain_punctures = 0
 
-    def contains(self, z, eps=None) -> bool:
+    def contains(self, z) -> bool:
         return True
 
-    def same_orbit(self, z, w, eps=None) -> bool:
-        if z.is_exact and w.is_exact:
-            diff, total = z - w, z + w
-            return (diff.im == 0 and diff.re.denominator == 1) or (
-                total.im == 0 and total.re.denominator == 1
-            )
-        if eps is None:
-            eps = z.eps or w.eps or DEFAULT_EPS
-        zc, wc = z.to_complex(), w.to_complex()
-        return _dist_to_integer(zc - wc) <= eps or _dist_to_integer(zc + wc) <= eps
+    def same_orbit(self, z, w) -> bool:
+        diff, total = z - w, z + w
+        return (diff.im == 0 and diff.re.denominator == 1) or (
+            total.im == 0 and total.re.denominator == 1
+        )
 
     def special_points(self):
         return ((_ZERO, 2), (_HALF, 2))
@@ -339,24 +330,16 @@ class SignFlipPunctured(PlanarAction):
     kind = "sign_flip"
     domain_punctures = 2
 
-    def contains(self, z, eps=None) -> bool:
-        if z.is_exact:
-            return z != _ONE and z != _MINUS_ONE
-        if eps is None:
-            eps = z.eps or DEFAULT_EPS
-        zc = z.to_complex()
-        return abs(zc - 1) > eps and abs(zc + 1) > eps
+    def contains(self, z) -> bool:
+        return z != _ONE and z != _MINUS_ONE
 
     def orbit_invariant(self, z: ComplexPoint) -> ComplexPoint:
         return z * z
 
-    def same_orbit(self, z, w, eps=None) -> bool:
-        self.require_in_domain(z, eps)
-        self.require_in_domain(w, eps)
-        a, b = self.orbit_invariant(z), self.orbit_invariant(w)
-        if a.is_exact and b.is_exact:
-            return a == b
-        return a.isclose(b, eps)
+    def same_orbit(self, z, w) -> bool:
+        self.require_in_domain(z)
+        self.require_in_domain(w)
+        return self.orbit_invariant(z) == self.orbit_invariant(w)
 
     def special_points(self):
         return ((_ZERO, 2),)
@@ -374,10 +357,18 @@ def quotient_orbifold(action: PlanarAction) -> Orbifold2D:
 
 
 def action_from_json(data: dict) -> PlanarAction:
+    """A planar action from its JSON spec.  A rotation order must be a JSON
+    integer (ValueError otherwise) of at most MAX_ROTATION_ORDER
+    (SizeGuardError otherwise)."""
     kind = data.get("kind")
     if kind == "rotation":
+        order = json_int(data["order"], "rotation order")
+        if order > MAX_ROTATION_ORDER:
+            raise SizeGuardError(
+                f"rotation order {order} exceeds the rail (order <= {MAX_ROTATION_ORDER})"
+            )
         center = ComplexPoint.from_json(data["center"]) if "center" in data else _ZERO
-        return CyclicRotation(int(data["order"]), center)
+        return CyclicRotation(order, center)
     if kind == "integer_dihedral":
         return IntegerDihedral()
     if kind == "sign_flip":

@@ -5,7 +5,9 @@ rendering are all part of the published interface, so these tests drive
 main() exactly the way a shell would.
 """
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -13,6 +15,7 @@ from orbconfig import __version__
 from orbconfig import cli
 from orbconfig.cli import main
 from orbconfig.obstruction import MAX_WITNESS_STEPS, NoWitnessError
+from orbconfig.orbmodel import MAX_ROTATION_ORDER
 
 
 def run(capsys, argv):
@@ -274,7 +277,7 @@ def test_obstruction_infinite_group_exit_2(capsys):
 
 
 def test_obstruction_fixed_point_free_exit_6(capsys, monkeypatch):
-    def refuse(action, n, eps=None):
+    def refuse(action, n):
         raise NoWitnessError("the action has no fixed point to anchor the fiber at")
 
     monkeypatch.setattr(cli, "quasifibration_witness", refuse)
@@ -302,6 +305,91 @@ def test_obstruction_n_within_the_witness_steps_succeeds(capsys, n):
     )
     assert code == 0
     assert env["report"]["b1_pair"] == [1 + 4 * (n - 2), 4 * (n - 1)]
+
+
+@pytest.mark.parametrize(
+    "center",
+    [{"re": 0.5, "im": 0.25, "mode": "approx", "eps": 1e-9}, {"re": "1/2", "im": "0", "mode": "bogus"}],
+    ids=["approx", "bogus"],
+)
+def test_obstruction_non_exact_center_exit_2(capsys, center):
+    spec = json.dumps({"schema": 1, "kind": "rotation", "order": 4, "center": center})
+    code, out, err = run(capsys, ["obstruction", spec, "--n", "3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("orbconfig: ") and "Traceback" not in err
+    assert repr(center["mode"]) in err
+
+
+@pytest.mark.parametrize("order", ["2.7", "true", '"3"', "null"])
+def test_obstruction_non_integer_rotation_order_exit_2(capsys, order):
+    spec = '{"schema":1,"kind":"rotation","order":%s}' % order
+    code, out, err = run(capsys, ["obstruction", spec, "--n", "3"])
+    assert code == 2
+    assert out == ""
+    assert "rotation order must be an integer" in err
+
+
+def test_obstruction_rotation_order_rail_exit_4(capsys):
+    spec = json.dumps({"schema": 1, "kind": "rotation", "order": MAX_ROTATION_ORDER + 1})
+    code, out, err = run(capsys, ["obstruction", spec, "--n", "30"])
+    assert code == 4
+    assert out == ""
+    assert f"order <= {MAX_ROTATION_ORDER}" in err
+
+
+def test_obstruction_at_the_rotation_order_rail_within_budget(capsys):
+    # order 1024 about a center with a 4000-digit denominator, 400 free
+    # coordinates: the witness search hashes one orbit invariant per
+    # candidate.  About 2 s on a 2-core host; the budget keeps 3x headroom.
+    den = 10**3999 + 7
+    center = {"re": f"1/{den}", "im": f"-2/{den}"}
+    spec = json.dumps({"schema": 1, "kind": "rotation", "order": MAX_ROTATION_ORDER, "center": center})
+    start = time.perf_counter()
+    code, env = run_json(capsys, ["obstruction", spec, "--n", "401"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    m, n = MAX_ROTATION_ORDER, 401
+    assert env["report"]["b1_pair"] == [1 + m * (n - 2), m * (n - 1)]
+    assert elapsed < 10.0, f"obstruction at the rotation order rail took {elapsed:.1f} s"
+
+
+# Reports of exact runs are pinned byte for byte.  qE is left out: its
+# max_defect is a float that depends on the platform's libm.
+GOLDEN_STDOUT_SHA256 = [
+    pytest.param(
+        ["verify-cover", "q", "--samples", "200", "--seed", "3"],
+        "aab7c5352dabb99da03a7d961413d9bd52d8e177813d6e8b00a4ad503b3b0dd0",
+        id="q",
+    ),
+    pytest.param(
+        ["verify-cover", "squaring", "--n", "3", "--samples", "20", "--seed", "2"],
+        "07047fb657ce0cc0774af4324f8fb5b33d1155929542d86dcbaffacc0a6f1f5e",
+        id="squaring",
+    ),
+    pytest.param(
+        ["obstruction", '{"schema":1,"kind":"rotation","order":2}'],
+        "0fc52170de8da1ae939ec9b1884e15942efe6b121685a4610a3786d1f0847e15",
+        id="rotation",
+    ),
+    pytest.param(
+        ["obstruction", '{"schema":1,"kind":"rotation","order":4,"center":{"re":"1/2","im":"-3/4"}}', "--n", "5"],
+        "388f48a99e43d69afeff0b709320d856a3becb505a0db0681ae543f8a9e63526",
+        id="rotation-center",
+    ),
+    pytest.param(
+        ["obstruction", '{"schema":1,"kind":"sign_flip"}', "--n", "4"],
+        "c5a21babfbfd92f36c67b6964da92a34b567db074026670463bc10778c2878fc",
+        id="sign-flip",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT_SHA256)
+def test_exact_reports_are_pinned_byte_for_byte(capsys, argv, digest):
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from orbconfig.covering import (
     CoveringReport,
+    _joukowski_float,
     exp_cover,
     exp_fiber,
     exp_joukowski_composite,
@@ -48,22 +49,23 @@ def test_quotient_map_pole():
     with pytest.raises(DomainError):
         joukowski_map(pt(0))
     with pytest.raises(DomainError):
-        joukowski_map(ComplexPoint.approx(0.0, 0.0))
+        _joukowski_float(0j)
 
 
 def test_quotient_map_modes():
     exact = joukowski_map(pt(2))
-    assert exact.is_exact
+    assert type(exact) is ComplexPoint
     assert exact == pt(Fraction(1, 4) - Fraction(5, 16))
-    loose = joukowski_map(ComplexPoint.approx(2.0, 0.0))
-    assert not loose.is_exact
-    assert loose.isclose(exact, 1e-12)
+    # the float formula the exponential composite uses agrees
+    loose = _joukowski_float(2 + 0j)
+    assert type(loose) is complex
+    assert abs(loose - exact.to_complex()) <= 1e-12
 
 
 def test_fiber_at_quarter_is_imaginary_pair():
     fiber = joukowski_fiber(pt(Fraction(1, 4)))
     assert set(fiber) == {pt(0, 1), pt(0, -1)}
-    assert all(w.is_exact for w in fiber)
+    assert all(type(w) is ComplexPoint for w in fiber)
 
 
 def test_fiber_double_roots_at_branch_values():
@@ -97,38 +99,39 @@ def test_deck_identity_exact(w):
 def test_fiber_falls_back_to_floats_off_the_square_locus():
     fiber = joukowski_fiber(pt(1))
     assert len(fiber) == 2
-    assert all(not w.is_exact for w in fiber)
-    product = fiber[0].to_complex() * fiber[1].to_complex()
-    assert abs(product - 1) < 1e-12
+    assert all(type(w) is complex for w in fiber)
+    assert abs(fiber[0] * fiber[1] - 1) < 1e-12
     for w in fiber:
-        assert joukowski_map(w).isclose(pt(1).to_approx(), 1e-9)
+        assert abs(_joukowski_float(w) - 1) <= 1e-9
 
 
 # -- exponential cover ------------------------------------------------------
 
 
 def test_exp_cover_basics():
-    one = exp_cover(pt(0))
-    assert not one.is_exact
-    assert one.isclose(pt(1), 1e-12)
-    z = ComplexPoint.approx(0.3, 0.2)
-    assert exp_cover(z).isclose(exp_cover(z + 1), 1e-12)
+    one = exp_cover(0j)
+    assert type(one) is complex
+    assert abs(one - 1) <= 1e-12
+    z = complex(0.3, 0.2)
+    assert abs(exp_cover(z) - exp_cover(z + 1)) <= 1e-12
 
 
 def test_exp_fiber_window_of_one():
-    fiber = exp_fiber(pt(1), window=2)
+    fiber = exp_fiber(1 + 0j, window=2)
     assert len(fiber) == 5
-    values = sorted(z.to_complex().real for z in fiber)
+    values = sorted(z.real for z in fiber)
     assert values == pytest.approx([-2, -1, 0, 1, 2], abs=1e-12)
-    assert all(abs(z.to_complex().imag) < 1e-12 for z in fiber)
+    assert all(abs(z.imag) < 1e-12 for z in fiber)
 
 
 def test_exp_fiber_roundtrip_and_pole():
-    w = ComplexPoint.approx(0.4, -1.1)
+    w = complex(0.4, -1.1)
     for z in exp_fiber(w, window=1):
-        assert exp_cover(z).isclose(w, 1e-9)
+        assert abs(exp_cover(z) - w) <= 1e-9
     with pytest.raises(DomainError):
-        exp_fiber(pt(0))
+        exp_fiber(0j)
+    with pytest.raises(DomainError):
+        exp_fiber(1e-12 + 0j)  # within the default tolerance of 0
 
 
 # -- the composite on dihedral configurations -------------------------------
@@ -136,7 +139,7 @@ def test_exp_fiber_roundtrip_and_pole():
 
 def test_composite_single_coordinate_hits_quarter():
     (image,) = exp_joukowski_composite((pt(Fraction(1, 4)),))
-    assert image.isclose(pt(Fraction(1, 4)), 1e-12)
+    assert abs(image - 0.25) <= 1e-12
 
 
 def test_composite_deck_invariance():
@@ -146,7 +149,7 @@ def test_composite_deck_invariance():
     negated = exp_joukowski_composite((-zs[0], zs[1]))
     for moved in (shifted, negated):
         for a, b in zip(base, moved):
-            assert a.isclose(b, 1e-9)
+            assert abs(a - b) <= 1e-9
 
 
 def test_composite_rejects_integral_sums():
@@ -170,6 +173,19 @@ def test_squaring_fiber_is_sign_enumeration():
         (pt(2), pt(-3)),
         (pt(-2), pt(3)),
         (pt(-2), pt(-3)),
+    }
+
+
+def test_squaring_fiber_mixes_exact_and_float_roots():
+    # 2 is not a square in Q(i): its roots are complex; 0 has one exact root
+    fiber = squaring_fiber((pt(2), pt(0), pt(-4)))
+    assert len(fiber) == 4
+    for first, zero, last in fiber:
+        assert type(first) is complex and abs(first * first - 2) <= 1e-12
+        assert zero == pt(0)
+        assert last in (pt(0, 2), pt(0, -2))
+    assert {(first.real > 0, last) for first, _, last in fiber} == {
+        (True, pt(0, 2)), (True, pt(0, -2)), (False, pt(0, 2)), (False, pt(0, -2))
     }
 
 
@@ -224,8 +240,11 @@ def test_in_punctured_configuration_edges():
     assert in_punctured_configuration((pt(1), pt(2)))
     assert not in_punctured_configuration((pt(0), pt(2)))
     assert not in_punctured_configuration((pt(2), pt(2)))
-    near = ComplexPoint.approx(1.0, 0.0)
-    assert not in_punctured_configuration((near, ComplexPoint.approx(1.0, 1e-12)))
+    # membership is exact: points 1e-12 apart are distinct
+    near = pt(1, Fraction(1, 10**12))
+    assert in_punctured_configuration((pt(1), near))
+    assert not in_punctured_configuration((near, pt(2), near))
+    assert not in_punctured_configuration((pt(2), pt(1), pt(0)))
 
 
 # -- sampled verification ----------------------------------------------------

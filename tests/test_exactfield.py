@@ -156,27 +156,36 @@ def test_complex_point_exact_arithmetic():
 
 
 def test_complex_point_no_false_merges_at_2eps():
-    # Points whose exact distance exceeds 2*eps never compare close at eps.
-    eps = 1e-9
+    # Points 3e-9 apart, more than 2*eps for the default eps = 1e-9, stay
+    # distinct: equality and hashing are exact, with no tolerance to merge them.
+    eps = Fraction(1, 10 ** 9)
     pairs = [
         (ComplexPoint.exact(0), ComplexPoint.exact(Fraction(3, 10 ** 9))),
         (ComplexPoint.exact(1, 1), ComplexPoint.exact(1, Fraction(10 ** 9 + 3, 10 ** 9))),
     ]
     for a, b in pairs:
-        assert (a - b).norm2() > Fraction(2 * eps) ** 2
-        assert not a.isclose(b, eps)
-        assert not a.to_approx(eps).isclose(b.to_approx(eps), eps)
-        assert a.isclose(a, eps)
+        assert (a - b).norm2() == Fraction(9, 10 ** 18) > (2 * eps) ** 2
+        assert a != b
+        assert len({a, b}) == 2
+        assert a == ComplexPoint.exact(a.re, a.im)
 
 
-def test_complex_point_mode_coercion_and_eq():
+def test_complex_point_refuses_floats_and_round_trips_json():
     a = ComplexPoint.exact(1, 2)
-    b = ComplexPoint.approx(1.0, 2.0, 1e-9)
-    assert (a + b).mode == ComplexPoint.APPROX
-    assert a != b  # structural equality is mode-aware
-    assert a.isclose(b, 1e-9)
+    for operand in (1.0, 1j, complex(1, 2)):
+        for op in (lambda x, y: x + y, lambda x, y: y - x, lambda x, y: x * y, lambda x, y: x / y):
+            with pytest.raises(TypeError):
+                op(a, operand)
+    assert a != complex(1, 2)
+    assert ComplexPoint.exact(1) != 1.0
+    assert a * 2 == a + a and a / 2 == a * Fraction(1, 2)
     assert ComplexPoint.from_json(a.to_json()) == a
-    assert ComplexPoint.from_json(b.to_json()) == b
+    assert a.to_json() == {"re": "1", "im": "2", "mode": "exact"}
+    assert ComplexPoint.from_json({"re": "1", "im": "2"}) == a
+    assert ComplexPoint.from_json("3/4") == ComplexPoint.exact(Fraction(3, 4))
+    for mode in ("approx", "bogus", None):
+        with pytest.raises(ValueError):
+            ComplexPoint.from_json({"re": 1.0, "im": 2.0, "mode": mode})
 
 
 def test_rational_sqrt():

@@ -174,10 +174,10 @@ class _FreeInvolution(PlanarAction):
     kind = "free_involution"
     domain_punctures = 0
 
-    def contains(self, z, eps=None):
+    def contains(self, z):
         return True
 
-    def same_orbit(self, z, w, eps=None):
+    def same_orbit(self, z, w):
         return z == w or z == w + 1 or w == z + 1
 
     def group_order(self):
@@ -185,6 +185,75 @@ class _FreeInvolution(PlanarAction):
 
     def special_points(self):
         return ()
+
+
+class _Folded(PlanarAction):
+    """A toy order-2 action whose orbits are the level sets of z^2 after
+    folding Re z >= 1 back by 2, so the witness search meets candidates on
+    the orbits of points it already chose."""
+
+    kind = "folded"
+
+    def contains(self, z):
+        return True
+
+    def orbit_invariant(self, z):
+        if z.re >= 1:
+            z = z - 2
+        return z * z
+
+    def same_orbit(self, z, w):
+        return self.orbit_invariant(z) == self.orbit_invariant(w)
+
+    def group_order(self):
+        return 2
+
+    def special_points(self):
+        return ((pt(0), 2),)
+
+
+class _PairwiseOnly(PlanarAction):
+    """Delegates to an action but hides its orbit invariant, so every orbit
+    comparison goes through same_orbit."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.kind = inner.kind
+        self.domain_punctures = inner.domain_punctures
+        self.center = getattr(inner, "center", pt(0))
+
+    def contains(self, z):
+        return self.inner.contains(z)
+
+    def same_orbit(self, z, w):
+        return self.inner.same_orbit(z, w)
+
+    def group_order(self):
+        return self.inner.group_order()
+
+    def special_points(self):
+        return self.inner.special_points()
+
+    def to_json(self):
+        return self.inner.to_json()
+
+
+@pytest.mark.parametrize(
+    "action",
+    [_Folded(), CyclicRotation(1, pt(1, 1)), CyclicRotation(3, pt(Fraction(1, 3), -1)), SignFlipPunctured()],
+    ids=["folded", "trivial", "rotation3", "sign-flip"],
+)
+def test_witness_hashed_invariants_match_the_pairwise_scan(action):
+    for n in range(2, 9):
+        hashed = quasifibration_witness(action, n)
+        pairwise = quasifibration_witness(_PairwiseOnly(action), n)
+        assert hashed.to_json() == pairwise.to_json()
+
+
+def test_witness_skips_orbit_mates_of_chosen_points():
+    report = quasifibration_witness(_Folded(), 4)
+    # 3/2 and 5/2 fold onto 1/2, 2 onto the fixed point 0, and 3 onto 1
+    assert report.free_anchor.base == (pt(Fraction(1, 2)), pt(1), pt(Fraction(7, 2)))
 
 
 def test_witness_requires_a_fixed_point():

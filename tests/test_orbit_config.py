@@ -98,12 +98,16 @@ def test_is_orbit_config_sign_flip():
     assert is_orbit_config(action, [pt(2), pt(3)])
 
 
-def test_is_orbit_config_approx_tolerance():
+def test_is_orbit_config_decides_near_points_exactly():
+    # -1 + 1e-12 i is not on the orbit of 1 under the half turn, however
+    # close it is to -1; only the exact orbit mate -1 collides.
     action = CyclicRotation(2)
-    near = [ComplexPoint.approx(1.0, 0.0), ComplexPoint.approx(-1.0, 1e-12)]
-    far = [ComplexPoint.approx(1.0, 0.0), ComplexPoint.approx(-2.0, 0.0)]
-    assert not is_orbit_config(action, near, eps=1e-9)
-    assert is_orbit_config(action, far, eps=1e-9)
+    tiny = Fraction(1, 10**12)
+    assert is_orbit_config(action, [pt(1), pt(-1, tiny)])
+    assert not is_orbit_config(action, [pt(1), pt(-1)])
+    assert is_orbit_config(IntegerDihedral(), [pt(Fraction(1, 3)), pt(Fraction(2, 3), tiny)])
+    assert not is_orbit_config(IntegerDihedral(), [pt(Fraction(1, 3)), pt(Fraction(2, 3))])
+    assert is_orbit_config(SignFlipPunctured(), [pt(1, tiny)])
 
 
 # -- sampler --------------------------------------------------------------
@@ -117,8 +121,29 @@ def test_sampler_is_deterministic_and_valid():
     assert first.n == 4
     assert is_orbit_config(action, first.points)
     for z in first.points:
-        assert z.is_exact
+        assert type(z) is ComplexPoint
         assert 8 % z.re.denominator == 0 and 8 % z.im.denominator == 0
+
+
+def test_sampler_draws_are_pinned():
+    # the grid bounds are computed once per call; the draws must not move
+    first = sample_orbit_config(CyclicRotation(3), 4, seed=11).points
+    assert first == tuple(
+        pt(Fraction(a), Fraction(b))
+        for a, b in (("3/2", "13/8"), ("3/2", "2"), ("-1/2", "-5/8"), ("2", "7/4"))
+    )
+    box = (Fraction(-1, 3), Fraction(1, 2), Fraction(1, 5), Fraction(7, 5))
+    second = sample_orbit_config(SignFlipPunctured(), 3, seed=5, box=box, denominator=6).points
+    assert second == tuple(
+        pt(Fraction(a), Fraction(b)) for a, b in (("1/3", "2/3"), ("1/2", "2/3"), ("1/2", "4/3"))
+    )
+
+
+def test_sampler_empty_grid_raises_only_when_drawing():
+    box = (Fraction(1, 3), Fraction(1, 3), Fraction(0), Fraction(0))
+    assert sample_orbit_config(CyclicRotation(2), 0, box=box).points == ()
+    with pytest.raises(ValueError, match="no grid point"):
+        sample_orbit_config(CyclicRotation(2), 1, box=box)
 
 
 def test_sampler_different_seeds_differ():
