@@ -109,10 +109,10 @@ class ScalarField:
             return format_rational(value)
         return value.to_json()
 
-    def scalar_from_json(self, data):
+    def scalar_from_json(self, data, field: str = "scalar"):
         if self.is_rational:
-            return parse_rational(data)
-        return Cyclotomic.from_json(self.order, data)
+            return parse_rational(data, field)
+        return Cyclotomic.from_json(self.order, data, field)
 
     def to_json(self) -> dict:
         if self.is_rational:
@@ -175,14 +175,15 @@ class ArrangementSpec:
 
     @cached_property
     def _real_equations(self) -> tuple:
-        """Each hyperplane as rational equations in (Re z_1, Im z_1, ...).
+        """Each hyperplane as integer equations in (Re z_1, Im z_1, ...).
 
         Coefficients, offsets and Gaussian rational coordinates all live in
         Q(zeta_L) for L = lcm(m, 4), with m = 1 over Q and i = zeta_L^(L/4).
         normal . z - offset is Q-linear in the real coordinates x, so each of
         its power-basis components is one equation ``(rhs, ((k, c), ...))``
-        meaning sum(c * x_k) == rhs, with zero coefficients dropped.  A point
-        lies on the hyperplane exactly when all of its equations hold.
+        meaning sum(c * x_k) == rhs, scaled by the lcm of its denominators
+        so that rhs and every c are ints, with zero coefficients dropped.  A
+        point lies on the hyperplane exactly when all of its equations hold.
         """
         target = math.lcm(1 if self.field.is_rational else self.field.order, 4)
         i_unit = complex_to_cyclotomic(ComplexPoint.exact(0, 1), target)
@@ -198,14 +199,17 @@ class ArrangementSpec:
             for j, a in enumerate(h.normal):
                 if a:
                     a = lift(a)
-                    columns += [(2 * j, a.coeffs), (2 * j + 1, (a * i_unit).coeffs)]
-            rhs = lift(h.offset).coeffs
-            compiled.append(
-                tuple(
-                    (rhs[r], tuple((k, col[r]) for k, col in columns if col[r]))
-                    for r in range(len(rhs))
+                    columns += [(2 * j, a), (2 * j + 1, a * i_unit)]
+            rhs = lift(h.offset)
+            equations = []
+            for r, b in enumerate(rhs._n):
+                # column r of each element: numerator col._n[r] over col._d
+                terms = [(k, col._n[r], col._d) for k, col in columns if col._n[r]]
+                scale = math.lcm(rhs._d, *(d for _, _, d in terms))
+                equations.append(
+                    (b * (scale // rhs._d), tuple((k, c * (scale // d)) for k, c, d in terms))
                 )
-            )
+            compiled.append(tuple(equations))
         return tuple(compiled)
 
     @cached_property
@@ -242,10 +246,13 @@ class ArrangementSpec:
         dim = json_int(data["dim"], "dim")
         raw = [
             (
-                tuple(field.scalar_from_json(a) for a in h["normal"]),
-                field.scalar_from_json(h.get("offset", 0)),
+                tuple(
+                    field.scalar_from_json(a, f"hyperplanes[{i}] normal[{j}]")
+                    for j, a in enumerate(h["normal"])
+                ),
+                field.scalar_from_json(h.get("offset", 0), f"hyperplanes[{i}] offset"),
             )
-            for h in data["hyperplanes"]
+            for i, h in enumerate(data["hyperplanes"])
         ]
         return make_arrangement(dim, field, raw, label=data.get("label", "custom"))
 
@@ -288,17 +295,28 @@ def complement_contains(spec: ArrangementSpec, point: Sequence[ComplexPoint]) ->
 
     Coordinates must be exact Gaussian rationals.  The point lies on a
     hyperplane exactly when it satisfies all of that hyperplane's
-    ``_real_equations``, which the spec compiles once.
+    ``_real_equations``, which the spec compiles once to integer rows.  The
+    point is read as integer coordinates X over D, the lcm of its
+    coordinates' denominators, so each equation is one integer dot product:
+    sum(c * X_k) - rhs * D == 0.
     """
     if len(point) != spec.dim:
         raise ValueError(f"point of length {len(point)} in dimension {spec.dim}")
     if any(type(z) is not ComplexPoint for z in point):
         raise ValueError("complement membership is decided on exact points only")
-    coords = [x for z in point for x in (z.re, z.im)]
+    den = math.lcm(*(z._d for z in point))
+    coords = []
+    for z in point:
+        scale = den // z._d
+        coords += (z._a * scale, z._b * scale)
     for equations in spec._real_equations:
-        if all(
-            sum(c * coords[k] for k, c in terms) == rhs for rhs, terms in equations
-        ):
+        for rhs, terms in equations:
+            gap = -rhs * den
+            for k, c in terms:
+                gap += c * coords[k]
+            if gap:
+                break
+        else:
             return False
     return True
 

@@ -6,7 +6,8 @@ the subcommand, the fully resolved run configuration, and the seed.  JSON
 output is canonical (sorted keys, no whitespace), so reruns with the same
 configuration are byte-identical; tables are rendered from that same JSON.
 
-Exit codes: 0 success; 2 unparseable input, unknown ids, invalid models;
+Exit codes: 0 success; 2 unparseable input, unknown ids, invalid models,
+JSON rationals past exactfield.MAX_RATIONAL_DIGITS digits;
 3 reflector features; 4 size guard rails (arrangement size, squaring n,
 qE logarithm combinations covering.MAX_EXP_COMBINATIONS, groupoid group
 order groupoid.MAX_GROUP_ORDER, negation and rotation point count

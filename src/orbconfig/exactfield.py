@@ -3,19 +3,21 @@
 Every decision that feeds a rank computation, a set membership test, or a
 fiber count is made in exact arithmetic.  Rationals are ``fractions.Fraction``
 (arbitrary precision, always reduced, positive denominator).  An element of
-Q(zeta_m) is a dense coefficient vector in the power basis
-1, zeta, ..., zeta^(phi(m)-1), reduced modulo the m-th cyclotomic polynomial.
-A complex point is a Gaussian rational stored as integer numerators over
-one positive denominator, (a + b*i) / d with gcd(a, b, d) = 1, so each value
-has one canonical form and its arithmetic runs on ints.  There is no
-approximate point: the one float map of the package (the exponential cover
-in ``covering``) works on builtin ``complex`` values with an explicit
-tolerance.
+Q(zeta_m) is a dense vector of integer numerators over one positive
+denominator, gcd-canonical, in the power basis 1, zeta, ..., zeta^(phi(m)-1)
+modulo the m-th cyclotomic polynomial; Phi_m is monic, so products reduce
+by an integer table of x^k mod Phi_m and inverses come from fraction-free
+elimination.  A complex point is a Gaussian rational stored the same way,
+(a + b*i) / d with gcd(a, b, d) = 1.  So each value has one canonical form
+and its arithmetic runs on ints.  There is no approximate point: the one
+float map of the package (the exponential cover in ``covering``) works on
+builtin ``complex`` values with an explicit tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
@@ -31,9 +33,38 @@ class OrderMismatchError(ValueError):
     """Arithmetic attempted between elements of different cyclotomic fields."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" or "p" decimal string into an exact rational."""
-    return Fraction(str(text).strip())
+#: Most decimal digits the numerator or the denominator of a rational read
+#: from JSON may have.  Reports print points a digit or two longer than
+#: their inputs (an obstruction witness s + k/2 doubles the center's
+#: denominator), and CPython refuses to print an int of more than 4300
+#: digits, so the bound keeps room below that limit.
+MAX_RATIONAL_DIGITS = 4000
+_DIGIT_BOUND = 10**MAX_RATIONAL_DIGITS
+# Longer text cannot be an admitted rational short of padding; an exponent
+# of more than five digits would make Fraction build a huge power of ten.
+_MAX_RATIONAL_TEXT = 4 * MAX_RATIONAL_DIGITS
+_EXPONENT = re.compile(r"e[-+]?([0-9_]+)$", re.IGNORECASE)
+
+
+def parse_rational(text: str, field: str = "rational") -> Fraction:
+    """Parse a "p/q", "p" or decimal string into an exact rational.
+
+    Raises ValueError naming ``field`` when the text is not a rational, has
+    a zero denominator, or has a numerator or denominator of more than
+    MAX_RATIONAL_DIGITS digits.
+    """
+    text = str(text).strip()
+    too_long = f"{field} has more than {MAX_RATIONAL_DIGITS} digits"
+    exponent = _EXPONENT.search(text)
+    if len(text) > _MAX_RATIONAL_TEXT or (exponent and len(exponent[1]) > 5):
+        raise ValueError(too_long)
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{field}: {exc}") from None
+    if abs(value.numerator) >= _DIGIT_BOUND or value.denominator >= _DIGIT_BOUND:
+        raise ValueError(too_long)
+    return value
 
 
 def json_int(value, name: str) -> int:
@@ -48,6 +79,7 @@ def format_rational(q: RationalLike) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     if m < 1:
         raise InvalidOrderError(f"order must be >= 1, got {m}")
@@ -65,8 +97,8 @@ def euler_phi(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomial helpers (ascending coefficient lists) used only to build
-# cyclotomic polynomials; Fraction polynomial helpers used for field division.
+# Integer polynomial helpers (ascending coefficient lists).  Phi_m is monic
+# with integer coefficients, so reduction modulo Phi_m stays in the integers.
 # ---------------------------------------------------------------------------
 
 
@@ -98,75 +130,101 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _times_x(vec: list[int], modulus: tuple[int, ...]) -> list[int]:
+    """x * vec modulo the monic modulus, for vec of length deg(modulus)."""
+    top = vec[-1]
+    out = [0] + vec[:-1]
+    if top:
+        for i, t in enumerate(modulus[:-1]):
+            if t:
+                out[i] -= top * t
+    return out
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
+@lru_cache(maxsize=None)
+def _reduction_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^k mod Phi_order for phi <= k < 2 phi - 1, as sparse rows of
+    (index, coefficient): the degrees a product of two residues reaches."""
+    modulus = cyclotomic_polynomial(order)
+    phi = len(modulus) - 1
+    rows = []
+    power = [0] * (phi - 1) + [1]  # x^(phi - 1)
+    for _ in range(phi - 1):
+        power = _times_x(power, modulus)
+        rows.append(tuple((r, c) for r, c in enumerate(power) if c))
+    return tuple(rows)
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
+def _bareiss_solve(rows: list[list[int]]) -> tuple[int, list[int]]:
+    """Solve an invertible integer system [M | b] of n rows fraction free.
 
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for shift in range(len(q) - 1, -1, -1):
-        c = a[shift + len(b) - 1] * inv_lead
-        q[shift] = c
-        if c:
-            for i, d in enumerate(b):
-                a[shift + i] -= c * d
-    return _trim(q), _trim(a)
+    Bareiss elimination (Math. Comp. 1968) makes M upper triangular: after
+    step k every entry below row k is a (k+1)-by-(k+1) minor of [M | b], so
+    each division by the previous pivot is exact, and the last pivot is
+    D = +-det M.  D * x is integral by Cramer's rule, so back substitution
+    on the triangular system divides exactly too.  Returns (D, D * x).
+    """
+    n = len(rows)
+    previous = 1
+    for k in range(n):
+        swap = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[swap] = rows[swap], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1 :]
+        for i in range(k + 1, n):
+            row = rows[i]
+            factor = row[k]
+            row[k + 1 :] = [
+                (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
+            ]
+        previous = pivot
+    det = previous
+    solution = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        total = det * row[n] - sum(row[j] * solution[j] for j in range(i + 1, n))
+        solution[i] = total // row[i]
+    return det, solution
 
 
 class Cyclotomic:
     """An element of Q(zeta_m) in the power basis modulo Phi_m.
 
-    Coefficient vectors always have length phi(m).  Arithmetic between
-    elements of different orders raises OrderMismatchError; ints and
-    Fractions coerce into the constant coefficient.
+    The element is stored as integer numerators (n_0, ..., n_(phi(m)-1))
+    over one denominator d > 0 with gcd(n_0, ..., d) = 1, so each value has
+    one canonical form.  ``coeffs`` reads the coefficients back as
+    Fractions.  Arithmetic between elements of different orders raises
+    OrderMismatchError; ints and Fractions coerce into the constant
+    coefficient.
     """
 
-    __slots__ = ("order", "coeffs")
+    # order m and integer numerators _n over the denominator _d > 0
+    __slots__ = ("order", "_n", "_d")
 
     def __init__(self, order: int, coeffs: Iterable[RationalLike]):
         if order < 1:
             raise InvalidOrderError(f"order must be >= 1, got {order}")
         phi = euler_phi(order)
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > phi:
-            vec = self._reduce(order, vec)
-        vec += [Fraction(0)] * (phi - len(vec))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        parts = [_parts(c) for c in coeffs]
+        d = math.lcm(*(q for _, q in parts))
+        nums = [p * (d // q) for p, q in parts]
+        if len(nums) > phi:
+            # Horner's rule in x, reducing modulo Phi_m at every step
+            modulus, reduced = cyclotomic_polynomial(order), [0] * phi
+            for c in reversed(nums):
+                reduced = _times_x(reduced, modulus)
+                reduced[0] += c
+            nums = reduced
+        nums += [0] * (phi - len(nums))
+        _set_cyclotomic(self, order, nums, d)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Cyclotomic elements are immutable")
 
-    @staticmethod
-    def _reduce(order: int, vec: list[Fraction]) -> list[Fraction]:
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(order)]
-        _, rem = _poly_divmod(_trim(list(vec)), phi_poly)
-        return rem
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self._d) for n in self._n)
 
     # -- constructors -------------------------------------------------------
 
@@ -180,7 +238,7 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, order: int, value: RationalLike) -> "Cyclotomic":
-        return cls(order, [Fraction(value)])
+        return cls(order, [value])
 
     @classmethod
     def zeta(cls, order: int) -> "Cyclotomic":
@@ -201,17 +259,18 @@ class Cyclotomic:
         return NotImplemented  # type: ignore[return-value]
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self._n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Cyclotomic.from_rational(self.order, other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        # (numerators, denominator) is canonical
+        return self.order == other.order and self._d == other._d and self._n == other._n
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self._n, self._d))
 
     def __repr__(self) -> str:
         terms = []
@@ -231,59 +290,93 @@ class Cyclotomic:
 
     def as_rational(self) -> Optional[Fraction]:
         """The element as a Fraction when it lies in Q, else None."""
-        if any(self.coeffs[1:]):
+        if any(self._n[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self._n[0], self._d)
 
     # -- arithmetic ----------------------------------------------------------
+
+    def _sum(self, other, sign: int) -> "Cyclotomic":
+        # over the lcm of the denominators; the result is reduced once
+        d, f = self._d, other._d
+        g = math.gcd(d, f)
+        s, t = f // g, sign * (d // g)
+        nums = [x * s + y * t for x, y in zip(self._n, other._n)]
+        return _reduced_cyclotomic(self.order, nums, d * s)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-a for a in self.coeffs])
+        return _reduced_cyclotomic(self.order, [-x for x in self._n], self._d)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prod = _poly_mul(_trim(list(self.coeffs)), _trim(list(other.coeffs)))
-        return Cyclotomic(self.order, self._reduce(self.order, prod))
+        if type(other) is not Cyclotomic or other.order != self.order:
+            if isinstance(other, (int, Fraction)):
+                # a rational scalar scales the numerators and the denominator
+                p, q = _parts(other)
+                return _reduced_cyclotomic(self.order, [x * p for x in self._n], self._d * q)
+            other = self._coerce(other)  # raises on an order mismatch
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._n, other._n
+        phi = len(a)
+        # integer convolution, then x^k -> (x^k mod Phi_m) for k >= phi
+        out = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        out[j] += x * y
+        for row, c in zip(_reduction_table(self.order), out[phi:]):
+            if c:
+                for r, t in row:
+                    out[r] += c * t
+        del out[phi:]
+        return _reduced_cyclotomic(self.order, out, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm.
+        """Multiplicative inverse by fraction-free elimination.
 
-        gcd(a, Phi_m) is a nonzero constant because Phi_m is irreducible
-        over Q and deg a < deg Phi_m; Bezout gives u with u*a = gcd mod Phi_m.
+        With self = a / d for an integer residue a, the inverse is d * u
+        where a * u = 1 mod Phi_m.  Column j of the multiplication matrix
+        M_a is a * x^j mod Phi_m, so u solves M_a u = e_0; M_a is
+        invertible because Phi_m is irreducible, and Bareiss elimination
+        solves it on integers.
         """
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi_poly, _trim(list(self.coeffs))
-        u0, u1 = [], [Fraction(1)]  # invariant: u_k * a == r_k  (mod Phi_m)
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        assert len(r0) == 1, "cyclotomic polynomial must be coprime to a nonzero element"
-        scale = 1 / r0[0]
-        return Cyclotomic(self.order, [c * scale for c in u0])
+        if not any(self._n[1:]):
+            # a rational c / d: M_a is c times the identity
+            c = self._n[0]
+            return Cyclotomic(self.order, [Fraction(self._d, c)])
+        modulus = cyclotomic_polynomial(self.order)
+        column = list(self._n)
+        columns = [column]
+        for _ in range(len(column) - 1):
+            column = _times_x(column, modulus)
+            columns.append(column)
+        system = [[col[i] for col in columns] + [int(i == 0)] for i in range(len(column))]
+        det, solution = _bareiss_solve(system)
+        if det < 0:
+            det, solution = -det, [-y for y in solution]
+        return _reduced_cyclotomic(self.order, [self._d * y for y in solution], det)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -312,11 +405,12 @@ class Cyclotomic:
             raise OrderMismatchError(
                 f"{self.order} does not divide target order {target_order}"
             )
-        zeta = _zeta_power(target_order, target_order // self.order)
-        result = Cyclotomic.zero(target_order)
-        for c in reversed(self.coeffs):
-            result = result * zeta + c
-        return result
+        out = [0] * euler_phi(target_order)
+        for x, image in zip(self._n, _embedding_images(self.order, target_order)):
+            if x:
+                for r, t in image:
+                    out[r] += x * t
+        return _reduced_cyclotomic(target_order, out, self._d)
 
     # -- serialization -------------------------------------------------------
 
@@ -324,14 +418,48 @@ class Cyclotomic:
         return {"coeffs": [format_rational(c) for c in self.coeffs]}
 
     @classmethod
-    def from_json(cls, order: int, data: dict) -> "Cyclotomic":
-        return cls(order, [parse_rational(c) for c in data["coeffs"]])
+    def from_json(cls, order: int, data: dict, field: str = "element") -> "Cyclotomic":
+        coeffs = data["coeffs"]
+        return cls(order, [parse_rational(c, f"{field} coeffs[{k}]") for k, c in enumerate(coeffs)])
+
+
+_new_cyclotomic = object.__new__
+_set_order = Cyclotomic.order.__set__
+_set_numerators = Cyclotomic._n.__set__
+_set_denominator = Cyclotomic._d.__set__
+
+
+def _set_cyclotomic(z: Cyclotomic, order: int, nums: list[int], d: int) -> None:
+    """Store nums / d (d > 0) on z, reduced by the gcd of all entries."""
+    g = math.gcd(d, *nums)
+    if g != 1:
+        nums, d = [x // g for x in nums], d // g
+    _set_order(z, order)
+    _set_numerators(z, tuple(nums))
+    _set_denominator(z, d)
+
+
+def _reduced_cyclotomic(order: int, nums: list[int], d: int) -> Cyclotomic:
+    """The element nums / d for d > 0 and len(nums) == phi(order)."""
+    z = _new_cyclotomic(Cyclotomic)
+    _set_cyclotomic(z, order, nums, d)
+    return z
 
 
 @lru_cache(maxsize=None)
 def _zeta_power(order: int, exponent: int) -> Cyclotomic:
     """zeta_order^exponent, derived once per (order, exponent) and shared."""
-    return Cyclotomic.zeta(order) ** exponent
+    return Cyclotomic(order, [0] * (exponent % order) + [1])
+
+
+@lru_cache(maxsize=None)
+def _embedding_images(order: int, target_order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta_L^((L/m) k) for k < phi(m), L = target_order, as sparse integer rows."""
+    step = target_order // order
+    return tuple(
+        tuple((r, c) for r, c in enumerate(_zeta_power(target_order, step * k)._n) if c)
+        for k in range(euler_phi(order))
+    )
 
 
 def rational_sqrt(value: RationalLike) -> Optional[Fraction]:
@@ -405,8 +533,7 @@ class ComplexPoint:
             other = _operand(other)
             if other is None:
                 return NotImplemented
-        d, f = self._d, other._d
-        return _reduced_point(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
+        return _point_sum(self, other._a, other._b, other._d)
 
     __radd__ = __add__
 
@@ -418,8 +545,7 @@ class ComplexPoint:
             other = _operand(other)
             if other is None:
                 return NotImplemented
-        d, f = self._d, other._d
-        return _reduced_point(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
+        return _point_sum(self, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -500,15 +626,18 @@ class ComplexPoint:
         return {"re": format_rational(self.re), "im": format_rational(self.im), "mode": "exact"}
 
     @classmethod
-    def from_json(cls, data) -> "ComplexPoint":
+    def from_json(cls, data, field: str = "point") -> "ComplexPoint":
         """A point from "p/q" text or {"re", "im"[, "mode": "exact"]}; any
-        other mode raises ValueError."""
+        other mode, or a part parse_rational refuses, raises ValueError."""
         if isinstance(data, dict):
             mode = data.get("mode", "exact")
             if mode != "exact":
                 raise ValueError(f"points must be exact, got mode {mode!r}")
-            return cls.exact(parse_rational(data["re"]), parse_rational(data.get("im", 0)))
-        return cls.exact(parse_rational(data))
+            return cls.exact(
+                parse_rational(data["re"], f"{field} re"),
+                parse_rational(data.get("im", 0), f"{field} im"),
+            )
+        return cls.exact(parse_rational(data, field))
 
 
 _new_point = object.__new__
@@ -535,6 +664,25 @@ def _exact_point(a: int, b: int, d: int) -> ComplexPoint:
     z = _new_point(ComplexPoint)
     _set_point(z, a, b, d)
     return z
+
+
+def _point_sum(z: ComplexPoint, c: int, e: int, f: int) -> ComplexPoint:
+    """z + (c + e*i) / f over the lcm of the two denominators (Henrici's
+    method, as Fraction adds), so no product of full denominators is
+    reduced by a gcd."""
+    a, b, d = z._a, z._b, z._d
+    g = math.gcd(d, f)
+    if g == 1:
+        # a prime of d or f dividing both cross sums would divide every
+        # entry of z's or the other triple, so this triple is canonical
+        return _exact_point(a * f + c * d, b * f + e * d, d * f)
+    s, t = d // g, f // g
+    x, y = a * t + c * s, b * t + e * s
+    # a common factor of x, y and the lcm s * f divides g alone
+    h = math.gcd(x, y, g)
+    if h == 1:
+        return _exact_point(x, y, s * f)
+    return _exact_point(x // h, y // h, s * (f // h))
 
 
 def _reduced_point(a: int, b: int, d: int) -> ComplexPoint:
@@ -573,5 +721,6 @@ def complex_to_cyclotomic(z: ComplexPoint, order: int) -> Cyclotomic:
     """Embed a Gaussian rational into Q(zeta_L) with 4 | L (i = zeta_L^(L/4))."""
     if order % 4 != 0:
         raise OrderMismatchError(f"embedding Q(i) needs 4 | order, got {order}")
-    i_unit = _zeta_power(order, order // 4)
-    return Cyclotomic.from_rational(order, z.re) + i_unit * Fraction(z.im)
+    nums = [z._b * t for t in _zeta_power(order, order // 4)._n]
+    nums[0] += z._a
+    return _reduced_cyclotomic(order, nums, z._d)

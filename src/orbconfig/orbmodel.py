@@ -367,7 +367,7 @@ def action_from_json(data: dict) -> PlanarAction:
             raise SizeGuardError(
                 f"rotation order {order} exceeds the rail (order <= {MAX_ROTATION_ORDER})"
             )
-        center = ComplexPoint.from_json(data["center"]) if "center" in data else _ZERO
+        center = ComplexPoint.from_json(data["center"], "center") if "center" in data else _ZERO
         return CyclicRotation(order, center)
     if kind == "integer_dihedral":
         return IntegerDihedral()

@@ -14,6 +14,7 @@ import pytest
 from orbconfig import __version__
 from orbconfig import cli
 from orbconfig.cli import main
+from orbconfig.exactfield import MAX_RATIONAL_DIGITS
 from orbconfig.obstruction import MAX_WITNESS_STEPS, NoWitnessError
 from orbconfig.orbmodel import MAX_ROTATION_ORDER
 
@@ -354,6 +355,56 @@ def test_obstruction_at_the_rotation_order_rail_within_budget(capsys):
     assert elapsed < 10.0, f"obstruction at the rotation order rail took {elapsed:.1f} s"
 
 
+def _rotation_center(re: str) -> str:
+    center = {"re": re, "im": "0"}
+    return json.dumps({"schema": 1, "kind": "rotation", "order": 4, "center": center})
+
+
+@pytest.mark.parametrize(
+    "re",
+    [
+        f"1/{10**MAX_RATIONAL_DIGITS + 7}",
+        f"-{10**MAX_RATIONAL_DIGITS}/3",
+        f"{10**MAX_RATIONAL_DIGITS}",
+        "1e999999",
+    ],
+    ids=["denominator", "numerator", "integer", "exponent"],
+)
+def test_obstruction_rational_past_the_digit_bound_exit_2(capsys, re):
+    # one digit more than MAX_RATIONAL_DIGITS is refused when read, with the
+    # field named; the 4000-digit rail test above is the admitted side
+    code, out, err = run(capsys, ["obstruction", _rotation_center(re), "--n", "3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("orbconfig: ") and "Traceback" not in err
+    assert f"center re has more than {MAX_RATIONAL_DIGITS} digits" in err
+
+
+def test_obstruction_rational_at_the_digit_bound_writes_its_report(capsys):
+    # a 4000-digit numerator and denominator: witness points s + k/2 print
+    # a few digits longer, still under the int-to-str limit
+    big = 10**MAX_RATIONAL_DIGITS - 1
+    code, env = run_json(capsys, ["obstruction", _rotation_center(f"{big}/{big - 2}"), "--n", "3"])
+    assert code == 0
+    assert env["report"]["fixed_anchor"]["base"][0]["re"] == f"{big}/{big - 2}"
+
+
+@pytest.mark.parametrize("offset", [f"1/{10**MAX_RATIONAL_DIGITS}", "1/0", "x"])
+def test_arrangement_bad_rational_names_the_field_exit_2(capsys, offset):
+    spec = json.dumps(
+        {
+            "schema": 1,
+            "dim": 2,
+            "field": {"type": "Q"},
+            "hyperplanes": [{"normal": ["1", "0"]}, {"normal": ["0", "1"], "offset": offset}],
+        }
+    )
+    code, out, err = run(capsys, ["arrangement", spec])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and "hyperplanes[1] offset" in err
+
+
 # Reports of exact runs are pinned byte for byte.  qE is left out: its
 # max_defect is a float that depends on the platform's libm.
 GOLDEN_STDOUT_SHA256 = [
@@ -381,6 +432,26 @@ GOLDEN_STDOUT_SHA256 = [
         ["obstruction", '{"schema":1,"kind":"sign_flip"}', "--n", "4"],
         "c5a21babfbfd92f36c67b6964da92a34b567db074026670463bc10778c2878fc",
         id="sign-flip",
+    ),
+    pytest.param(
+        ["arrangement", "--builder", "case1", "--n", "3", "--m", "3"],
+        "dffeda4480410e89ebd1003f646842e3b931da76e0738f68c9028b367f52946e",
+        id="case1-n3-m3",
+    ),
+    pytest.param(
+        ["arrangement", "--builder", "case1", "--n", "3", "--m", "4"],
+        "2d2cdb5b1a048c5d48300005753705b1e24ce9ae49d57a8f7bec2f294fa5fc35",
+        id="case1-n3-m4",
+    ),
+    pytest.param(
+        ["arrangement", "--builder", "case1", "--n", "4", "--m", "2"],
+        "2a7f0d691ec6a5934a5568d733576d54776215e87d13bb674c85f53e17066a01",
+        id="case1-n4-m2",
+    ),
+    pytest.param(
+        ["arrangement", "--builder", "braid", "--n", "5"],
+        "92e5ea5cd3d61b3e84258f6a8b3be4c7379c689a9129ffed8ed3faf9678dceb0",
+        id="braid-n5",
     ),
 ]
 

@@ -1,5 +1,6 @@
 """Exact scalar layer: cyclotomic arithmetic and complex points."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbconfig.exactfield import (
+    MAX_RATIONAL_DIGITS,
     ComplexPoint,
     Cyclotomic,
     InvalidOrderError,
@@ -142,6 +144,18 @@ def test_rational_serialization_round_trip():
         assert format_rational(parse_rational(text)) == text
     a = Cyclotomic(4, [Fraction(1, 3), Fraction(-2)])
     assert Cyclotomic.from_json(4, a.to_json()) == a
+
+
+def test_parse_rational_digit_bound_names_the_field():
+    widest = 10**MAX_RATIONAL_DIGITS - 1
+    assert parse_rational(f"-{widest}/{widest - 1}") == Fraction(-widest, widest - 1)
+    assert parse_rational("25e-2") == Fraction(1, 4)
+    for text in (f"{widest + 1}", f"1/{widest + 1}", "1e4000", "1e-4000", "1e999999", "7" * 20000):
+        with pytest.raises(ValueError, match=f"^center re has more than {MAX_RATIONAL_DIGITS} "):
+            parse_rational(text, "center re")
+    for text in ("1/0", "x", ""):
+        with pytest.raises(ValueError, match="^center re: "):
+            parse_rational(text, "center re")
 
 
 def test_complex_point_exact_arithmetic():
@@ -312,3 +326,107 @@ def test_exact_points_are_canonical():
     quarter = ComplexPoint.exact(Fraction(1, 2), Fraction(1, 2)) ** 2
     assert quarter == ComplexPoint.exact(0, Fraction(1, 2))
     assert type(quarter.re) is Fraction and quarter.im == Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Cyclotomic elements against Fraction polynomials reduced mod Phi_m
+# ---------------------------------------------------------------------------
+
+# Textbook cyclotomic polynomials for the oracle orders and their embedding
+# targets lcm(m, 4) and 2m, ascending coefficients.
+ORACLE_PHI = {
+    3: (1, 1, 1),
+    4: (1, 0, 1),
+    5: (1, 1, 1, 1, 1),
+    6: (1, -1, 1),
+    8: (1, 0, 0, 0, 1),
+    10: (1, -1, 1, -1, 1),
+    12: (1, 0, -1, 0, 1),
+    16: (1, 0, 0, 0, 0, 0, 0, 0, 1),
+    20: (1, 0, -1, 0, 1, 0, -1, 0, 1),
+    24: (1, 0, 0, 0, -1, 0, 0, 0, 1),
+}
+ORACLE_ORDERS = (3, 4, 5, 8, 12)
+
+
+def _ref_reduce(poly, m):
+    """Fraction coefficients of poly mod Phi_m, padded to length phi(m)."""
+    phi = len(ORACLE_PHI[m]) - 1
+    rem = _oracle_poly_mod(poly, ORACLE_PHI[m])
+    return tuple(rem) + (Fraction(0),) * (phi - len(rem))
+
+
+def _ref_mul(a, b, m):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_reduce(out, m)
+
+
+def _ref_embed(a, m, target):
+    # zeta_m -> zeta_L^(L/m): coefficient k moves to degree k * L/m
+    step = target // m
+    out = [Fraction(0)] * (step * (len(a) - 1) + 1)
+    for k, c in enumerate(a):
+        out[k * step] = c
+    return _ref_reduce(out, target)
+
+
+# numerators up to 10^6 over denominators of unequal size
+oracle_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.sampled_from([1, 2, 3, 4, 6, 9, 35, 1024, 10**6 + 3]),
+)
+
+
+def _same_element(x, expected, m):
+    """x has the oracle's coefficients and the canonical form: it equals
+    and hashes like the element built directly from those coefficients."""
+    assert x.order == m
+    assert x.coeffs == expected and all(type(c) is Fraction for c in x.coeffs)
+    direct = Cyclotomic(m, expected)
+    assert x == direct and hash(x) == hash(direct) and x.coeffs == direct.coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_ORDERS), st.data())
+def test_cyclotomic_matches_the_fraction_polynomial_oracle(m, data):
+    phi = len(ORACLE_PHI[m]) - 1
+    # a long coefficient vector exercises the constructor's reduction
+    raw = [
+        data.draw(st.lists(oracle_rationals, min_size=1, max_size=2 * phi + 1)) for _ in range(3)
+    ]
+    refs = [_ref_reduce(r, m) for r in raw]
+    a, b, c = (Cyclotomic(m, r) for r in raw)
+    x, y, z = refs
+    for element, ref in zip((a, b, c), refs):
+        _same_element(element, ref, m)
+    _same_element(a * b, _ref_mul(x, y, m), m)
+    _same_element(a + b, tuple(p + q for p, q in zip(x, y)), m)
+    _same_element(a - b, tuple(p - q for p, q in zip(x, y)), m)
+    _same_element(a * Fraction(3, 7), tuple(p * Fraction(3, 7) for p in x), m)
+    for target in sorted({math.lcm(m, 4), 2 * m}):
+        _same_element(a.embed(target), _ref_embed(x, m, target), target)
+    one = _ref_reduce([1], m)
+    for u, ref in ((a, x), (b, y)):
+        if any(ref):
+            inverse = u.inverse()
+            assert _ref_mul(inverse.coeffs, ref, m) == one
+            _same_element(inverse, inverse.coeffs, m)
+            quotient = c / u
+            assert _ref_mul(quotient.coeffs, ref, m) == z
+            _same_element(quotient, quotient.coeffs, m)
+            # the same value reached by another route has one form
+            _same_element((c * u) / u, z, m)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                u.inverse()
+    _same_element((a + b) - b, x, m)
+    # sort_key orders elements as their reference coefficient tuples
+    elements = [a, b, c, a * b, a - b]
+    references = [x, y, z, _ref_mul(x, y, m), tuple(p - q for p, q in zip(x, y))]
+    by_key = sorted(range(len(elements)), key=lambda k: elements[k].sort_key())
+    by_ref = sorted(range(len(elements)), key=lambda k: references[k])
+    assert [references[k] for k in by_key] == [references[k] for k in by_ref]

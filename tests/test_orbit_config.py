@@ -279,6 +279,49 @@ def test_compiled_membership_matches_direct_field_evaluation(zs):
     )
 
 
+# -- integer membership kernel against z_i^m = z_j^m on Fraction pairs ------
+
+
+def _pair_power(z: tuple, m: int) -> tuple:
+    # (x + yi)^m on a pair of Fractions, by repeated multiplication
+    re, im = Fraction(1), Fraction(0)
+    for _ in range(m):
+        re, im = re * z[0] - im * z[1], re * z[1] + im * z[0]
+    return re, im
+
+
+def _distinct_powers(pairs: list, m: int) -> bool:
+    powers = [_pair_power(z, m) for z in pairs]
+    return len(set(powers)) == len(powers)
+
+
+# large denominators of unequal size, so coordinates rarely share one
+big_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.sampled_from([1, 2, 3, 7, 10**6 + 3, 2**61 - 1, 10**20 + 39, 3**40]),
+)
+# z_j = u * z_i for a unit u in {1, -1, i, -i}
+PLANTS = [lambda x, y: (x, y), lambda x, y: (-x, -y), lambda x, y: (-y, x), lambda x, y: (y, -x)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.sampled_from([1, 2, 3, 4, 6]),
+    pairs=st.lists(st.tuples(big_rationals, big_rationals), min_size=2, max_size=4),
+    plant=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(PLANTS)),
+)
+def test_integer_membership_matches_fraction_power_oracle(m, pairs, plant):
+    if plant is not None:
+        i, j, unit = plant
+        i, j = i % len(pairs), j % len(pairs)
+        if i != j:
+            pairs[j] = unit(*pairs[i])
+    point = [ComplexPoint.exact(x, y) for x, y in pairs]
+    spec = rotation_arrangement(len(pairs), m)
+    assert complement_contains(spec, point) == _distinct_powers(pairs, m)
+
+
 # -- the coning homeomorphism ---------------------------------------------
 
 
