@@ -71,6 +71,13 @@ EXIT_NO_WITNESS = 6
 
 MAX_CLI_DIM = 6
 MAX_CLI_HYPERPLANES = 16
+# (dim, hyperplane count) of each builder's arrangement, from --n and --m,
+# so the rails are checked before anything is built
+BUILDER_SIZES = {
+    "braid": lambda n, m: (n, n * (n - 1) // 2),
+    "case1": lambda n, m: (n, m * n * (n - 1) // 2),
+    "case3X": lambda n, m: (n + 1, n * (n + 1) + 1),
+}
 # `forget` builds the n-point configuration groupoid, whose composable pairs
 # number at most (|points| * |group|^2)^n; its compose table is the cost
 MAX_FORGET_PAIRS = 500_000
@@ -132,10 +139,19 @@ def _cmd_classify(args) -> tuple[dict, dict, int]:
     return report, {"input": data}, EXIT_OK
 
 
+def _check_rails(dim: int, hyperplanes: int) -> None:
+    if dim > MAX_CLI_DIM or hyperplanes > MAX_CLI_HYPERPLANES:
+        raise SizeGuardError(
+            f"arrangement exceeds the CLI rails (dim <= {MAX_CLI_DIM}, "
+            f"<= {MAX_CLI_HYPERPLANES} hyperplanes)"
+        )
+
+
 def _builder_spec(args) -> tuple[ArrangementSpec, dict]:
     if args.builder:
         if args.n is None:
             raise CliError(EXIT_INPUT, "builders require --n")
+        _check_rails(*BUILDER_SIZES[args.builder](args.n, args.m))
         if args.builder == "braid":
             spec = braid_arrangement(args.n)
         elif args.builder == "case1":
@@ -154,11 +170,7 @@ def _builder_spec(args) -> tuple[ArrangementSpec, dict]:
 
 def _cmd_arrangement(args) -> tuple[dict, dict, int]:
     spec, extra = _builder_spec(args)
-    if spec.dim > MAX_CLI_DIM or len(spec.hyperplanes) > MAX_CLI_HYPERPLANES:
-        raise SizeGuardError(
-            f"arrangement exceeds the CLI rails (dim <= {MAX_CLI_DIM}, "
-            f"<= {MAX_CLI_HYPERPLANES} hyperplanes)"
-        )
+    _check_rails(spec.dim, len(spec.hyperplanes))
     poset = flat_poset(spec)
     chi = characteristic_polynomial(poset)
     pi = poincare_polynomial(poset)

@@ -1,9 +1,15 @@
 """Finite groupoid models: translation groupoids of finite group actions,
 orbit spaces, configuration groupoids, and the covering/equivalence checks.
 
-Everything is a dense table over tiny finite sets, because the point of
-these models is exhaustive verification: every axiom, every composable
-triple, every fibered-product element is enumerated.  "Surjective
+The point of these models is exhaustive verification: every axiom, every
+composable pair and every fibered-product element is enumerated.  So the
+checks run on integers.  The hashable labels a model is given in are
+mapped to indices 0..n-1 once, when the model is read, and mapped back
+only in reports and failure details.  A group is a Cayley table on its
+indices, an action one permutation list per group element, and a groupoid
+keeps integer source, target, identity and inverse lists.  A translation
+groupoid computes its composites from the group table; every other model
+keeps its composites in a table keyed by pairs of indices.  "Surjective
 submersion" and "fibered product of manifolds" from the smooth theory are
 discretized to plain surjectivity and set-level fibered products.
 """
@@ -20,18 +26,34 @@ from typing import Callable, Iterable, Optional, Sequence
 from .arrangement import SizeGuardError
 from .exactfield import json_int
 
-# Largest group a JSON model may name: validating the group's table and a
-# regular action's table each take O(|G|^3) steps.
+# Largest group a JSON model may name.  Its Cayley table and a regular
+# action's permutations each have |G|^2 entries, and validating either
+# takes O(|G|^2 |S|) steps for a generating set S.
 MAX_GROUP_ORDER = 32
 # Largest point count of a negation or rotation model, read from the JSON
 # before any table is built.  Tables grow with points times group order; a
 # Morita triple of rotation(128) under C32 with trivial subgroups, the worst
-# case the two rails allow, builds about 140 MB of them.
+# case the two rails allow, peaks at about 2 MB of them (tracemalloc).
 MAX_ACTION_POINTS = 128
+
+# Codes _compose returns besides morphism indices: the pair has no
+# composite, or its composite is a label that names no morphism.
+ABSENT = -1
+NOT_MORPHISM = -2
+# A missing entry of a label map, distinct from every label.
+_MISSING = object()
 
 
 class InvalidModelError(ValueError):
     """Input tables do not define a group, action, or groupoid."""
+
+
+def _label_index(labels: tuple, what: str) -> dict:
+    """label -> index, for labels that must be distinct."""
+    index = {label: i for i, label in enumerate(labels)}
+    if len(index) != len(labels):
+        raise InvalidModelError(f"duplicate {what}")
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -40,50 +62,81 @@ class InvalidModelError(ValueError):
 
 
 class FiniteGroup:
-    """A finite group as a dense multiplication table over hashable labels."""
+    """A finite group as a Cayley table on the indices 0..|G|-1 of its
+    hashable element labels: table[a][b] is the index of a*b and inverse[a]
+    that of a^-1."""
 
     def __init__(self, elements: Sequence, multiply: dict, identity, name: str = "G"):
-        self.elements = tuple(elements)
-        self.multiply = dict(multiply)
-        self.identity = identity
+        elements = tuple(elements)
+        index = _label_index(elements, "group elements")
+        if identity not in index:
+            raise InvalidModelError("identity is not an element")
+        rows = [[index.get(multiply.get((a, b), _MISSING)) for b in elements] for a in elements]
+        self._init(elements, index, rows, index[identity], name)
+
+    @classmethod
+    def _from_table(cls, elements: Sequence, rows: list, identity: int, name: str) -> "FiniteGroup":
+        group = cls.__new__(cls)
+        elements = tuple(elements)
+        group._init(elements, _label_index(elements, "group elements"), rows, identity, name)
+        return group
+
+    def _init(self, elements: tuple, index: dict, rows: list, identity: int, name: str) -> None:
+        self.elements = elements
+        self.index = index
+        self.table = rows
+        self.identity = elements[identity]
+        self._identity = identity
         self.name = name
         self._validate()
-        self.inverses = {
-            a: next(b for b in self.elements if self.multiply[(a, b)] == identity)
-            for a in self.elements
-        }
+        self.inverse = [row.index(identity) for row in rows]
 
     def _validate(self) -> None:
-        members = set(self.elements)
-        if len(members) != len(self.elements):
-            raise InvalidModelError("duplicate group elements")
-        if self.identity not in members:
-            raise InvalidModelError("identity is not an element")
-        for a in self.elements:
-            for b in self.elements:
-                if (a, b) not in self.multiply or self.multiply[(a, b)] not in members:
-                    raise InvalidModelError("multiplication table is not closed")
-            if self.multiply[(self.identity, a)] != a or self.multiply[(a, self.identity)] != a:
+        rows, e = self.table, self._identity
+        for a, row in enumerate(rows):
+            if None in row:
+                raise InvalidModelError("multiplication table is not closed")
+            if rows[e][a] != a or row[e] != a:
                 raise InvalidModelError("identity law fails")
-            if not any(self.multiply[(a, b)] == self.identity for b in self.elements):
-                raise InvalidModelError(f"{a!r} has no inverse")
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    if self.multiply[(self.multiply[(a, b)], c)] != self.multiply[
-                        (a, self.multiply[(b, c)])
-                    ]:
-                        raise InvalidModelError("associativity fails")
+            if e not in row:
+                raise InvalidModelError(f"{self.elements[a]!r} has no inverse")
+        # Light's test: the a with (x a) y == x (a y) for all x and y are
+        # closed under products, so checking a over generators decides the law
+        for a in self._generating_set():
+            column = rows[a]
+            for row in rows:
+                if rows[row[a]] != [row[ay] for ay in column]:
+                    raise InvalidModelError("associativity fails")
+
+    def _generating_set(self) -> list:
+        """Indices S whose products give every element: in element order,
+        each element the products of S have not reached joins S.  Needs a
+        closed table with an identity."""
+        rows = self.table
+        generators: list = []
+        reached = {self._identity}
+        for a in range(len(rows)):
+            if a in reached:
+                continue
+            generators.append(a)
+            frontier = list(reached)
+            while frontier:
+                row = rows[frontier.pop()]
+                for s in generators:
+                    if row[s] not in reached:
+                        reached.add(row[s])
+                        frontier.append(row[s])
+        return generators
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def op(self, a, b):
-        return self.multiply[(a, b)]
+        return self.elements[self.table[self.index[a]][self.index[b]]]
 
     def inv(self, a):
-        return self.inverses[a]
+        return self.elements[self.inverse[self.index[a]]]
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order {self.order})"
@@ -94,9 +147,8 @@ class FiniteGroup:
     def cyclic(cls, n: int) -> "FiniteGroup":
         if n < 1:
             raise InvalidModelError("cyclic order must be >= 1")
-        elems = range(n)
-        table = {(a, b): (a + b) % n for a in elems for b in elems}
-        return cls(elems, table, 0, name=f"C{n}")
+        rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+        return cls._from_table(range(n), rows, 0, f"C{n}")
 
     @classmethod
     def klein(cls) -> "FiniteGroup":
@@ -108,33 +160,42 @@ class FiniteGroup:
         if n < 1:
             raise InvalidModelError("dihedral parameter must be >= 1")
         elems = [(k, e) for k in range(n) for e in range(2)]
-        table = {}
-        for k1, e1 in elems:
-            for k2, e2 in elems:
-                k = (k1 + (k2 if e1 == 0 else -k2)) % n
-                table[((k1, e1), (k2, e2))] = (k, (e1 + e2) % 2)
-        return cls(elems, table, (0, 0), name=f"D{n}")
+        rows = [
+            [2 * ((k1 + (k2 if e1 == 0 else -k2)) % n) + (e1 + e2) % 2 for k2, e2 in elems]
+            for k1, e1 in elems
+        ]
+        return cls._from_table(elems, rows, 0, f"D{n}")
 
     @classmethod
     def product(cls, g: "FiniteGroup", h: "FiniteGroup") -> "FiniteGroup":
+        width = h.order
         elems = [(a, b) for a in g.elements for b in h.elements]
-        table = {
-            ((a1, b1), (a2, b2)): (g.op(a1, a2), h.op(b1, b2))
-            for a1, b1 in elems
-            for a2, b2 in elems
-        }
-        return cls(elems, table, (g.identity, h.identity), name=f"{g.name}x{h.name}")
+        rows = [
+            [ga * width + hb for ga in g_row for hb in h_row]
+            for g_row in g.table
+            for h_row in h.table
+        ]
+        return cls._from_table(elems, rows, g._identity * width + h._identity, f"{g.name}x{h.name}")
 
     # -- subgroup machinery ----------------------------------------------------
 
+    def _closure(self, generators: Iterable[int]) -> set:
+        """Indices of the subgroup the generator indices generate: a BFS by
+        right multiplication from the identity."""
+        rows = self.table
+        reached = {self._identity}
+        frontier = [self._identity]
+        while frontier:
+            row = rows[frontier.pop()]
+            for s in generators:
+                if row[s] not in reached:
+                    reached.add(row[s])
+                    frontier.append(row[s])
+        return reached
+
     def closure(self, generators: Iterable) -> frozenset:
-        current = {self.identity, *generators}
-        while True:
-            grown = {self.op(a, b) for a in current for b in current}
-            grown |= {self.inv(a) for a in current}
-            if grown <= current:
-                return frozenset(current)
-            current |= grown
+        members = self._closure([self.index[g] for g in generators])
+        return frozenset(self.elements[a] for a in members)
 
     def subgroups(self) -> tuple[frozenset, ...]:
         """All subgroups generated by at most three elements.
@@ -143,46 +204,67 @@ class FiniteGroup:
         covers all the models used here (orders at most 16 without a
         rank-4 elementary abelian subgroup).
         """
-        found = {self.closure(())}
-        for r in (1, 2, 3):
-            for gens in combinations(self.elements, r):
-                found.add(self.closure(gens))
-        return tuple(sorted(found, key=lambda s: (len(s), sorted(map(repr, s)))))
+        found = {
+            frozenset(self._closure(gens))
+            for r in range(4)
+            for gens in combinations(range(self.order), r)
+        }
+        labeled = (frozenset(self.elements[a] for a in members) for members in found)
+        return tuple(sorted(labeled, key=lambda s: (len(s), sorted(map(repr, s)))))
+
+    def _subgroup_indices(self, subset) -> Optional[set]:
+        """The indices of subset when it is a subgroup, else None."""
+        if self.identity not in subset or not all(a in self.index for a in subset):
+            return None
+        members = {self.index[a] for a in subset}
+        rows, inverse = self.table, self.inverse
+        if all(inverse[a] in members and all(rows[a][b] in members for b in members) for a in members):
+            return members
+        return None
 
     def is_subgroup(self, subset: frozenset) -> bool:
-        if self.identity not in subset or not subset <= set(self.elements):
-            return False
-        return all(self.op(a, b) in subset and self.inv(a) in subset for a in subset for b in subset)
+        return self._subgroup_indices(subset) is not None
 
     def is_normal(self, subset: frozenset) -> bool:
-        if not self.is_subgroup(subset):
+        members = self._subgroup_indices(subset)
+        if members is None:
             return False
+        rows = self.table
         return all(
-            self.op(self.op(g, h), self.inv(g)) in subset
-            for g in self.elements
-            for h in subset
+            rows[rows[g][h]][inv_g] in members
+            for g, inv_g in enumerate(self.inverse)
+            for h in members
         )
 
     def normal_subgroups(self) -> tuple[frozenset, ...]:
         return tuple(s for s in self.subgroups() if self.is_normal(s))
 
-    def quotient(self, normal: frozenset) -> tuple["FiniteGroup", dict]:
-        """(Quotient group with frozenset cosets, projection map)."""
+    def _quotient(self, normal) -> tuple["FiniteGroup", list]:
+        """(Quotient group with frozenset cosets, the index of each
+        element's coset); cosets in order of first appearance."""
         if not self.is_normal(normal):
             raise InvalidModelError("quotient requires a normal subgroup")
-        projection = {}
-        reps = {}  # coset -> its first element, cosets in order of first appearance
-        for g in self.elements:
-            coset = projection[g] = frozenset(self.op(g, n) for n in normal)
-            reps.setdefault(coset, g)
-        cosets = list(reps)
-        table = {
-            (a, b): projection[self.op(reps[a], reps[b])] for a in cosets for b in cosets
-        }
-        quotient = FiniteGroup(
-            cosets, table, projection[self.identity], name=f"{self.name}/N{len(normal)}"
+        members = [self.index[n] for n in normal]
+        rows = self.table
+        coset_of: list = [None] * self.order
+        reps, cosets = [], []
+        for g, row in enumerate(rows):
+            if coset_of[g] is None:
+                coset = frozenset(self.elements[row[n]] for n in members)
+                for h in coset:
+                    coset_of[self.index[h]] = len(reps)
+                reps.append(g)
+                cosets.append(coset)
+        table = [[coset_of[rows[a][b]] for b in reps] for a in reps]
+        quotient = FiniteGroup._from_table(
+            cosets, table, coset_of[self._identity], f"{self.name}/N{len(normal)}"
         )
-        return quotient, projection
+        return quotient, coset_of
+
+    def quotient(self, normal: frozenset) -> tuple["FiniteGroup", dict]:
+        """(Quotient group with frozenset cosets, projection map)."""
+        quotient, coset_of = self._quotient(normal)
+        return quotient, {g: quotient.elements[c] for g, c in zip(self.elements, coset_of)}
 
 
 # ---------------------------------------------------------------------------
@@ -191,39 +273,51 @@ class FiniteGroup:
 
 
 class GroupAction:
-    """A left action of a finite group on a finite set, as a dense table."""
+    """A left action of a finite group on a finite set: perms[g][x] is the
+    index of g.x, for the group's element indices and the point indices."""
 
     def __init__(self, group: FiniteGroup, points: Sequence, table: dict):
+        points = tuple(points)
+        index = _label_index(points, "action points")
+        perms = [[index.get(table.get((g, x), _MISSING)) for x in points] for g in group.elements]
+        self._init(group, points, index, perms)
+
+    @classmethod
+    def _from_perms(cls, group: FiniteGroup, points: Sequence, perms: list, index: Optional[dict] = None):
+        action = cls.__new__(cls)
+        points = tuple(points)
+        action._init(group, points, index or _label_index(points, "action points"), perms)
+        return action
+
+    def _init(self, group: FiniteGroup, points: tuple, index: dict, perms: list) -> None:
         self.group = group
-        self.points = tuple(points)
-        self.table = dict(table)
+        self.points = points
+        self.index = index
+        self.perms = perms
         self._validate()
-        self._quotients: dict = {}  # frozenset(N) -> quotient_action(N)
+        # frozenset(N) -> (quotient_action(N), point index map, coset index map)
+        self._quotients: dict = {}
 
     def _validate(self) -> None:
-        points = set(self.points)
-        if len(points) != len(self.points):
-            raise InvalidModelError("duplicate action points")
-        for g in self.group.elements:
-            seen = set()
-            for x in self.points:
-                if (g, x) not in self.table or self.table[(g, x)] not in points:
-                    raise InvalidModelError("action table is not total")
-                seen.add(self.table[(g, x)])
-            if seen != points:
-                raise InvalidModelError(f"{g!r} does not act bijectively")
-        for x in self.points:
-            if self.table[(self.group.identity, x)] != x:
-                raise InvalidModelError("identity does not act trivially")
-        for g in self.group.elements:
-            for h in self.group.elements:
-                gh = self.group.op(g, h)
-                for x in self.points:
-                    if self.table[(gh, x)] != self.table[(g, self.table[(h, x)])]:
-                        raise InvalidModelError("action is not compatible with multiplication")
+        n = len(self.points)
+        for g, perm in enumerate(self.perms):
+            if None in perm:
+                raise InvalidModelError("action table is not total")
+            if len(set(perm)) != n:
+                raise InvalidModelError(f"{self.group.elements[g]!r} does not act bijectively")
+        if self.perms[self.group._identity] != list(range(n)):
+            raise InvalidModelError("identity does not act trivially")
+        # the h with (g h).x == g.(h.x) for all g and x are closed under
+        # products, so checking h over generators of the group decides it
+        rows = self.group.table
+        for h in self.group._generating_set():
+            perm_h = self.perms[h]
+            for g, perm_g in enumerate(self.perms):
+                if self.perms[rows[g][h]] != [perm_g[y] for y in perm_h]:
+                    raise InvalidModelError("action is not compatible with multiplication")
 
     def apply(self, g, x):
-        return self.table[(g, x)]
+        return self.points[self.perms[self.group.index[g]][self.index[x]]]
 
     @classmethod
     def from_function(cls, group: FiniteGroup, points: Sequence, fn: Callable) -> "GroupAction":
@@ -232,7 +326,7 @@ class GroupAction:
 
     @classmethod
     def regular(cls, group: FiniteGroup) -> "GroupAction":
-        return cls.from_function(group, group.elements, group.op)
+        return cls._from_perms(group, group.elements, group.table, group.index)
 
     @classmethod
     def negation_mod(cls, n: int) -> "GroupAction":
@@ -250,24 +344,59 @@ class GroupAction:
         return cls.from_function(group, range(n), lambda g, x: (x + step * g) % n)
 
     def orbits(self) -> tuple[frozenset, ...]:
-        seen: dict = {}
+        seen: set = set()
         blocks = []
-        for x in self.points:
+        for x in range(len(self.points)):
             if x in seen:
                 continue
-            block = frozenset(self.apply(g, x) for g in self.group.elements)
-            blocks.append(block)
-            for y in block:
-                seen[y] = block
+            block = {perm[x] for perm in self.perms}
+            seen |= block
+            blocks.append(frozenset(self.points[y] for y in block))
         return tuple(blocks)
 
     def restrict_group(self, subgroup: frozenset) -> "GroupAction":
-        if not self.group.is_subgroup(subgroup):
+        members = self.group._subgroup_indices(subgroup)
+        if members is None:
             raise InvalidModelError("restriction requires a subgroup")
-        sub_elems = [g for g in self.group.elements if g in subgroup]
-        table = {(g, h): self.group.op(g, h) for g in sub_elems for h in sub_elems}
-        sub = FiniteGroup(sub_elems, table, self.group.identity, name=f"{self.group.name}|H")
-        return GroupAction.from_function(sub, self.points, self.apply)
+        kept = sorted(members)
+        position = {g: i for i, g in enumerate(kept)}
+        rows = self.group.table
+        sub = FiniteGroup._from_table(
+            [self.group.elements[g] for g in kept],
+            [[position[rows[a][b]] for b in kept] for a in kept],
+            position[self.group._identity],
+            f"{self.group.name}|H",
+        )
+        return GroupAction._from_perms(sub, self.points, [self.perms[g] for g in kept], self.index)
+
+    def _quotient(self, normal) -> tuple["GroupAction", list, list]:
+        """(quotient_action(normal)'s action, the index of each point's
+        block, the index of each element's coset), built once per N."""
+        normal = frozenset(normal)
+        if normal not in self._quotients:
+            quotient, coset_of = self.group._quotient(normal)
+            members = [self.group.index[n] for n in normal]
+            point_of: list = [None] * len(self.points)
+            point_proj: dict = {}
+            reps, blocks = [], []
+            for x in range(len(self.points)):
+                # N is a subgroup, so the block of a point not yet projected is new
+                if point_of[x] is None:
+                    block = frozenset(self.points[self.perms[n][x]] for n in members)
+                    for y in block:
+                        point_of[self.index[y]] = len(reps)
+                    point_proj.update(dict.fromkeys(block, block))
+                    reps.append(x)
+                    blocks.append(block)
+            coset_reps: dict = {}
+            for g, c in enumerate(coset_of):
+                coset_reps.setdefault(c, g)
+            perms = [[point_of[self.perms[coset_reps[c]][x]] for x in reps] for c in range(quotient.order)]
+            action = GroupAction._from_perms(quotient, blocks, perms)
+            group_proj = {g: quotient.elements[c] for g, c in zip(self.group.elements, coset_of)}
+            self._quotients[normal] = (action, point_proj, group_proj), point_of, coset_of
+        result, point_of, coset_of = self._quotients[normal]
+        return result[0], point_of, coset_of
 
     def quotient_action(self, normal: frozenset) -> tuple["GroupAction", dict, dict]:
         """The induced action of group/N on the N-orbit space of the points.
@@ -277,26 +406,8 @@ class GroupAction:
         built once per N (given as a set or frozenset) and shared by every
         later call on this action, so callers must not mutate it.
         """
-        normal = frozenset(normal)
-        if normal in self._quotients:
-            return self._quotients[normal]
-        quotient, group_proj = self.group.quotient(normal)
-        point_proj = {}
-        blocks = []
-        for x in self.points:
-            # N is a subgroup, so the block of a point not yet projected is new
-            if x not in point_proj:
-                block = frozenset(self.apply(n, x) for n in normal)
-                blocks.append(block)
-                point_proj.update(dict.fromkeys(block, block))
-        reps = {}
-        for g in self.group.elements:
-            reps.setdefault(group_proj[g], g)
-        action = GroupAction.from_function(
-            quotient, blocks, lambda coset, block: point_proj[self.apply(reps[coset], next(iter(block)))]
-        )
-        self._quotients[normal] = action, point_proj, group_proj
-        return self._quotients[normal]
+        self._quotient(normal)
+        return self._quotients[frozenset(normal)][0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +452,27 @@ class CheckResult:
 
 
 class FiniteGroupoid:
-    """Objects, morphisms, and dense structure maps; morphism labels are
-    hashable and compositions live in an explicit table keyed (g, f)."""
+    """Objects, morphisms and structure maps on integer indices.
+
+    Objects and morphisms are hashable labels; a label given twice names
+    the one object or morphism of its first place.  For the morphism
+    indices 0..M-1 the core keeps the lists _src and _tgt of endpoint codes
+    and _inv of inverse indices, and for each endpoint code the index
+    _ident of its identity.  Codes 0..n-1 are the objects.  Tables read
+    from labels give every other endpoint label, and a missing endpoint,
+    a code past n; _ident is None there.  An identity or inverse that names
+    no morphism is None.  _compose(g, f) is the index of g o f, ABSENT, or
+    NOT_MORPHISM; this class keeps the composites in _table, keyed
+    g * M + f.
+
+    source, target, compose, identity and inverse read as label dicts:
+    the ones given to the constructor, or views built from the core on
+    first use, where an entry that names no morphism reads None.
+    """
+
+    # True when the tables are a groupoid by construction: built from a
+    # validated action, or derived from such a groupoid
+    lawful = False
 
     def __init__(
         self,
@@ -363,163 +493,252 @@ class FiniteGroupoid:
         self.identity = dict(identity)
         self.inverse = dict(inverse)
         self.warning = warning
+        self._objects = tuple(dict.fromkeys(self.objects))
+        self._arrows = tuple(dict.fromkeys(self.morphisms))
+        self._object_index = {x: i for i, x in enumerate(self._objects)}
+        self._arrow_index = arrows = {m: i for i, m in enumerate(self._arrows)}
+        codes = dict(self._object_index)
+        self._src = [codes.setdefault(self.source.get(m, _MISSING), len(codes)) for m in self._arrows]
+        self._tgt = [codes.setdefault(self.target.get(m, _MISSING), len(codes)) for m in self._arrows]
+        self._ident = [arrows.get(self.identity.get(x, _MISSING)) for x in self._objects]
+        self._ident += [None] * (len(codes) - len(self._objects))
+        self._inv = [arrows.get(self.inverse.get(m, _MISSING)) for m in self._arrows]
+        size = len(self._arrows)
+        self._table = {
+            arrows[g] * size + arrows[f]: arrows.get(h, NOT_MORPHISM)
+            for (g, f), h in self.compose.items()
+            if g in arrows and f in arrows
+        }
+
+    @classmethod
+    def _encoded(
+        cls, objects: tuple, morphisms: tuple, src: list, tgt: list, ident: list, inv: list, table: dict, lawful: bool
+    ) -> "FiniteGroupoid":
+        groupoid = cls.__new__(cls)
+        groupoid.objects = groupoid._objects = objects
+        groupoid.morphisms = groupoid._arrows = morphisms
+        groupoid._src, groupoid._tgt, groupoid._ident, groupoid._inv = src, tgt, ident, inv
+        groupoid._table = table
+        groupoid.lawful = lawful
+        groupoid.warning = None
+        return groupoid
 
     def __repr__(self) -> str:
-        return f"FiniteGroupoid({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
+        return f"FiniteGroupoid({len(self._objects)} objects, {len(self._src)} morphisms)"
 
-    # Built on first use, so the morphisms and structure maps must not change
-    # afterwards.  Keyed with .get, as the checks read the maps.
+    # -- composites ------------------------------------------------------------
+
+    def _compose(self, g: int, f: int) -> int:
+        return self._table.get(g * len(self._src) + f, ABSENT)
+
+    def _row(self, g: int, fs: Sequence[int]) -> list:
+        """[_compose(g, f) for f in fs]."""
+        table, base = self._table, g * len(self._src)
+        return [table.get(base + f, ABSENT) for f in fs]
+
+    def _pairs(self) -> Iterable[tuple[int, int, int]]:
+        """(g, f, composite) for every pair with a composite, in the order
+        of the compose mapping."""
+        size = len(self._src)
+        for key, h in self._table.items():
+            yield (*divmod(key, size), h)
+
+    def _stray(self) -> dict:
+        """g -> the f with a composite g o f although s(g) != t(f)."""
+        stray: dict = {}
+        src, tgt = self._src, self._tgt
+        for g, f, _ in self._pairs():
+            if src[g] != tgt[f]:
+                stray.setdefault(g, []).append(f)
+        return stray
+
+    # -- label views -------------------------------------------------------------
+
+    @cached_property
+    def _arrows(self) -> tuple:
+        return self.morphisms
+
+    @cached_property
+    def _object_index(self) -> dict:
+        return {x: i for i, x in enumerate(self._objects)}
+
+    @cached_property
+    def _arrow_index(self) -> dict:
+        return {m: i for i, m in enumerate(self._arrows)}
+
+    @cached_property
+    def source(self) -> dict:
+        return {m: self._objects[s] for m, s in zip(self._arrows, self._src)}
+
+    @cached_property
+    def target(self) -> dict:
+        return {m: self._objects[t] for m, t in zip(self._arrows, self._tgt)}
+
+    @cached_property
+    def compose(self) -> dict:
+        arrows = self._arrows
+        return {(arrows[g], arrows[f]): arrows[h] if h >= 0 else None for g, f, h in self._pairs()}
+
+    @cached_property
+    def identity(self) -> dict:
+        arrows = self._arrows
+        return {x: None if e is None else arrows[e] for x, e in zip(self._objects, self._ident)}
+
+    @cached_property
+    def inverse(self) -> dict:
+        arrows = self._arrows
+        return {m: None if i is None else arrows[i] for m, i in zip(arrows, self._inv)}
+
+    # -- structure -----------------------------------------------------------------
+
+    # Built on first use, so the structure maps must not change afterwards.
     @cached_property
     def _hom_index(self) -> tuple[dict, dict]:
-        """Morphisms by source and by target, each list in morphism order."""
-        outgoing, incoming = {}, {}
-        for m in self.morphisms:
-            outgoing.setdefault(self.source.get(m), []).append(m)
-            incoming.setdefault(self.target.get(m), []).append(m)
+        """Morphism indices by source code and by target code, each list in
+        morphism order."""
+        outgoing: dict = {}
+        incoming: dict = {}
+        for m, (s, t) in enumerate(zip(self._src, self._tgt)):
+            outgoing.setdefault(s, []).append(m)
+            incoming.setdefault(t, []).append(m)
         return outgoing, incoming
 
-    def _generators(self) -> list:
-        """A set S of morphisms whose composites give every morphism.
+    @cached_property
+    def _generating_set(self) -> list:
+        """Indices of a set S of morphisms whose composites give every
+        morphism.
 
         S starts from a spanning forest of the object graph and each forest
         arrow's inverse entry; then, in morphism order, every morphism the
         closure of S has not reached joins S.  The closure is a BFS by left
-        multiplication through the compose table, so each morphism it reaches
+        multiplication through the composites, so each morphism it reaches
         is a composite of elements of S.  Needs a well-formed composition.
         """
         outgoing, _ = self._hom_index
-        source, target, compose = self.source.get, self.target.get, self.compose
+        src, tgt, compose = self._src, self._tgt, self._compose
         generators: list = []
         leaving: dict = {}  # object -> the generators with that source
         entering: dict = {}  # object -> the reached morphisms with that target
         reached: set = set()
         frontier: list = []
 
-        def reach(m) -> None:
+        def reach(m: int) -> None:
             reached.add(m)
-            entering.setdefault(target(m), []).append(m)
+            entering.setdefault(tgt[m], []).append(m)
             frontier.append(m)
 
-        def generate(a) -> None:
+        def generate(a: int) -> None:
             if a in reached:
                 return
             generators.append(a)
-            leaving.setdefault(source(a), []).append(a)
+            leaving.setdefault(src[a], []).append(a)
             reach(a)
-            for m in entering.get(source(a), ()):
-                if (am := compose[(a, m)]) not in reached:
+            for m in entering.get(src[a], ()):
+                if (am := compose(a, m)) not in reached:
                     reach(am)
             while frontier:
                 m = frontier.pop()
-                for b in leaving.get(target(m), ()):
-                    if (bm := compose[(b, m)]) not in reached:
+                for b in leaving.get(tgt[m], ()):
+                    if (bm := compose(b, m)) not in reached:
                         reach(bm)
 
-        morphisms = set(self.morphisms)
         seen: set = set()
-        for root in self.objects:
+        for root in range(len(self._objects)):
             if root in seen:
                 continue
             seen.add(root)
             stack = [root]
             while stack:
                 for m in outgoing.get(stack.pop(), ()):
-                    if target(m) not in seen:
-                        seen.add(target(m))
-                        stack.append(target(m))
+                    if tgt[m] not in seen:
+                        seen.add(tgt[m])
+                        stack.append(tgt[m])
                         generate(m)
-                        if self.inverse.get(m) in morphisms:
-                            generate(self.inverse[m])
-        for m in self.morphisms:
+                        if self._inv[m] is not None:
+                            generate(self._inv[m])
+        for m in range(len(src)):
             generate(m)
         return generators
 
+    def _generators(self) -> list:
+        """The labels of _generating_set."""
+        return [self._arrows[a] for a in self._generating_set]
+
     def _generators_associate(self) -> bool:
-        """(x o a) o y == x o (a o y) for every a in _generators() and every
-        composable x and y.  Needs a well-formed composition."""
+        """(x o a) o y == x o (a o y) for every a in _generating_set and
+        every composable x and y.  Needs a well-formed composition."""
         outgoing, incoming = self._hom_index
-        source, target, compose = self.source.get, self.target.get, self.compose
-        for a in self._generators():
-            after = incoming.get(source(a), ())
-            composites = [compose[(a, y)] for y in after]
-            for x in outgoing.get(target(a), ()):
-                xa = compose[(x, a)]
-                for y, ay in zip(after, composites):
-                    if compose[(xa, y)] != compose[(x, ay)]:
-                        return False
+        src, tgt, row = self._src, self._tgt, self._row
+        for a in self._generating_set:
+            after = incoming.get(src[a], ())
+            composites = row(a, after)
+            for x in outgoing.get(tgt[a], ()):
+                if row(self._compose(x, a), after) != row(x, composites):
+                    return False
         return True
 
     def verify_axioms(self) -> CheckResult:
-        """Exhaustive check of every groupoid axiom on the dense tables.
+        """Exhaustive check of every groupoid axiom on the tables.
 
         Each row names the first failure in row-major morphism order.
         Associativity is decided by Light's test once the
-        composition_wellformed row has passed, that is once compose is
+        composition_wellformed row has passed, that is once composites are
         defined exactly on the composable pairs and every composite has the
         right endpoints.  The middles a at which (x o a) o y == x o (a o y)
         holds for every composable x, y are closed under composition: for
         such a and b, (x o ab) o y = ((x o a) o b) o y = (x o a) o (b o y)
         = x o (a o (b o y)) = x o (ab o y).  So checking only the middles of
-        a set S whose composites give every morphism (_generators) decides
-        the law everywhere.  When that short check fails, the full scan over
-        every composable triple runs, so the failure named is the first one
-        in row-major order.
+        a set S whose composites give every morphism (_generating_set)
+        decides the law everywhere.  When that short check fails, the full
+        scan over every composable triple runs, so the failure named is the
+        first one in row-major order.
         """
         checks = []
-        objects = set(self.objects)
-        morphisms = set(self.morphisms)
+        arrows = self._arrows
+        n, size = len(self._objects), len(self._src)
+        src, tgt, ident, inv, compose = self._src, self._tgt, self._ident, self._inv, self._compose
         _, incoming = self._hom_index
-        stray: dict = {}  # g -> the f with (g, f) keyed in compose but not composable
-        for g, f in self.compose:
-            if f in morphisms and self.source.get(g) != self.target.get(f):
-                stray.setdefault(g, []).append(f)
 
-        total = all(
-            m in self.source and m in self.target and self.source[m] in objects and self.target[m] in objects
-            for m in morphisms
-        )
+        total = all(s < n for s in src) and all(t < n for t in tgt)
         checks.append(("structure_maps_total", total, "" if total else "a morphism lacks source or target"))
 
         id_ok, id_detail = True, ""
-        for x in self.objects:
-            e = self.identity.get(x)
-            if e not in morphisms or self.source.get(e) != x or self.target.get(e) != x:
-                id_ok, id_detail = False, f"identity of {x!r} is missing or has wrong endpoints"
+        for x in range(n):
+            e = ident[x]
+            if e is None or src[e] != x or tgt[e] != x:
+                id_ok, id_detail = False, f"identity of {self._objects[x]!r} is missing or has wrong endpoints"
                 break
         checks.append(("identities_exist", id_ok, id_detail))
 
         # only composable pairs and stray ones can fail; visit them in
         # row-major order so the first failure named is the first of all pairs
         comp_ok, comp_detail = True, ""
-        source, target, compose = self.source, self.target, self.compose
-        for g in self.morphisms:
-            s_g = source.get(g)
+        stray = self._stray()
+        for g in range(size):
+            s_g = src[g]
             row = incoming.get(s_g, [])
             if g in stray:
-                row = sorted({*row, *stray[g]}, key=self.morphisms.index)
-            for f in row:
-                composable = s_g == target.get(f)
-                if composable != ((g, f) in compose):
+                row = sorted({*row, *stray[g]})
+            for f, h in zip(row, self._row(g, row)):
+                composable = s_g == tgt[f]
+                if composable != (h != ABSENT):
                     comp_ok = False
-                    comp_detail = f"composition defined on the wrong pairs at (g={g!r}, f={f!r})"
+                    comp_detail = f"composition defined on the wrong pairs at (g={arrows[g]!r}, f={arrows[f]!r})"
                     break
-                if composable:
-                    h = compose[(g, f)]
-                    if h not in morphisms or source[h] != source[f] or target[h] != target[g]:
-                        comp_ok = False
-                        comp_detail = f"composite of (g={g!r}, f={f!r}) has wrong endpoints"
-                        break
+                if composable and (h < 0 or src[h] != src[f] or tgt[h] != tgt[g]):
+                    comp_ok = False
+                    comp_detail = f"composite of (g={arrows[g]!r}, f={arrows[f]!r}) has wrong endpoints"
+                    break
             if not comp_ok:
                 break
         checks.append(("composition_wellformed", comp_ok, comp_detail))
 
         unit_ok, unit_detail = True, ""
         if id_ok and comp_ok:
-            for f in self.morphisms:
-                left = self.compose.get((self.identity[self.target[f]], f))
-                right = self.compose.get((f, self.identity[self.source[f]]))
-                if left != f or right != f:
-                    unit_ok, unit_detail = False, f"unit law fails at {f!r}"
+            for f in range(size):
+                left, right = ident[tgt[f]], ident[src[f]]
+                if left is None or right is None or compose(left, f) != f or compose(f, right) != f:
+                    unit_ok, unit_detail = False, f"unit law fails at {arrows[f]!r}"
                     break
         checks.append(("unit_laws", unit_ok and id_ok, unit_detail))
 
@@ -527,14 +746,15 @@ class FiniteGroupoid:
         if comp_ok and not self._generators_associate():
             # with composition well-formed, g o f is defined exactly for the
             # f in incoming[s(g)]
-            for g in self.morphisms:
-                for f in incoming.get(self.source.get(g), ()):
-                    gf = self.compose[(g, f)]
-                    for e in incoming.get(self.source.get(f), ()):
-                        if self.compose[(gf, e)] != self.compose[(g, self.compose[(f, e)])]:
+            for g in range(size):
+                for f in incoming.get(src[g], ()):
+                    gf = compose(g, f)
+                    for e in incoming.get(src[f], ()):
+                        if compose(gf, e) != compose(g, compose(f, e)):
                             assoc_ok = False
                             assoc_detail = (
-                                f"associativity fails on the triple (g={g!r}, f={f!r}, e={e!r})"
+                                "associativity fails on the triple "
+                                f"(g={arrows[g]!r}, f={arrows[f]!r}, e={arrows[e]!r})"
                             )
                             break
                     if not assoc_ok:
@@ -545,37 +765,73 @@ class FiniteGroupoid:
 
         inv_ok, inv_detail = True, ""
         if id_ok and comp_ok:
-            for f in self.morphisms:
-                g = self.inverse.get(f)
+            for f in range(size):
+                g = inv[f]
                 if (
-                    g not in morphisms
-                    or self.source.get(g) != self.target[f]
-                    or self.target.get(g) != self.source[f]
-                    or self.compose.get((g, f)) != self.identity[self.source[f]]
-                    or self.compose.get((f, g)) != self.identity[self.target[f]]
+                    g is None
+                    or src[g] != tgt[f]
+                    or tgt[g] != src[f]
+                    or compose(g, f) != ident[src[f]]
+                    or compose(f, g) != ident[tgt[f]]
                 ):
-                    inv_ok, inv_detail = False, f"inverse law fails at {f!r}"
+                    inv_ok, inv_detail = False, f"inverse law fails at {arrows[f]!r}"
                     break
         checks.append(("inverse_laws", inv_ok, inv_detail))
         return CheckResult("groupoid axioms", tuple(checks))
 
 
+class _TranslationGroupoid(FiniteGroupoid):
+    """The translation groupoid of an action.  Morphism x * |G| + h is
+    (x, h), and its composites (h.x, h2) o (x, h) = (x, h2 h) come from the
+    group table instead of a stored table."""
+
+    lawful = True
+
+    def __init__(self, action: GroupAction):
+        group = action.group
+        order, points = group.order, range(len(action.points))
+        self._action = action
+        self._order, self._mul = order, group.table
+        self.objects = self._objects = action.points
+        self.warning = None
+        self._table = None
+        images = list(zip(*action.perms))  # images[x][h] = h.x
+        self._src = [x for x in points for _ in range(order)]
+        self._tgt = [y for column in images for y in column]
+        self._ident = [x * order + group._identity for x in points]
+        self._inv = [y * order + group.inverse[h] for column in images for h, y in enumerate(column)]
+
+    @cached_property
+    def morphisms(self) -> tuple:
+        return tuple((x, h) for x in self._action.points for h in self._action.group.elements)
+
+    def _compose(self, g: int, f: int) -> int:
+        if self._src[g] != self._tgt[f]:
+            return ABSENT
+        h = f % self._order
+        return f - h + self._mul[g % self._order][h]
+
+    def _row(self, g: int, fs: Sequence[int]) -> list:
+        order, s_g, tgt = self._order, self._src[g], self._tgt
+        product_row = self._mul[g % order]
+        return [f - f % order + product_row[f % order] if tgt[f] == s_g else ABSENT for f in fs]
+
+    def _pairs(self) -> Iterable[tuple[int, int, int]]:
+        # f-major, as the composable pairs of every other model are built
+        order, mul = self._order, self._mul
+        for f, t in enumerate(self._tgt):
+            h = f % order
+            for h2, product_row in enumerate(mul):
+                yield t * order + h2, f, f - h + product_row[h]
+
+    def _stray(self) -> dict:
+        return {}
+
+
 def translation_groupoid(action: GroupAction, verify: bool = True) -> FiniteGroupoid:
     """Objects are the points, morphisms the pairs (x, h) with s(x,h) = x,
     t(x,h) = h(x), and (h(x), h') o (x, h) = (x, h'h)."""
-    morphisms = [(x, h) for x in action.points for h in action.group.elements]
-    source = {m: m[0] for m in morphisms}
-    target = {m: action.apply(m[1], m[0]) for m in morphisms}
-    compose = {}
-    for x, h in morphisms:
-        hx = action.apply(h, x)
-        for h2 in action.group.elements:
-            compose[((hx, h2), (x, h))] = (x, action.group.op(h2, h))
-    identity = {x: (x, action.group.identity) for x in action.points}
-    inverse = {
-        (x, h): (action.apply(h, x), action.group.inv(h)) for x, h in morphisms
-    }
-    groupoid = FiniteGroupoid(action.points, morphisms, source, target, compose, identity, inverse)
+    groupoid = _TranslationGroupoid(action)
     if verify:
         report = groupoid.verify_axioms()
         if not report:
@@ -598,27 +854,36 @@ class OrbitSpace:
         return {"orbits": [sorted(map(repr, block)) for block in self.blocks]}
 
 
+def _orbit_ids(groupoid: FiniteGroupoid) -> list:
+    """The orbit number of each object index, numbered in object order:
+    y is in the orbit of x iff some morphism runs x -> y."""
+    outgoing, _ = groupoid._hom_index
+    tgt = groupoid._tgt
+    orbit: list = [None] * len(groupoid._objects)
+    count = 0
+    for x in range(len(orbit)):
+        if orbit[x] is not None:
+            continue
+        orbit[x] = count
+        frontier = [x]
+        while frontier:
+            for m in outgoing.get(frontier.pop(), ()):
+                y = tgt[m]
+                if y < len(orbit) and orbit[y] is None:
+                    orbit[y] = count
+                    frontier.append(y)
+        count += 1
+    return orbit
+
+
 def orbit_space(groupoid: FiniteGroupoid) -> OrbitSpace:
     """Partition of objects by reachability: y in orbit(x) iff some
     morphism runs x -> y."""
-    outgoing, _ = groupoid._hom_index
-    index: dict = {}
-    blocks: list[set] = []
-    for x in groupoid.objects:
-        if x in index:
-            continue
-        block = {x}
-        frontier = [x]
-        while frontier:
-            current = frontier.pop()
-            for m in outgoing.get(current, ()):
-                if groupoid.target[m] not in block:
-                    block.add(groupoid.target[m])
-                    frontier.append(groupoid.target[m])
-        for y in block:
-            index[y] = len(blocks)
-        blocks.append(block)
-    return OrbitSpace(tuple(frozenset(b) for b in blocks), index)
+    orbit = _orbit_ids(groupoid)
+    blocks: list = [set() for _ in range(max(orbit, default=-1) + 1)]
+    for x, label in zip(orbit, groupoid._objects):
+        blocks[x].add(label)
+    return OrbitSpace(tuple(frozenset(b) for b in blocks), dict(zip(groupoid._objects, orbit)))
 
 
 def configuration_groupoid(groupoid: FiniteGroupoid, n: int, verify: bool = True) -> FiniteGroupoid:
@@ -630,33 +895,45 @@ def configuration_groupoid(groupoid: FiniteGroupoid, n: int, verify: bool = True
     """
     if n < 1:
         raise ValueError("configuration length must be >= 1")
-    orbits = orbit_space(groupoid)
-    warning = None
-    if len(orbits) < n:
-        warning = f"only {len(orbits)} orbits; no {n}-tuples with distinct orbits exist"
+    orbit = _orbit_ids(groupoid)
+    orbits = max(orbit, default=-1) + 1
+    if orbits < n:
+        warning = f"only {orbits} orbits; no {n}-tuples with distinct orbits exist"
         return FiniteGroupoid((), (), {}, {}, {}, {}, {}, warning=warning)
 
-    def qualifies(tup) -> bool:
-        ids = [orbits.of(x) for x in tup]
-        return len(set(ids)) == n
-
-    objects = [tup for tup in product(groupoid.objects, repeat=n) if qualifies(tup)]
-    object_set = set(objects)
-    morphisms = []
-    for tup in product(groupoid.morphisms, repeat=n):
-        src = tuple(groupoid.source[m] for m in tup)
-        tgt = tuple(groupoid.target[m] for m in tup)
-        if src in object_set and tgt in object_set:
-            morphisms.append(tup)
-    source = {m: tuple(groupoid.source[c] for c in m) for m in morphisms}
-    target = {m: tuple(groupoid.target[c] for c in m) for m in morphisms}
-    identity = {obj: tuple(groupoid.identity[x] for x in obj) for obj in objects}
-    inverse = {m: tuple(groupoid.inverse[c] for c in m) for m in morphisms}
-    result = FiniteGroupoid(objects, morphisms, source, target, {}, identity, inverse, warning)
-    outgoing, _ = result._hom_index
-    for f in morphisms:
-        for g in outgoing.get(target[f], ()):
-            result.compose[(g, f)] = tuple(groupoid.compose[(g[i], f[i])] for i in range(n))
+    object_parts = [tup for tup in product(range(len(orbit)), repeat=n) if len({orbit[x] for x in tup}) == n]
+    objects = {tup: i for i, tup in enumerate(object_parts)}
+    base_src, base_tgt = groupoid._src, groupoid._tgt
+    arrow_parts, src, tgt = [], [], []
+    for tup in product(range(len(base_src)), repeat=n):
+        s = objects.get(tuple(base_src[c] for c in tup))
+        t = objects.get(tuple(base_tgt[c] for c in tup))
+        if s is not None and t is not None:
+            arrow_parts.append(tup)
+            src.append(s)
+            tgt.append(t)
+    arrows = {tup: i for i, tup in enumerate(arrow_parts)}
+    ident = [arrows.get(tuple(groupoid._ident[x] for x in tup)) for tup in object_parts]
+    inv = [arrows.get(tuple(groupoid._inv[c] for c in tup)) for tup in arrow_parts]
+    leaving: dict = {}
+    for m, s in enumerate(src):
+        leaving.setdefault(s, []).append(m)
+    size, compose, table = len(arrow_parts), groupoid._compose, {}
+    for f, f_parts in enumerate(arrow_parts):
+        for g in leaving.get(tgt[f], ()):
+            composite = tuple(map(compose, arrow_parts[g], f_parts))
+            table[g * size + f] = arrows.get(composite, NOT_MORPHISM)
+    base_objects, base_arrows = groupoid._objects, groupoid._arrows
+    result = FiniteGroupoid._encoded(
+        tuple(tuple(base_objects[x] for x in tup) for tup in object_parts),
+        tuple(tuple(base_arrows[c] for c in tup) for tup in arrow_parts),
+        src,
+        tgt,
+        ident,
+        inv,
+        table,
+        groupoid.lawful,
+    )
     if verify:
         report = result.verify_axioms()
         if not report:
@@ -669,40 +946,90 @@ def configuration_groupoid(groupoid: FiniteGroupoid, n: int, verify: bool = True
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class GroupoidHom:
-    src: FiniteGroupoid
-    dst: FiniteGroupoid
-    object_map: dict
-    morphism_map: dict
-    name: str = "f"
+    """A map of finite groupoids, run on indices: _object_images[x] is the
+    dst object index of src object code x and _arrow_images[m] the dst
+    index of morphism m, None where the image names no dst object or
+    morphism (and past the src objects).  object_map and morphism_map read
+    as label dicts: the ones given, or views built on first use."""
+
+    def __init__(self, src: FiniteGroupoid, dst: FiniteGroupoid, object_map: dict, morphism_map: dict, name: str = "f"):
+        self.src, self.dst, self.name = src, dst, name
+        self.object_map, self.morphism_map = object_map, morphism_map
+
+    @classmethod
+    def _encoded(cls, src: FiniteGroupoid, dst: FiniteGroupoid, objects: list, arrows: list, name: str) -> "GroupoidHom":
+        hom = cls.__new__(cls)
+        hom.src, hom.dst, hom.name = src, dst, name
+        hom._object_images = objects + [None] * (len(src._ident) - len(objects))
+        hom._arrow_images = arrows
+        return hom
+
+    @cached_property
+    def _object_images(self) -> list:
+        index = self.dst._object_index
+        images = [index.get(self.object_map.get(x, _MISSING)) for x in self.src._objects]
+        return images + [None] * (len(self.src._ident) - len(images))
+
+    @cached_property
+    def _arrow_images(self) -> list:
+        index = self.dst._arrow_index
+        return [index.get(self.morphism_map.get(m, _MISSING)) for m in self.src._arrows]
+
+    @cached_property
+    def object_map(self) -> dict:
+        objects = self.dst._objects
+        return {x: objects[y] for x, y in zip(self.src._objects, self._object_images)}
+
+    @cached_property
+    def morphism_map(self) -> dict:
+        arrows = self.dst._arrows
+        return {m: arrows[a] for m, a in zip(self.src._arrows, self._arrow_images)}
+
+    def _generators_preserved(self) -> bool:
+        """F(g o f) == F(g) o F(f) for every f in the src's _generating_set
+        and every composable g.  The f at which this holds for every g are
+        closed under composition: for such f1 and f2, F(g o f2 f1) =
+        F((g o f2) o f1) = F(g o f2) o F(f1) = (F(g) o F(f2)) o F(f1) =
+        F(g) o F(f2 f1).  So it decides the law everywhere when both ends
+        are groupoids and endpoints are preserved."""
+        src, dst, images = self.src, self.dst, self._arrow_images
+        outgoing, _ = src._hom_index
+        for f in src._generating_set:
+            image = images[f]
+            for g in outgoing.get(src._tgt[f], ()):
+                if dst._compose(images[g], image) != images[src._compose(g, f)]:
+                    return False
+        return True
 
     def verify(self) -> CheckResult:
         checks = []
-        f0, f1 = self.object_map, self.morphism_map
-        dst_objects, dst_morphisms = set(self.dst.objects), set(self.dst.morphisms)
-        objects_ok = all(f0.get(x) in dst_objects for x in self.src.objects)
+        src, dst = self.src, self.dst
+        f0, f1 = self._object_images, self._arrow_images
+        arrows = src._arrows
+        objects_ok = None not in f0[: len(src._objects)]
         checks.append(("object_map_total", objects_ok, "" if objects_ok else "object map misses an object"))
-        morphs_ok = all(f1.get(m) in dst_morphisms for m in self.src.morphisms)
+        morphs_ok = None not in f1
         checks.append(("morphism_map_total", morphs_ok, "" if morphs_ok else "morphism map misses a morphism"))
         if not (objects_ok and morphs_ok):
             return CheckResult(f"homomorphism {self.name}", tuple(checks))
         st_ok, st_detail = True, ""
-        for m in self.src.morphisms:
-            if self.dst.source[f1[m]] != f0[self.src.source[m]] or self.dst.target[f1[m]] != f0[self.src.target[m]]:
-                st_ok, st_detail = False, f"endpoints not preserved at {m!r}"
+        for m, image in enumerate(f1):
+            if dst._src[image] != f0[src._src[m]] or dst._tgt[image] != f0[src._tgt[m]]:
+                st_ok, st_detail = False, f"endpoints not preserved at {arrows[m]!r}"
                 break
         checks.append(("preserves_endpoints", st_ok, st_detail))
-        id_ok = all(f1[self.src.identity[x]] == self.dst.identity[f0[x]] for x in self.src.objects)
+        id_ok = all(e is not None and f1[e] == dst._ident[f0[x]] for x, e in enumerate(src._ident[: len(src._objects)]))
         checks.append(("preserves_identities", id_ok, "" if id_ok else "an identity is not preserved"))
         comp_ok, comp_detail = True, ""
-        dst_compose = self.dst.compose
-        for (g, f), h in self.src.compose.items():
-            if dst_compose.get((f1[g], f1[f])) != f1[h]:
-                comp_ok, comp_detail = False, f"composition not preserved at (g={g!r}, f={f!r})"
-                break
+        if not (st_ok and src.lawful and dst.lawful and self._generators_preserved()):
+            # the full scan, in the order of src.compose, names the first failure
+            for g, f, h in src._pairs():
+                if h < 0 or dst._compose(f1[g], f1[f]) != f1[h]:
+                    comp_ok, comp_detail = False, f"composition not preserved at (g={arrows[g]!r}, f={arrows[f]!r})"
+                    break
         checks.append(("preserves_composition", comp_ok, comp_detail))
-        inv_ok = all(f1[self.src.inverse[m]] == self.dst.inverse[f1[m]] for m in self.src.morphisms)
+        inv_ok = all(i is not None and f1[i] == dst._inv[image] for i, image in zip(src._inv, f1))
         checks.append(("preserves_inverses", inv_ok, "" if inv_ok else "an inverse is not preserved"))
         return CheckResult(f"homomorphism {self.name}", tuple(checks))
 
@@ -726,21 +1053,33 @@ def forget_map(groupoid: FiniteGroupoid, n: int) -> GroupoidHom:
     )
 
 
-def full_subgroupoid(groupoid: FiniteGroupoid, objects: Sequence) -> FiniteGroupoid:
-    kept = set(objects)
-    morphisms = [
-        m for m in groupoid.morphisms if groupoid.source[m] in kept and groupoid.target[m] in kept
-    ]
-    mset = set(morphisms)
-    return FiniteGroupoid(
-        tuple(objects),
-        morphisms,
-        {m: groupoid.source[m] for m in morphisms},
-        {m: groupoid.target[m] for m in morphisms},
-        {pair: h for pair, h in groupoid.compose.items() if pair[0] in mset and pair[1] in mset},
-        {x: groupoid.identity[x] for x in objects},
-        {m: groupoid.inverse[m] for m in morphisms},
+def _full_subgroupoid(groupoid: FiniteGroupoid, objects: list) -> tuple[FiniteGroupoid, list]:
+    """The full subgroupoid on the given object indices, and the
+    groupoid's index of each of its morphisms."""
+    position = {x: i for i, x in enumerate(objects)}
+    src, tgt = groupoid._src, groupoid._tgt
+    kept = [m for m, (s, t) in enumerate(zip(src, tgt)) if s in position and t in position]
+    index = {m: i for i, m in enumerate(kept)}
+    size, table = len(kept), {}
+    for g, f, h in groupoid._pairs():
+        if g in index and f in index:
+            table[index[g] * size + index[f]] = index.get(h, NOT_MORPHISM)
+    sub = FiniteGroupoid._encoded(
+        tuple(groupoid._objects[x] for x in objects),
+        tuple(groupoid._arrows[m] for m in kept),
+        [position[src[m]] for m in kept],
+        [position[tgt[m]] for m in kept],
+        [index.get(groupoid._ident[x]) for x in objects],
+        [index.get(groupoid._inv[m]) for m in kept],
+        table,
+        groupoid.lawful,
     )
+    return sub, kept
+
+
+def full_subgroupoid(groupoid: FiniteGroupoid, objects: Sequence) -> FiniteGroupoid:
+    index = groupoid._object_index
+    return _full_subgroupoid(groupoid, list(dict.fromkeys(index[x] for x in objects)))[0]
 
 
 def inclusion_hom(sub: FiniteGroupoid, ambient: FiniteGroupoid, name: str = "incl") -> GroupoidHom:
@@ -755,15 +1094,12 @@ def inclusion_hom(sub: FiniteGroupoid, ambient: FiniteGroupoid, name: str = "inc
 
 def skeleton_inclusion(groupoid: FiniteGroupoid) -> GroupoidHom:
     """Inclusion of the full subgroupoid on one object per orbit."""
-    orbits = orbit_space(groupoid)
-    representatives = []
-    seen = set()
-    for x in groupoid.objects:
-        block = orbits.of(x)
-        if block not in seen:
-            seen.add(block)
-            representatives.append(x)
-    return inclusion_hom(full_subgroupoid(groupoid, representatives), groupoid, name="skeleton")
+    first: dict = {}
+    for x, orbit in enumerate(_orbit_ids(groupoid)):
+        first.setdefault(orbit, x)
+    representatives = list(first.values())
+    sub, kept = _full_subgroupoid(groupoid, representatives)
+    return GroupoidHom._encoded(sub, groupoid, representatives, kept, "skeleton")
 
 
 def subgroup_covering_hom(action: GroupAction, subgroup: frozenset) -> GroupoidHom:
@@ -771,7 +1107,10 @@ def subgroup_covering_hom(action: GroupAction, subgroup: frozenset) -> GroupoidH
     restricted = action.restrict_group(subgroup)
     small = translation_groupoid(restricted, verify=False)
     big = translation_groupoid(action, verify=False)
-    return inclusion_hom(small, big, name="subgroup_inclusion")
+    order, kept = action.group.order, [action.group.index[g] for g in restricted.group.elements]
+    points = list(range(len(action.points)))
+    arrows = [x * order + g for x in points for g in kept]
+    return GroupoidHom._encoded(small, big, points, arrows, "subgroup_inclusion")
 
 
 # ---------------------------------------------------------------------------
@@ -794,32 +1133,33 @@ def is_covering_hom(f: GroupoidHom) -> CheckResult:
     checks.append(("homomorphism", hom.passed, "" if hom else f"not a homomorphism: {hom.first_failure()}"))
     if not hom.passed:
         return CheckResult(f"covering {f.name}", tuple(checks))
-    f0, f1 = f.object_map, f.morphism_map
-    surjective = set(f0.values()) == set(f.dst.objects)
+    src, dst = f.src, f.dst
+    f0, f1 = f._object_images[: len(src._objects)], f._arrow_images
+    surjective = set(f0) == set(range(len(dst._objects)))
     checks.append((
         "object_map_surjective",
         surjective,
         "" if surjective else "object map misses part of the base",
     ))
-    image = {}
+    image: dict = {}
     injective, inj_detail = True, ""
-    for h in f.src.morphisms:
-        key = (f1[h], f.src.source[h])
+    for h, key in enumerate(zip(f1, src._src)):
         if key in image:
             injective = False
-            fibered = sum(len(set(f.dst._hom_index[0].get(f0[y], ()))) for y in set(f.src.objects))
+            outgoing, _ = dst._hom_index
+            fibered = sum(len(outgoing.get(y, ())) for y in f0)
             inj_detail = (
-                f"morphisms {image[key]!r} and {h!r} share image and source; "
-                f"|H1|={len(f.src.morphisms)} vs fibered product {fibered}"
+                f"morphisms {src._arrows[image[key]]!r} and {src._arrows[h]!r} share image and source; "
+                f"|H1|={len(src.morphisms)} vs fibered product {fibered}"
             )
             break
         image[key] = h
     checks.append(("unique_source_lift", injective, inj_detail))
-    base_orbits = orbit_space(f.dst)
+    base_orbits = _orbit_ids(dst)
     fiber_sizes: dict[int, set] = {}
-    counts = Counter(f0[x] for x in f.src.objects)
-    for y in f.dst.objects:
-        fiber_sizes.setdefault(base_orbits.of(y), set()).add(counts[y])
+    counts = Counter(f0)
+    for y, orbit in enumerate(base_orbits):
+        fiber_sizes.setdefault(orbit, set()).add(counts[y])
     constant = all(len(sizes) == 1 for sizes in fiber_sizes.values())
     checks.append((
         "fiber_constant_on_orbits",
@@ -845,24 +1185,27 @@ def is_equivalence(f: GroupoidHom) -> CheckResult:
     checks.append(("homomorphism", hom.passed, "" if hom else f"not a homomorphism: {hom.first_failure()}"))
     if not hom.passed:
         return CheckResult(f"equivalence {f.name}", tuple(checks))
-    f1 = f.morphism_map
-    fiber = Counter(f.object_map[x] for x in set(f.src.objects))  # |f0^-1(y)|
-    reached = {f.dst.target[g] for g in f.dst.morphisms if f.dst.source[g] in fiber}
-    cond1 = reached == set(f.dst.objects)
+    src, dst = f.src, f.dst
+    f1 = f._arrow_images
+    fiber = Counter(f._object_images[: len(src._objects)])  # |f0^-1(y)|
+    reached = {t for s, t in zip(dst._src, dst._tgt) if s in fiber}
+    missed = set(range(len(dst._objects))) - reached
+    cond1 = not missed and len(reached) == len(dst._objects)
     checks.append((
         "essentially_surjective",
         cond1,
-        "" if cond1 else f"misses base objects {sorted(map(repr, set(f.dst.objects) - reached))}",
+        "" if cond1 else f"misses base objects {sorted(repr(dst._objects[y]) for y in missed)}",
     ))
-    triples = sum(fiber[f.dst.source[g]] * fiber[f.dst.target[g]] for g in set(f.dst.morphisms))
-    image = {}
+    triples = sum(fiber[s] * fiber[t] for s, t in zip(dst._src, dst._tgt))
+    image: set = set()
     bijective, detail = True, ""
-    for h in f.src.morphisms:
-        key = (f1[h], f.src.source[h], f.src.target[h])
+    for key in zip(f1, src._src, src._tgt):
         if key in image:
-            bijective, detail = False, f"two morphisms map to the same triple {key!r}"
+            g, x, y = key
+            labels = (dst._arrows[g], src._objects[x], src._objects[y])
+            bijective, detail = False, f"two morphisms map to the same triple {labels!r}"
             break
-        image[key] = h
+        image.add(key)
     # a verified hom maps each h to a triple, so distinct images are onto
     # exactly when they are as many as the triples
     if bijective and len(image) != triples:
@@ -921,8 +1264,8 @@ class MoritaTriple:
     def to_json(self) -> dict:
         return {
             "middle": {
-                "objects": len(self.middle.objects),
-                "morphisms": len(self.middle.morphisms),
+                "objects": len(self.middle._objects),
+                "morphisms": len(self.middle._src),
             },
             "to_first": self.first_check.to_json(),
             "to_second": self.second_check.to_json(),
@@ -934,19 +1277,19 @@ def _quotient_arrow(
     action: GroupAction, fine: FiniteGroupoid, projections: Sequence, outer: frozenset, name: str
 ) -> GroupoidHom:
     """fine = G(S/inner, Gamma/inner) -> G(S/outer, Gamma/outer) for inner <= outer,
-    given the point and group projections onto fine."""
-    fine_points, fine_groups = projections
-    coarse_action, coarse_points, coarse_groups = action.quotient_action(outer)
+    given the point and coset index of each point and element in fine."""
+    fine_points, fine_cosets = projections
+    coarse_action, coarse_points, coarse_cosets = action._quotient(outer)
     coarse = translation_groupoid(coarse_action, verify=False)
-    point_map = {fine_points[x]: coarse_points[x] for x in action.points}
-    group_map = {fine_groups[g]: coarse_groups[g] for g in action.group.elements}
-    return GroupoidHom(
-        fine,
-        coarse,
-        {p: point_map[p] for p in fine.objects},
-        {(p, c): (point_map[p], group_map[c]) for p, c in fine.morphisms},
-        name=name,
-    )
+    point_map = [0] * len(fine._objects)
+    for p, q in zip(fine_points, coarse_points):
+        point_map[p] = q
+    coset_map = [0] * fine._order
+    for c, d in zip(fine_cosets, coarse_cosets):
+        coset_map[c] = d
+    order = coarse_action.group.order
+    arrows = [point_map[p] * order + d for p in range(len(point_map)) for d in coset_map]
+    return GroupoidHom._encoded(fine, coarse, point_map, arrows, name)
 
 
 def morita_triple(
@@ -963,7 +1306,7 @@ def morita_triple(
         if not action.group.is_normal(frozenset(candidate)):
             raise InvalidModelError(f"{sorted(map(repr, candidate))} is not a normal subgroup")
     intersection = frozenset(normal_first) & frozenset(normal_second)
-    middle_action, *projections = action.quotient_action(intersection)
+    middle_action, *projections = action._quotient(intersection)
     middle = translation_groupoid(middle_action, verify=False)
     e1 = _quotient_arrow(action, middle, projections, frozenset(normal_first), "to_first")
     e2 = _quotient_arrow(action, middle, projections, frozenset(normal_second), "to_second")

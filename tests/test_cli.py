@@ -180,6 +180,21 @@ def test_arrangement_guard_rails_exit_4(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "builder, n, m",
+    [("case1", 2, 600), ("braid", 120, 2), ("case3X", 100, 2), ("braid", 600, 2)],
+)
+def test_builder_rails_refuse_before_building(capsys, builder, n, m):
+    # each of these builds for seconds to minutes when the rails are
+    # checked only on the built arrangement
+    start = time.monotonic()
+    code, out, err = run(capsys, ["arrangement", "--builder", builder, "--n", str(n), "--m", str(m)])
+    assert time.monotonic() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert "exceeds the CLI rails" in err
+
+
 def test_arrangement_builder_requires_n(capsys):
     code, _, err = run(capsys, ["arrangement", "--builder", "braid"])
     assert code == 2

@@ -389,7 +389,7 @@ def test_morita_dihedral_center_and_rotations():
 
 def _quotient_tables(result):
     action, point_proj, group_proj = result
-    return action.group.elements, action.group.multiply, action.points, action.table, point_proj, group_proj
+    return action.group.elements, action.group.table, action.points, action.perms, point_proj, group_proj
 
 
 def test_quotient_action_is_shared_per_normal_subgroup():
@@ -634,3 +634,166 @@ def test_verify_axioms_matches_all_pairs_brute_force(make, share, outside):
                 hidden += 1
     assert cases >= 70
     assert hidden >= outside
+
+
+# -- the generator shortcuts against full scans -----------------------------------
+#
+# Group associativity, action compatibility and a hom's composition law are
+# each checked over a generating set only.  The oracles below scan every
+# entry with their own multiplication, from the public label tables.
+
+
+def _dihedral_mul(n):
+    def mul(a, b):
+        (k1, e1), (k2, e2) = a, b
+        return ((k1 + (k2 if e1 == 0 else -k2)) % n, (e1 + e2) % 2)
+
+    return mul
+
+
+def _associative_at(elements, table, a):
+    return all(table[(table[(x, a)], y)] == table[(x, table[(a, y)])] for x in elements for y in elements)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_group_validation_catches_corruptions_off_the_generators(n):
+    group = FiniteGroup.dihedral(n)
+    elements, identity, s = list(group.elements), (0, 0), (0, 1)
+    mul = _dihedral_mul(n)
+    # Light's test checks the middles of a generating set; the first one
+    # here is the reflection s
+    generators = [group.elements[a] for a in group._generating_set()]
+    assert generators[0] == s and len(generators) == 2
+    table = {(a, b): mul(a, b) for a in elements for b in elements}
+    cases = 0
+    for x in elements:
+        for y in elements:
+            # (x, y) and (x s, s y) take one wrong value together, so s stays
+            # an associative middle: (x s)(s y) = x y = x (s (s y))
+            pair = {(x, y), (mul(x, s), mul(s, y))}
+            if {x, y, mul(x, s), mul(s, y)} & {identity, s} or table[(x, y)] == identity:
+                continue
+            for wrong in elements:
+                if wrong in (table[(x, y)], identity):
+                    continue
+                corrupted = {**table, **dict.fromkeys(pair, wrong)}
+                assert _associative_at(elements, corrupted, s)
+                assert not all(_associative_at(elements, corrupted, a) for a in elements)
+                with pytest.raises(InvalidModelError, match="associativity"):
+                    FiniteGroup(elements, corrupted, identity)
+                cases += 1
+    assert cases >= 20
+
+
+def _compatible_at(mul, elements, points, act, h):
+    return all(act[(mul(g, h), x)] == act[(g, act[(h, x)])] for g in elements for x in points)
+
+
+@pytest.mark.parametrize("points", [list(range(4)), [(k, e) for k in range(4) for e in range(2)]], ids=["square", "regular"])
+def test_action_validation_catches_corruptions_off_the_generators(points):
+    group = FiniteGroup.dihedral(4)
+    elements, s = list(group.elements), (0, 1)
+    mul = _dihedral_mul(4)
+    generators = [group.elements[h] for h in group._generating_set()]
+    assert generators == [s, (1, 0)]
+    if len(points) == 4:
+        act = {(g, x): (g[0] + (-x if g[1] else x)) % 4 for g in elements for x in points}
+    else:
+        act = {(g, x): mul(g, x) for g in elements for x in points}
+    GroupAction(group, points, act)
+    cases = 0
+    # swap two images of one element h off the generators
+    for h in elements:
+        if h in generators or h == group.identity:
+            continue
+        for i, x1 in enumerate(points):
+            for x2 in points[i + 1 :]:
+                corrupted = {**act, (h, x1): act[(h, x2)], (h, x2): act[(h, x1)]}
+                assert not all(_compatible_at(mul, elements, points, corrupted, k) for k in elements)
+                with pytest.raises(InvalidModelError, match="compatible"):
+                    GroupAction(group, points, corrupted)
+                cases += 1
+    twisted_cases = 0
+    # r^k s acts as r^k after a transposition t of two points: compatible
+    # at the generator s (t is an involution) and wrong elsewhere, unless t
+    # happens to make a true action
+    for i, x1 in enumerate(points):
+        for x2 in points[i + 1 :]:
+            swap = {x1: x2, x2: x1}
+            twisted = {(g, x): act[((g[0], 0), swap.get(x, x))] if g[1] else act[(g, x)] for g, x in act}
+            assert _compatible_at(mul, elements, points, twisted, s)
+            if all(_compatible_at(mul, elements, points, twisted, k) for k in elements):
+                GroupAction(group, points, twisted)
+                continue
+            with pytest.raises(InvalidModelError, match="compatible"):
+                GroupAction(group, points, twisted)
+            twisted_cases += 1
+    assert cases >= 30 and twisted_cases >= 4
+
+
+def _full_scan_hom_rows(src, dst, f0, f1):
+    """The rows GroupoidHom.verify must report, every composable pair
+    scanned in the order of src.compose."""
+    dst_objects, dst_arrows = set(dst.objects), set(dst.morphisms)
+    rows = []
+    objects_ok = all(f0.get(x) in dst_objects for x in src.objects)
+    rows.append(("object_map_total", objects_ok, "" if objects_ok else "object map misses an object"))
+    arrows_ok = all(f1.get(m) in dst_arrows for m in src.morphisms)
+    rows.append(("morphism_map_total", arrows_ok, "" if arrows_ok else "morphism map misses a morphism"))
+    if not (objects_ok and arrows_ok):
+        return tuple(rows)
+    st_detail = ""
+    for m in src.morphisms:
+        if dst.source[f1[m]] != f0[src.source[m]] or dst.target[f1[m]] != f0[src.target[m]]:
+            st_detail = f"endpoints not preserved at {m!r}"
+            break
+    rows.append(("preserves_endpoints", not st_detail, st_detail))
+    id_ok = all(f1[src.identity[x]] == dst.identity[f0[x]] for x in src.objects)
+    rows.append(("preserves_identities", id_ok, "" if id_ok else "an identity is not preserved"))
+    comp_detail = ""
+    for (g, f), h in src.compose.items():
+        if dst.compose.get((f1[g], f1[f])) != f1[h]:
+            comp_detail = f"composition not preserved at (g={g!r}, f={f!r})"
+            break
+    rows.append(("preserves_composition", not comp_detail, comp_detail))
+    inv_ok = all(f1[src.inverse[m]] == dst.inverse[f1[m]] for m in src.morphisms)
+    rows.append(("preserves_inverses", inv_ok, "" if inv_ok else "an inverse is not preserved"))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: identity_hom(translation_groupoid(_d3_sign_action())),
+        lambda: identity_hom(
+            translation_groupoid(GroupAction.from_function(FiniteGroup.dihedral(4), ["p"], lambda g, x: x))
+        ),
+        lambda: subgroup_covering_hom(
+            GroupAction.from_function(FiniteGroup.dihedral(4), ["p", "q"], lambda g, x: x),
+            frozenset((k, e) for k in (0, 2) for e in (0, 1)),
+        ),
+    ],
+    ids=["d3_sign", "d4_point", "d4_subgroup"],
+)
+def test_hom_verify_matches_full_scan_off_the_generators(make):
+    hom = make()
+    src, dst = hom.src, hom.dst
+    generators = set(src._generators())
+    f0, f1 = dict(hom.object_map), dict(hom.morphism_map)
+    assert hom.verify().checks == _full_scan_hom_rows(src, dst, f0, f1)
+    cases = broken = 0
+    for f in src.morphisms:
+        if f in generators:
+            continue
+        for other in dst.morphisms:
+            # same endpoints, so the generator check is the one that runs
+            if other == f1[f] or (dst.source[other], dst.target[other]) != (dst.source[f1[f]], dst.target[f1[f]]):
+                continue
+            corrupted = {**f1, f: other}
+            checks = GroupoidHom(src, dst, f0, corrupted, name="c").verify().checks
+            expected = _full_scan_hom_rows(src, dst, f0, corrupted)
+            assert checks == expected, (f, other)
+            cases += 1
+            broken += not expected[4][1]
+    assert cases >= 10
+    assert broken == cases
