@@ -689,7 +689,9 @@ def _compatible_at(mul, elements, points, act, h):
     return all(act[(mul(g, h), x)] == act[(g, act[(h, x)])] for g in elements for x in points)
 
 
-@pytest.mark.parametrize("points", [list(range(4)), [(k, e) for k in range(4) for e in range(2)]], ids=["square", "regular"])
+@pytest.mark.parametrize(
+    "points", [list(range(4)), [(k, e) for k in range(4) for e in range(2)]], ids=["square", "regular"]
+)
 def test_action_validation_catches_corruptions_off_the_generators(points):
     group = FiniteGroup.dihedral(4)
     elements, s = list(group.elements), (0, 1)
