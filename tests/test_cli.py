@@ -468,6 +468,13 @@ GOLDEN_STDOUT_SHA256 = [
         "92e5ea5cd3d61b3e84258f6a8b3be4c7379c689a9129ffed8ed3faf9678dceb0",
         id="braid-n5",
     ),
+    # central about (2, 0, 2, 0), rank 3 in Q^4 and not simplicial; its
+    # wall counts 3, 4 and 5 are uneven, so their order is pinned too
+    pytest.param(
+        ["arrangement", '{"schema":1,"dim":4,"field":{"type":"Q"},"hyperplanes":[{"normal":[1,-1,0,0],"offset":2},{"normal":[0,0,1,0],"offset":2},{"normal":[0,0,0,1],"offset":0},{"normal":[1,-1,1,1],"offset":4},{"normal":[1,-1,-2,3],"offset":-2}]}'],
+        "bbfa4e3535410bd87916784bda05a8dcf08a18828d6465404a3122d4ce134176",
+        id="central-lineality-uneven-walls",
+    ),
 ]
 
 
