@@ -2,11 +2,18 @@
 
 Rational arrangements are worked on their primitive integer rows [a | b],
 computed once per spec; no floating point enters any rank or membership
-decision.  Flats are computed as a breadth-first closure under intersection:
-each flat carries the residues of the hyperplanes not containing it, and
-the hyperplanes whose residues are proportional cut out one flat together.
-Over Q the elimination is fraction free (Bareiss, Math. Comp. 1968) on
-primitive rows; over Q(zeta_m) pivots are scaled to one in the field.  The
+decision.  Every exact linear-algebra question is answered by one pair of
+row operations on the rows [a | b]: over Q a fraction-free elimination
+(Bareiss, Math. Comp. 1968) that keeps rows primitive, and over Q(zeta_m)
+the field's row operation with pivots scaled to one.  The flat poset applies them to
+residues, one reduced echelon form of all rows gives the common point and
+the essential rank, and restriction to a hyperplane is one elimination of
+its pivot column.  Essentialization is projection onto the pivot columns of
+the normal matrix, which keeps each hyperplane's order and signs.
+
+Flats are computed as a breadth-first closure under intersection: each
+flat carries the residues of the hyperplanes not containing it, and the
+hyperplanes whose residues are proportional cut out one flat together.  The
 search records which flats produce each flat; those are its covers, so the
 Mobius function is a sum over each interval [V, X] alone (Orlik-Terao,
 Arrangements of Hyperplanes, 2.3).  The poset drives the characteristic and
@@ -56,6 +63,15 @@ class SizeGuardError(ValueError):
 # ---------------------------------------------------------------------------
 # Scalar fields and arrangement data
 # ---------------------------------------------------------------------------
+
+
+# Largest cyclotomic order m a JSON spec may name, read before Phi_m or any
+# element is built.  It is also the largest order the case1 builder reaches
+# within the arrangement rails.  The flat poset's cost over Q(zeta_m) grows
+# with phi(m): on a 2-core host with Python 3.11, 16 hyperplanes in Q^6
+# take 5.4 s at m = 3, 38 s at m = 11 and 66 s at m = 13 (phi = 12, the
+# largest admitted), and at m = 61, 8 hyperplanes in Q^4 run past 100 s.
+MAX_FIELD_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -126,7 +142,12 @@ class ScalarField:
         if data.get("type") == "Q":
             return cls("Q")
         if data.get("type") == "cyclotomic":
-            return cls("cyclotomic", json_int(data["m"], "field order m"))
+            order = json_int(data["m"], "field order m")
+            if order > MAX_FIELD_ORDER:
+                raise SizeGuardError(
+                    f"cyclotomic field order {order} exceeds the rail (m <= {MAX_FIELD_ORDER})"
+                )
+            return cls("cyclotomic", order)
         raise ValueError(f"unknown field spec {data!r}")
 
 
@@ -326,59 +347,79 @@ def complement_contains(spec: ArrangementSpec, point: Sequence[ComplexPoint]) ->
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows: list[list], field: ScalarField) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (rows without zero rows, pivot cols)."""
-    zero, one = field.zero(), field.one()
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != zero:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+def _eliminate(row: tuple, pivot_row: tuple, col: int) -> tuple:
+    """row minus row[col] times pivot_row, whose entry in column col is one."""
+    factor = row[col]
+    if not factor:
+        return row
+    return tuple(x - factor * y if y else x for x, y in zip(row, pivot_row))
 
 
-class _AffineSystem:
-    """Rows [a | b] meaning a . x = b, kept in canonical reduced form."""
-
-    __slots__ = ("field", "dim", "rows", "pivots")
-
-    def __init__(self, field: ScalarField, dim: int, rows: Iterable[Sequence] = ()):
-        self.field = field
-        self.dim = dim
-        reduced, pivots = _rref([list(r) for r in rows], field)
-        self.rows = reduced
-        self.pivots = pivots
-
-    @property
-    def consistent(self) -> bool:
-        return self.dim not in self.pivots
-
-    def particular_solution(self) -> Optional[list]:
-        if not self.consistent:
-            return None
-        zero = self.field.zero()
-        point = [zero] * self.dim
-        for row, pivot in zip(self.rows, self.pivots):
-            point[pivot] = row[self.dim]
-        return point
+def _lead_positive(residue: tuple, col: int) -> tuple:
+    """A primitive integer row, negated if its entry in col is negative."""
+    return residue if residue[col] > 0 else tuple(-x for x in residue)
 
 
-def _hyperplane_row(h: Hyperplane) -> list:
-    return list(h.normal) + [h.offset]
+def _eliminate_integer(row: tuple, pivot_row: tuple, col: int) -> tuple:
+    """p * row - row[col] * pivot_row over the gcd, with p = pivot_row[col] > 0.
+
+    Fraction-free: the result is primitive and zero in column col.
+    """
+    factor = row[col]
+    if not factor:
+        return row
+    p = pivot_row[col]
+    out = [p * x - factor * y for x, y in zip(row, pivot_row)]
+    g = math.gcd(*out)
+    return tuple(out) if g < 2 else tuple([x // g for x in out])
+
+
+def _row_operations(spec: ArrangementSpec) -> tuple:
+    """(rows, normalize, eliminate): the spec's rows [a | b] and its field's
+    row operations.
+
+    normalize(row, col) scales a row by a nonzero unit so that it can
+    serve as a pivot row at col, and eliminate(row, pivot_row, col) clears
+    col from row with that pivot row.  Over Q the rows are the primitive
+    integer rows, normalize makes the entry at col positive and eliminate
+    is fraction free.  Over Q(zeta_m) normalize scales the entry at col to
+    one and eliminate is the field's row operation.
+    """
+    if spec.field.is_rational:
+        return spec._integer_rows, _lead_positive, _eliminate_integer
+    one = spec.field.one()
+
+    def normalize(residue: tuple, col: int) -> tuple:
+        lead = residue[col]
+        if lead == one:
+            return residue
+        inv = one / lead
+        return tuple(x * inv if x else x for x in residue)
+
+    return [h.normal + (h.offset,) for h in spec.hyperplanes], normalize, _eliminate
+
+
+def _echelon(spec: ArrangementSpec) -> list[tuple[int, tuple]]:
+    """The reduced echelon form of the rows [a | b], as (pivot column, row)
+    pairs in column order.
+
+    Each row is reduced by the pivot rows so far, normalized at its first
+    nonzero column, and eliminated from them in turn, so every pivot row is
+    zero in every other pivot column.  A pivot in the offset column means
+    the hyperplanes share no point; the other pivot columns are those of
+    the normal matrix.
+    """
+    rows, normalize, eliminate = _row_operations(spec)
+    pivots: dict[int, tuple] = {}
+    for row in rows:
+        for col, pivot_row in pivots.items():
+            row = eliminate(row, pivot_row, col)
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is not None:
+            row = normalize(row, col)
+            pivots = {c: eliminate(other, row, col) for c, other in pivots.items()}
+            pivots[col] = row
+    return sorted(pivots.items())
 
 
 # ---------------------------------------------------------------------------
@@ -428,33 +469,6 @@ class FlatPoset:
         }
 
 
-def _eliminate(row: tuple, pivot_row: tuple, col: int) -> tuple:
-    """row minus row[col] times pivot_row, whose entry in column col is one."""
-    factor = row[col]
-    if not factor:
-        return row
-    return tuple(x - factor * y if y else x for x, y in zip(row, pivot_row))
-
-
-def _lead_positive(residue: tuple, col: int) -> tuple:
-    """A primitive integer row, negated if its entry in col is negative."""
-    return residue if residue[col] > 0 else tuple(-x for x in residue)
-
-
-def _eliminate_integer(row: tuple, pivot_row: tuple, col: int) -> tuple:
-    """p * row - row[col] * pivot_row over the gcd, with p = pivot_row[col] > 0.
-
-    Fraction-free: the result is primitive and zero in column col.
-    """
-    factor = row[col]
-    if not factor:
-        return row
-    p = pivot_row[col]
-    out = [p * x - factor * y for x, y in zip(row, pivot_row)]
-    g = math.gcd(*out)
-    return tuple(out) if g < 2 else tuple([x // g for x in out])
-
-
 def flat_poset(spec: ArrangementSpec) -> FlatPoset:
     """All nonempty intersections, with Mobius values from the top.
 
@@ -487,21 +501,7 @@ def flat_poset(spec: ArrangementSpec) -> FlatPoset:
     consequence and is exercised by the tests.
     """
     dim = spec.dim
-    if spec.field.is_rational:
-        rows = spec._integer_rows
-        normalize, eliminate = _lead_positive, _eliminate_integer
-    else:
-        rows = [tuple(_hyperplane_row(h)) for h in spec.hyperplanes]
-        one = spec.field.one()
-
-        def normalize(residue: tuple, col: int) -> tuple:
-            lead = residue[col]
-            if lead == one:
-                return residue
-            inv = one / lead
-            return tuple(x * inv if x else x for x in residue)
-
-        eliminate = _eliminate
+    rows, normalize, eliminate = _row_operations(spec)
     members_of = [frozenset()]
     dims = [dim]
     covers: list[list[int]] = [[]]
@@ -825,48 +825,23 @@ def enumerate_chambers(spec: ArrangementSpec, bound: Optional[Fraction] = None) 
 
 
 # ---------------------------------------------------------------------------
-# Centrality, essentialization, simpliciality
+# Centrality and simpliciality
 # ---------------------------------------------------------------------------
 
 
 def common_point(spec: ArrangementSpec) -> Optional[list]:
-    system = _AffineSystem(
-        spec.field, spec.dim, [_hyperplane_row(h) for h in spec.hyperplanes]
-    )
-    return system.particular_solution() if system.consistent else None
+    """A point on every hyperplane, or None when the hyperplanes share none.
 
-
-def essentialize(spec: ArrangementSpec) -> ArrangementSpec:
-    """Quotient a central arrangement by the common intersection subspace.
-
-    Coordinates are taken along a row-space basis of the normal matrix; each
-    normal is rewritten in those coordinates.  Offsets become zero after
-    translating a common point to the origin.
+    Read off the reduced echelon form of the rows [a | b], with every free
+    coordinate zero.  Over Q the pivot entries are positive integers, over
+    Q(zeta_m) they are one.
     """
-    center = common_point(spec)
-    if center is None:
-        raise CentralityError("essentialization requires a central arrangement")
-    field = spec.field
-    zero = field.zero()
-    normals = [list(h.normal) for h in spec.hyperplanes]
-    basis, _ = _rref(normals, field)
-    rank = len(basis)
-    if rank == spec.dim and all(c == zero for c in center):
-        return spec
-    new_rows = []
-    for h in spec.hyperplanes:
-        # solve a = sum c_k basis_k; with basis in RREF the coefficients are
-        # read off at the pivot columns after elimination
-        system_rows = [list(col) for col in zip(*basis)]  # basis^T, rank columns
-        augmented = [row + [a] for row, a in zip(system_rows, h.normal)]
-        solved, pivots = _rref(augmented, field)
-        if rank in pivots:
-            raise CentralityError("normal escaped the row space; not central")
-        coeffs = [zero] * rank
-        for row, pivot in zip(solved, pivots):
-            coeffs[pivot] = row[rank]
-        new_rows.append((tuple(coeffs), zero))
-    return make_arrangement(rank, field, new_rows, label=f"{spec.label} (essential)")
+    point = [spec.field.zero()] * spec.dim
+    for col, row in _echelon(spec):
+        if col == spec.dim:
+            return None
+        point[col] = Fraction(row[-1], row[col]) if spec.field.is_rational else row[-1]
+    return point
 
 
 MAX_SIMPLICIAL_DIM = 6
@@ -893,7 +868,19 @@ class SimplicialityReport:
 
 
 def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
-    """Whether every chamber of the essentialized arrangement is simplicial.
+    """Whether every chamber of the essential arrangement is simplicial.
+
+    The essential arrangement is read off the echelon form that decides
+    centrality.  Let P be the pivot columns of the normal matrix, so rank =
+    |P|, and b_k the normal of the reduced row with pivot p_k, scaled to
+    one there.  A normal a is the combination sum of a[p_k] b_k, so in the
+    coordinates y_k = b_k . (x - center) of the quotient by the common
+    intersection, a . x - offset = sum of a[p_k] y_k: the projected row
+    [a[P] | 0] has the same sign as the hyperplane's row at every point.  A normal's first nonzero entry
+    lies in a pivot column, and two distinct normals first differ in a
+    pivot column, so the projected hyperplanes keep the spec's order and
+    orientation under make_arrangement's normalization and sort.  The sign
+    strings, and the order of wall_counts, are those of the essential spec.
 
     A chamber is simplicial when it has exactly rank walls with linearly
     independent normals.  Walls are read off the full chamber list: the i-th
@@ -917,12 +904,15 @@ def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
         raise SizeGuardError(
             f"simpliciality capped at {MAX_SIMPLICIAL_HYPERPLANES} hyperplanes"
         )
-    essential = essentialize(spec)  # raises CentralityError when not central
-    rank = essential.dim
+    pivots = [col for col, _ in _echelon(spec)]
+    if spec.dim in pivots:
+        raise CentralityError("simpliciality requires a central arrangement")
+    rank = len(pivots)
     if rank > MAX_SIMPLICIAL_DIM:
         raise SizeGuardError(f"simpliciality capped at rank {MAX_SIMPLICIAL_DIM}")
-    raw = _enumerate_chambers(essential._integer_rows, rank)
-    count = len(essential.hyperplanes)
+    essential = [[row[p] for p in pivots] + [0] for row in spec._integer_rows]
+    raw = _enumerate_chambers(essential, rank)
+    count = len(spec.hyperplanes)
     bits = [1 << i for i in range(count)]
     wall_counts = tuple(
         sum(mask ^ bit in raw for bit in bits)
@@ -1072,36 +1062,25 @@ def delete_hyperplane(spec: ArrangementSpec, index: int) -> ArrangementSpec:
 
 
 def restrict_to_hyperplane(spec: ArrangementSpec, index: int) -> ArrangementSpec:
-    """The multiset of traces K cap H as an arrangement inside H."""
-    field = spec.field
-    zero = field.zero()
-    h = spec.hyperplanes[index]
-    # parametrize H: x = anchor + B^T y with B a null-space basis of normal
-    system = _AffineSystem(field, spec.dim, [_hyperplane_row(h)])
-    anchor = system.particular_solution()
-    reduced, pivots = _rref([list(h.normal)], field)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(spec.dim) if c not in pivot_set]
-    basis = []
-    for c in free_cols:
-        vec = [zero] * spec.dim
-        vec[c] = field.one()
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[c]
-        basis.append(vec)
+    """The multiset of traces K cap H as an arrangement inside H.
+
+    H's row, normalized at its first nonzero column p, eliminates column p
+    from every other row; on H the result is the trace's equation in the
+    remaining coordinates.  Rows whose normal vanishes are parallel to H
+    and have no trace.
+    """
+    rows, normalize, eliminate = _row_operations(spec)
+    onto = rows[index]
+    p = next(c for c, x in enumerate(onto) if x)
+    onto = normalize(onto, p)
     traces = []
-    for i, other in enumerate(spec.hyperplanes):
+    for i, row in enumerate(rows):
         if i == index:
             continue
-        new_normal = tuple(
-            sum((b * a for b, a in zip(vec, other.normal)), zero) for vec in basis
-        )
-        if all(v == zero for v in new_normal):
-            continue  # parallel to H, empty trace
-        new_offset = other.offset - sum(
-            (a * x for a, x in zip(other.normal, anchor)), zero
-        )
-        traces.append((new_normal, new_offset))
+        row = eliminate(row, onto, p)
+        normal = row[:p] + row[p + 1 : -1]
+        if any(normal):
+            traces.append((normal, row[-1]))
     return make_arrangement(
-        len(free_cols), field, traces, label=f"{spec.label} | {index}"
+        spec.dim - 1, spec.field, traces, label=f"{spec.label} | {index}"
     )

@@ -8,7 +8,8 @@ configuration are byte-identical; tables are rendered from that same JSON.
 
 Exit codes: 0 success; 2 unparseable input, unknown ids, invalid models,
 JSON rationals past exactfield.MAX_RATIONAL_DIGITS digits;
-3 reflector features; 4 size guard rails (arrangement size, squaring n,
+3 reflector features; 4 size guard rails (arrangement size, cyclotomic
+field order arrangement.MAX_FIELD_ORDER, squaring n,
 qE logarithm combinations covering.MAX_EXP_COMBINATIONS, groupoid group
 order groupoid.MAX_GROUP_ORDER, negation and rotation point count
 groupoid.MAX_ACTION_POINTS, `forget` size MAX_FORGET_PAIRS, `obstruction`
@@ -164,6 +165,8 @@ def _builder_spec(args) -> tuple[ArrangementSpec, dict]:
     data = _load_input(args.spec)
     try:
         return ArrangementSpec.from_json(data), {"input": data}
+    except SizeGuardError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_INPUT, f"bad arrangement spec: {exc}") from exc
 

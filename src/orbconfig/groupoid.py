@@ -1069,18 +1069,18 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
         raise InvalidModelError(f"malformed groupoid spec: {exc}") from exc
     if set(identity) != set(objects):
         # JSON object keys are strings; tolerate integer-labeled objects
-        coerced = {}
-        for key, value in identity.items():
-            coerced[_coerce_label(key, objects)] = value
-        identity = coerced
-    inverse = { _coerce_label(k, morphisms): v for k, v in inverse.items() }
+        coerce = _label_coercion(objects)
+        identity = {coerce(key): value for key, value in identity.items()}
+    coerce = _label_coercion(morphisms)
+    inverse = {coerce(key): value for key, value in inverse.items()}
     return FiniteGroupoid(objects, morphisms, source, target, compose, identity, inverse)
 
 
-def _coerce_label(key, universe):
-    if key in set(universe):
-        return key
-    for candidate in universe:
-        if str(candidate) == key:
-            return candidate
-    return key
+def _label_coercion(universe):
+    """Map a JSON object key to a label: the key itself when it is one, else
+    the first label whose str() is the key, else the key unchanged."""
+    labels = set(universe)
+    by_text = {}
+    for label in universe:
+        by_text.setdefault(str(label), label)
+    return lambda key: key if key in labels else by_text.get(key, key)

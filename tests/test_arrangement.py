@@ -30,7 +30,6 @@ from orbconfig.arrangement import (
     common_point,
     delete_hyperplane,
     enumerate_chambers,
-    essentialize,
     finite_field_count,
     flat_poset,
     good_primes,
@@ -467,20 +466,185 @@ def test_enumeration_matches_fourier_motzkin_feasibility(dim, data):
 
 # -- centrality, essentialization, simpliciality ----------------------------
 
+# Oracles by field division, sharing no code with the integer elimination:
+# a reduced row echelon form, the common point read off it, essentialization
+# in the coordinates of a row-space basis of the normals, and restriction by
+# a null-space parametrization of the hyperplane.
+
+
+def _oracle_rref(rows, field):
+    """(nonzero rows, pivot columns) of the reduced row echelon form."""
+    zero, one = field.zero(), field.one()
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = one / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != zero:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _oracle_common_point(spec):
+    rows = [list(h.normal) + [h.offset] for h in spec.hyperplanes]
+    reduced, pivots = _oracle_rref(rows, spec.field)
+    if spec.dim in pivots:
+        return None
+    point = [spec.field.zero()] * spec.dim
+    for row, pivot in zip(reduced, pivots):
+        point[pivot] = row[spec.dim]
+    return point
+
+
+def _oracle_essentialize(spec):
+    """The central spec in the coordinates of a row-space basis of its
+    normals, each normal solved for against that basis, offsets zero."""
+    center = _oracle_common_point(spec)
+    assert center is not None
+    field = spec.field
+    zero = field.zero()
+    basis, _ = _oracle_rref([list(h.normal) for h in spec.hyperplanes], field)
+    rank = len(basis)
+    if rank == spec.dim and all(c == zero for c in center):
+        return spec
+    new_rows = []
+    for h in spec.hyperplanes:
+        augmented = [list(col) + [a] for col, a in zip(zip(*basis), h.normal)]
+        solved, pivots = _oracle_rref(augmented, field)
+        assert rank not in pivots
+        coeffs = [zero] * rank
+        for row, pivot in zip(solved, pivots):
+            coeffs[pivot] = row[rank]
+        new_rows.append((tuple(coeffs), zero))
+    return make_arrangement(rank, field, new_rows, label=f"{spec.label} (essential)")
+
+
+def _oracle_restrict(spec, index):
+    """Traces on H, parametrized as x = anchor + sum of y_c times the
+    null-space basis vectors of H's normal, one per free column c."""
+    field = spec.field
+    zero, one = field.zero(), field.one()
+    h = spec.hyperplanes[index]
+    reduced, pivots = _oracle_rref([list(h.normal) + [h.offset]], field)
+    anchor = [zero] * spec.dim
+    anchor[pivots[0]] = reduced[0][spec.dim]
+    basis = []
+    for c in range(spec.dim):
+        if c != pivots[0]:
+            vec = [zero] * spec.dim
+            vec[c] = one
+            vec[pivots[0]] = -reduced[0][c]
+            basis.append(vec)
+    traces = []
+    for i, other in enumerate(spec.hyperplanes):
+        if i == index:
+            continue
+        normal = tuple(sum((b * a for b, a in zip(vec, other.normal)), zero) for vec in basis)
+        if any(v != zero for v in normal):
+            offset = other.offset - sum((a * x for a, x in zip(other.normal, anchor)), zero)
+            traces.append((normal, offset))
+    return make_arrangement(spec.dim - 1, field, traces, label=f"{spec.label} | {index}")
+
 
 def test_common_point_and_essentialize():
     spec = braid_arrangement(3)
     assert common_point(spec) == [F(0), F(0), F(0)]
-    essential = essentialize(spec)
+    essential = _oracle_essentialize(spec)
     assert essential.dim == 2
     assert len(essential.hyperplanes) == 3
     assert chamber_count(flat_poset(essential))[0] == 6
+    report = is_simplicial(spec)
+    assert (report.rank, report.chamber_count) == (2, 6)
     already = rotation_arrangement(2, 2)
-    assert essentialize(already) is already
+    assert _oracle_essentialize(already) is already
     offcenter = lines((1, 0, 0), (1, 0, 1))
     assert common_point(offcenter) is None
     with pytest.raises(CentralityError):
-        essentialize(offcenter)
+        is_simplicial(offcenter)
+
+
+def _wall_counts(realized):
+    """Walls per chamber, in sorted sign-string order."""
+    return tuple(len(_walls(signs, realized)) for signs in sorted(realized))
+
+
+@st.composite
+def _affine_specs(draw, field=QQ):
+    """Specs in dimension 1..4, central about a random point in about half
+    of the draws, with normals often in a proper subspace so that the
+    common intersection has lineality directions."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    small = st.integers(min_value=-2, max_value=2)
+    if field.is_rational:
+        scalar = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    else:
+        scalar = st.lists(small, min_size=1, max_size=2).map(
+            lambda c: Cyclotomic(field.order, c)
+        )
+    span = draw(st.lists(st.tuples(*([small] * dim)), min_size=1, max_size=dim))
+    center = draw(st.tuples(*([scalar] * dim))) if draw(st.booleans()) else None
+    raw = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        if draw(st.booleans()):
+            coeffs = [draw(small) for _ in span]
+            normal = [sum(c * v[j] for c, v in zip(coeffs, span)) for j in range(dim)]
+            normal = tuple(draw(scalar) * field.coerce(a) for a in normal)
+        else:
+            normal = tuple(draw(scalar) for _ in range(dim))
+        if not any(normal):
+            continue
+        if center is None:
+            offset = draw(scalar)
+        else:
+            offset = sum((a * x for a, x in zip(normal, center)), field.zero())
+        raw.append((normal, offset))
+    return make_arrangement(dim, field, raw)
+
+
+def _assert_point_and_traces_match_the_oracles(spec):
+    assert common_point(spec) == _oracle_common_point(spec)
+    for i in range(len(spec.hyperplanes)):
+        assert restrict_to_hyperplane(spec, i) == _oracle_restrict(spec, i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_affine_specs())
+def test_integer_elimination_matches_the_division_oracles_over_q(spec):
+    _assert_point_and_traces_match_the_oracles(spec)
+    if common_point(spec) is None:
+        with pytest.raises(CentralityError):
+            is_simplicial(spec)
+        return
+    essential = _oracle_essentialize(spec)
+    realized = enumerate_chambers(essential).sign_vectors()
+    report = is_simplicial(spec)
+    assert report.rank == essential.dim
+    assert report.chamber_count == len(realized)
+    assert report.wall_counts == _wall_counts(realized)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), m=st.sampled_from([3, 4, 5]))
+def test_field_elimination_matches_the_division_oracles_over_cyclotomics(data, m):
+    _assert_point_and_traces_match_the_oracles(
+        data.draw(_affine_specs(ScalarField("cyclotomic", m)))
+    )
+
+
+def test_rotation_specs_match_the_division_oracles():
+    for n, m in [(2, 3), (3, 3), (3, 4), (2, 5)]:
+        _assert_point_and_traces_match_the_oracles(rotation_arrangement(n, m))
 
 
 def test_is_simplicial_on_sector_arrangements():
@@ -537,7 +701,7 @@ def test_chambers_with_rank_walls_have_independent_walls(dim, data):
     if not raw:
         return
     spec = make_arrangement(dim, QQ, raw)
-    essential = essentialize(spec)
+    essential = _oracle_essentialize(spec)
     rank = essential.dim
     realized = enumerate_chambers(essential).sign_vectors()
     simplicial = True

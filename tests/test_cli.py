@@ -7,12 +7,14 @@ main() exactly the way a shell would.
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
 
 from orbconfig import __version__
 from orbconfig import cli
+from orbconfig.arrangement import MAX_FIELD_ORDER
 from orbconfig.cli import main
 from orbconfig.exactfield import MAX_RATIONAL_DIGITS
 from orbconfig.obstruction import MAX_WITNESS_STEPS, NoWitnessError
@@ -203,6 +205,51 @@ def test_arrangement_builder_requires_n(capsys):
 
 def test_arrangement_without_input_exit_2(capsys):
     assert run(capsys, ["arrangement"])[0] == 2
+
+
+def _cyclotomic_spec(m, dim=4, count=8):
+    """count hyperplanes in Q^dim over Q(zeta_m), each coefficient a + b zeta
+    with a and b drawn from -1, 0 and 1 by a generator seeded with m."""
+    rng = random.Random(m)
+
+    def scalar():
+        return {"coeffs": [rng.randint(-1, 1), rng.randint(-1, 1)]}
+
+    return json.dumps({
+        "schema": 1,
+        "dim": dim,
+        "field": {"type": "cyclotomic", "m": m},
+        "hyperplanes": [
+            {"normal": [scalar() for _ in range(dim)], "offset": {"coeffs": [0]}}
+            for _ in range(count)
+        ],
+    })
+
+
+@pytest.mark.parametrize("m", [MAX_FIELD_ORDER + 1, 30011])
+def test_arrangement_field_order_rail_exit_4(capsys, m):
+    # three lines in Q^2 over Q(zeta_30011) ran past 30 s when the order was
+    # not read against a rail
+    start = time.monotonic()
+    code, out, err = run(capsys, ["arrangement", _cyclotomic_spec(m, dim=2, count=3)])
+    assert time.monotonic() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert f"m <= {MAX_FIELD_ORDER}" in err
+
+
+def test_arrangement_at_the_field_order_rail_within_budget(capsys):
+    # MAX_FIELD_ORDER is the largest admitted order, and 13 (phi = 12) the
+    # costliest below it.  About 0.4 s together on a 2-core host; the
+    # budget keeps wide headroom.
+    start = time.perf_counter()
+    for m in (MAX_FIELD_ORDER, 13):
+        code, env = run_json(capsys, ["arrangement", _cyclotomic_spec(m)])
+        assert code == 0
+        assert env["report"]["field"] == {"type": "cyclotomic", "m": m}
+        assert env["report"]["rank"] == 4
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, f"arrangements at the field order rail took {elapsed:.1f} s"
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,28 @@ def test_groupoid_from_json_roundtrip():
     assert report.passed
 
 
+def test_groupoid_from_json_coerces_string_keys_to_integer_labels():
+    # the pair groupoid on objects 0 and 1: JSON object keys are strings,
+    # so identities and inverses name the integer labels by their text
+    ends = {10: (0, 0), 11: (1, 1), 12: (0, 1), 13: (1, 0)}
+    compose = [
+        [g, f, next(h for h, e in ends.items() if e == (ends[f][0], ends[g][1]))]
+        for g in ends
+        for f in ends
+        if ends[g][0] == ends[f][1]
+    ]
+    groupoid = groupoid_from_json({
+        "objects": [0, 1],
+        "morphisms": [{"id": m, "src": s, "tgt": t} for m, (s, t) in ends.items()],
+        "identities": {"0": 10, "1": 11},
+        "compose": compose,
+        "inverses": {"10": 10, "11": 11, "12": 13, "13": 12},
+    })
+    assert groupoid.identity == {0: 10, 1: 11}
+    assert groupoid.inverse == {10: 10, 11: 11, 12: 13, 13: 12}
+    assert groupoid.verify_axioms().passed
+
+
 def test_corrupted_composition_table_names_the_triple():
     groupoid = groupoid_from_json(_cyclic3_spec(corrupt=True))
     report = groupoid.verify_axioms()
