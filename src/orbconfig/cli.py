@@ -6,8 +6,11 @@ the subcommand, the fully resolved run configuration, and the seed.  JSON
 output is canonical (sorted keys, no whitespace), so reruns with the same
 configuration are byte-identical; tables are rendered from that same JSON.
 
-Exit codes: 0 success; 2 unparseable input, unknown ids, invalid models,
-JSON rationals past exactfield.MAX_RATIONAL_DIGITS digits;
+Exit codes (main applies the table EXIT_CODES): 0 success; 2 unparseable
+input, unknown ids, invalid models, JSON rationals past
+exactfield.MAX_RATIONAL_DIGITS digits, JSON nested deeper than
+MAX_JSON_DEPTH, a negation or rotation point count below 1, an unknown
+`classify` key, an unreadable input file or unwritable --out path;
 3 reflector features; 4 size guard rails (arrangement size, cyclotomic
 field order arrangement.MAX_FIELD_ORDER, squaring n,
 qE logarithm combinations covering.MAX_EXP_COMBINATIONS, groupoid group
@@ -22,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional
 
@@ -40,7 +45,6 @@ from .arrangement import (
 from .covering import DEFAULT_EPS, verify_cover
 from .exactfield import json_int
 from .groupoid import (
-    InvalidModelError,
     _freeze,
     _json_shape,
     forget_map,
@@ -56,7 +60,6 @@ from .groupoid import (
 )
 from .obstruction import NoWitnessError, quasifibration_witness
 from .orbit_config import (
-    MembershipError,
     braid_arrangement,
     rotation_arrangement,
     sign_flip_arrangement,
@@ -82,30 +85,46 @@ BUILDER_SIZES = {
 # `forget` builds the n-point configuration groupoid, whose composable pairs
 # number at most (|points| * |group|^2)^n; its compose table is the cost
 MAX_FORGET_PAIRS = 500_000
+# deepest nesting of JSON arrays and objects an input may use, checked on
+# the text before the parser or any model builder recurses into it
+MAX_JSON_DEPTH = 100
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+# The exit code of each exception main() reports, first match wins; any
+# other exception is a bug and keeps its traceback.
+EXIT_CODES = {
+    ReflectorError: EXIT_REFLECTOR,
+    SizeGuardError: EXIT_GUARD,
+    NoWitnessError: EXIT_NO_WITNESS,
+    ValueError: EXIT_INPUT,
+    KeyError: EXIT_INPUT,
+    TypeError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
+}
 
 
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+def _nesting_depth(text: str) -> int:
+    """How deep the arrays and objects of JSON text nest, counted from the
+    brackets outside its strings."""
+    brackets = re.findall(r"[][{}]", _JSON_STRING.sub("", text))
+    return max(accumulate(1 if b in "[{" else -1 for b in brackets), default=0)
 
 
 def _load_input(argument: str) -> dict:
     """Inline JSON (starts with '{') or a path to a UTF-8 JSON file."""
     text = argument
     if not argument.lstrip().startswith("{"):
-        try:
-            text = Path(argument).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read {argument}: {exc}") from exc
+        text = Path(argument).read_text(encoding="utf-8")
+    if _nesting_depth(text) > MAX_JSON_DEPTH:
+        raise ValueError(f"input JSON nests deeper than {MAX_JSON_DEPTH} levels")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(EXIT_INPUT, f"malformed JSON: {exc}") from exc
+        raise ValueError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise CliError(EXIT_INPUT, "input must be a JSON object")
+        raise ValueError("input must be a JSON object")
     if data.get("schema") != 1:
-        raise CliError(EXIT_INPUT, 'input must declare "schema": 1')
+        raise ValueError('input must declare "schema": 1')
     return data
 
 
@@ -151,7 +170,7 @@ def _check_rails(dim: int, hyperplanes: int) -> None:
 def _builder_spec(args) -> tuple[ArrangementSpec, dict]:
     if args.builder:
         if args.n is None:
-            raise CliError(EXIT_INPUT, "builders require --n")
+            raise ValueError("builders require --n")
         _check_rails(*BUILDER_SIZES[args.builder](args.n, args.m))
         if args.builder == "braid":
             spec = braid_arrangement(args.n)
@@ -161,14 +180,9 @@ def _builder_spec(args) -> tuple[ArrangementSpec, dict]:
             spec = sign_flip_arrangement(args.n)
         return spec, {"builder": args.builder, "n": args.n, "m": args.m}
     if args.spec is None:
-        raise CliError(EXIT_INPUT, "provide --builder or an arrangement spec")
+        raise ValueError("provide --builder or an arrangement spec")
     data = _load_input(args.spec)
-    try:
-        return ArrangementSpec.from_json(data), {"input": data}
-    except SizeGuardError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_INPUT, f"bad arrangement spec: {exc}") from exc
+    return ArrangementSpec.from_json(data), {"input": data}
 
 
 def _cmd_arrangement(args) -> tuple[dict, dict, int]:
@@ -202,32 +216,21 @@ def _cmd_arrangement(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_verify_cover(args) -> tuple[dict, dict, int]:
-    try:
-        report = verify_cover(
-            args.map,
-            n=args.n,
-            samples=args.samples,
-            window=args.window,
-            eps=args.epsilon,
-            seed=args.seed,
-        )
-    except SizeGuardError:
-        raise
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    report = verify_cover(
+        args.map,
+        n=args.n,
+        samples=args.samples,
+        window=args.window,
+        eps=args.epsilon,
+        seed=args.seed,
+    )
     code = EXIT_OK if report.passed else EXIT_COVER_FAIL
     return report.to_json(), {"map": args.map, "n": args.n}, code
 
 
 def _cmd_obstruction(args) -> tuple[dict, dict, int]:
     data = _load_input(args.spec)
-    try:
-        action = action_from_json(data)
-    except (ReflectorError, SizeGuardError):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_INPUT, f"bad action spec: {exc}") from exc
-    report = quasifibration_witness(action, args.n)
+    report = quasifibration_witness(action_from_json(data), args.n)
     return report.to_json(), {"input": data, "n": args.n}, EXIT_OK
 
 
@@ -244,53 +247,50 @@ def _groupoid_action(data: dict):
 def _cmd_groupoid(args) -> tuple[dict, dict, int]:
     data = _load_input(args.spec)
     kind = data.get("type")
-    try:
-        if kind == "explicit":
-            groupoid = groupoid_from_json(data)
-            checks = [groupoid.verify_axioms().to_json()]
-            summary = {
-                "objects": len(groupoid.objects),
-                "morphisms": len(groupoid.morphisms),
-            }
-        elif kind == "subgroup_cover":
-            action = _groupoid_action(data)
-            subgroup = _element_set(data, "subgroup")
-            hom = subgroup_covering_hom(action, subgroup)
-            checks = [hom.verify().to_json(), is_covering_hom(hom).to_json()]
-            summary = {"points": len(action.points), "group_order": action.group.order}
-        elif kind == "forget":
-            action = _groupoid_action(data)
-            n = json_int(data.get("n", 2), "forget n")
-            width = len(action.points) * action.group.order**2
-            # capping the exponent keeps the test exact and cheap for huge n
-            if n > 1 and width ** min(n, MAX_FORGET_PAIRS.bit_length()) > MAX_FORGET_PAIRS:
-                raise SizeGuardError(
-                    f"forget with n = {n} exceeds the groupoid rail "
-                    f"((|points| * |group|^2)^n <= {MAX_FORGET_PAIRS})"
-                )
-            hom = forget_map(translation_groupoid(action, verify=False), n)
-            checks = [hom.verify().to_json(), is_covering_hom(hom).to_json()]
-            summary = {
-                "configuration_objects": len(hom.src.objects),
-                "base_objects": len(hom.dst.objects),
-            }
-        elif kind == "skeleton":
-            action = _groupoid_action(data)
-            hom = skeleton_inclusion(translation_groupoid(action, verify=False))
-            checks = [hom.verify().to_json(), is_equivalence(hom).to_json()]
-            summary = {"skeleton_objects": len(hom.src.objects)}
-        elif kind == "morita":
-            action = _groupoid_action(data)
-            first = _element_set(data, "n1")
-            second = _element_set(data, "n2")
-            triple = morita_triple(action, first, second)
-            body = triple.to_json()
-            body["model"] = kind
-            return body, {"input": data}, EXIT_OK
-        else:
-            raise CliError(EXIT_INPUT, f"unknown groupoid model type {kind!r}")
-    except KeyError as exc:
-        raise CliError(EXIT_INPUT, f"missing field in groupoid model: {exc}") from exc
+    if kind == "explicit":
+        groupoid = groupoid_from_json(data)
+        checks = [groupoid.verify_axioms().to_json()]
+        summary = {
+            "objects": len(groupoid.objects),
+            "morphisms": len(groupoid.morphisms),
+        }
+    elif kind == "subgroup_cover":
+        action = _groupoid_action(data)
+        subgroup = _element_set(data, "subgroup")
+        hom = subgroup_covering_hom(action, subgroup)
+        checks = [hom.verify().to_json(), is_covering_hom(hom).to_json()]
+        summary = {"points": len(action.points), "group_order": action.group.order}
+    elif kind == "forget":
+        action = _groupoid_action(data)
+        n = json_int(data.get("n", 2), "forget n")
+        width = len(action.points) * action.group.order**2
+        # capping the exponent keeps the test exact and cheap for huge n
+        if n > 1 and width ** min(n, MAX_FORGET_PAIRS.bit_length()) > MAX_FORGET_PAIRS:
+            raise SizeGuardError(
+                f"forget with n = {n} exceeds the groupoid rail "
+                f"((|points| * |group|^2)^n <= {MAX_FORGET_PAIRS})"
+            )
+        hom = forget_map(translation_groupoid(action), n)
+        checks = [hom.verify().to_json(), is_covering_hom(hom).to_json()]
+        summary = {
+            "configuration_objects": len(hom.src.objects),
+            "base_objects": len(hom.dst.objects),
+        }
+    elif kind == "skeleton":
+        action = _groupoid_action(data)
+        hom = skeleton_inclusion(translation_groupoid(action))
+        checks = [hom.verify().to_json(), is_equivalence(hom).to_json()]
+        summary = {"skeleton_objects": len(hom.src.objects)}
+    elif kind == "morita":
+        action = _groupoid_action(data)
+        first = _element_set(data, "n1")
+        second = _element_set(data, "n2")
+        triple = morita_triple(action, first, second)
+        body = triple.to_json()
+        body["model"] = kind
+        return body, {"input": data}, EXIT_OK
+    else:
+        raise ValueError(f"unknown groupoid model type {kind!r}")
     report = {
         "model": kind,
         "summary": summary,
@@ -404,41 +404,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         report, extra, code = args.handler(args)
-    except CliError as exc:
-        print(f"orbconfig: {exc}", file=sys.stderr)
-        return exc.code
-    except ReflectorError as exc:
-        print(f"orbconfig: {exc}", file=sys.stderr)
-        return EXIT_REFLECTOR
-    except SizeGuardError as exc:
-        print(f"orbconfig: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except NoWitnessError as exc:
-        print(f"orbconfig: {exc}", file=sys.stderr)
-        return EXIT_NO_WITNESS
-    except (InvalidModelError, MembershipError, ValueError, KeyError) as exc:
-        print(f"orbconfig: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    config = {
-        "subcommand": args.command,
-        "seed": args.seed,
-        "epsilon": args.epsilon,
-        "samples": args.samples,
-        "window": args.window,
-        "format": args.format,
-    }
-    config.update(extra)
-    envelope = {
-        "tool": "orbconfig",
-        "version": __version__,
-        "config": config,
-        "report": report,
-    }
-    _emit(envelope, args.format, args.out)
+        config = {
+            "subcommand": args.command,
+            "seed": args.seed,
+            "epsilon": args.epsilon,
+            "samples": args.samples,
+            "window": args.window,
+            "format": args.format,
+            **extra,
+        }
+        envelope = {"tool": "orbconfig", "version": __version__, "config": config, "report": report}
+        _emit(envelope, args.format, args.out)
+    except tuple(EXIT_CODES) as exc:
+        message = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        print(f"orbconfig: {message}", file=sys.stderr)
+        return next(exit_code for error, exit_code in EXIT_CODES.items() if isinstance(exc, error))
     return code
 
 

@@ -469,15 +469,11 @@ class _TranslationGroupoid(FiniteGroupoid):
         return {}
 
 
-def translation_groupoid(action: GroupAction, verify: bool = True) -> FiniteGroupoid:
+def translation_groupoid(action: GroupAction) -> FiniteGroupoid:
     """Objects are the points, morphisms the pairs (x, h) with s(x,h) = x,
-    t(x,h) = h(x), and (h(x), h') o (x, h) = (x, h'h)."""
-    groupoid = _TranslationGroupoid(action)
-    if verify:
-        report = groupoid.verify_axioms()
-        if not report:
-            raise InvalidModelError(f"translation groupoid failed axioms: {report.first_failure()}")
-    return groupoid
+    t(x,h) = h(x), and (h(x), h') o (x, h) = (x, h'h).  Lawful by
+    construction: GroupAction checked the action laws when it was built."""
+    return _TranslationGroupoid(action)
 
 
 @dataclass(frozen=True)
@@ -752,8 +748,8 @@ def skeleton_inclusion(groupoid: FiniteGroupoid) -> GroupoidHom:
 def subgroup_covering_hom(action: GroupAction, subgroup: frozenset) -> GroupoidHom:
     """G(S, H') -> G(S, H) for H' <= H: identity on points, inclusion on arrows."""
     restricted = action.restrict_group(subgroup)
-    small = translation_groupoid(restricted, verify=False)
-    big = translation_groupoid(action, verify=False)
+    small = translation_groupoid(restricted)
+    big = translation_groupoid(action)
     order, kept = action.group.order, [action.group.index[g] for g in restricted.group.elements]
     points = list(range(len(action.points)))
     arrows = [x * order + g for x in points for g in kept]
@@ -927,7 +923,7 @@ def _quotient_arrow(
     given the point and coset index of each point and element in fine."""
     fine_points, fine_cosets = projections
     coarse_action, coarse_points, coarse_cosets = action._quotient(outer)
-    coarse = translation_groupoid(coarse_action, verify=False)
+    coarse = translation_groupoid(coarse_action)
     point_map = [0] * len(fine._objects)
     for p, q in zip(fine_points, coarse_points):
         point_map[p] = q
@@ -954,7 +950,7 @@ def morita_triple(
             raise InvalidModelError(f"{sorted(map(repr, candidate))} is not a normal subgroup")
     intersection = frozenset(normal_first) & frozenset(normal_second)
     middle_action, *projections = action._quotient(intersection)
-    middle = translation_groupoid(middle_action, verify=False)
+    middle = translation_groupoid(middle_action)
     e1 = _quotient_arrow(action, middle, projections, frozenset(normal_first), "to_first")
     e2 = _quotient_arrow(action, middle, projections, frozenset(normal_second), "to_second")
     return MoritaTriple(
@@ -990,6 +986,8 @@ def _json_shape(value, shape: type, what: str):
 def _point_count(data: dict, kind: str) -> int:
     """The point count of a negation or rotation model, inside its rail."""
     n = json_int(data["n"], f"{kind} n")
+    if n < 1:
+        raise InvalidModelError(f"{kind} n must be at least 1, got {n}")
     if n > MAX_ACTION_POINTS:
         raise SizeGuardError(f"{kind} with n = {n} exceeds the groupoid rail (n <= {MAX_ACTION_POINTS})")
     return n

@@ -30,6 +30,11 @@ class DomainError(ValueError):
     """A point lies outside the domain of the action."""
 
 
+# the keys of an Orbifold2D JSON spec; any other key is refused, so a
+# misspelt field cannot fall back to its default
+_ORBIFOLD_KEYS = frozenset({"schema", "genus", "orientable", "punctures", "boundary", "cones", "reflectors"})
+
+
 @dataclass(frozen=True)
 class Orbifold2D:
     """A 2-orbifold without reflector features.
@@ -79,6 +84,9 @@ class Orbifold2D:
 
     @classmethod
     def from_json(cls, data: dict) -> "Orbifold2D":
+        unknown = sorted(set(data) - _ORBIFOLD_KEYS)
+        if unknown:
+            raise ValueError(f"unknown orbifold key {unknown[0]!r}")
         if data.get("reflectors"):
             raise ReflectorError(
                 "reflector features are not representable; double the orbifold "

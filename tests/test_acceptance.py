@@ -315,6 +315,7 @@ def test_groupoid_axioms_coverings_and_morita_exhaustively():
     assert inclusions >= 40
 
     base = translation_groupoid(GroupAction.negation_mod(6))
+    assert base.verify_axioms().passed
     for n in (2, 3):
         configuration = configuration_groupoid(base, n, verify=False)
         assert configuration.verify_axioms().passed

@@ -5,12 +5,17 @@ rendering are all part of the published interface, so these tests drive
 main() exactly the way a shell would.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
+import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbconfig import __version__
 from orbconfig import cli
@@ -797,3 +802,215 @@ def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["arrangement", "--builder", "nope", "--n", "2"])
     assert excinfo.value.code == 2
+
+
+def test_unwritable_out_exit_2(capsys):
+    code, out, err = run(capsys, ["classify", '{"schema":1}', "--out", "/nonexistent/report.json"])
+    assert (code, out) == (2, "")
+    assert err.startswith("orbconfig: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["groupoid", '{"schema":1,"type":"subgroup_cover","group":{"kind":"cyclic","n":2},"subgroup":[' + "[" * 900 + "]" * 900 + "]}"],
+        ["classify", '{"schema":1,"genus":' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ],
+    ids=["groupoid-900", "classify-100k"],
+)
+def test_json_nested_too_deep_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"deeper than {cli.MAX_JSON_DEPTH} levels" in err
+
+
+def test_json_nesting_bound_counts_brackets_outside_strings():
+    at_bound = "[" * (cli.MAX_JSON_DEPTH - 1) + "]" * (cli.MAX_JSON_DEPTH - 1)
+    assert cli._load_input('{"schema":1,"x":' + at_bound + "}")["schema"] == 1
+    assert cli._load_input('{"schema":1,"x":"' + "[{" * 500 + '\\"["}')["schema"] == 1
+    with pytest.raises(ValueError, match="deeper than"):
+        cli._load_input('{"schema":1,"x":[' + at_bound + "]}")
+
+
+@pytest.mark.parametrize(
+    "order, action",
+    [(2, {"kind": "negation", "n": 0}), (2, {"kind": "negation", "n": -4}), (4, {"kind": "rotation", "n": -4})],
+    ids=["negation-0", "negation-minus-4", "rotation-minus-4"],
+)
+def test_groupoid_point_count_below_1_exit_2(capsys, order, action):
+    model = {"schema": 1, "type": "skeleton", "group": {"kind": "cyclic", "n": order}, "action": action}
+    code, out, err = run(capsys, ["groupoid", json.dumps(model)])
+    assert (code, out) == (2, "")
+    assert f"{action['kind']} n must be at least 1" in err
+
+
+def test_classify_unknown_key_exit_2(capsys):
+    code, out, err = run(capsys, ["classify", '{"schema":1,"genus":0,"cone_orders":[2,3]}'])
+    assert (code, out) == (2, "")
+    assert "'cone_orders'" in err
+
+
+def test_missing_field_names_the_key(capsys):
+    code, out, err = run(capsys, ["obstruction", '{"schema":1,"kind":"rotation"}'])
+    assert (code, out) == (2, "")
+    assert err == "orbconfig: missing field 'order'\n"
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every argv and JSON input ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+_C2 = {"kind": "cyclic", "n": 2}
+FUZZ_SEEDS = {
+    "classify": [{"schema": 1, "genus": 0, "punctures": 1, "cones": [3]}],
+    "arrangement": [
+        {
+            "schema": 1,
+            "dim": 2,
+            "field": {"type": "Q"},
+            "hyperplanes": [{"normal": ["1", "0"], "offset": "0"}, {"normal": ["0", "1"], "offset": "1/2"}],
+        },
+        {"schema": 1, "dim": 2, "field": {"type": "cyclotomic", "m": 3}, "hyperplanes": [{"normal": [1, -1]}]},
+    ],
+    "obstruction": [
+        {"schema": 1, "kind": "rotation", "order": 2},
+        {"schema": 1, "kind": "rotation", "order": 3, "center": {"re": "1/2", "im": "0"}},
+        {"schema": 1, "kind": "sign_flip"},
+    ],
+    "groupoid": [
+        {"schema": 1, "type": "subgroup_cover", "group": {"kind": "cyclic", "n": 4}, "subgroup": [0, 2]},
+        {"schema": 1, "type": "morita", "group": {"kind": "klein"}, "n1": [[0, 0], [0, 1]], "n2": [[0, 0], [1, 0]]},
+        {"schema": 1, "type": "skeleton", "group": _C2, "action": {"kind": "negation", "n": 6}},
+        {"schema": 1, "type": "forget", "group": _C2, "action": {"kind": "rotation", "n": 4}, "n": 2},
+        {
+            "schema": 1,
+            "type": "skeleton",
+            "group": {"kind": "product", "factors": [_C2, _C2]},
+            "action": {"kind": "table", "points": [0], "table": [{"g": [a, b], "x": 0, "y": 0} for a in (0, 1) for b in (0, 1)]},
+        },
+        explicit_cyclic3(),
+    ],
+}
+FUZZ_KEYS = sorted(
+    {key for seeds in FUZZ_SEEDS.values() for seed in seeds for key in seed}
+    | {"normal", "offset", "m", "re", "im", "mode", "n", "factors", "g", "x", "y", "id", "src", "tgt", "reflectors"}
+)
+# a placeholder that the JSON text replaces by that many nested lists
+_DEEP = "deep-nesting-{}"
+_DEEP_TEXT = re.compile(r'"deep-nesting-(\d+)"')
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=12)
+    | st.floats(width=16)
+    | st.sampled_from(["0", "1/2", "-3/4", "1/0", "x", "Q", "cyclotomic", "cyclic", "dihedral", "klein", "product",
+                       "regular", "negation", "rotation", "table", "exact", "approx", "explicit", "forget", "g0"])
+    | st.text(max_size=4)
+    | st.integers(min_value=95, max_value=1100).map(_DEEP.format)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FUZZ_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _containers(value):
+    """The arrays and objects inside value, value first."""
+    found = [value]
+    for container in found:
+        items = container.values() if isinstance(container, dict) else container
+        found.extend(item for item in items if isinstance(item, (dict, list)))
+    return found
+
+
+@st.composite
+def mutated_json(draw, subcommand):
+    """JSON text of a valid input with up to three entries of its arrays and
+    objects replaced, dropped or added."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_SEEDS[subcommand]))))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        parent = draw(st.sampled_from(_containers(doc)))
+        keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
+        change = draw(st.sampled_from(["replace", "drop", "add"])) if keys else "add"
+        value = draw(_json_values)
+        if change == "add" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(FUZZ_KEYS))] = value
+        elif change == "add":
+            parent.append(value)
+        elif change == "drop":
+            del parent[draw(st.sampled_from(keys))]
+        else:
+            parent[draw(st.sampled_from(keys))] = value
+    return re.sub(_DEEP_TEXT, lambda m: "[" * int(m[1]) + "]" * int(m[1]), json.dumps(doc))
+
+
+# mostly valid option values, so most examples get past argparse
+_option_values = st.one_of(
+    st.integers(min_value=1, max_value=4).map(str),
+    st.integers(min_value=-2, max_value=5).map(str),
+    st.sampled_from(["x", "1.5", "nan", "inf", "1e-300", ""]),
+)
+_SHARED_OPTIONS = ["--seed", "--epsilon", "--samples", "--window", "--format", "--out"]
+_OWN_OPTIONS = {"arrangement": ["--builder", "--n", "--m"], "verify-cover": ["--n"], "obstruction": ["--n"]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    deep = root / "deep.json"
+    deep.write_text('{"schema":1,"x":' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    return {"deep": str(deep), "out": str(root / "report.json"), "dir": str(root)}
+
+
+def _fuzz_argv(data, files) -> list:
+    subcommand = data.draw(st.sampled_from(["classify", "arrangement", "verify-cover", "obstruction", "groupoid"]))
+    argv = [subcommand]
+    source = data.draw(st.integers(min_value=0, max_value=9))
+    if subcommand == "verify-cover":
+        argv.append(data.draw(st.sampled_from(["q", "squaring", "qE"]) if source < 8 else st.text(max_size=3)))
+    elif subcommand == "arrangement" and source == 9:
+        pass  # a --builder run, or no input at all
+    elif source < 8:
+        argv.append(data.draw(mutated_json(subcommand)))
+    else:
+        argv.append(data.draw(st.sampled_from([files["deep"], files["dir"], "/nonexistent/spec.json"]) | st.text(max_size=8)))
+    options = _SHARED_OPTIONS + _OWN_OPTIONS.get(subcommand, [])
+    for option in data.draw(st.lists(st.sampled_from(options), max_size=3, unique=True)):
+        if option == "--builder":
+            value = data.draw(st.sampled_from(["braid", "case1", "case3X", "nope"]))
+        elif option == "--format":
+            value = data.draw(st.sampled_from(["json", "table"]))
+        elif option == "--out":
+            value = data.draw(st.sampled_from([files["out"], files["dir"], "/nonexistent/report.json"]))
+        else:
+            value = data.draw(_option_values)
+        argv += [option, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_cli_ends_in_a_documented_exit_code(fuzz_files, data):
+    argv = _fuzz_argv(data, fuzz_files)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    except SystemExit as exc:  # argparse refusing the argv
+        code = exc.code
+    assert code in (0, 2, 3, 4, 5, 6), (argv, stderr.getvalue())
+    out = stdout.getvalue()
+    if code in (0, 5) and "--out" in argv:
+        assert out == "", argv
+        with open(fuzz_files["out"], encoding="utf-8") as report:
+            out = report.read()
+    if code not in (0, 5):
+        assert out == "", argv
+    elif "table" in argv:
+        assert out.startswith("config:\n") and out.endswith("\n")
+    else:
+        envelope = json.loads(out)
+        assert set(envelope) == {"tool", "version", "config", "report"}
+        assert out == json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"

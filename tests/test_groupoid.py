@@ -130,6 +130,7 @@ def test_translation_swap():
     assert len(groupoid.objects) == 2
     assert len(groupoid.morphisms) == 4
     assert len(orbit_space(groupoid)) == 1
+    assert groupoid.verify_axioms().passed
 
 
 def test_translation_cyclic_rotation_is_free_and_transitive():
@@ -139,6 +140,7 @@ def test_translation_cyclic_rotation_is_free_and_transitive():
     assert len(orbit_space(groupoid)) == 1
     loops = [m for m in groupoid.morphisms if groupoid.source[m] == groupoid.target[m]]
     assert len(loops) == 5  # identities only: the action is free
+    assert groupoid.verify_axioms().passed
 
 
 def test_negation_translation_counts():
