@@ -40,6 +40,8 @@ from .exactfield import (
     complex_to_cyclotomic,
     format_rational,
     json_int,
+    json_kind,
+    json_shape,
     parse_rational,
 )
 
@@ -72,6 +74,13 @@ class SizeGuardError(ValueError):
 # take 5.4 s at m = 3, 38 s at m = 11 and 66 s at m = 13 (phi = 12, the
 # largest admitted), and at m = 61, 8 hyperplanes in Q^4 run past 100 s.
 MAX_FIELD_ORDER = 16
+
+# the keys of an arrangement spec, of each of its hyperplanes and of each
+# field type; any other key is refused, so a misspelt optional field cannot
+# fall back to its default
+_SPEC_KEYS = frozenset({"schema", "dim", "field", "hyperplanes", "label"})
+_HYPERPLANE_KEYS = frozenset({"normal", "offset"})
+_FIELD_KEYS = {"Q": {"type"}, "cyclotomic": {"type", "m"}}
 
 
 @dataclass(frozen=True)
@@ -137,18 +146,14 @@ class ScalarField:
 
     @classmethod
     def from_json(cls, data: dict) -> "ScalarField":
-        if not isinstance(data, dict):
-            raise ValueError(f"field must be an object, got {data!r}")
-        if data.get("type") == "Q":
+        if json_kind(data, "field", _FIELD_KEYS, "type") == "Q":
             return cls("Q")
-        if data.get("type") == "cyclotomic":
-            order = json_int(data["m"], "field order m")
-            if order > MAX_FIELD_ORDER:
-                raise SizeGuardError(
-                    f"cyclotomic field order {order} exceeds the rail (m <= {MAX_FIELD_ORDER})"
-                )
-            return cls("cyclotomic", order)
-        raise ValueError(f"unknown field spec {data!r}")
+        order = json_int(data["m"], "field order m")
+        if order > MAX_FIELD_ORDER:
+            raise SizeGuardError(
+                f"cyclotomic field order {order} exceeds the rail (m <= {MAX_FIELD_ORDER})"
+            )
+        return cls("cyclotomic", order)
 
 
 QQ = ScalarField("Q")
@@ -263,18 +268,19 @@ class ArrangementSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "ArrangementSpec":
+        """A spec from JSON; a wrong shape or an unknown key raises
+        ValueError naming its path, such as ``hyperplanes[0] normal``."""
+        json_shape(data, dict, "arrangement spec", _SPEC_KEYS)
         field = ScalarField.from_json(data["field"])
         dim = json_int(data["dim"], "dim")
-        raw = [
-            (
-                tuple(
-                    field.scalar_from_json(a, f"hyperplanes[{i}] normal[{j}]")
-                    for j, a in enumerate(h["normal"])
-                ),
-                field.scalar_from_json(h.get("offset", 0), f"hyperplanes[{i}] offset"),
-            )
-            for i, h in enumerate(data["hyperplanes"])
-        ]
+        raw = []
+        for i, h in enumerate(json_shape(data["hyperplanes"], list, "hyperplanes")):
+            where = f"hyperplanes[{i}]"
+            json_shape(h, dict, where, _HYPERPLANE_KEYS)
+            normal = json_shape(h["normal"], list, f"{where} normal")
+            normal = tuple(field.scalar_from_json(a, f"{where} normal[{j}]") for j, a in enumerate(normal))
+            offset = field.scalar_from_json(h["offset"], f"{where} offset") if "offset" in h else field.zero()
+            raw.append((normal, offset))
         return make_arrangement(dim, field, raw, label=data.get("label", "custom"))
 
 

@@ -9,9 +9,11 @@ configuration are byte-identical; tables are rendered from that same JSON.
 Exit codes (main applies the table EXIT_CODES): 0 success; 2 unparseable
 input, unknown ids, invalid models, JSON rationals past
 exactfield.MAX_RATIONAL_DIGITS digits, JSON nested deeper than
-MAX_JSON_DEPTH, a negation or rotation point count below 1, an unknown
-`classify` key, an unreadable input file or unwritable --out path;
-3 reflector features; 4 size guard rails (arrangement size, cyclotomic
+MAX_JSON_DEPTH, a negation or rotation point count below 1, a key that
+an input object does not read, an unreadable input file or unwritable
+--out path;
+3 reflector features; 4 size guard rails (arrangement size
+arrangement.MAX_SIMPLICIAL_DIM and MAX_SIMPLICIAL_HYPERPLANES, cyclotomic
 field order arrangement.MAX_FIELD_ORDER, squaring n,
 qE logarithm combinations covering.MAX_EXP_COMBINATIONS, groupoid group
 order groupoid.MAX_GROUP_ORDER, negation and rotation point count
@@ -33,6 +35,8 @@ from typing import Optional
 
 from . import __version__
 from .arrangement import (
+    MAX_SIMPLICIAL_DIM,
+    MAX_SIMPLICIAL_HYPERPLANES,
     ArrangementSpec,
     SizeGuardError,
     chamber_count,
@@ -43,10 +47,9 @@ from .arrangement import (
     poincare_polynomial,
 )
 from .covering import DEFAULT_EPS, verify_cover
-from .exactfield import json_int
+from .exactfield import json_int, json_kind, json_shape
 from .groupoid import (
     _freeze,
-    _json_shape,
     forget_map,
     group_action_from_json,
     group_from_json,
@@ -73,8 +76,6 @@ EXIT_GUARD = 4
 EXIT_COVER_FAIL = 5
 EXIT_NO_WITNESS = 6
 
-MAX_CLI_DIM = 6
-MAX_CLI_HYPERPLANES = 16
 # (dim, hyperplane count) of each builder's arrangement, from --n and --m,
 # so the rails are checked before anything is built
 BUILDER_SIZES = {
@@ -89,6 +90,18 @@ MAX_FORGET_PAIRS = 500_000
 # the text before the parser or any model builder recurses into it
 MAX_JSON_DEPTH = 100
 _JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+# the keys each groupoid model type reads besides "schema" and "type"; any
+# other key is refused, so a misspelt optional field cannot take its default
+_MODEL_KEYS = {
+    kind: keys | {"schema", "type"}
+    for kind, keys in {
+        "explicit": {"objects", "morphisms", "compose", "identities", "inverses"},
+        "subgroup_cover": {"group", "action", "subgroup"},
+        "forget": {"group", "action", "n"},
+        "skeleton": {"group", "action"},
+        "morita": {"group", "action", "n1", "n2"},
+    }.items()
+}
 
 # The exit code of each exception main() reports, first match wins; any
 # other exception is a bug and keeps its traceback.
@@ -160,10 +173,10 @@ def _cmd_classify(args) -> tuple[dict, dict, int]:
 
 
 def _check_rails(dim: int, hyperplanes: int) -> None:
-    if dim > MAX_CLI_DIM or hyperplanes > MAX_CLI_HYPERPLANES:
+    if dim > MAX_SIMPLICIAL_DIM or hyperplanes > MAX_SIMPLICIAL_HYPERPLANES:
         raise SizeGuardError(
-            f"arrangement exceeds the CLI rails (dim <= {MAX_CLI_DIM}, "
-            f"<= {MAX_CLI_HYPERPLANES} hyperplanes)"
+            f"arrangement exceeds the CLI rails (dim <= {MAX_SIMPLICIAL_DIM}, "
+            f"<= {MAX_SIMPLICIAL_HYPERPLANES} hyperplanes)"
         )
 
 
@@ -235,7 +248,7 @@ def _cmd_obstruction(args) -> tuple[dict, dict, int]:
 
 
 def _element_set(data: dict, key: str) -> frozenset:
-    return frozenset(_freeze(el) for el in _json_shape(data[key], list, key))
+    return frozenset(_freeze(el) for el in json_shape(data[key], list, key))
 
 
 def _groupoid_action(data: dict):
@@ -246,7 +259,7 @@ def _groupoid_action(data: dict):
 
 def _cmd_groupoid(args) -> tuple[dict, dict, int]:
     data = _load_input(args.spec)
-    kind = data.get("type")
+    kind = json_kind(data, "groupoid model", _MODEL_KEYS, "type")
     if kind == "explicit":
         groupoid = groupoid_from_json(data)
         checks = [groupoid.verify_axioms().to_json()]
@@ -281,7 +294,7 @@ def _cmd_groupoid(args) -> tuple[dict, dict, int]:
         hom = skeleton_inclusion(translation_groupoid(action))
         checks = [hom.verify().to_json(), is_equivalence(hom).to_json()]
         summary = {"skeleton_objects": len(hom.src.objects)}
-    elif kind == "morita":
+    else:
         action = _groupoid_action(data)
         first = _element_set(data, "n1")
         second = _element_set(data, "n2")
@@ -289,8 +302,6 @@ def _cmd_groupoid(args) -> tuple[dict, dict, int]:
         body = triple.to_json()
         body["model"] = kind
         return body, {"input": data}, EXIT_OK
-    else:
-        raise ValueError(f"unknown groupoid model type {kind!r}")
     report = {
         "model": kind,
         "summary": summary,

@@ -150,10 +150,11 @@ def squaring_cover(ws: Sequence[ComplexPoint]) -> tuple[ComplexPoint, ...]:
     Output coordinates are pairwise distinct and never 1; the fiber over a
     generic image has the full 2^n sign choices.
     """
-    ws = tuple(ws)
-    if not is_orbit_config(SignFlipPunctured(), ws):
+    # w^2 is the sign flip's orbit invariant, so membership computes the image
+    is_config, squares = _config_invariants(SignFlipPunctured(), list(ws))
+    if not is_config:
         raise MembershipError("input is not a sign-flip configuration")
-    return tuple(w * w for w in ws)
+    return tuple(squares)
 
 
 def squaring_fiber(vs: Sequence[ComplexPoint], eps: float = DEFAULT_EPS) -> tuple[tuple, ...]:

@@ -20,7 +20,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import AbstractSet, Iterable, Optional, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -72,6 +72,30 @@ def json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def json_shape(value, shape: type, what: str, keys: Optional[AbstractSet[str]] = None):
+    """value, when it is the JSON object (shape dict) or list (shape list);
+    ValueError otherwise, or when an object has a key outside keys."""
+    if not isinstance(value, shape):
+        noun = "an object" if shape is dict else "a list"
+        raise ValueError(f"{what} must be {noun}, got {value!r}")
+    if keys is not None:
+        unknown = sorted(set(value) - keys)
+        if unknown:
+            raise ValueError(f"unknown {what} key {unknown[0]!r}")
+    return value
+
+
+def json_kind(data, what: str, keys: dict, field: str = "kind", error: type = ValueError) -> str:
+    """data[field] for a JSON object whose kinds are the keys of keys, once
+    data uses no key outside keys[data[field]].  An unknown kind raises
+    error; a wrong shape or an unknown key raises ValueError."""
+    kind = json_shape(data, dict, what).get(field)
+    if not isinstance(kind, str) or kind not in keys:
+        raise error(f"unknown {what} {field} {kind!r}")
+    json_shape(data, dict, f"{kind} {what}", keys[kind])
+    return kind
 
 
 def format_rational(q: RationalLike) -> str:
@@ -419,7 +443,7 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, order: int, data: dict, field: str = "element") -> "Cyclotomic":
-        coeffs = data["coeffs"]
+        coeffs = json_shape(json_shape(data, dict, field, {"coeffs"})["coeffs"], list, f"{field} coeffs")
         return cls(order, [parse_rational(c, f"{field} coeffs[{k}]") for k, c in enumerate(coeffs)])
 
 
@@ -628,11 +652,13 @@ class ComplexPoint:
     @classmethod
     def from_json(cls, data, field: str = "point") -> "ComplexPoint":
         """A point from "p/q" text or {"re", "im"[, "mode": "exact"]}; any
-        other mode, or a part parse_rational refuses, raises ValueError."""
+        other key or mode, or a part parse_rational refuses, raises
+        ValueError."""
         if isinstance(data, dict):
             mode = data.get("mode", "exact")
             if mode != "exact":
                 raise ValueError(f"points must be exact, got mode {mode!r}")
+            json_shape(data, dict, field, {"re", "im", "mode"})
             return cls.exact(
                 parse_rational(data["re"], f"{field} re"),
                 parse_rational(data.get("im", 0), f"{field} im"),

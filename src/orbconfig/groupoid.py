@@ -24,7 +24,7 @@ from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .arrangement import SizeGuardError
-from .exactfield import json_int
+from .exactfield import json_int, json_kind, json_shape
 from .groups import _MISSING, FiniteGroup, GroupAction, InvalidModelError
 
 # Largest group a JSON model may name.  Its Cayley table and a regular
@@ -975,12 +975,20 @@ def _freeze(value):
     return value
 
 
-def _json_shape(value, shape: type, what: str):
-    """value, when it is the JSON object (shape dict) or list (shape list)."""
-    if not isinstance(value, shape):
-        noun = "an object" if shape is dict else "a list"
-        raise InvalidModelError(f"{what} must be {noun}, got {value!r}")
-    return value
+# the keys each group and action model kind reads; any other key is refused,
+# so a misspelt field cannot fall back to a default
+_GROUP_KEYS = {
+    "cyclic": {"kind", "n"},
+    "dihedral": {"kind", "n"},
+    "klein": {"kind"},
+    "product": {"kind", "factors"},
+}
+_ACTION_KEYS = {
+    "regular": {"kind"},
+    "negation": {"kind", "n"},
+    "rotation": {"kind", "n"},
+    "table": {"kind", "points", "table"},
+}
 
 
 def _point_count(data: dict, kind: str) -> int:
@@ -1000,29 +1008,27 @@ def _guard_order(order: int) -> None:
 
 def group_from_json(data: dict) -> FiniteGroup:
     """The group a JSON model names; no table above MAX_GROUP_ORDER is built."""
-    kind = _json_shape(data, dict, "group model").get("kind")
+    kind = json_kind(data, "group model", _GROUP_KEYS, error=InvalidModelError)
     if kind in ("cyclic", "dihedral"):
         n = json_int(data["n"], f"{kind} n")
         _guard_order(n if kind == "cyclic" else 2 * n)
         return FiniteGroup.cyclic(n) if kind == "cyclic" else FiniteGroup.dihedral(n)
     if kind == "klein":
         return FiniteGroup.klein()
-    if kind == "product":
-        factors = [group_from_json(f) for f in _json_shape(data["factors"], list, "product factors")]
-        if len(factors) < 2:
-            raise InvalidModelError("product needs at least two factors")
-        _guard_order(prod(g.order for g in factors))
-        out = factors[0]
-        for nxt in factors[1:]:
-            out = FiniteGroup.product(out, nxt)
-        return out
-    raise InvalidModelError(f"unknown group kind {kind!r}")
+    factors = [group_from_json(f) for f in json_shape(data["factors"], list, "product factors")]
+    if len(factors) < 2:
+        raise InvalidModelError("product needs at least two factors")
+    _guard_order(prod(g.order for g in factors))
+    out = factors[0]
+    for nxt in factors[1:]:
+        out = FiniteGroup.product(out, nxt)
+    return out
 
 
 def group_action_from_json(data: dict, group: FiniteGroup) -> GroupAction:
     """The action a JSON model names; negation and rotation models have at
     most MAX_ACTION_POINTS points."""
-    kind = _json_shape(data, dict, "action model").get("kind")
+    kind = json_kind(data, "action model", _ACTION_KEYS, error=InvalidModelError)
     if kind == "regular":
         return GroupAction.regular(group)
     if kind == "negation":
@@ -1037,14 +1043,12 @@ def group_action_from_json(data: dict, group: FiniteGroup) -> GroupAction:
         return GroupAction(group, base.points, table)
     if kind == "rotation":
         return GroupAction.rotation_mod(_point_count(data, kind), group.order)
-    if kind == "table":
-        points = [_freeze(p) for p in _json_shape(data["points"], list, "action points")]
-        table = {}
-        for row in _json_shape(data["table"], list, "action table"):
-            row = _json_shape(row, dict, "action table row")
-            table[(_freeze(row["g"]), _freeze(row["x"]))] = _freeze(row["y"])
-        return GroupAction(group, points, table)
-    raise InvalidModelError(f"unknown action kind {kind!r}")
+    points = [_freeze(p) for p in json_shape(data["points"], list, "action points")]
+    table = {}
+    for row in json_shape(data["table"], list, "action table"):
+        row = json_shape(row, dict, "action table row", {"g", "x", "y"})
+        table[(_freeze(row["g"]), _freeze(row["x"]))] = _freeze(row["y"])
+    return GroupAction(group, points, table)
 
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
@@ -1054,7 +1058,7 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
         morphisms = []
         source, target = {}, {}
         for row in data["morphisms"]:
-            label = _freeze(row["id"])
+            label = _freeze(json_shape(row, dict, "morphism", {"id", "src", "tgt"})["id"])
             morphisms.append(label)
             source[label] = _freeze(row["src"])
             target[label] = _freeze(row["tgt"])

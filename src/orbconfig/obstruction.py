@@ -148,9 +148,8 @@ def quasifibration_witness(action: PlanarAction, n: int) -> WitnessReport:
     chosen from the rational grid s + k/2; the remaining n-2 coordinates
     are shared free points in pairwise distinct orbits.  The verdict is
     not-quasifibration exactly when the two fiber b1 values differ.
-    When the action has an ``orbit_invariant``, a candidate's orbit is
-    compared with the chosen ones by hashing its invariant; otherwise it is
-    compared with each chosen point through same_orbit.
+    A candidate's orbit is compared with the chosen ones by hashing its
+    ``orbit_invariant``.
     """
     if n < 2:
         raise ValueError("the forgetting map needs n >= 2 coordinates")
@@ -163,8 +162,7 @@ def quasifibration_witness(action: PlanarAction, n: int) -> WitnessReport:
     if n - 1 > MAX_WITNESS_STEPS:
         raise NoWitnessError("could not place enough free witness coordinates")
     chosen: list[ComplexPoint] = [s]
-    invariant = action.orbit_invariant
-    taken = {invariant(s)} if invariant is not None else None
+    taken = {action.orbit_invariant(s)}
     step = 0
     while len(chosen) < n and step < MAX_WITNESS_STEPS:
         step += 1
@@ -173,14 +171,10 @@ def quasifibration_witness(action: PlanarAction, n: int) -> WitnessReport:
             continue
         if orbit_size(action, candidate) != order:
             continue
-        if taken is None:
-            if any(action.same_orbit(candidate, z) for z in chosen):
-                continue
-        else:
-            key = invariant(candidate)
-            if key in taken:
-                continue
-            taken.add(key)
+        key = action.orbit_invariant(candidate)
+        if key in taken:
+            continue
+        taken.add(key)
         chosen.append(candidate)
     if len(chosen) < n:
         raise NoWitnessError("could not place enough free witness coordinates")

@@ -46,29 +46,22 @@ def is_orbit_config(action: PlanarAction, points: Sequence[ComplexPoint]) -> boo
 
     Unlike same_orbit, a coordinate outside the domain makes the answer
     False rather than an error; the predicate decides membership in the
-    orbit configuration space.  When the action has an ``orbit_invariant``,
-    orbits are compared by hashing one invariant per point; otherwise every
-    pair goes through same_orbit.
+    orbit configuration space.  Orbits are compared by hashing one
+    ``orbit_invariant`` per point.
     """
     return _config_invariants(action, list(points))[0]
 
 
 def _config_invariants(
     action: PlanarAction, pts: list[ComplexPoint]
-) -> tuple[bool, Optional[list[ComplexPoint]]]:
+) -> tuple[bool, Optional[list]]:
     """is_orbit_config, plus the orbit invariant of each point when the
-    action has one and the points lie in its domain (None otherwise), so a
-    caller that needs the invariants does not compute them again."""
+    points lie in the action's domain (None otherwise), so a caller that
+    needs the invariants does not compute them again."""
     if not all(action.contains(z) for z in pts):
         return False, None
-    if action.orbit_invariant is not None:
-        keys = [action.orbit_invariant(z) for z in pts]
-        return len(set(keys)) == len(keys), keys
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if action.same_orbit(pts[i], pts[j]):
-                return False, None
-    return True, None
+    keys = [action.orbit_invariant(z) for z in pts]
+    return len(set(keys)) == len(keys), keys
 
 
 @dataclass(frozen=True)

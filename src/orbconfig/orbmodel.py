@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arrangement import SizeGuardError
-from .exactfield import ComplexPoint, format_rational, json_int
+from .exactfield import ComplexPoint, format_rational, json_int, json_kind, json_shape
 
 
 class ReflectorError(ValueError):
@@ -84,9 +84,7 @@ class Orbifold2D:
 
     @classmethod
     def from_json(cls, data: dict) -> "Orbifold2D":
-        unknown = sorted(set(data) - _ORBIFOLD_KEYS)
-        if unknown:
-            raise ValueError(f"unknown orbifold key {unknown[0]!r}")
+        json_shape(data, dict, "orbifold", _ORBIFOLD_KEYS)
         if data.get("reflectors"):
             raise ReflectorError(
                 "reflector features are not representable; double the orbifold "
@@ -206,6 +204,13 @@ _ONE = ComplexPoint.exact(1)
 _MINUS_ONE = ComplexPoint.exact(-1)
 _HALF = ComplexPoint.exact(Fraction(1, 2))
 
+# the keys of each planar action's JSON spec; "schema" is the CLI envelope's
+_ACTION_KEYS = {
+    "rotation": {"schema", "kind", "order", "center"},
+    "integer_dihedral": {"schema", "kind"},
+    "sign_flip": {"schema", "kind"},
+}
+
 #: Rail on rotation orders read from JSON: a rotation's orbit invariant is
 #: an order-th power, whose digit count grows linearly with the order.
 MAX_ROTATION_ORDER = 1024
@@ -222,9 +227,6 @@ class PlanarAction:
     kind: str = "abstract"
     #: number of points already removed from the planar domain
     domain_punctures: int = 0
-    #: z -> a value two points share exactly when they lie on one orbit, for
-    #: actions that have such an invariant in closed form; None otherwise
-    orbit_invariant = None
 
     def contains(self, z: ComplexPoint) -> bool:
         raise NotImplementedError
@@ -233,8 +235,14 @@ class PlanarAction:
         if not self.contains(z):
             raise DomainError(f"{z!r} is outside the domain of {self.kind}")
 
-    def same_orbit(self, z: ComplexPoint, w: ComplexPoint) -> bool:
+    def orbit_invariant(self, z: ComplexPoint):
+        """A value two domain points share exactly when they lie on one orbit."""
         raise NotImplementedError
+
+    def same_orbit(self, z: ComplexPoint, w: ComplexPoint) -> bool:
+        self.require_in_domain(z)
+        self.require_in_domain(w)
+        return self.orbit_invariant(z) == self.orbit_invariant(w)
 
     def special_points(self) -> tuple[tuple[ComplexPoint, int], ...]:
         """Orbit representatives with nontrivial isotropy, with their orders."""
@@ -276,9 +284,6 @@ class CyclicRotation(PlanarAction):
             z = z - self.center
         return z**self.order
 
-    def same_orbit(self, z, w) -> bool:
-        return self.orbit_invariant(z) == self.orbit_invariant(w)
-
     def special_points(self):
         if self.order >= 2:
             return ((self.center, self.order),)
@@ -311,11 +316,12 @@ class IntegerDihedral(PlanarAction):
     def contains(self, z) -> bool:
         return True
 
-    def same_orbit(self, z, w) -> bool:
-        diff, total = z - w, z + w
-        return (diff.im == 0 and diff.re.denominator == 1) or (
-            total.im == 0 and total.re.denominator == 1
-        )
+    def orbit_invariant(self, z: ComplexPoint) -> tuple[int, tuple[int, int]]:
+        # z = (a + b i) / d; shifting by an integer keeps d and b and moves a
+        # mod d, negating maps (a, b) to (-a, -b), so the orbit is fixed by d
+        # and the smaller of the two residue pairs
+        a, b, d = z._a, z._b, z._d
+        return d, min((a % d, b), (-a % d, -b))
 
     def special_points(self):
         return ((_ZERO, 2), (_HALF, 2))
@@ -344,11 +350,6 @@ class SignFlipPunctured(PlanarAction):
     def orbit_invariant(self, z: ComplexPoint) -> ComplexPoint:
         return z * z
 
-    def same_orbit(self, z, w) -> bool:
-        self.require_in_domain(z)
-        self.require_in_domain(w)
-        return self.orbit_invariant(z) == self.orbit_invariant(w)
-
     def special_points(self):
         return ((_ZERO, 2),)
 
@@ -365,10 +366,10 @@ def quotient_orbifold(action: PlanarAction) -> Orbifold2D:
 
 
 def action_from_json(data: dict) -> PlanarAction:
-    """A planar action from its JSON spec.  A rotation order must be a JSON
-    integer (ValueError otherwise) of at most MAX_ROTATION_ORDER
-    (SizeGuardError otherwise)."""
-    kind = data.get("kind")
+    """A planar action from its JSON spec.  An unknown kind or key raises
+    ValueError.  A rotation order must be a JSON integer (ValueError
+    otherwise) of at most MAX_ROTATION_ORDER (SizeGuardError otherwise)."""
+    kind = json_kind(data, "action", _ACTION_KEYS)
     if kind == "rotation":
         order = json_int(data["order"], "rotation order")
         if order > MAX_ROTATION_ORDER:
@@ -379,6 +380,4 @@ def action_from_json(data: dict) -> PlanarAction:
         return CyclicRotation(order, center)
     if kind == "integer_dihedral":
         return IntegerDihedral()
-    if kind == "sign_flip":
-        return SignFlipPunctured()
-    raise ValueError(f"unknown action kind {kind!r}")
+    return SignFlipPunctured()

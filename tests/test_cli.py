@@ -708,12 +708,12 @@ def test_groupoid_forget_size_rail_exit_4(capsys):
     ids=["group", "action", "factors", "subgroup", "morita_n1"],
 )
 def test_groupoid_wrong_json_shape_exit_2(capsys, change, message):
+    # no "subgroup" here: the morita case would refuse it as an unknown key
     model = {
         "schema": 1,
         "type": "subgroup_cover",
         "group": {"kind": "cyclic", "n": 2},
         "action": {"kind": "negation", "n": 6},
-        "subgroup": [0],
     }
     model.update(change)
     code, out, err = run(capsys, ["groupoid", json.dumps(model)])
@@ -781,6 +781,91 @@ def test_arrangement_string_dim_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "dim must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "field, hyperplanes, message",
+    [
+        ({"type": "Q"}, [5], "hyperplanes[0] must be an object"),
+        ({"type": "Q"}, [{"normal": [1, 0]}, {"normal": 5}], "hyperplanes[1] normal must be a list"),
+        ({"type": "Q"}, {"a": 1}, "hyperplanes must be a list"),
+        ({"type": "cyclotomic", "m": 3}, [{"normal": ["1", 0]}], "hyperplanes[0] normal[0] must be an object"),
+        (
+            {"type": "cyclotomic", "m": 3},
+            [{"normal": [{"coeffs": 1}, 0]}],
+            "hyperplanes[0] normal[0] coeffs must be a list",
+        ),
+        ({"type": "Q"}, [{"normal": [1, 0], "offest": "3"}], "unknown hyperplanes[0] key 'offest'"),
+    ],
+    ids=["hyperplane", "normal", "hyperplane_list", "cyclotomic_scalar", "coeffs", "hyperplane_key"],
+)
+def test_arrangement_wrong_json_shape_names_the_path_exit_2(capsys, field, hyperplanes, message):
+    spec = {"schema": 1, "dim": 2, "field": field, "hyperplanes": hyperplanes}
+    code, out, err = run(capsys, ["arrangement", json.dumps(spec)])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_arrangement_cyclotomic_offset_defaults_to_zero(capsys):
+    normal = [{"coeffs": ["1"]}, {"coeffs": ["0", "1"]}]
+    spec = {"schema": 1, "dim": 2, "field": {"type": "cyclotomic", "m": 3}, "hyperplanes": [{"normal": normal}]}
+    implicit = run_json(capsys, ["arrangement", json.dumps(spec)])
+    spec["hyperplanes"][0]["offset"] = {"coeffs": ["0"]}
+    explicit = run_json(capsys, ["arrangement", json.dumps(spec)])
+    assert implicit[0] == explicit[0] == 0
+    assert implicit[1]["report"] == explicit[1]["report"]
+
+
+@pytest.mark.parametrize(
+    "subcommand, model, key",
+    [
+        ("arrangement", {"dim": 2, "field": {"type": "Q"}, "hyperplanes": [], "lable": "x"}, "'lable'"),
+        (
+            "groupoid",
+            {"type": "forget", "group": {"kind": "cyclic", "n": 2}, "action": {"kind": "negation", "n": 6}, "N": 3},
+            "'N'",
+        ),
+        ("groupoid", {"type": "skeleton", "group": {"kind": "cyclic", "n": 2}, "n": 2}, "'n'"),
+        ("groupoid", {**explicit_cyclic3(), "identity": {}}, "'identity'"),
+        (
+            "groupoid",
+            {
+                **explicit_cyclic3(),
+                "morphisms": [{"id": f"g{k}", "src": "x", "tgt": "x", "inv": "g0"} for k in range(3)],
+            },
+            "'inv'",
+        ),
+        ("groupoid", {"type": "skeleton", "group": {"kind": "cyclic", "n": 2, "order": 4}}, "'order'"),
+        (
+            "groupoid",
+            {
+                "type": "skeleton",
+                "group": {"kind": "cyclic", "n": 1},
+                "action": {"kind": "table", "points": [0], "table": [{"g": 0, "x": 0, "y": 0, "h": 0}]},
+            },
+            "'h'",
+        ),
+        ("arrangement", {"dim": 2, "field": {"type": "Q", "m": 3}, "hyperplanes": []}, "'m'"),
+        ("obstruction", {"kind": "rotation", "order": 2, "centre": "1"}, "'centre'"),
+        ("obstruction", {"kind": "rotation", "order": 2, "center": {"re": "1", "img": "2"}}, "'img'"),
+    ],
+    ids=[
+        "arrangement",
+        "forget",
+        "skeleton",
+        "explicit",
+        "morphism",
+        "group",
+        "action_table_row",
+        "field",
+        "action",
+        "center",
+    ],
+)
+def test_unknown_key_exit_2(capsys, subcommand, model, key):
+    code, out, err = run(capsys, [subcommand, json.dumps({**model, "schema": 1})])
+    assert (code, out) == (2, "")
+    assert f"key {key}" in err
 
 
 def test_missing_file_exit_2(capsys, tmp_path):
@@ -871,6 +956,15 @@ FUZZ_SEEDS = {
             "hyperplanes": [{"normal": ["1", "0"], "offset": "0"}, {"normal": ["0", "1"], "offset": "1/2"}],
         },
         {"schema": 1, "dim": 2, "field": {"type": "cyclotomic", "m": 3}, "hyperplanes": [{"normal": [1, -1]}]},
+        {
+            "schema": 1,
+            "dim": 2,
+            "field": {"type": "cyclotomic", "m": 3},
+            "hyperplanes": [
+                {"normal": [{"coeffs": ["1"]}, {"coeffs": ["0", "-1"]}]},
+                {"normal": [{"coeffs": ["0"]}, {"coeffs": ["1"]}], "offset": {"coeffs": ["1/2", "1"]}},
+            ],
+        },
     ],
     "obstruction": [
         {"schema": 1, "kind": "rotation", "order": 2},

@@ -177,14 +177,18 @@ class _FreeInvolution(PlanarAction):
     def contains(self, z):
         return True
 
-    def same_orbit(self, z, w):
-        return z == w or z == w + 1 or w == z + 1
+    def orbit_invariant(self, z):
+        return z.re % 1, z.im
 
     def group_order(self):
         return 2
 
     def special_points(self):
         return ()
+
+
+def _fold(z):
+    return z - 2 if z.re >= 1 else z
 
 
 class _Folded(PlanarAction):
@@ -198,12 +202,8 @@ class _Folded(PlanarAction):
         return True
 
     def orbit_invariant(self, z):
-        if z.re >= 1:
-            z = z - 2
+        z = _fold(z)
         return z * z
-
-    def same_orbit(self, z, w):
-        return self.orbit_invariant(z) == self.orbit_invariant(w)
 
     def group_order(self):
         return 2
@@ -212,42 +212,71 @@ class _Folded(PlanarAction):
         return ((pt(0), 2),)
 
 
-class _PairwiseOnly(PlanarAction):
-    """Delegates to an action but hides its orbit invariant, so every orbit
-    comparison goes through same_orbit."""
+def _rotation_mates(order, center):
+    """w on the orbit of z: (w - c) / (z - c) is an order-th root of unity."""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.kind = inner.kind
-        self.domain_punctures = inner.domain_punctures
-        self.center = getattr(inner, "center", pt(0))
+    def mates(z, w):
+        if z == center or w == center:
+            return z == w
+        return ((w - center) / (z - center)) ** order == 1
 
-    def contains(self, z):
-        return self.inner.contains(z)
-
-    def same_orbit(self, z, w):
-        return self.inner.same_orbit(z, w)
-
-    def group_order(self):
-        return self.inner.group_order()
-
-    def special_points(self):
-        return self.inner.special_points()
-
-    def to_json(self):
-        return self.inner.to_json()
+    return mates
 
 
-@pytest.mark.parametrize(
-    "action",
-    [_Folded(), CyclicRotation(1, pt(1, 1)), CyclicRotation(3, pt(Fraction(1, 3), -1)), SignFlipPunctured()],
-    ids=["folded", "trivial", "rotation3", "sign-flip"],
-)
-def test_witness_hashed_invariants_match_the_pairwise_scan(action):
+# action -> (fixed point s, domain, pairwise orbit relation, whether a point
+# has a free orbit), each written out here rather than read from the action
+_PAIRWISE_ORACLES = {
+    "folded": (
+        _Folded(),
+        pt(0),
+        lambda z: True,
+        lambda z, w: _fold(w) in (_fold(z), -_fold(z)),
+        lambda z: bool(_fold(z)),
+    ),
+    "trivial": (
+        CyclicRotation(1, pt(1, 1)),
+        pt(1, 1),
+        lambda z: True,
+        _rotation_mates(1, pt(1, 1)),
+        lambda z: True,
+    ),
+    "rotation3": (
+        CyclicRotation(3, pt(Fraction(1, 3), -1)),
+        pt(Fraction(1, 3), -1),
+        lambda z: True,
+        _rotation_mates(3, pt(Fraction(1, 3), -1)),
+        lambda z: z != pt(Fraction(1, 3), -1),
+    ),
+    "sign-flip": (
+        SignFlipPunctured(),
+        pt(0),
+        lambda z: z not in (pt(1), pt(-1)),
+        lambda z, w: w in (z, -z),
+        lambda z: bool(z),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PAIRWISE_ORACLES))
+def test_witness_hashed_invariants_match_the_pairwise_scan(name):
+    """The witness search against a pairwise scan that shares no orbit code
+    with the package: each candidate s + k/2 in the domain with a free orbit
+    is kept unless it shares an orbit with a point already kept."""
+    action, s, contains, mates, free = _PAIRWISE_ORACLES[name]
+    order, punctures = action.group_order(), action.domain_punctures
     for n in range(2, 9):
-        hashed = quasifibration_witness(action, n)
-        pairwise = quasifibration_witness(_PairwiseOnly(action), n)
-        assert hashed.to_json() == pairwise.to_json()
+        chosen, step = [s], 0
+        while len(chosen) < n:
+            step += 1
+            candidate = s + Fraction(step, 2)
+            if contains(candidate) and free(candidate) and not any(mates(z, candidate) for z in chosen):
+                chosen.append(candidate)
+        report = quasifibration_witness(action, n)
+        assert report.fixed_anchor.base == (s, *chosen[2:])
+        assert report.free_anchor.base == tuple(chosen[1:])
+        # the fixed point's orbit has one point, every other orbit has order
+        b1_pair = [1 + (n - 2) * order + punctures, (n - 1) * order + punctures]
+        assert report.to_json()["b1_pair"] == b1_pair
 
 
 def test_witness_skips_orbit_mates_of_chosen_points():

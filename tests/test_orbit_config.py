@@ -1,6 +1,7 @@
 """Configuration membership, the rational sampler, and arrangement builders."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,28 @@ def test_dihedral_same_orbit_quarter_points():
 @given(z=gaussian_points, w=gaussian_points)
 def test_dihedral_same_orbit_matches_window_oracle(z, w):
     assert same_orbit(IntegerDihedral(), z, w) == _dihedral_window_oracle(z, w)
+
+
+# points +-b + k over a few base points b, so orbit mates are common; real
+# parts stay in [-4, 4], inside the oracle's window
+dihedral_tuples = st.lists(gaussian_points, min_size=1, max_size=3).flatmap(
+    lambda bases: st.lists(
+        st.builds(
+            lambda b, sign, k: b * sign + k,
+            st.sampled_from(bases),
+            st.sampled_from((1, -1)),
+            st.integers(-1, 1),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+@given(pts=dihedral_tuples)
+def test_dihedral_config_matches_window_oracle(pts):
+    pairwise = not any(_dihedral_window_oracle(z, w) for z, w in combinations(pts, 2))
+    assert is_orbit_config(IntegerDihedral(), pts) == pairwise
 
 
 def test_sign_flip_same_orbit():
