@@ -258,13 +258,28 @@ class ArrangementSpec:
         return tuple(rows)
 
     @cached_property
-    def _bad_primes(self) -> frozenset[int]:
-        """Primes dividing some nonzero minor of the integer system [A | b].
+    def _minor_values(self) -> frozenset[int]:
+        """The distinct nonzero |minor| values of the integer system [A | b].
 
-        Computed once per spec: bad_primes, good_primes and
-        finite_field_count all read it.
+        Computed once per spec, one minor size at a time (_nonzero_minors).
+        bad_primes factors them; good_primes and finite_field_count only
+        test divisibility, through _minor_product.
         """
-        return frozenset(_nonzero_minor_primes(self._integer_rows))
+        return frozenset(_nonzero_minors(self._integer_rows))
+
+    @cached_property
+    def _minor_product(self) -> int:
+        """The product of _minor_values: a prime divides some nonzero minor
+        exactly when it divides this product.
+
+        Multiplied pairwise, so that the operands of each level have equal
+        size; a running product would cost time quadratic in the number of
+        values.
+        """
+        factors = list(self._minor_values) or [1]
+        while len(factors) > 1:
+            factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+        return factors[0]
 
     @classmethod
     def from_json(cls, data: dict) -> "ArrangementSpec":
@@ -281,7 +296,8 @@ class ArrangementSpec:
             normal = tuple(field.scalar_from_json(a, f"{where} normal[{j}]") for j, a in enumerate(normal))
             offset = field.scalar_from_json(h["offset"], f"{where} offset") if "offset" in h else field.zero()
             raw.append((normal, offset))
-        return make_arrangement(dim, field, raw, label=data.get("label", "custom"))
+        label = json_shape(data.get("label", "custom"), str, "label")
+        return make_arrangement(dim, field, raw, label=label)
 
 
 def make_arrangement(
@@ -634,15 +650,18 @@ def poincare_polynomial(poset: FlatPoset) -> Polynomial:
 def chamber_count(poset: FlatPoset) -> tuple[int, int]:
     """(total, bounded) chamber counts of the real form, by sign-alternation.
 
-    total = (-1)^d chi(-1); bounded = (-1)^rank chi(1).  Requires a rational
-    arrangement (the real picture is meaningless over a cyclotomic field).
+    total = (-1)^d chi(-1).  Zaslavsky's (-1)^rank chi(1) counts the chambers
+    bounded along the span of the normals; when rank < d every chamber
+    contains a line, so none is bounded in R^d and bounded is 0.  Requires a
+    rational arrangement (the real picture is meaningless over a cyclotomic
+    field).
     """
     if not poset.spec.field.is_rational:
         raise NotRealError("chamber counts need an arrangement defined over Q")
     chi = characteristic_polynomial(poset)
     d = poset.spec.dim
     total = (-1) ** d * chi(-1)
-    bounded = (-1) ** poset.rank * chi(1)
+    bounded = (-1) ** d * chi(1) if poset.rank == d else 0
     return total, bounded
 
 
@@ -939,45 +958,70 @@ def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
 MAX_FIELD_POINTS = 2_000_000
 
 
-def _nonzero_minor_primes(rows: list[list[int]]) -> set[int]:
-    def det(matrix: list[list[int]]) -> int:
-        n = len(matrix)
-        if n == 1:
-            return matrix[0][0]
-        total = 0
-        sign = 1
-        for j in range(n):
-            if matrix[0][j]:
-                minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-                total += sign * matrix[0][j] * det(minor)
-            sign = -sign
-        return total
+def _nonzero_minors(rows: Sequence[Sequence[int]]) -> set[int]:
+    """The distinct nonzero |minor| values of an integer matrix.
 
-    primes: set[int] = set()
+    Every square minor is computed once, one size at a time.  The k x k
+    minor on rows R and columns C is the Laplace expansion along row R[0]:
+    the sum over j of (-1)^j rows[R[0]][C[j]] times the (k-1) x (k-1) minor
+    on rows R[1:] and columns C without C[j], read from the previous size.
+    A size maps each row set to its minors, one per column set in
+    combinations order, and only two sizes are kept at once.  A k x k minor
+    costs at most k products, against k! for expanding it on its own.
+    """
     ncols = len(rows[0]) if rows else 0
+    values: set[int] = set()
+    below: dict[tuple, list[int]] = {(): [1]}  # the empty minor
+    index = {(): 0}
     for size in range(1, min(len(rows), ncols) + 1):
-        for row_idx in combinations(range(len(rows)), size):
-            for col_idx in combinations(range(ncols), size):
-                value = abs(det([[rows[r][c] for c in col_idx] for r in row_idx]))
-                p = 2
-                while p * p <= value:
-                    if value % p == 0:
-                        primes.add(p)
-                        while value % p == 0:
-                            value //= p
-                    p += 1
-                if value > 1:
-                    primes.add(value)
-    return primes
+        col_sets = list(combinations(range(ncols), size))
+        # each column set's expansion: (column, sign, index of the columns left)
+        terms = [
+            [(c, -1 if j % 2 else 1, index[cols[:j] + cols[j + 1 :]]) for j, c in enumerate(cols)]
+            for cols in col_sets
+        ]
+        index = {cols: i for i, cols in enumerate(col_sets)}
+        level: dict[tuple, list[int]] = {}
+        for first in range(len(rows) - size + 1):
+            row = rows[first]
+            # the expansion along this row, with its zero entries dropped
+            weighted = [[(sign * row[c], i) for c, sign, i in t if row[c]] for t in terms]
+            for rest in combinations(range(first + 1, len(rows)), size - 1):
+                minors_below = below[rest]
+                minors = []
+                for t in weighted:
+                    total = 0
+                    for a, i in t:
+                        total += a * minors_below[i]
+                    minors.append(total)
+                level[(first,) + rest] = minors
+                values.update(minors)
+        below = level
+    values = set(map(abs, values))
+    values.discard(0)
+    return values
 
 
 def bad_primes(spec: ArrangementSpec) -> set[int]:
     """Primes dividing some nonzero minor of the integer system [A | b].
 
     Avoiding all of them preserves the rank and consistency pattern of every
-    subsystem mod q, which forces the point count to equal chi(q).
+    subsystem mod q, which forces the point count to equal chi(q).  This is
+    the only function that factors the minors: it factors the spec's
+    distinct values by trial division on each call.
     """
-    return set(spec._bad_primes)
+    primes: set[int] = set()
+    for value in spec._minor_values:
+        p = 2
+        while p * p <= value:
+            if value % p == 0:
+                primes.add(p)
+                while value % p == 0:
+                    value //= p
+            p += 1
+        if value > 1:
+            primes.add(value)
+    return primes
 
 
 def _is_prime(n: int) -> bool:
@@ -992,15 +1036,21 @@ def _is_prime(n: int) -> bool:
 
 
 def good_primes(spec: ArrangementSpec, count: int = 2) -> list[int]:
-    """The smallest admissible primes for finite_field_count."""
+    """The smallest admissible primes for finite_field_count.
+
+    Candidates run upward from the largest coefficient magnitude, and a
+    prime is bad when it divides the product of the distinct nonzero
+    minors; nothing is factored.  The minor table is the exponential part:
+    at the CLI's largest shape, 16 hyperplanes in Q^6, it holds about
+    245,000 minors, and the timed test of that shape bounds this call.
+    """
     rows = spec._integer_rows
-    bad = spec._bad_primes
     floor = max((abs(v) for row in rows for v in row), default=1)
     out: list[int] = []
     q = floor
     while len(out) < count:
         q += 1
-        if _is_prime(q) and q not in bad:
+        if _is_prime(q) and spec._minor_product % q:
             out.append(q)
     return out
 
@@ -1008,8 +1058,10 @@ def good_primes(spec: ArrangementSpec, count: int = 2) -> list[int]:
 def finite_field_count(spec: ArrangementSpec, q: int) -> int:
     """Points of F_q^d avoiding every hyperplane, by direct enumeration.
 
-    Requires a prime q larger than every coefficient magnitude and outside
-    the precomputed bad-prime set.  The count walks F_q^(d-1), the first
+    Requires a prime q larger than every coefficient magnitude, with q^d at
+    most MAX_FIELD_POINTS, that divides no nonzero minor of [A | b].  The
+    size cap is checked before the minors, so a refused count never builds
+    the spec's minor table.  The count walks F_q^(d-1), the first
     d - 1 coordinates, with an odometer: each step of coordinate i adds a_i
     to every row's value a . x - b mod q, a wrap included.  The last
     coordinate is counted on its line in closed form.  A row with a_d != 0
@@ -1021,11 +1073,11 @@ def finite_field_count(spec: ArrangementSpec, q: int) -> int:
         raise ValueError(f"{q} is not prime")
     if any(abs(v) >= q for row in rows for v in row):
         raise BadPrimeError(f"q = {q} does not exceed all coefficient magnitudes")
-    if q in spec._bad_primes:
-        raise BadPrimeError(f"q = {q} is a bad prime for this arrangement")
     dim = spec.dim
     if q ** dim > MAX_FIELD_POINTS:
         raise SizeGuardError(f"{q}^{dim} exceeds the enumeration cap")
+    if spec._minor_product % q == 0:
+        raise BadPrimeError(f"q = {q} is a bad prime for this arrangement")
     if dim == 0:
         return 1  # the one point of F_q^0; a hyperplane needs a nonzero normal
     # For rows with a_d != 0, track the excluded x_d = (a' . x' - b) / -a_d;

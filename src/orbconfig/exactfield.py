@@ -75,10 +75,11 @@ def json_int(value, name: str) -> int:
 
 
 def json_shape(value, shape: type, what: str, keys: Optional[AbstractSet[str]] = None):
-    """value, when it is the JSON object (shape dict) or list (shape list);
-    ValueError otherwise, or when an object has a key outside keys."""
+    """value, when it is the JSON object (shape dict), list (shape list) or
+    string (shape str); ValueError otherwise, or when an object has a key
+    outside keys."""
     if not isinstance(value, shape):
-        noun = "an object" if shape is dict else "a list"
+        noun = {dict: "an object", list: "a list", str: "a string"}[shape]
         raise ValueError(f"{what} must be {noun}, got {value!r}")
     if keys is not None:
         unknown = sorted(set(value) - keys)

@@ -195,9 +195,6 @@ class FiniteGroup:
             return members
         return None
 
-    def is_subgroup(self, subset: frozenset) -> bool:
-        return self._subgroup_indices(subset) is not None
-
     def is_normal(self, subset: frozenset) -> bool:
         members = self._subgroup_indices(subset)
         if members is None:

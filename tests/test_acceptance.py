@@ -2,8 +2,8 @@
 
 Each test states one headline promise: exact branch data for the degree-two
 quotient map, simpliciality of the sign-flip complements, agreement between
-the three independent chamber counters, the arrangement report at the CLI's
-size rail, predicate/arrangement equivalence
+the three independent chamber counters, the arrangement report and the
+good-prime search at the CLI's size rail, predicate/arrangement equivalence
 for rotation configurations, well-definedness of the power-difference map,
 covering degrees with deck identities, the first-Betti-number obstruction,
 the exhaustive groupoid suite, and the orbifold decision table.
@@ -15,10 +15,14 @@ import time
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from orbconfig import cli
 
 from orbconfig.arrangement import (
     QQ,
+    ArrangementSpec,
+    SizeGuardError,
     chamber_count,
     characteristic_polynomial,
     complement_contains,
@@ -196,6 +200,21 @@ def test_arrangement_report_at_the_size_rail(capsys):
     assert report["simplicial"]["chambers"] == chambers
     assert report["simplicial"]["simplicial"] is False
     assert time.monotonic() - start < 20.0
+
+
+def test_good_primes_at_the_size_rail():
+    # good_primes builds every minor of [A | b] once: at this shape about
+    # 245,000 minors, with 105,000 distinct nonzero values when affine and
+    # 33,000 when central.  About 2.4 s for both on a 2-core host; the
+    # budget keeps 4x headroom.  A count at q^6 above the enumeration cap
+    # is refused before the minors are read.
+    start = time.monotonic()
+    for central, primes in ((False, [15361, 21149]), (True, [5419, 5693])):
+        spec = ArrangementSpec.from_json(json.loads(_rail_spec(central)))
+        with pytest.raises(SizeGuardError):
+            finite_field_count(spec, 13)
+        assert good_primes(spec, 2) == primes
+    assert time.monotonic() - start < 10.0
 
 
 def test_rotation_complement_equals_configuration_predicate():

@@ -7,6 +7,7 @@ from direct orbit counting over F_q with q = 1 mod m, and small chamber
 pictures (concurrent lines, crossing lines) from elementary geometry.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -315,6 +316,17 @@ def test_zaslavsky_counts():
     assert chamber_count(flat_poset(sign_flip_arrangement(2))) == (32, 0)
     # two points on a line: 3 chambers, 1 bounded
     assert chamber_count(flat_poset(lines((1, 0), (1, -1), dim=1))) == (3, 1)
+
+
+def test_bounded_chambers_need_an_essential_arrangement():
+    # two parallel lines cut Q^2 into three chambers, the middle one a strip
+    assert chamber_count(flat_poset(lines((1, 0, 0), (1, 0, 1)))) == (3, 0)
+    # with no hyperplane the one chamber is the whole space, bounded only
+    # when the space is the point Q^0
+    assert chamber_count(flat_poset(make_arrangement(2, QQ, []))) == (1, 0)
+    assert chamber_count(flat_poset(make_arrangement(0, QQ, []))) == (1, 1)
+    # essential: the triangle cut out by three lines in general position
+    assert chamber_count(flat_poset(lines((1, 0, 0), (0, 1, 0), (1, 1, 1)))) == (7, 1)
 
 
 def test_sign_flip_counts_against_field_counts():
@@ -755,6 +767,102 @@ def test_finite_field_guards():
         finite_field_count(braid_arrangement(5), 23)
     with pytest.raises(NotRealError):
         finite_field_count(rotation_arrangement(2, 3), 7)
+
+
+def test_size_guard_precedes_the_bad_prime_check():
+    # the minor [[1, 2], [8, -3]] is -19, so 19 is a bad prime in every
+    # dimension; 19^4 points are within the enumeration cap, 19^5 are not
+    for dim, error in ((4, BadPrimeError), (5, SizeGuardError)):
+        pad = (F(0),) * (dim - 2)
+        spec = make_arrangement(dim, QQ, [((F(1), F(2)) + pad, F(0)), ((F(8), F(-3)) + pad, F(0))])
+        assert 19 in bad_primes(spec)
+        with pytest.raises(error):
+            finite_field_count(spec, 19)
+
+
+# An independent oracle for the bad primes: the primitive integer rows
+# [a | b] rebuilt from the public hyperplanes, every square submatrix's
+# determinant by Gaussian elimination over Fraction, and trial division.
+
+
+def _oracle_rows(spec):
+    rows = []
+    for h in spec.hyperplanes:
+        entries = h.normal + (h.offset,)
+        scale = math.lcm(*(e.denominator for e in entries))
+        row = [int(e * scale) for e in entries]
+        g = math.gcd(*row)
+        rows.append([v // g for v in row])
+    return rows
+
+
+def _oracle_det(matrix):
+    m = [[F(v) for v in row] for row in matrix]
+    det = F(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            factor = m[r][c] / m[c][c]
+            m[r] = [x - factor * y for x, y in zip(m[r], m[c])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def _oracle_prime_factors(value):
+    value, p, primes = abs(value), 2, set()
+    while p * p <= value:
+        while value % p == 0:
+            primes.add(p)
+            value //= p
+        p += 1
+    if value > 1:
+        primes.add(value)
+    return primes
+
+
+def _oracle_bad_primes(spec):
+    rows = _oracle_rows(spec)
+    ncols = spec.dim + 1
+    primes = set()
+    for size in range(1, min(len(rows), ncols) + 1):
+        for chosen in combinations(rows, size):
+            for cols in combinations(range(ncols), size):
+                primes |= _oracle_prime_factors(_oracle_det([[row[c] for c in cols] for row in chosen]))
+    return primes
+
+
+def _oracle_good_primes(spec, bad, count):
+    q = max((abs(v) for row in _oracle_rows(spec) for v in row), default=1)
+    out = []
+    while len(out) < count:
+        q += 1
+        if _oracle_prime_factors(q) == {q} and q not in bad:
+            out.append(q)
+    return out
+
+
+def test_bad_and_good_primes_match_an_independent_oracle():
+    rng = random.Random(16)
+    specs = [braid_arrangement(n) for n in (3, 4, 5)]
+    while len(specs) < 43:
+        dim = rng.randint(1, 4)
+        raw = []
+        for _ in range(rng.randint(0, 8)):
+            normal = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
+            if not any(normal):
+                normal[rng.randrange(dim)] = F(1)
+            raw.append((tuple(normal), F(rng.randint(-5, 5), rng.randint(1, 3))))
+        specs.append(make_arrangement(dim, QQ, raw))
+    for spec in specs:
+        bad = _oracle_bad_primes(spec)
+        assert bad_primes(spec) == bad, spec
+        assert good_primes(spec, 3) == _oracle_good_primes(spec, bad, 3), spec
 
 
 def _points_off(spec, q):

@@ -806,6 +806,14 @@ def test_arrangement_wrong_json_shape_names_the_path_exit_2(capsys, field, hyper
     assert message in err
 
 
+@pytest.mark.parametrize("label", [{"a": [1]}, 5, None, ["x"]], ids=["object", "int", "null", "list"])
+def test_arrangement_non_string_label_exit_2(capsys, label):
+    spec = {"schema": 1, "dim": 2, "field": {"type": "Q"}, "hyperplanes": [], "label": label}
+    code, out, err = run(capsys, ["arrangement", json.dumps(spec)])
+    assert (code, out) == (2, "")
+    assert "label must be a string" in err
+
+
 def test_arrangement_cyclotomic_offset_defaults_to_zero(capsys):
     normal = [{"coeffs": ["1"]}, {"coeffs": ["0", "1"]}]
     spec = {"schema": 1, "dim": 2, "field": {"type": "cyclotomic", "m": 3}, "hyperplanes": [{"normal": normal}]}
