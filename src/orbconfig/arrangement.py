@@ -1,15 +1,17 @@
 """Hyperplane arrangements over Q and Q(zeta_m), with exact invariants.
 
-Rational arrangements are worked on their primitive integer rows [a | b],
-computed once per spec; no floating point enters any rank or membership
-decision.  Every exact linear-algebra question is answered by one pair of
-row operations on the rows [a | b]: over Q a fraction-free elimination
-(Bareiss, Math. Comp. 1968) that keeps rows primitive, and over Q(zeta_m)
-the field's row operation with pivots scaled to one.  The flat poset applies them to
-residues, one reduced echelon form of all rows gives the common point and
-the essential rank, and restriction to a hyperplane is one elimination of
-its pivot column.  Essentialization is projection onto the pivot columns of
-the normal matrix, which keeps each hyperplane's order and signs.
+Both fields are worked on one form, computed once per spec: primitive
+integer rows [a | b] over Z[zeta_m], each entry its phi(m) residues.  No
+float and no field division enters any rank or membership decision.  One
+pair of row operations answers every exact linear-algebra question:
+normalizing makes a row's lead a positive integer, since a lead times its
+other Galois conjugates is its norm (Cohen, A Course in Computational
+Algebraic Number Theory, 4.3), and elimination is fraction free (Bareiss,
+Math. Comp. 1968).  The flat poset applies them to residues, one reduced
+echelon form of all rows gives the common point and the essential rank,
+and restriction to a hyperplane is one elimination of its pivot column.
+Essentialization is projection onto the pivot columns of the normal
+matrix, which keeps each hyperplane's order and signs.
 
 Flats are computed as a breadth-first closure under intersection: each
 flat carries the residues of the hyperplanes not containing it, and the
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, zip_longest
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -38,11 +40,14 @@ from .exactfield import (
     ComplexPoint,
     Cyclotomic,
     complex_to_cyclotomic,
+    euler_phi,
     format_rational,
     json_int,
     json_kind,
     json_shape,
+    norm_cofactor,
     parse_rational,
+    residue_product,
 )
 
 
@@ -67,12 +72,10 @@ class SizeGuardError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-# Largest cyclotomic order m a JSON spec may name, read before Phi_m or any
-# element is built.  It is also the largest order the case1 builder reaches
-# within the arrangement rails.  The flat poset's cost over Q(zeta_m) grows
-# with phi(m): on a 2-core host with Python 3.11, 16 hyperplanes in Q^6
-# take 5.4 s at m = 3, 38 s at m = 11 and 66 s at m = 13 (phi = 12, the
-# largest admitted), and at m = 61, 8 hyperplanes in Q^4 run past 100 s.
+# Largest cyclotomic order m; check_field_rail also caps the hyperplanes
+# over Q(zeta_m) at 16 - phi(m) // 2, for the flat poset's cost grows about
+# 1.7x per hyperplane and 1.25x per step of 2 in phi(m).  See the timed test
+# at that cap; 16 generic affine hyperplanes in Q^6 take 80 s at m = 13.
 MAX_FIELD_ORDER = 16
 
 # the keys of an arrangement spec, of each of its hyperplanes and of each
@@ -103,6 +106,17 @@ class ScalarField:
     @property
     def is_rational(self) -> bool:
         return self.kind == "Q"
+
+    @property
+    def ring_order(self) -> int:
+        """m of the ring Z[zeta_m] that holds the integer rows; 1 (Z) over Q."""
+        return 1 if self.is_rational else self.order
+
+    def from_residues(self, nums: Sequence[int], den: int = 1):
+        """The element with integer residues nums over the denominator den > 0."""
+        if self.is_rational:
+            return Fraction(nums[0], den)
+        return Cyclotomic(self.order, [Fraction(x, den) for x in nums])
 
     def zero(self):
         return Fraction(0) if self.is_rational else Cyclotomic.zero(self.order)
@@ -148,12 +162,7 @@ class ScalarField:
     def from_json(cls, data: dict) -> "ScalarField":
         if json_kind(data, "field", _FIELD_KEYS, "type") == "Q":
             return cls("Q")
-        order = json_int(data["m"], "field order m")
-        if order > MAX_FIELD_ORDER:
-            raise SizeGuardError(
-                f"cyclotomic field order {order} exceeds the rail (m <= {MAX_FIELD_ORDER})"
-            )
-        return cls("cyclotomic", order)
+        return cls("cyclotomic", json_int(data["m"], "field order m"))
 
 
 QQ = ScalarField("Q")
@@ -239,23 +248,33 @@ class ArrangementSpec:
         return tuple(compiled)
 
     @cached_property
-    def _integer_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each hyperplane of a rational spec as a primitive integer row [a | b].
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each hyperplane as a primitive integer row [a | b] over Z[zeta_m].
 
-        The row is the hyperplane's (normal, offset) times the lcm of its
-        denominators, divided by the gcd of its entries.  Its first nonzero
-        entry is positive, because make_arrangement scales it to one.
+        Entry j is the phi(m) integer residues of the j-th coefficient,
+        stored flat; over Q, phi = 1.  The row is (normal, offset) times the
+        lcm of its denominators, over the gcd of its ints.  Its first nonzero
+        entry is a positive integer: make_arrangement scales it to one.
         """
-        if not self.field.is_rational:
-            raise NotRealError("finite field counts need integer (rational) coefficients")
         rows = []
         for h in self.hyperplanes:
-            entries = h.normal + (h.offset,)
-            lcm = math.lcm(*(e.denominator for e in entries))
-            row = [e.numerator * (lcm // e.denominator) for e in entries]
+            entries = [
+                (e._n, e._d) if isinstance(e, Cyclotomic) else ((e.numerator,), e.denominator)
+                for e in h.normal + (h.offset,)
+            ]
+            lcm = math.lcm(*(d for _, d in entries))
+            row = [x * (lcm // d) for nums, d in entries for x in nums]
             g = math.gcd(*row)
             rows.append(tuple(v // g for v in row))
         return tuple(rows)
+
+    @property
+    def _rational_rows(self) -> tuple[tuple[int, ...], ...]:
+        """_rows of a rational spec, for chambers, finite field counts and
+        their primes; NotRealError over Q(zeta_m)."""
+        if not self.field.is_rational:
+            raise NotRealError("finite field counts need integer (rational) coefficients")
+        return self._rows
 
     @cached_property
     def _minor_values(self) -> frozenset[int]:
@@ -265,7 +284,7 @@ class ArrangementSpec:
         bad_primes factors them; good_primes and finite_field_count only
         test divisibility, through _minor_product.
         """
-        return frozenset(_nonzero_minors(self._integer_rows))
+        return frozenset(_nonzero_minors(self._rational_rows))
 
     @cached_property
     def _minor_product(self) -> int:
@@ -288,8 +307,11 @@ class ArrangementSpec:
         json_shape(data, dict, "arrangement spec", _SPEC_KEYS)
         field = ScalarField.from_json(data["field"])
         dim = json_int(data["dim"], "dim")
+        listed = json_shape(data["hyperplanes"], list, "hyperplanes")
+        if not field.is_rational:
+            check_field_rail(field.order, len(listed))
         raw = []
-        for i, h in enumerate(json_shape(data["hyperplanes"], list, "hyperplanes")):
+        for i, h in enumerate(listed):
             where = f"hyperplanes[{i}]"
             json_shape(h, dict, where, _HYPERPLANE_KEYS)
             normal = json_shape(h["normal"], list, f"{where} normal")
@@ -298,6 +320,17 @@ class ArrangementSpec:
             raw.append((normal, offset))
         label = json_shape(data.get("label", "custom"), str, "label")
         return make_arrangement(dim, field, raw, label=label)
+
+
+def check_field_rail(order: int, hyperplanes: int) -> None:
+    """Refuse m = order > MAX_FIELD_ORDER, or more hyperplanes than
+    MAX_SIMPLICIAL_HYPERPLANES - phi(m) // 2 over Q(zeta_m) (m = 1 over Q),
+    before Phi_m or any element is built."""
+    if order > MAX_FIELD_ORDER:
+        raise SizeGuardError(f"cyclotomic field order {order} exceeds the rail (m <= {MAX_FIELD_ORDER})")
+    cap = MAX_SIMPLICIAL_HYPERPLANES - euler_phi(order) // 2
+    if hyperplanes > cap:
+        raise SizeGuardError(f"{hyperplanes} hyperplanes over Q(zeta_{order}) exceed the rail (<= {cap})")
 
 
 def make_arrangement(
@@ -369,77 +402,66 @@ def complement_contains(spec: ArrangementSpec, point: Sequence[ComplexPoint]) ->
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(row: tuple, pivot_row: tuple, col: int) -> tuple:
-    """row minus row[col] times pivot_row, whose entry in column col is one."""
-    factor = row[col]
-    if not factor:
+def _scaled(order: int, factor: Sequence[int], row: tuple) -> list[int]:
+    """Each entry of the flat row times the residue factor, in Z[zeta_m]."""
+    phi = len(factor)
+    entries = (row[k : k + phi] for k in range(0, len(row), phi))
+    return [x for e in entries for x in (residue_product(order, factor, e) if any(e) else e)]
+
+
+def _normalize(row: tuple, col: int, order: int) -> tuple:
+    """The primitive multiple of a primitive row with a positive integer in
+    entry col: a lead outside Z first becomes its norm, the row times the
+    lead's norm cofactor over the gcd.  Proportional rows give one row."""
+    phi = euler_phi(order)
+    start = col * phi
+    if phi > 1 and any(row[start + 1 : start + phi]):
+        out = _scaled(order, norm_cofactor(order, row[start : start + phi]), row)
+        g = math.gcd(*out)
+        row = tuple([x // g for x in out])
+    return row if row[start] > 0 else tuple([-x for x in row])
+
+
+def _eliminate(row: tuple, pivot_row: tuple, col: int, order: int) -> tuple:
+    """p * row - row[col] * pivot_row over the gcd, for p = pivot_row[col]
+    a positive integer: primitive and zero in entry col.  A factor row[col]
+    in Z scales pivot_row directly, one outside Z entry by entry."""
+    phi = euler_phi(order)
+    start = col * phi
+    factor = row[start]
+    p = pivot_row[start]
+    if phi > 1 and any(row[start + 1 : start + phi]):
+        scaled = _scaled(order, row[start : start + phi], pivot_row)
+        out = [p * x - y for x, y in zip(row, scaled)]
+    elif factor:
+        out = [p * x - factor * y for x, y in zip(row, pivot_row)]
+    else:
         return row
-    return tuple(x - factor * y if y else x for x, y in zip(row, pivot_row))
-
-
-def _lead_positive(residue: tuple, col: int) -> tuple:
-    """A primitive integer row, negated if its entry in col is negative."""
-    return residue if residue[col] > 0 else tuple(-x for x in residue)
-
-
-def _eliminate_integer(row: tuple, pivot_row: tuple, col: int) -> tuple:
-    """p * row - row[col] * pivot_row over the gcd, with p = pivot_row[col] > 0.
-
-    Fraction-free: the result is primitive and zero in column col.
-    """
-    factor = row[col]
-    if not factor:
-        return row
-    p = pivot_row[col]
-    out = [p * x - factor * y for x, y in zip(row, pivot_row)]
     g = math.gcd(*out)
     return tuple(out) if g < 2 else tuple([x // g for x in out])
 
 
-def _row_operations(spec: ArrangementSpec) -> tuple:
-    """(rows, normalize, eliminate): the spec's rows [a | b] and its field's
-    row operations.
-
-    normalize(row, col) scales a row by a nonzero unit so that it can
-    serve as a pivot row at col, and eliminate(row, pivot_row, col) clears
-    col from row with that pivot row.  Over Q the rows are the primitive
-    integer rows, normalize makes the entry at col positive and eliminate
-    is fraction free.  Over Q(zeta_m) normalize scales the entry at col to
-    one and eliminate is the field's row operation.
-    """
-    if spec.field.is_rational:
-        return spec._integer_rows, _lead_positive, _eliminate_integer
-    one = spec.field.one()
-
-    def normalize(residue: tuple, col: int) -> tuple:
-        lead = residue[col]
-        if lead == one:
-            return residue
-        inv = one / lead
-        return tuple(x * inv if x else x for x in residue)
-
-    return [h.normal + (h.offset,) for h in spec.hyperplanes], normalize, _eliminate
-
-
 def _echelon(spec: ArrangementSpec) -> list[tuple[int, tuple]]:
-    """The reduced echelon form of the rows [a | b], as (pivot column, row)
-    pairs in column order.
+    """The reduced echelon form of the integer rows [a | b], as (pivot
+    column, row) pairs in column order.
 
     Each row is reduced by the pivot rows so far, normalized at its first
-    nonzero column, and eliminated from them in turn, so every pivot row is
-    zero in every other pivot column.  A pivot in the offset column means
-    the hyperplanes share no point; the other pivot columns are those of
-    the normal matrix.
+    nonzero entry, and eliminated from them in turn, so every pivot row is
+    zero in every other pivot column and positive there.  A pivot in the
+    offset column means the hyperplanes share no point; the other pivot
+    columns are those of the normal matrix.
     """
-    rows, normalize, eliminate = _row_operations(spec)
+    order = spec.field.ring_order
+    phi = euler_phi(order)
     pivots: dict[int, tuple] = {}
-    for row in rows:
+    for row in spec._rows:
         for col, pivot_row in pivots.items():
-            row = eliminate(row, pivot_row, col)
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is not None:
-            row = normalize(row, col)
-            pivots = {c: eliminate(other, row, col) for c, other in pivots.items()}
+            row = _eliminate(row, pivot_row, col, order)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            col = lead // phi
+            row = _normalize(row, col, order)
+            pivots = {c: _eliminate(other, row, col, order) for c, other in pivots.items()}
             pivots[col] = row
     return sorted(pivots.items())
 
@@ -466,10 +488,6 @@ class Flat:
 class FlatPoset:
     spec: ArrangementSpec
     flats: tuple[Flat, ...]
-
-    @property
-    def ambient(self) -> Flat:
-        return next(f for f in self.flats if not f.contains)
 
     @property
     def rank(self) -> int:
@@ -508,11 +526,11 @@ def flat_poset(spec: ArrangementSpec) -> FlatPoset:
     A new flat's residues are X's other residues with the class's pivot
     column eliminated.  Flats keep the order of their first discovery.
 
-    Over Q the rows are the spec's primitive integer rows.  A residue is
-    normalized to a positive leading entry, and elimination is fraction
-    free: p * row - row[col] * pivot_row over the gcd (Bareiss, Math. Comp.
-    1968), so residues stay primitive.  Over Q(zeta_m) a residue is scaled
-    to a leading one and elimination is the field's row operation.
+    Both fields run on the spec's primitive integer rows over Z[zeta_m].
+    A residue is normalized to a positive integer lead (over Q(zeta_m),
+    times its lead's norm cofactor) and is then primitive with a rational
+    lead, so proportional residues normalize to one row, their class key.
+    Elimination is fraction free, so residues stay primitive.
 
     Every flat Y that produces X = Y cap H is covered by X, and every cover
     Y of X produces it: take H containing X but not Y.  So the producers of
@@ -523,20 +541,21 @@ def flat_poset(spec: ArrangementSpec) -> FlatPoset:
     consequence and is exercised by the tests.
     """
     dim = spec.dim
-    rows, normalize, eliminate = _row_operations(spec)
+    order = spec.field.ring_order
+    phi = euler_phi(order)
     members_of = [frozenset()]
     dims = [dim]
     covers: list[list[int]] = [[]]
-    frontier = [(0, dict(enumerate(rows)))]
+    frontier = [(0, dict(enumerate(spec._rows)))]
     while frontier:
         next_frontier = []
         found: dict[frozenset, int] = {}
         for source, residues in frontier:
             classes: dict[tuple, tuple[int, list[int]]] = {}
             for j, residue in residues.items():
-                col = next(c for c, x in enumerate(residue) if x)
+                col = next(c for c, x in enumerate(residue) if x) // phi
                 if col < dim:  # otherwise H_j is parallel to X
-                    pivot_row = normalize(residue, col)
+                    pivot_row = _normalize(residue, col, order)
                     classes.setdefault(pivot_row, (col, []))[1].append(j)
             for pivot_row, (col, joined) in classes.items():
                 members = members_of[source].union(joined)
@@ -549,7 +568,7 @@ def flat_poset(spec: ArrangementSpec) -> FlatPoset:
                 dims.append(dims[source] - 1)
                 covers.append([source])
                 remaining = {
-                    j: eliminate(other, pivot_row, col)
+                    j: _eliminate(other, pivot_row, col, order)
                     for j, other in residues.items()
                     if j not in members
                 }
@@ -580,28 +599,14 @@ class Polynomial:
             trimmed.pop()
         object.__setattr__(self, "coeffs", tuple(trimmed))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x):
         total = 0
         for c in reversed(self.coeffs):
             total = total * x + c
         return total
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            tuple(
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(size)
-            )
-        )
-
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + Polynomial(tuple(-c for c in other.coeffs))
+        return Polynomial(tuple(a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not self.coeffs or not other.coeffs:
@@ -614,9 +619,6 @@ class Polynomial:
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
-
-    def __repr__(self):
-        return f"Polynomial({self.coeffs})"
 
 
 def characteristic_polynomial(poset: FlatPoset) -> Polynomial:
@@ -705,18 +707,6 @@ def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(x // g for x in nums), den // g
 
 
-def _restrict(row: Sequence[int], onto: Sequence[int], p: int) -> tuple[int, ...]:
-    """row on the hyperplane of onto, with x_p eliminated, as a primitive row.
-
-    The row is scaled by |onto[p]| > 0, so every point keeps its sign.
-    """
-    ap, cp = onto[p], row[p]
-    unit = 1 if ap > 0 else -1
-    out = [unit * (ap * c - cp * a) for j, (c, a) in enumerate(zip(row, onto)) if j != p]
-    g = math.gcd(*out) or 1  # a row that vanishes with its offset stays zero
-    return tuple(x // g for x in out)
-
-
 def _step_off(
     rows: Sequence[Sequence[int]],
     slopes: Sequence[int],
@@ -779,9 +769,11 @@ def _enumerate_chambers(
         unit = 1 if ap > 0 else -1
         rest = normal[:p] + normal[p + 1 :]
         earlier = rows[:k]
-        on_h = _enumerate_chambers(
-            [_restrict(other, row, p) for other in earlier], dim - 1, min(fixed, k)
-        )
+        # a positive multiple of each earlier row, x_p cleared by row k: on
+        # row k's hyperplane every point keeps its sign
+        onto = _normalize(row, p, 1)
+        traces = [_eliminate(other, onto, p, 1) for other in earlier]
+        on_h = _enumerate_chambers([t[:p] + t[p + 1 :] for t in traces], dim - 1, min(fixed, k))
         slopes = [sum(map(mul, other, normal)) for other in earlier]
         keep_minus = k >= fixed
         updated = {}
@@ -838,7 +830,7 @@ def enumerate_chambers(spec: ArrangementSpec, bound: Optional[Fraction] = None) 
                 face = [0] * spec.dim + [-bound.numerator]
                 face[i] = unit * bound.denominator
                 box.append(face)  # unit * x_i > -bound
-    raw = _enumerate_chambers(box + list(spec._integer_rows), spec.dim, len(box))
+    raw = _enumerate_chambers(box + list(spec._rational_rows), spec.dim, len(box))
     chambers = tuple(
         Chamber(
             signs=_sign_string(mask >> len(box), len(spec.hyperplanes)),
@@ -857,15 +849,17 @@ def enumerate_chambers(spec: ArrangementSpec, bound: Optional[Fraction] = None) 
 def common_point(spec: ArrangementSpec) -> Optional[list]:
     """A point on every hyperplane, or None when the hyperplanes share none.
 
-    Read off the reduced echelon form of the rows [a | b], with every free
-    coordinate zero.  Over Q the pivot entries are positive integers, over
-    Q(zeta_m) they are one.
+    Read off the reduced echelon form of the integer rows [a | b], with
+    every free coordinate zero: a pivot row with the positive integer p in
+    column col puts its offset over p at coordinate col.
     """
-    point = [spec.field.zero()] * spec.dim
+    field = spec.field
+    phi = euler_phi(field.ring_order)
+    point = [field.zero()] * spec.dim
     for col, row in _echelon(spec):
         if col == spec.dim:
             return None
-        point[col] = Fraction(row[-1], row[col]) if spec.field.is_rational else row[-1]
+        point[col] = field.from_residues(row[-phi:], row[col * phi])
     return point
 
 
@@ -935,7 +929,7 @@ def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
     rank = len(pivots)
     if rank > MAX_SIMPLICIAL_DIM:
         raise SizeGuardError(f"simpliciality capped at rank {MAX_SIMPLICIAL_DIM}")
-    essential = [[row[p] for p in pivots] + [0] for row in spec._integer_rows]
+    essential = [[row[p] for p in pivots] + [0] for row in spec._rational_rows]
     raw = _enumerate_chambers(essential, rank)
     count = len(spec.hyperplanes)
     bits = [1 << i for i in range(count)]
@@ -1044,7 +1038,7 @@ def good_primes(spec: ArrangementSpec, count: int = 2) -> list[int]:
     at the CLI's largest shape, 16 hyperplanes in Q^6, it holds about
     245,000 minors, and the timed test of that shape bounds this call.
     """
-    rows = spec._integer_rows
+    rows = spec._rational_rows
     floor = max((abs(v) for row in rows for v in row), default=1)
     out: list[int] = []
     q = floor
@@ -1068,7 +1062,7 @@ def finite_field_count(spec: ArrangementSpec, q: int) -> int:
     excludes the one residue x_d = (b - a' . x') / a_d, and a row with
     a_d = 0 excludes every residue or none.
     """
-    rows = spec._integer_rows
+    rows = spec._rational_rows
     if not _is_prime(q):
         raise ValueError(f"{q} is not prime")
     if any(abs(v) >= q for row in rows for v in row):
@@ -1122,23 +1116,26 @@ def delete_hyperplane(spec: ArrangementSpec, index: int) -> ArrangementSpec:
 def restrict_to_hyperplane(spec: ArrangementSpec, index: int) -> ArrangementSpec:
     """The multiset of traces K cap H as an arrangement inside H.
 
-    H's row, normalized at its first nonzero column p, eliminates column p
-    from every other row; on H the result is the trace's equation in the
-    remaining coordinates.  Rows whose normal vanishes are parallel to H
-    and have no trace.
+    H's integer row, whose first nonzero entry p is a positive integer,
+    eliminates column p from every other row; on H the result is the
+    trace's equation in the remaining coordinates.  Rows whose normal
+    vanishes are parallel to H and have no trace.
     """
-    rows, normalize, eliminate = _row_operations(spec)
+    field = spec.field
+    order = field.ring_order
+    phi = euler_phi(order)
+    rows = spec._rows
     onto = rows[index]
-    p = next(c for c, x in enumerate(onto) if x)
-    onto = normalize(onto, p)
+    p = next(c for c, x in enumerate(onto) if x) // phi
     traces = []
     for i, row in enumerate(rows):
         if i == index:
             continue
-        row = eliminate(row, onto, p)
-        normal = row[:p] + row[p + 1 : -1]
+        row = _eliminate(row, onto, p, order)
+        *normal, offset = (field.from_residues(row[k : k + phi]) for k in range(0, len(row), phi))
+        del normal[p]
         if any(normal):
-            traces.append((normal, row[-1]))
+            traces.append((normal, offset))
     return make_arrangement(
         spec.dim - 1, spec.field, traces, label=f"{spec.label} | {index}"
     )

@@ -14,8 +14,9 @@ an input object does not read, an unreadable input file or unwritable
 --out path;
 3 reflector features; 4 size guard rails (arrangement size
 arrangement.MAX_SIMPLICIAL_DIM and MAX_SIMPLICIAL_HYPERPLANES, cyclotomic
-field order arrangement.MAX_FIELD_ORDER, squaring n,
-qE logarithm combinations covering.MAX_EXP_COMBINATIONS, groupoid group
+field order and hyperplanes arrangement.check_field_rail, squaring n, fiber
+points and qE logarithm combinations per run covering.MAX_FIBER_POINTS and
+MAX_EXP_COMBINATIONS, groupoid group
 order groupoid.MAX_GROUP_ORDER, negation and rotation point count
 groupoid.MAX_ACTION_POINTS, `forget` size MAX_FORGET_PAIRS, `obstruction`
 rotation order orbmodel.MAX_ROTATION_ORDER); 5 a covering
@@ -41,6 +42,7 @@ from .arrangement import (
     SizeGuardError,
     chamber_count,
     characteristic_polynomial,
+    check_field_rail,
     common_point,
     flat_poset,
     is_simplicial,
@@ -76,12 +78,12 @@ EXIT_GUARD = 4
 EXIT_COVER_FAIL = 5
 EXIT_NO_WITNESS = 6
 
-# (dim, hyperplane count) of each builder's arrangement, from --n and --m,
-# so the rails are checked before anything is built
+# (dim, hyperplane count, field order m, 1 over Q) of each builder's
+# arrangement from --n and --m, so the rails are checked before any build
 BUILDER_SIZES = {
-    "braid": lambda n, m: (n, n * (n - 1) // 2),
-    "case1": lambda n, m: (n, m * n * (n - 1) // 2),
-    "case3X": lambda n, m: (n + 1, n * (n + 1) + 1),
+    "braid": lambda n, m: (n, n * (n - 1) // 2, 1),
+    "case1": lambda n, m: (n, m * n * (n - 1) // 2, m),
+    "case3X": lambda n, m: (n + 1, n * (n + 1) + 1, 1),
 }
 # `forget` builds the n-point configuration groupoid, whose composable pairs
 # number at most (|points| * |group|^2)^n; its compose table is the cost
@@ -172,12 +174,13 @@ def _cmd_classify(args) -> tuple[dict, dict, int]:
     return report, {"input": data}, EXIT_OK
 
 
-def _check_rails(dim: int, hyperplanes: int) -> None:
+def _check_rails(dim: int, hyperplanes: int, order: int = 1) -> None:
     if dim > MAX_SIMPLICIAL_DIM or hyperplanes > MAX_SIMPLICIAL_HYPERPLANES:
         raise SizeGuardError(
             f"arrangement exceeds the CLI rails (dim <= {MAX_SIMPLICIAL_DIM}, "
             f"<= {MAX_SIMPLICIAL_HYPERPLANES} hyperplanes)"
         )
+    check_field_rail(order, hyperplanes)
 
 
 def _builder_spec(args) -> tuple[ArrangementSpec, dict]:

@@ -39,8 +39,12 @@ DEFAULT_EPS = 1e-9
 #: compares them pairwise, so its cost grows like 2^n * n^2.
 MAX_SQUARING_N = 10
 
-#: Rail on the qE check: each sample walks every combination of the 2 * window
-#: logarithms per coordinate, (2 * window)^n of them.
+#: Rail on a whole run: samples times the declared degree (2 for q, 2^n for
+#: squaring and qE), the fiber points checked; about 0.1 ms each.
+MAX_FIBER_POINTS = 20_000
+
+#: Rail on a whole qE run: each sample walks every combination of the
+#: 2 * window logarithms per coordinate, so samples * (2 * window)^n of them.
 MAX_EXP_COMBINATIONS = 1_000_000
 
 
@@ -419,8 +423,10 @@ def verify_cover(
     enumeration), "qE" (the exponential-then-quotient composite; 2^n
     preimages per fundamental window, scanned over window^n cells).
     Singular samples (branch values, degenerate coordinates) are skipped
-    and counted, never silently dropped.  Guard rails: squaring takes
-    n <= MAX_SQUARING_N, and qE takes (2 * window)^n <= MAX_EXP_COMBINATIONS.
+    and counted, never silently dropped.  Guard rails, checked before any
+    sample: squaring takes n <= MAX_SQUARING_N, every map takes samples *
+    degree <= MAX_FIBER_POINTS, and qE takes samples * (2 * window)^n <=
+    MAX_EXP_COMBINATIONS.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -428,50 +434,45 @@ def verify_cover(
         raise ValueError("window must be >= 1")
     if eps <= 0:
         raise ValueError("epsilon must be positive")
+    if map_id not in ("q", "squaring", "qE"):
+        raise ValueError(f"unknown map id {map_id!r}")
+    if map_id == "q":
+        n = 1
+    elif n < 1:
+        raise ValueError(f"{map_id} needs n >= 1")
+    elif map_id == "squaring" and n > MAX_SQUARING_N:
+        raise SizeGuardError(
+            f"squaring verification capped at n = {MAX_SQUARING_N} (2^n fiber points per sample)"
+        )
+    # 2 * window >= 2, so an exponent past the cap's bit length exceeds it
+    elif map_id == "qE" and (
+        samples * (2 * window) ** min(n, MAX_EXP_COMBINATIONS.bit_length()) > MAX_EXP_COMBINATIONS
+    ):
+        raise SizeGuardError(
+            f"qE verification capped at samples * (2 * window)^n <= {MAX_EXP_COMBINATIONS} "
+            f"(logarithm combinations per run)"
+        )
+    declared = 2**n
+    if samples * declared > MAX_FIBER_POINTS:
+        raise SizeGuardError(
+            f"{map_id} verification capped at samples * degree <= {MAX_FIBER_POINTS} (fiber points per run)"
+        )
     rng = random.Random(seed)
     rb = _ReportBuilder()
-    branch_records: tuple[dict, ...] = ()
-    if map_id == "q":
-        n_effective = 1
-        declared = 2
-        branch_records = _verify_quotient_map(rb, samples, rng)
-        window_out = None
-    elif map_id == "squaring":
-        if n < 1:
-            raise ValueError("squaring needs n >= 1")
-        if n > MAX_SQUARING_N:
-            raise SizeGuardError(
-                f"squaring verification capped at n = {MAX_SQUARING_N} "
-                f"(2^n fiber points per sample)"
-            )
-        n_effective = n
-        declared = 2**n
+    branch_records = _verify_quotient_map(rb, samples, rng) if map_id == "q" else ()
+    if map_id == "squaring":
         _verify_squaring(rb, n, samples, rng)
-        window_out = None
     elif map_id == "qE":
-        if n < 1:
-            raise ValueError("the exponential composite needs n >= 1")
-        # 2 * window >= 2, so an exponent past the cap's bit length exceeds it
-        if (2 * window) ** min(n, MAX_EXP_COMBINATIONS.bit_length()) > MAX_EXP_COMBINATIONS:
-            raise SizeGuardError(
-                f"qE verification capped at (2 * window)^n <= {MAX_EXP_COMBINATIONS} "
-                f"(logarithm combinations per sample)"
-            )
-        n_effective = n
-        declared = 2**n
         _verify_exp_composite(rb, n, samples, window, eps, rng)
-        window_out = window
-    else:
-        raise ValueError(f"unknown map id {map_id!r}")
     sizes = tuple(sorted(rb.sizes.items()))
     generic_ok = all(size == declared for size, _ in sizes) and rb.used > 0
     checks_ok = all(rb.checks.values())
     passed = generic_ok and checks_ok and rb.max_defect <= eps
     return CoveringReport(
         map_id=map_id,
-        n=n_effective,
+        n=n,
         declared_degree=declared,
-        window=window_out,
+        window=window if map_id == "qE" else None,
         samples=samples,
         used=rb.used,
         skipped=rb.skipped,

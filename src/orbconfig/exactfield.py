@@ -6,12 +6,13 @@ fiber count is made in exact arithmetic.  Rationals are ``fractions.Fraction``
 Q(zeta_m) is a dense vector of integer numerators over one positive
 denominator, gcd-canonical, in the power basis 1, zeta, ..., zeta^(phi(m)-1)
 modulo the m-th cyclotomic polynomial; Phi_m is monic, so products reduce
-by an integer table of x^k mod Phi_m and inverses come from fraction-free
-elimination.  A complex point is a Gaussian rational stored the same way,
-(a + b*i) / d with gcd(a, b, d) = 1.  So each value has one canonical form
-and its arithmetic runs on ints.  There is no approximate point: the one
-float map of the package (the exponential cover in ``covering``) works on
-builtin ``complex`` values with an explicit tolerance.
+by an integer table of x^k mod Phi_m, and an inverse is the product of the
+other Galois conjugates over the norm, a rational integer.  A complex point
+is a Gaussian rational stored the same way, (a + b*i) / d with
+gcd(a, b, d) = 1.  So each value has one canonical form and its arithmetic
+runs on ints.  There is no approximate point: the one float map of the
+package (the exponential cover in ``covering``) works on builtin
+``complex`` values with an explicit tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import AbstractSet, Iterable, Optional, Union
+from typing import AbstractSet, Iterable, Optional, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -180,37 +181,56 @@ def _reduction_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-def _bareiss_solve(rows: list[list[int]]) -> tuple[int, list[int]]:
-    """Solve an invertible integer system [M | b] of n rows fraction free.
+def residue_product(order: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The integer residue of a * b mod Phi_order, for integer residues a
+    and b of length phi(order): an integer convolution, then
+    x^k -> (x^k mod Phi_order) for k >= phi."""
+    phi = len(a)
+    out = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] += x * y
+    for row, c in zip(_reduction_table(order), out[phi:]):
+        if c:
+            for r, t in row:
+                out[r] += c * t
+    del out[phi:]
+    return out
 
-    Bareiss elimination (Math. Comp. 1968) makes M upper triangular: after
-    step k every entry below row k is a (k+1)-by-(k+1) minor of [M | b], so
-    each division by the previous pivot is exact, and the last pivot is
-    D = +-det M.  D * x is integral by Cramer's rule, so back substitution
-    on the triangular system divides exactly too.  Returns (D, D * x).
+
+@lru_cache(maxsize=None)
+def _conjugate_images(order: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """For each k in 2..m-1 coprime to m = order, the images of zeta^i (i <
+    phi) under sigma_k: zeta -> zeta^k, as sparse integer rows."""
+    return tuple(
+        tuple(
+            tuple((r, c) for r, c in enumerate(_zeta_power(order, k * i)._n) if c)
+            for i in range(euler_phi(order))
+        )
+        for k in range(2, order)
+        if math.gcd(k, order) == 1
+    )
+
+
+def norm_cofactor(order: int, a: Sequence[int]) -> list[int]:
+    """The product of sigma_k(a) over k in 2..m-1 coprime to m = order.
+
+    a times it is the norm N(a), the product of all conjugates of a: an
+    integer, positive for a != 0 and m >= 3 (Cohen, A Course in
+    Computational Algebraic Number Theory, 4.3).
     """
-    n = len(rows)
-    previous = 1
-    for k in range(n):
-        swap = next(i for i in range(k, n) if rows[i][k])
-        rows[k], rows[swap] = rows[swap], rows[k]
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        tail = pivot_row[k + 1 :]
-        for i in range(k + 1, n):
-            row = rows[i]
-            factor = row[k]
-            row[k + 1 :] = [
-                (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
-            ]
-        previous = pivot
-    det = previous
-    solution = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        total = det * row[n] - sum(row[j] * solution[j] for j in range(i + 1, n))
-        solution[i] = total // row[i]
-    return det, solution
+    phi = len(a)
+    cofactor = [1] + [0] * (phi - 1)
+    for images in _conjugate_images(order):
+        conjugate = [0] * phi
+        for x, image in zip(a, images):
+            if x:
+                for r, t in image:
+                    conjugate[r] += x * t
+        cofactor = residue_product(order, cofactor, conjugate)
+    return cofactor
 
 
 class Cyclotomic:
@@ -358,50 +378,28 @@ class Cyclotomic:
             other = self._coerce(other)  # raises on an order mismatch
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self._n, other._n
-        phi = len(a)
-        # integer convolution, then x^k -> (x^k mod Phi_m) for k >= phi
-        out = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    if y:
-                        out[j] += x * y
-        for row, c in zip(_reduction_table(self.order), out[phi:]):
-            if c:
-                for r, t in row:
-                    out[r] += c * t
-        del out[phi:]
-        return _reduced_cyclotomic(self.order, out, self._d * other._d)
+        nums = residue_product(self.order, self._n, other._n)
+        return _reduced_cyclotomic(self.order, nums, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse by fraction-free elimination.
+        """Multiplicative inverse through the norm.
 
-        With self = a / d for an integer residue a, the inverse is d * u
-        where a * u = 1 mod Phi_m.  Column j of the multiplication matrix
-        M_a is a * x^j mod Phi_m, so u solves M_a u = e_0; M_a is
-        invertible because Phi_m is irreducible, and Bareiss elimination
-        solves it on integers.
+        With self = a / d for an integer residue a, let c be a's norm
+        cofactor, the product of its other Galois conjugates.  Then a * c
+        is the norm N(a), a rational integer, positive because a lies
+        outside Q and so m >= 3; the inverse is d * c / N(a).
         """
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if not any(self._n[1:]):
-            # a rational c / d: M_a is c times the identity
+            # a rational c / d
             c = self._n[0]
             return Cyclotomic(self.order, [Fraction(self._d, c)])
-        modulus = cyclotomic_polynomial(self.order)
-        column = list(self._n)
-        columns = [column]
-        for _ in range(len(column) - 1):
-            column = _times_x(column, modulus)
-            columns.append(column)
-        system = [[col[i] for col in columns] + [int(i == 0)] for i in range(len(column))]
-        det, solution = _bareiss_solve(system)
-        if det < 0:
-            det, solution = -det, [-y for y in solution]
-        return _reduced_cyclotomic(self.order, [self._d * y for y in solution], det)
+        cofactor = norm_cofactor(self.order, self._n)
+        norm = residue_product(self.order, self._n, cofactor)[0]
+        return _reduced_cyclotomic(self.order, [self._d * y for y in cofactor], norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -40,7 +40,7 @@ from orbconfig.covering import (
     power_difference_map,
     verify_cover,
 )
-from orbconfig.exactfield import ComplexPoint
+from orbconfig.exactfield import ComplexPoint, euler_phi
 from orbconfig.groupoid import (
     FiniteGroup,
     GroupAction,
@@ -199,6 +199,34 @@ def test_arrangement_report_at_the_size_rail(capsys):
     assert report["chambers"]["total"] == chambers
     assert report["simplicial"]["chambers"] == chambers
     assert report["simplicial"]["simplicial"] is False
+    assert time.monotonic() - start < 20.0
+
+
+def _field_rail_spec(m, count):
+    """count random hyperplanes in Q^6 over Q(zeta_m), every residue of
+    every coefficient and offset drawn from -1, 0 and 1."""
+    rng = random.Random(1)
+
+    def scalar():
+        return {"coeffs": [rng.randint(-1, 1) for _ in range(euler_phi(m))]}
+
+    hyperplanes = [{"normal": [scalar() for _ in range(6)], "offset": scalar()} for _ in range(count)]
+    field = {"type": "cyclotomic", "m": m}
+    return json.dumps({"schema": 1, "dim": 6, "field": field, "hyperplanes": hyperplanes})
+
+
+def test_cyclotomic_arrangement_report_at_the_field_rail(capsys):
+    # Over Q(zeta_11) (phi = 10) the field rail admits 16 - 5 = 11
+    # hyperplanes.  Of the specs at the rail for every m <= 16, drawn with
+    # two-term and with dense coefficients, this one had the costliest flat
+    # poset: about 4 s on a 2-core host, 6 s under load.  It is generic, so
+    # chi(t) = sum over k of (-1)^k C(11, k) t^(6 - k).
+    start = time.monotonic()
+    assert cli.main(["arrangement", _field_rail_spec(11, 11)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["characteristic"]["coefficients"] == [(-1) ** k * comb(11, k) for k in range(7)][::-1]
+    assert report["rank"] == 6
+    assert cli.main(["arrangement", _field_rail_spec(11, 12)]) == 4
     assert time.monotonic() - start < 20.0
 
 

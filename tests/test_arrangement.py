@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbconfig.arrangement import (
+    MAX_FIELD_ORDER,
     ArrangementSpec,
     BadPrimeError,
     CentralityError,
@@ -647,7 +648,7 @@ def test_integer_elimination_matches_the_division_oracles_over_q(spec):
 
 
 @settings(max_examples=30, deadline=None)
-@given(data=st.data(), m=st.sampled_from([3, 4, 5]))
+@given(data=st.data(), m=st.sampled_from([3, 4, 5, 13, MAX_FIELD_ORDER]))
 def test_field_elimination_matches_the_division_oracles_over_cyclotomics(data, m):
     _assert_point_and_traces_match_the_oracles(
         data.draw(_affine_specs(ScalarField("cyclotomic", m)))
@@ -765,8 +766,14 @@ def test_finite_field_guards():
         finite_field_count(spec, 2)
     with pytest.raises(SizeGuardError):
         finite_field_count(braid_arrangement(5), 23)
+    # integer rows exist over Z[zeta_3] too, so each guard is explicit
+    cyclotomic = rotation_arrangement(2, 3)
     with pytest.raises(NotRealError):
-        finite_field_count(rotation_arrangement(2, 3), 7)
+        finite_field_count(cyclotomic, 7)
+    with pytest.raises(NotRealError):
+        good_primes(cyclotomic)
+    with pytest.raises(NotRealError):
+        bad_primes(cyclotomic)
 
 
 def test_size_guard_precedes_the_bad_prime_check():

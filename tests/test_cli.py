@@ -243,6 +243,22 @@ def test_arrangement_field_order_rail_exit_4(capsys, m):
     assert f"m <= {MAX_FIELD_ORDER}" in err
 
 
+@pytest.mark.parametrize("m, count", [(3, 15), (5, 14), (13, 10), (MAX_FIELD_ORDER, 12)])
+def test_field_rail_caps_hyperplanes_by_phi(capsys, m, count):
+    # over Q(zeta_m) at most 16 - phi(m) // 2 hyperplanes, counted as listed
+    # and refused before any element is built; the admitted count runs
+    code, out, err = run(capsys, ["arrangement", _cyclotomic_spec(m, dim=3, count=count + 1)])
+    assert (code, out) == (4, ""), err
+    assert f"{count + 1} hyperplanes over Q(zeta_{m}) exceed the rail" in err
+    assert run(capsys, ["arrangement", _cyclotomic_spec(m, dim=3, count=count)])[0] == 0
+
+
+@pytest.mark.parametrize("n, m, code", [(3, 4, 0), (3, 5, 4), (2, 12, 0), (2, 13, 4), (1, MAX_FIELD_ORDER + 1, 4)])
+def test_case1_builder_meets_the_field_rail_before_building(capsys, n, m, code):
+    # m * n(n-1)/2 hyperplanes over Q(zeta_m), from --n and --m
+    assert run(capsys, ["arrangement", "--builder", "case1", "--n", str(n), "--m", str(m)])[0] == code
+
+
 def test_arrangement_at_the_field_order_rail_within_budget(capsys):
     # MAX_FIELD_ORDER is the largest admitted order, and 13 (phi = 12) the
     # costliest below it.  About 0.4 s together on a 2-core host; the
@@ -303,6 +319,29 @@ def test_verify_cover_squaring_n_rail_exit_4(capsys):
     assert code == 4
     assert out == ""
     assert "squaring verification capped at n = 10" in err
+
+
+def test_verify_cover_largest_admitted_runs_within_budget(capsys):
+    # samples * degree <= MAX_FIBER_POINTS and, for qE, samples *
+    # (2 * window)^n <= MAX_EXP_COMBINATIONS, read before any sample.  The
+    # costliest admitted runs take about 1.5 s each on a 2-core host, and
+    # up to twice that under load; the budget keeps room for both.
+    start = time.perf_counter()
+    for argv in (["squaring", "--n", "10", "--samples", "19"], ["qE", "--n", "6", "--window", "5", "--samples", "1"]):
+        code, env = run_json(capsys, ["verify-cover", *argv])
+        assert code == 0 and env["report"]["pass"] is True, argv
+    elapsed = time.perf_counter() - start
+    assert elapsed < 15.0, f"the largest admitted verify-cover runs took {elapsed:.1f} s"
+    for argv, message in (
+        (["q", "--samples", "10001"], "samples * degree <= 20000"),
+        (["squaring", "--n", "10", "--samples", "20"], "samples * degree <= 20000"),
+        (["qE", "--n", "1", "--samples", "10001"], "samples * degree <= 20000"),
+        (["qE", "--n", "6", "--window", "5", "--samples", "2"], "samples * (2 * window)^n <= 1000000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify-cover", *argv])
+        assert (code, out) == (4, ""), argv
+        assert message in err and time.perf_counter() - start < 0.5, argv
 
 
 def test_verify_cover_qe_combination_rail_exit_4(capsys):
@@ -515,6 +554,11 @@ GOLDEN_STDOUT_SHA256 = [
         "2a7f0d691ec6a5934a5568d733576d54776215e87d13bb674c85f53e17066a01",
         id="case1-n4-m2",
     ),
+    # Q(zeta_5) gives leads outside Z, Q(zeta_13) the largest phi(m) = 12
+    # and MAX_FIELD_ORDER the largest order
+    pytest.param(["arrangement", _cyclotomic_spec(5)], "3c5c04ba94ce05233e21bf92edd97e02eb11a5f23727d4bb5ba44db24fb64be8", id="cyclotomic-m5"),
+    pytest.param(["arrangement", _cyclotomic_spec(13)], "cdab79aa2a017f1f8c5b726ae0f869ff87da4f6ddbca3ef95ef9672f8605823a", id="cyclotomic-m13"),
+    pytest.param(["arrangement", _cyclotomic_spec(16)], "0cbe311ef3838ea8e4399197e85900b5e5a93d25d72120e368f7458920e8bfc6", id="cyclotomic-m16"),
     pytest.param(
         ["arrangement", "--builder", "braid", "--n", "5"],
         "92e5ea5cd3d61b3e84258f6a8b3be4c7379c689a9129ffed8ed3faf9678dceb0",

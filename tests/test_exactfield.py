@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbconfig.arrangement import MAX_FIELD_ORDER
 from orbconfig.exactfield import (
     MAX_RATIONAL_DIGITS,
     ComplexPoint,
@@ -106,7 +107,7 @@ def cyclotomic_elements(draw, order=None):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(min_value=1, max_value=12), st.data())
+@given(st.integers(min_value=1, max_value=MAX_FIELD_ORDER), st.data())
 def test_field_laws(m, data):
     a = data.draw(cyclotomic_elements(order=m))
     b = data.draw(cyclotomic_elements(order=m))
@@ -342,11 +343,15 @@ ORACLE_PHI = {
     8: (1, 0, 0, 0, 1),
     10: (1, -1, 1, -1, 1),
     12: (1, 0, -1, 0, 1),
+    13: (1,) * 13,
     16: (1, 0, 0, 0, 0, 0, 0, 0, 1),
     20: (1, 0, -1, 0, 1, 0, -1, 0, 1),
     24: (1, 0, 0, 0, -1, 0, 0, 0, 1),
+    26: (1, -1) * 6 + (1,),
+    32: (1,) + (0,) * 15 + (1,),
+    52: (1, 0, -1, 0) * 6 + (1,),
 }
-ORACLE_ORDERS = (3, 4, 5, 8, 12)
+ORACLE_ORDERS = (3, 4, 5, 8, 12, 13, 16)
 
 
 def _ref_reduce(poly, m):
