@@ -1,9 +1,12 @@
 """Hyperplane arrangements over Q and Q(zeta_m), with exact invariants.
 
-Both fields are worked on one form, computed once per spec: primitive
-integer rows [a | b] over Z[zeta_m], each entry its phi(m) residues.  No
-float and no field division enters any rank or membership decision.  One
-pair of row operations answers every exact linear-algebra question:
+Both fields are worked on one form, the only one a spec stores: primitive
+integer rows [a | b] over Z[zeta_m], each entry its phi(m) residues, each
+row normalized to a positive integer lead.  The hyperplanes as field
+elements scaled to a leading one are a read view of those rows, for JSON
+output and equation checks.  No float and no field division enters a spec
+or any rank or membership decision.  One pair of row operations answers
+every exact linear-algebra question, building a spec included:
 normalizing makes a row's lead a positive integer, since a lead times its
 other Galois conjugates is its norm (Cohen, A Course in Computational
 Algebraic Number Theory, 4.3), and elimination is fraction free (Bareiss,
@@ -98,8 +101,9 @@ class ScalarField:
             if self.order is not None:
                 raise ValueError("rational field takes no order")
         elif self.kind == "cyclotomic":
-            if not self.order or self.order < 1:
-                raise ValueError("cyclotomic field needs an order >= 1")
+            if not self.order or self.order < 3:
+                # Q(zeta_1) = Q(zeta_2) = Q, whose reports read the real form
+                raise ValueError(f'cyclotomic field needs m >= 3, got {self.order!r}; for Q use {{"type": "Q"}}')
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
@@ -112,7 +116,7 @@ class ScalarField:
         """m of the ring Z[zeta_m] that holds the integer rows; 1 (Z) over Q."""
         return 1 if self.is_rational else self.order
 
-    def from_residues(self, nums: Sequence[int], den: int = 1):
+    def from_residues(self, nums: Sequence[int], den: int):
         """The element with integer residues nums over the denominator den > 0."""
         if self.is_rational:
             return Fraction(nums[0], den)
@@ -137,11 +141,6 @@ class ScalarField:
                 raise ValueError("cyclotomic order mismatch")
             return value
         return Cyclotomic.from_rational(self.order, Fraction(value))
-
-    def sort_key(self, value):
-        if self.is_rational:
-            return (value,)
-        return value.coeffs
 
     def scalar_to_json(self, value):
         if self.is_rational:
@@ -170,7 +169,8 @@ QQ = ScalarField("Q")
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """The affine hyperplane normal . x = offset, normalized upstream."""
+    """The affine hyperplane normal . x = offset, scaled so that its first
+    nonzero normal coefficient is one: a read view of one of a spec's rows."""
 
     normal: tuple
     offset: object
@@ -186,12 +186,29 @@ class Hyperplane:
 
 @dataclass(frozen=True)
 class ArrangementSpec:
-    """A finite list of pairwise distinct hyperplanes in a fixed dimension."""
+    """Pairwise distinct hyperplanes in a fixed dimension, built by make_arrangement.
+
+    Each is one primitive integer row [a | b] over Z[zeta_m], entry j the
+    phi(m) residues of the j-th coefficient stored flat (phi = 1 over Q),
+    normalized to a positive integer lead: one canonical row per hyperplane.
+    """
 
     dim: int
     field: ScalarField
-    hyperplanes: tuple[Hyperplane, ...]
+    rows: tuple[tuple[int, ...], ...]
     label: str = "custom"
+
+    @cached_property
+    def hyperplanes(self) -> tuple[Hyperplane, ...]:
+        """The rows as field elements over their lead: a read view, for JSON
+        output and callers that evaluate equations."""
+        phi = euler_phi(self.field.ring_order)
+        out = []
+        for row in self.rows:
+            lead = next(x for x in row if x)
+            *normal, offset = (self.field.from_residues(row[k : k + phi], lead) for k in range(0, len(row), phi))
+            out.append(Hyperplane(tuple(normal), offset))
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {
@@ -212,69 +229,38 @@ class ArrangementSpec:
     def _real_equations(self) -> tuple:
         """Each hyperplane as integer equations in (Re z_1, Im z_1, ...).
 
-        Coefficients, offsets and Gaussian rational coordinates all live in
-        Q(zeta_L) for L = lcm(m, 4), with m = 1 over Q and i = zeta_L^(L/4).
-        normal . z - offset is Q-linear in the real coordinates x, so each of
-        its power-basis components is one equation ``(rhs, ((k, c), ...))``
-        meaning sum(c * x_k) == rhs, scaled by the lcm of its denominators
-        so that rhs and every c are ints, with zero coefficients dropped.  A
-        point lies on the hyperplane exactly when all of its equations hold.
+        Each entry of a row, an element of Z[zeta_m] (m = 1 over Q), and the
+        Gaussian coordinates all live in Q(zeta_L) for L = lcm(m, 4), with
+        i = zeta_L^(L/4).  a . z - b is Z-linear in the real coordinates x,
+        so each of its power-basis components is one equation
+        ``(rhs, ((k, c), ...))`` meaning sum(c * x_k) == rhs in ints, with
+        zero coefficients dropped.  A point lies on the hyperplane
+        exactly when all of its equations hold.
         """
-        target = math.lcm(1 if self.field.is_rational else self.field.order, 4)
+        order = self.field.ring_order
+        phi = euler_phi(order)
+        target = math.lcm(order, 4)
         i_unit = complex_to_cyclotomic(ComplexPoint.exact(0, 1), target)
-
-        def lift(a) -> Cyclotomic:
-            if isinstance(a, Cyclotomic):
-                return a.embed(target)
-            return Cyclotomic.from_rational(target, a)
-
         compiled = []
-        for h in self.hyperplanes:
+        for row in self.rows:
             columns = []
-            for j, a in enumerate(h.normal):
-                if a:
-                    a = lift(a)
-                    columns += [(2 * j, a), (2 * j + 1, a * i_unit)]
-            rhs = lift(h.offset)
-            equations = []
-            for r, b in enumerate(rhs._n):
-                # column r of each element: numerator col._n[r] over col._d
-                terms = [(k, col._n[r], col._d) for k, col in columns if col._n[r]]
-                scale = math.lcm(rhs._d, *(d for _, _, d in terms))
-                equations.append(
-                    (b * (scale // rhs._d), tuple((k, c * (scale // d)) for k, c, d in terms))
-                )
-            compiled.append(tuple(equations))
+            for j in range(self.dim):
+                if any(entry := row[j * phi : (j + 1) * phi]):
+                    a = Cyclotomic(order, entry).embed(target)
+                    columns += [(2 * j, a._n), (2 * j + 1, (a * i_unit)._n)]
+            rhs = Cyclotomic(order, row[-phi:]).embed(target)
+            compiled.append(
+                tuple((b, tuple((k, c[r]) for k, c in columns if c[r])) for r, b in enumerate(rhs._n))
+            )
         return tuple(compiled)
-
-    @cached_property
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each hyperplane as a primitive integer row [a | b] over Z[zeta_m].
-
-        Entry j is the phi(m) integer residues of the j-th coefficient,
-        stored flat; over Q, phi = 1.  The row is (normal, offset) times the
-        lcm of its denominators, over the gcd of its ints.  Its first nonzero
-        entry is a positive integer: make_arrangement scales it to one.
-        """
-        rows = []
-        for h in self.hyperplanes:
-            entries = [
-                (e._n, e._d) if isinstance(e, Cyclotomic) else ((e.numerator,), e.denominator)
-                for e in h.normal + (h.offset,)
-            ]
-            lcm = math.lcm(*(d for _, d in entries))
-            row = [x * (lcm // d) for nums, d in entries for x in nums]
-            g = math.gcd(*row)
-            rows.append(tuple(v // g for v in row))
-        return tuple(rows)
 
     @property
     def _rational_rows(self) -> tuple[tuple[int, ...], ...]:
-        """_rows of a rational spec, for chambers, finite field counts and
+        """rows of a rational spec, for chambers, finite field counts and
         their primes; NotRealError over Q(zeta_m)."""
         if not self.field.is_rational:
             raise NotRealError("finite field counts need integer (rational) coefficients")
-        return self._rows
+        return self.rows
 
     @cached_property
     def _minor_values(self) -> frozenset[int]:
@@ -339,31 +325,43 @@ def make_arrangement(
     raw_hyperplanes: Iterable[tuple],
     label: str = "custom",
 ) -> ArrangementSpec:
-    """Normalize, deduplicate and sort hyperplane data into a spec.
+    """A spec from (normal, offset) pairs of field elements or rationals.
 
-    Each (normal, offset) pair is scaled so its first nonzero normal
-    coefficient is 1; duplicates collapse and the result is ordered by the
-    lexicographic key of the scaled coefficients.
+    Each pair becomes one primitive integer row, its residues times the lcm
+    of their denominators over the gcd, for _spec_from_rows; so rescaled
+    duplicates collapse and the input order does not matter.
     """
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
-    zero = field.zero()
-    seen: dict[tuple, Hyperplane] = {}
+    rows = []
     for normal, offset in raw_hyperplanes:
-        normal = tuple(field.coerce(a) for a in normal)
-        offset = field.coerce(offset)
-        if len(normal) != dim:
-            raise ValueError(f"normal of length {len(normal)} in dimension {dim}")
-        pivot = next((a for a in normal if a != zero), None)
-        if pivot is None:
+        values = [field.coerce(a) for a in (*normal, offset)]
+        if len(values) != dim + 1:
+            raise ValueError(f"normal of length {len(values) - 1} in dimension {dim}")
+        if not any(values[:-1]):
             raise ValueError("zero normal vector is not a hyperplane")
-        inv = field.one() / pivot
-        normal = tuple(a * inv for a in normal)
-        offset = offset * inv
-        key = tuple(field.sort_key(a) for a in normal) + field.sort_key(offset)
-        seen.setdefault(key, Hyperplane(normal, offset))
-    ordered = [seen[key] for key in sorted(seen)]
-    return ArrangementSpec(dim=dim, field=field, hyperplanes=tuple(ordered), label=label)
+        entries = [
+            (e._n, e._d) if isinstance(e, Cyclotomic) else ((e.numerator,), e.denominator) for e in values
+        ]
+        lcm = math.lcm(*(d for _, d in entries))
+        row = [x * (lcm // d) for nums, d in entries for x in nums]
+        g = math.gcd(*row)
+        rows.append(tuple([x // g for x in row]))
+    return _spec_from_rows(dim, field, rows, label)
+
+
+def _spec_from_rows(dim: int, field: ScalarField, rows: Iterable[tuple], label: str) -> ArrangementSpec:
+    """The spec of primitive integer rows with nonzero normals, each
+    normalized at its lead, without duplicates, sorted by the values over the
+    lead: the lexicographic order of the hyperplanes scaled to a leading one."""
+    order = field.ring_order
+    phi = euler_phi(order)
+    unique = {_normalize(row, next(c for c, x in enumerate(row) if x) // phi, order) for row in rows}
+    # each row over its lead, times the lcm of the leads: exact integer keys
+    leads = {row: next(x for x in row if x) for row in unique}
+    scale = math.lcm(*leads.values())
+    ordered = sorted(unique, key=lambda row: [x * (scale // leads[row]) for x in row])
+    return ArrangementSpec(dim, field, tuple(ordered), label)
 
 
 def complement_contains(spec: ArrangementSpec, point: Sequence[ComplexPoint]) -> bool:
@@ -454,7 +452,7 @@ def _echelon(spec: ArrangementSpec) -> list[tuple[int, tuple]]:
     order = spec.field.ring_order
     phi = euler_phi(order)
     pivots: dict[int, tuple] = {}
-    for row in spec._rows:
+    for row in spec.rows:
         for col, pivot_row in pivots.items():
             row = _eliminate(row, pivot_row, col, order)
         lead = next((c for c, x in enumerate(row) if x), None)
@@ -546,7 +544,7 @@ def flat_poset(spec: ArrangementSpec) -> FlatPoset:
     members_of = [frozenset()]
     dims = [dim]
     covers: list[list[int]] = [[]]
-    frontier = [(0, dict(enumerate(spec._rows)))]
+    frontier = [(0, dict(enumerate(spec.rows)))]
     while frontier:
         next_frontier = []
         found: dict[frozenset, int] = {}
@@ -815,7 +813,7 @@ def enumerate_chambers(spec: ArrangementSpec, bound: Optional[Fraction] = None) 
     """
     if not spec.field.is_rational:
         raise NotRealError("chamber enumeration needs an arrangement defined over Q")
-    if spec.dim > MAX_ENUM_DIM or len(spec.hyperplanes) > MAX_ENUM_HYPERPLANES:
+    if spec.dim > MAX_ENUM_DIM or len(spec.rows) > MAX_ENUM_HYPERPLANES:
         raise SizeGuardError(
             f"chamber enumeration capped at dim {MAX_ENUM_DIM} and "
             f"{MAX_ENUM_HYPERPLANES} hyperplanes"
@@ -833,7 +831,7 @@ def enumerate_chambers(spec: ArrangementSpec, bound: Optional[Fraction] = None) 
     raw = _enumerate_chambers(box + list(spec._rational_rows), spec.dim, len(box))
     chambers = tuple(
         Chamber(
-            signs=_sign_string(mask >> len(box), len(spec.hyperplanes)),
+            signs=_sign_string(mask >> len(box), len(spec.rows)),
             witness=tuple(Fraction(x, den) for x in nums),
         )
         for mask, (nums, den) in raw.items()
@@ -898,7 +896,7 @@ def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
     [a[P] | 0] has the same sign as the hyperplane's row at every point.  A normal's first nonzero entry
     lies in a pivot column, and two distinct normals first differ in a
     pivot column, so the projected hyperplanes keep the spec's order and
-    orientation under make_arrangement's normalization and sort.  The sign
+    orientation under a spec's normalization and sort.  The sign
     strings, and the order of wall_counts, are those of the essential spec.
 
     A chamber is simplicial when it has exactly rank walls with linearly
@@ -919,7 +917,7 @@ def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
     """
     if not spec.field.is_rational:
         raise NotRealError("simpliciality is checked on the rational real form")
-    if len(spec.hyperplanes) > MAX_SIMPLICIAL_HYPERPLANES:
+    if len(spec.rows) > MAX_SIMPLICIAL_HYPERPLANES:
         raise SizeGuardError(
             f"simpliciality capped at {MAX_SIMPLICIAL_HYPERPLANES} hyperplanes"
         )
@@ -931,7 +929,7 @@ def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
         raise SizeGuardError(f"simpliciality capped at rank {MAX_SIMPLICIAL_DIM}")
     essential = [[row[p] for p in pivots] + [0] for row in spec._rational_rows]
     raw = _enumerate_chambers(essential, rank)
-    count = len(spec.hyperplanes)
+    count = len(spec.rows)
     bits = [1 << i for i in range(count)]
     wall_counts = tuple(
         sum(mask ^ bit in raw for bit in bits)
@@ -1105,37 +1103,28 @@ def finite_field_count(spec: ArrangementSpec, q: int) -> int:
 
 
 def delete_hyperplane(spec: ArrangementSpec, index: int) -> ArrangementSpec:
-    remaining = [
-        (h.normal, h.offset) for i, h in enumerate(spec.hyperplanes) if i != index
-    ]
-    return make_arrangement(
-        spec.dim, spec.field, remaining, label=f"{spec.label} minus {index}"
-    )
+    remaining = [row for i, row in enumerate(spec.rows) if i != index]
+    return _spec_from_rows(spec.dim, spec.field, remaining, f"{spec.label} minus {index}")
 
 
 def restrict_to_hyperplane(spec: ArrangementSpec, index: int) -> ArrangementSpec:
     """The multiset of traces K cap H as an arrangement inside H.
 
     H's integer row, whose first nonzero entry p is a positive integer,
-    eliminates column p from every other row; on H the result is the
-    trace's equation in the remaining coordinates.  Rows whose normal
-    vanishes are parallel to H and have no trace.
+    eliminates column p from every other row; on H the result, with column
+    p dropped, is the trace's equation in the remaining coordinates.  Rows
+    whose normal vanishes are parallel to H and have no trace.
     """
-    field = spec.field
-    order = field.ring_order
+    order = spec.field.ring_order
     phi = euler_phi(order)
-    rows = spec._rows
-    onto = rows[index]
-    p = next(c for c, x in enumerate(onto) if x) // phi
+    onto = spec.rows[index]
+    start = next(c for c, x in enumerate(onto) if x)
     traces = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(spec.rows):
         if i == index:
             continue
-        row = _eliminate(row, onto, p, order)
-        *normal, offset = (field.from_residues(row[k : k + phi]) for k in range(0, len(row), phi))
-        del normal[p]
-        if any(normal):
-            traces.append((normal, offset))
-    return make_arrangement(
-        spec.dim - 1, spec.field, traces, label=f"{spec.label} | {index}"
-    )
+        row = _eliminate(row, onto, start // phi, order)
+        row = row[:start] + row[start + phi :]
+        if any(row[:-phi]):
+            traces.append(row)
+    return _spec_from_rows(spec.dim - 1, spec.field, traces, f"{spec.label} | {index}")

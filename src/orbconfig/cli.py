@@ -203,7 +203,7 @@ def _builder_spec(args) -> tuple[ArrangementSpec, dict]:
 
 def _cmd_arrangement(args) -> tuple[dict, dict, int]:
     spec, extra = _builder_spec(args)
-    _check_rails(spec.dim, len(spec.hyperplanes))
+    _check_rails(spec.dim, len(spec.rows))
     poset = flat_poset(spec)
     chi = characteristic_polynomial(poset)
     pi = poincare_polynomial(poset)
@@ -211,7 +211,7 @@ def _cmd_arrangement(args) -> tuple[dict, dict, int]:
         "label": spec.label,
         "dim": spec.dim,
         "field": spec.field.to_json(),
-        "hyperplanes": len(spec.hyperplanes),
+        "hyperplanes": len(spec.rows),
         "rank": poset.rank,
         "flats_by_dim": {str(d): c for d, c in sorted(poset.count_by_dim().items())},
         "characteristic": {"coefficients": chi.to_json(), "text": _poly_text(chi.coeffs)},

@@ -330,9 +330,6 @@ class Cyclotomic:
         body = " + ".join(terms) if terms else "0"
         return f"Cyclotomic({self.order}, {body})"
 
-    def sort_key(self) -> tuple[Fraction, ...]:
-        return self.coeffs
-
     def as_rational(self) -> Optional[Fraction]:
         """The element as a Fraction when it lies in Q, else None."""
         if any(self._n[1:]):

@@ -1052,21 +1052,27 @@ def group_action_from_json(data: dict, group: FiniteGroup) -> GroupAction:
 
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
-    """Explicit groupoid tables, as emitted by hand-written CLI inputs."""
+    """Explicit groupoid tables, as emitted by hand-written CLI inputs; a
+    wrong JSON shape raises InvalidModelError naming its field."""
     try:
-        objects = [_freeze(x) for x in data["objects"]]
+        objects = [_freeze(x) for x in json_shape(data["objects"], list, "objects")]
         morphisms = []
         source, target = {}, {}
-        for row in data["morphisms"]:
+        for row in json_shape(data["morphisms"], list, "morphisms"):
             label = _freeze(json_shape(row, dict, "morphism", {"id", "src", "tgt"})["id"])
             morphisms.append(label)
             source[label] = _freeze(row["src"])
             target[label] = _freeze(row["tgt"])
         compose = {}
-        for g, f, h in data["compose"]:
+        for i, entry in enumerate(json_shape(data["compose"], list, "compose")):
+            if len(json_shape(entry, list, f"compose[{i}]")) != 3:
+                raise ValueError(f"compose[{i}] must be a list of 3 labels, got {entry!r}")
+            g, f, h = entry
             compose[(_freeze(g), _freeze(f))] = _freeze(h)
-        identity = {_freeze(x): _freeze(m) for x, m in data["identities"].items()}
-        inverse = {_freeze(m): _freeze(v) for m, v in data["inverses"].items()}
+        identities = json_shape(data["identities"], dict, "identities")
+        inverses = json_shape(data["inverses"], dict, "inverses")
+        identity = {_freeze(x): _freeze(m) for x, m in identities.items()}
+        inverse = {_freeze(m): _freeze(v) for m, v in inverses.items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidModelError(f"malformed groupoid spec: {exc}") from exc
     if set(identity) != set(objects):

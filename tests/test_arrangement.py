@@ -80,6 +80,38 @@ def test_make_arrangement_dedups_cyclotomic_scalings():
     assert len(spec.hyperplanes) == 1
 
 
+def _coefficients(x):
+    return x.coeffs if isinstance(x, Cyclotomic) else (x,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=st.sampled_from([1, 3, 4, 5, 13, MAX_FIELD_ORDER]))
+def test_make_arrangement_ignores_scaling_and_order(data, m):
+    # each equation times a nonzero scalar, outside Q over Q(zeta_m) so that
+    # normalizing needs a norm cofactor, some of them twice, in any order
+    field = QQ if m == 1 else ScalarField("cyclotomic", m)
+    spec = data.draw(_affine_specs(field))
+    if field.is_rational:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        residues = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=1, max_size=4)
+        scalar = residues.map(lambda c: Cyclotomic(m, c))
+    scalar = scalar.filter(bool)
+    raw = []
+    for h in spec.hyperplanes:
+        for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+            c = data.draw(scalar)
+            raw.append((tuple(c * a for a in h.normal), c * h.offset))
+    rebuilt = make_arrangement(spec.dim, field, data.draw(st.permutations(raw)))
+    assert rebuilt.rows == spec.rows
+    assert rebuilt.hyperplanes == spec.hyperplanes
+    # the view scales each hyperplane to a leading one and lists them once,
+    # in the lexicographic order of those coefficients
+    assert all(next(a for a in h.normal if a) == 1 for h in spec.hyperplanes)
+    keys = [tuple(c for a in h.normal + (h.offset,) for c in _coefficients(a)) for h in spec.hyperplanes]
+    assert keys == sorted(set(keys))
+
+
 # -- flat posets and Mobius values ------------------------------------------
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from orbconfig import __version__
 from orbconfig import cli
-from orbconfig.arrangement import MAX_FIELD_ORDER
+from orbconfig.arrangement import MAX_FIELD_ORDER, ScalarField
 from orbconfig.cli import main
 from orbconfig.exactfield import MAX_RATIONAL_DIGITS
 from orbconfig.obstruction import MAX_WITNESS_STEPS, NoWitnessError
@@ -241,6 +241,17 @@ def test_arrangement_field_order_rail_exit_4(capsys, m):
     assert code == 4
     assert out == ""
     assert f"m <= {MAX_FIELD_ORDER}" in err
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_arrangement_cyclotomic_order_below_3_exit_2(capsys, m):
+    # Q(zeta_1) = Q(zeta_2) = Q: the report would claim complex coefficients
+    # and drop the chamber counts of what is a rational arrangement
+    with pytest.raises(ValueError, match="m >= 3"):
+        ScalarField("cyclotomic", m)
+    code, out, err = run(capsys, ["arrangement", _cyclotomic_spec(m, dim=2, count=2)])
+    assert (code, out) == (2, "")
+    assert '{"type": "Q"}' in err
 
 
 @pytest.mark.parametrize("m, count", [(3, 15), (5, 14), (13, 10), (MAX_FIELD_ORDER, 12)])
@@ -759,6 +770,38 @@ def test_groupoid_wrong_json_shape_exit_2(capsys, change, message):
         "group": {"kind": "cyclic", "n": 2},
         "action": {"kind": "negation", "n": 6},
     }
+    model.update(change)
+    code, out, err = run(capsys, ["groupoid", json.dumps(model)])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"objects": "a"}, "objects must be a list"),
+        ({"compose": ["eee"]}, "compose[0] must be a list"),
+        ({"compose": [{"e": 1, "f": 2, "g": 3}]}, "compose[0] must be a list"),
+        ({"compose": [["e", "e"]]}, "compose[0] must be a list of 3"),
+        ({"morphisms": "e"}, "morphisms must be a list"),
+        ({"identities": ["a"]}, "identities must be an object"),
+        ({"inverses": "e"}, "inverses must be an object"),
+    ],
+    ids=["objects", "compose_string", "compose_object", "compose_pair", "morphisms", "identities", "inverses"],
+)
+def test_explicit_groupoid_wrong_json_shape_exit_2(capsys, change, message):
+    # a string of objects or a compose entry that is a string or an object
+    # once iterated into labels and passed the axioms
+    model = {
+        "schema": 1,
+        "type": "explicit",
+        "objects": ["a"],
+        "morphisms": [{"id": "e", "src": "a", "tgt": "a"}],
+        "compose": [["e", "e", "e"]],
+        "identities": {"a": "e"},
+        "inverses": {"e": "e"},
+    }
+    assert run_json(capsys, ["groupoid", json.dumps(model)])[1]["report"]["pass"] is True
     model.update(change)
     code, out, err = run(capsys, ["groupoid", json.dumps(model)])
     assert (code, out) == (2, "")

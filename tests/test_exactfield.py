@@ -429,9 +429,3 @@ def test_cyclotomic_matches_the_fraction_polynomial_oracle(m, data):
             with pytest.raises(ZeroDivisionError):
                 u.inverse()
     _same_element((a + b) - b, x, m)
-    # sort_key orders elements as their reference coefficient tuples
-    elements = [a, b, c, a * b, a - b]
-    references = [x, y, z, _ref_mul(x, y, m), tuple(p - q for p, q in zip(x, y))]
-    by_key = sorted(range(len(elements)), key=lambda k: elements[k].sort_key())
-    by_ref = sorted(range(len(elements)), key=lambda k: references[k])
-    assert [references[k] for k in by_key] == [references[k] for k in by_ref]
