@@ -1102,7 +1102,15 @@ def finite_field_count(spec: ArrangementSpec, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_index(spec: ArrangementSpec, index: int) -> None:
+    """Refuse a hyperplane index outside 0..len(rows) - 1, negative ones
+    included, so a wrong index cannot act on an unchanged arrangement."""
+    if not 0 <= index < len(spec.rows):
+        raise IndexError(f"hyperplane index {index} is outside 0..{len(spec.rows) - 1}")
+
+
 def delete_hyperplane(spec: ArrangementSpec, index: int) -> ArrangementSpec:
+    _check_index(spec, index)
     remaining = [row for i, row in enumerate(spec.rows) if i != index]
     return _spec_from_rows(spec.dim, spec.field, remaining, f"{spec.label} minus {index}")
 
@@ -1115,6 +1123,7 @@ def restrict_to_hyperplane(spec: ArrangementSpec, index: int) -> ArrangementSpec
     p dropped, is the trace's equation in the remaining coordinates.  Rows
     whose normal vanishes are parallel to H and have no trace.
     """
+    _check_index(spec, index)
     order = spec.field.ring_order
     phi = euler_phi(order)
     onto = spec.rows[index]

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .arrangement import SizeGuardError
 from .exactfield import json_int, json_kind, json_shape
-from .groups import _MISSING, FiniteGroup, GroupAction, InvalidModelError
+from .groups import _MISSING, FiniteGroup, GroupAction, InvalidModelError, _associative_at
 
 # Largest group a JSON model may name.  Its Cayley table and a regular
 # action's permutations each have |G|^2 entries, and validating either
@@ -177,6 +177,11 @@ class FiniteGroupoid:
         table, base = self._table, g * len(self._src)
         return [table.get(base + f, ABSENT) for f in fs]
 
+    def _column(self, gs: Sequence[int], f: int) -> list:
+        """[_compose(g, f) for g in gs]."""
+        table, size = self._table, len(self._src)
+        return [table.get(g * size + f, ABSENT) for g in gs]
+
     def _pairs(self) -> Iterable[tuple[int, int, int]]:
         """(g, f, composite) for every pair with a composite, in the order
         of the compose mapping."""
@@ -249,56 +254,63 @@ class FiniteGroupoid:
         """Indices of a set S of morphisms whose composites give every
         morphism.
 
-        S starts from a spanning forest of the object graph and each forest
-        arrow's inverse entry; then, in morphism order, every morphism the
-        closure of S has not reached joins S.  The closure is a BFS by left
-        multiplication through the composites, so each morphism it reaches
-        is a composite of elements of S.  Needs a well-formed composition.
+        S starts from one directed cycle through the objects of each
+        component of the object graph, in DFS order: in a groupoid any two
+        objects of a component are joined by an arrow, and the cycle's
+        composites reach every object from every other.  Then, in morphism
+        order, every morphism the closure of S has not reached joins S, so
+        S generates whatever the seeds are.  The closure is a BFS by left
+        multiplication through the composites, a row at a time, so each
+        morphism it reaches is a composite of elements of S.  Needs a
+        well-formed composition.
         """
-        outgoing, _ = self._hom_index
-        src, tgt, compose = self._src, self._tgt, self._compose
+        outgoing, incoming = self._hom_index
+        src, tgt, row = self._src, self._tgt, self._row
         generators: list = []
         leaving: dict = {}  # object -> the generators with that source
-        entering: dict = {}  # object -> the reached morphisms with that target
         reached: set = set()
-        frontier: list = []
-
-        def reach(m: int) -> None:
-            reached.add(m)
-            entering.setdefault(tgt[m], []).append(m)
-            frontier.append(m)
 
         def generate(a: int) -> None:
             if a in reached:
                 return
             generators.append(a)
             leaving.setdefault(src[a], []).append(a)
-            reach(a)
-            for m in entering.get(src[a], ()):
-                if (am := compose(a, m)) not in reached:
-                    reach(am)
+            # a and its composites with the reached morphisms into s(a); then
+            # each new morphism is left-multiplied by the generators, one row
+            # per generator b and object, all of whose composites end at t(b)
+            entering = list(filter(reached.__contains__, incoming.get(src[a], ())))
+            fresh = {a, *row(a, entering)} - reached
+            reached.update(fresh)
+            frontier = {tgt[a]: fresh}
             while frontier:
-                m = frontier.pop()
-                for b in leaving.get(tgt[m], ()):
-                    if (bm := compose(b, m)) not in reached:
-                        reach(bm)
+                grown: dict = {}
+                for x, ms in frontier.items():
+                    for b in leaving.get(x, ()):
+                        if fresh := set(row(b, ms)) - reached:
+                            reached.update(fresh)
+                            grown.setdefault(tgt[b], set()).update(fresh)
+                frontier = grown
 
         seen: set = set()
         for root in range(len(self._objects)):
             if root in seen:
                 continue
             seen.add(root)
-            stack = [root]
+            cycle, stack = [root], [root]
             while stack:
                 for m in outgoing.get(stack.pop(), ()):
                     if tgt[m] not in seen:
                         seen.add(tgt[m])
                         stack.append(tgt[m])
-                        generate(m)
-                        if self._inv[m] is not None:
-                            generate(self._inv[m])
+                        cycle.append(tgt[m])
+            if len(cycle) > 1:
+                for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                    arrow = next((m for m in outgoing.get(x, ()) if tgt[m] == y), None)
+                    if arrow is not None:
+                        generate(arrow)
         for m in range(len(src)):
-            generate(m)
+            if m not in reached:
+                generate(m)
         return generators
 
     def _generators(self) -> list:
@@ -321,7 +333,13 @@ class FiniteGroupoid:
     def verify_axioms(self) -> CheckResult:
         """Exhaustive check of every groupoid axiom on the tables.
 
-        Each row names the first failure in row-major morphism order.
+        Each row names the first failure in row-major morphism order.  The
+        checks run on whole rows: composition_wellformed takes one _row per
+        morphism g and compares its composites' sources and targets with
+        per-object lists, and the unit laws take one _row and one _column
+        per object.  Only a row that fails is walked element by element,
+        to name its first failure.
+
         Associativity is decided by Light's test once the
         composition_wellformed row has passed, that is once composites are
         defined exactly on the composable pairs and every composite has the
@@ -338,9 +356,9 @@ class FiniteGroupoid:
         arrows = self._arrows
         n, size = len(self._objects), len(self._src)
         src, tgt, ident, inv, compose = self._src, self._tgt, self._ident, self._inv, self._compose
-        _, incoming = self._hom_index
+        outgoing, incoming = self._hom_index
 
-        total = all(s < n for s in src) and all(t < n for t in tgt)
+        total = max(src, default=-1) < n and max(tgt, default=-1) < n
         checks.append(("structure_maps_total", total, "" if total else "a morphism lacks source or target"))
 
         id_ok, id_detail = True, ""
@@ -355,11 +373,22 @@ class FiniteGroupoid:
         # row-major order so the first failure named is the first of all pairs
         comp_ok, comp_detail = True, ""
         stray = self._stray()
+        # one code per pair of endpoints, and -1 at the indices ABSENT and
+        # NOT_MORPHISM, so a row of composites maps to its endpoint codes
+        codes = len(ident)
+        ends = [s * codes + t for s, t in zip(src, tgt)] + [-1, -1]
+        sources = {x: [src[f] * codes for f in fs] for x, fs in incoming.items()}
         for g in range(size):
             s_g = src[g]
             row = incoming.get(s_g, [])
             if g in stray:
                 row = sorted({*row, *stray[g]})
+            else:
+                # every f in the row is composable with g, so the row is
+                # well-formed when each composite runs from s(f) to t(g)
+                t_g = tgt[g]
+                if [ends[h] for h in self._row(g, row)] == [s + t_g for s in sources.get(s_g, [])]:
+                    continue
             for f, h in zip(row, self._row(g, row)):
                 composable = s_g == tgt[f]
                 if composable != (h != ABSENT):
@@ -375,7 +404,14 @@ class FiniteGroupoid:
         checks.append(("composition_wellformed", comp_ok, comp_detail))
 
         unit_ok, unit_detail = True, ""
-        if id_ok and comp_ok:
+        if id_ok and comp_ok and not (
+            total
+            and all(
+                self._row(ident[x], incoming.get(x, [])) == incoming.get(x, [])
+                and self._column(outgoing.get(x, []), ident[x]) == outgoing.get(x, [])
+                for x in range(n)
+            )
+        ):
             for f in range(size):
                 left, right = ident[tgt[f]], ident[src[f]]
                 if left is None or right is None or compose(left, f) != f or compose(f, right) != f:
@@ -424,7 +460,14 @@ class FiniteGroupoid:
 class _TranslationGroupoid(FiniteGroupoid):
     """The translation groupoid of an action.  Morphism x * |G| + h is
     (x, h), and its composites (h.x, h2) o (x, h) = (x, h2 h) come from the
-    group table instead of a stored table."""
+    group table instead of a stored table.
+
+    The outgoing arrows of an object hold exactly one arrow per group
+    element, and so do the incoming ones, since each h acts bijectively.
+    So once composition is well-formed, Light's rows at a middle (x, h)
+    compare (h' h) h'' with h' (h h'') over all of G, whatever x is: the
+    test runs once per group element of the middles, on the group table.
+    """
 
     lawful = True
 
@@ -456,6 +499,15 @@ class _TranslationGroupoid(FiniteGroupoid):
         order, s_g, tgt = self._order, self._src[g], self._tgt
         product_row = self._mul[g % order]
         return [f - f % order + product_row[f % order] if tgt[f] == s_g else ABSENT for f in fs]
+
+    def _column(self, gs: Sequence[int], f: int) -> list:
+        order, t_f, src, table = self._order, self._tgt[f], self._src, self._mul
+        h = f % order
+        return [f - h + table[g % order][h] if src[g] == t_f else ABSENT for g in gs]
+
+    def _generators_associate(self) -> bool:
+        order = self._order
+        return all(_associative_at(self._mul, h) for h in {a % order for a in self._generating_set})
 
     def _pairs(self) -> Iterable[tuple[int, int, int]]:
         # f-major, as the composable pairs of every other model are built
@@ -629,21 +681,31 @@ class GroupoidHom:
 
     def _generators_preserved(self) -> bool:
         """F(g o f) == F(g) o F(f) for every f in the src's _generating_set
-        and every composable g.  The f at which this holds for every g are
-        closed under composition: for such f1 and f2, F(g o f2 f1) =
-        F((g o f2) o f1) = F(g o f2) o F(f1) = (F(g) o F(f2)) o F(f1) =
-        F(g) o F(f2 f1).  So it decides the law everywhere when both ends
-        are groupoids and endpoints are preserved."""
+        and every composable g, two _columns per f.  The f at which this
+        holds for every g are closed under composition: for such f1 and f2,
+        F(g o f2 f1) = F((g o f2) o f1) = F(g o f2) o F(f1) = (F(g) o F(f2))
+        o F(f1) = F(g) o F(f2 f1).  So it decides the law everywhere when
+        both ends are groupoids and endpoints are preserved."""
         src, dst, images = self.src, self.dst, self._arrow_images
         outgoing, _ = src._hom_index
         for f in src._generating_set:
-            image = images[f]
-            for g in outgoing.get(src._tgt[f], ()):
-                if dst._compose(images[g], image) != images[src._compose(g, f)]:
-                    return False
+            gs = outgoing.get(src._tgt[f], [])
+            if dst._column([images[g] for g in gs], images[f]) != [images[h] for h in src._column(gs, f)]:
+                return False
         return True
 
     def verify(self) -> CheckResult:
+        """Every homomorphism law, each row naming its first failure in
+        morphism order.  Composition is checked over the src's generating
+        set (_generators_preserved) when both ends are lawful, and by the
+        full scan in the order of src.compose otherwise or when that check
+        fails.  The result is computed once per hom and kept, like the index
+        maps, so the maps must not change afterwards; is_covering_hom and
+        is_equivalence read the same result."""
+        return self._verified
+
+    @cached_property
+    def _verified(self) -> CheckResult:
         checks = []
         src, dst = self.src, self.dst
         f0, f1 = self._object_images, self._arrow_images
@@ -1042,7 +1104,7 @@ def group_action_from_json(data: dict, group: FiniteGroup) -> GroupAction:
         }
         return GroupAction(group, base.points, table)
     if kind == "rotation":
-        return GroupAction.rotation_mod(_point_count(data, kind), group.order)
+        return GroupAction.rotation(group, _point_count(data, kind))
     points = [_freeze(p) for p in json_shape(data["points"], list, "action points")]
     table = {}
     for row in json_shape(data["table"], list, "action table"):

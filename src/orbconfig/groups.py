@@ -29,6 +29,13 @@ def _label_index(labels: tuple, what: str) -> dict:
     return index
 
 
+def _associative_at(rows: list, a: int) -> bool:
+    """Light's rows at the middle a of a closed Cayley table: (x a) y ==
+    x (a y) for every x and y, one list comparison per x."""
+    column = rows[a]
+    return all(rows[row[a]] == [row[ay] for ay in column] for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # Finite groups
 # ---------------------------------------------------------------------------
@@ -75,11 +82,8 @@ class FiniteGroup:
                 raise InvalidModelError(f"{self.elements[a]!r} has no inverse")
         # Light's test: the a with (x a) y == x (a y) for all x and y are
         # closed under products, so checking a over generators decides the law
-        for a in self._generating_set():
-            column = rows[a]
-            for row in rows:
-                if rows[row[a]] != [row[ay] for ay in column]:
-                    raise InvalidModelError("associativity fails")
+        if not all(_associative_at(rows, a) for a in self._generating_set()):
+            raise InvalidModelError("associativity fails")
 
     def _generating_set(self) -> list:
         """Indices S whose products give every element: in element order,
@@ -307,11 +311,30 @@ class GroupAction:
     @classmethod
     def rotation_mod(cls, n: int, order: int) -> "GroupAction":
         """C_order acting on Z/n by x -> x + (n/order) g; order must divide n."""
+        return cls.rotation(FiniteGroup.cyclic(order), n)
+
+    @classmethod
+    def rotation(cls, group: FiniteGroup, n: int) -> "GroupAction":
+        """A cyclic group acting on Z/n through its own labels: the first
+        element c of order |G| adds n/|G|, so c^k adds k n/|G|.  |G| must
+        divide n, and a group with no element of order |G| is refused."""
+        order, rows, e = group.order, group.table, group._identity
         if n % order:
             raise InvalidModelError("rotation order must divide the point count")
-        group = FiniteGroup.cyclic(order)
-        step = n // order
-        return cls.from_function(group, range(n), lambda g, x: (x + step * g) % n)
+        for c in range(order):
+            powers = [e]
+            while (p := rows[powers[-1]][c]) != e:
+                powers.append(p)
+            if len(powers) == order:
+                break
+        else:
+            raise InvalidModelError(
+                f"rotation acts through a cyclic group; {group.name} has no element of order {order}"
+            )
+        shift = [0] * order
+        for k, g in enumerate(powers):
+            shift[g] = k * (n // order)
+        return cls._from_perms(group, range(n), [[(x + s) % n for x in range(n)] for s in shift])
 
     def orbits(self) -> tuple[frozenset, ...]:
         seen: set = set()

@@ -395,6 +395,22 @@ def test_groupoid_axioms_coverings_and_morita_exhaustively():
     assert time.monotonic() - start < 120.0
 
 
+def test_groupoid_checks_at_the_rails():
+    # the largest models the JSON rails admit: 128 points under a group of
+    # order 32 (MAX_ACTION_POINTS, MAX_GROUP_ORDER), and the regular action
+    # of a group of order 32
+    start = time.monotonic()
+    group = FiniteGroup.cyclic(32)
+    trivial = frozenset({group.identity})
+    triple = morita_triple(GroupAction.rotation_mod(128, 32), trivial, trivial)
+    assert len(triple.middle.morphisms) == 128 * 32
+    assert triple.middle.verify_axioms().passed
+    assert triple.passed, (triple.first_check.first_failure(), triple.second_check.first_failure())
+    regular = translation_groupoid(GroupAction.regular(group))
+    assert regular.verify_axioms().passed
+    assert time.monotonic() - start < 10.0
+
+
 def test_classification_decision_table():
     start = time.monotonic()
     for k in (2, 3, 4, 5, 9):

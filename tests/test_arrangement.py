@@ -338,6 +338,17 @@ def test_deletion_restriction_recursion():
         assert chi == deleted - restricted
 
 
+@pytest.mark.parametrize("index", [7, 3, -1])
+def test_deletion_and_restriction_refuse_an_index_outside_the_rows(index):
+    spec = braid_arrangement(3)
+    assert len(spec.rows) == 3
+    with pytest.raises(IndexError, match="outside 0..2"):
+        delete_hyperplane(spec, index)
+    with pytest.raises(IndexError, match="outside 0..2"):
+        restrict_to_hyperplane(spec, index)
+    assert len(delete_hyperplane(spec, 2).rows) == 2
+
+
 # -- chamber counts ----------------------------------------------------------
 
 

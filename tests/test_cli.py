@@ -1024,6 +1024,21 @@ def test_groupoid_point_count_below_1_exit_2(capsys, order, action):
     assert f"{action['kind']} n must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"type": "skeleton", "group": {"kind": "dihedral", "n": 4}, "action": {"kind": "rotation", "n": 8}},
+        # [0, 2] names no Klein elements; it once passed as a subgroup of C4
+        {"type": "morita", "group": {"kind": "klein"}, "action": {"kind": "rotation", "n": 4}, "n1": [0, 2], "n2": [0]},
+    ],
+    ids=["dihedral4", "klein"],
+)
+def test_groupoid_rotation_through_a_group_that_is_not_cyclic_exit_2(capsys, model):
+    code, out, err = run(capsys, ["groupoid", json.dumps({"schema": 1, **model})])
+    assert (code, out) == (2, "")
+    assert "rotation acts through a cyclic group" in err
+
+
 def test_classify_unknown_key_exit_2(capsys):
     code, out, err = run(capsys, ["classify", '{"schema":1,"genus":0,"cone_orders":[2,3]}'])
     assert (code, out) == (2, "")

@@ -150,6 +150,70 @@ def test_negation_translation_counts():
     assert groupoid.verify_axioms().passed
 
 
+def _stored_copy(groupoid):
+    """The groupoid rebuilt from its label tables, composites stored."""
+    return FiniteGroupoid(
+        groupoid.objects,
+        groupoid.morphisms,
+        groupoid.source,
+        groupoid.target,
+        groupoid.compose,
+        groupoid.identity,
+        groupoid.inverse,
+    )
+
+
+_KERNEL_ACTIONS = [
+    lambda: GroupAction.negation_mod(6),
+    lambda: _d3_sign_action(),
+    lambda: GroupAction.regular(FiniteGroup.dihedral(4)),
+    lambda: GroupAction.rotation_mod(12, 4),
+]
+_KERNEL_IDS = ["negation6", "d3_sign", "regular_d4", "rotation12_4"]
+
+
+@pytest.mark.parametrize("make", _KERNEL_ACTIONS, ids=_KERNEL_IDS)
+def test_row_and_column_kernels_match_compose_on_every_pair(make):
+    groupoid = translation_groupoid(make())
+    stored = _stored_copy(groupoid)
+    assert stored.morphisms == groupoid.morphisms
+    everything = list(range(len(groupoid.morphisms)))
+    for g in everything:
+        expected = [groupoid._compose(g, f) for f in everything]
+        assert expected == [stored._compose(g, f) for f in everything]
+        assert groupoid._row(g, everything) == expected == stored._row(g, everything)
+    for f in everything:
+        expected = [groupoid._compose(g, f) for g in everything]
+        assert groupoid._column(everything, f) == expected == stored._column(everything, f)
+    assert groupoid._hom_index == stored._hom_index
+    assert groupoid.verify_axioms().checks == stored.verify_axioms().checks
+
+
+def _composite_closure(groupoid, generators):
+    """Every composite of the given labels, from the public compose table."""
+    reached = set(generators)
+    while True:
+        grown = {
+            groupoid.compose[(g, f)] for g in reached for f in reached if (g, f) in groupoid.compose
+        } - reached
+        if not grown:
+            return reached
+        reached |= grown
+
+
+@pytest.mark.parametrize("make", _KERNEL_ACTIONS, ids=_KERNEL_IDS)
+def test_generating_set_generates(make):
+    groupoid = translation_groupoid(make())
+    assert _composite_closure(groupoid, groupoid._generators()) == set(groupoid.morphisms)
+
+
+def test_cycle_seeds_give_at_most_one_generator_per_object_for_a_free_transitive_action():
+    # the pair groupoid on the 8 elements of D4: one cycle through the
+    # objects generates it, where forest arrows and their inverses took 14
+    groupoid = translation_groupoid(GroupAction.regular(FiniteGroup.dihedral(4)))
+    assert len(groupoid._generating_set) <= len(groupoid.objects)
+
+
 # -- orbit spaces and configurations ------------------------------------------
 
 
@@ -246,6 +310,17 @@ def test_subgroup_inclusions_are_coverings():
 
 def test_identity_is_a_covering():
     assert is_covering_hom(identity_hom(negation_groupoid())).passed
+
+
+def test_each_hom_is_verified_once():
+    hom = subgroup_covering_hom(GroupAction.rotation_mod(12, 4), frozenset({0, 2}))
+    calls = []
+    check = hom._generators_preserved
+    hom._generators_preserved = lambda: calls.append(1) or check()
+    report = hom.verify()
+    assert report.passed and calls == [1]
+    assert is_covering_hom(hom).passed
+    assert hom.verify() is report and calls == [1]
 
 
 def test_forget_map_is_not_a_covering():
@@ -441,6 +516,29 @@ def test_group_and_action_from_json():
     assert len(negation.orbits()) == 4
     with pytest.raises(InvalidModelError):
         group_from_json({"kind": "free"})
+
+
+def test_rotation_model_acts_through_the_given_cyclic_group():
+    c2xc3 = group_from_json({"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}]})
+    action = group_action_from_json({"kind": "rotation", "n": 12}, c2xc3)
+    assert action.group is c2xc3
+    # (1, 1) is the first element of order 6, so it adds 12 / 6 = 2, and
+    # (0, 1) = (1, 1)^4 adds 8
+    assert [action.apply((1, 1), x) for x in range(3)] == [2, 3, 4]
+    assert action.apply((0, 1), 0) == 8
+    assert action.apply((1, 0), 0) == 6
+    assert len(action.orbits()) == 2
+    # a cyclic model keeps the labels and table of rotation_mod
+    c4 = group_action_from_json({"kind": "rotation", "n": 12}, group_from_json({"kind": "cyclic", "n": 4}))
+    reference = GroupAction.rotation_mod(12, 4)
+    assert (c4.group.elements, c4.group.table) == (reference.group.elements, reference.group.table)
+    assert c4.perms == reference.perms
+
+
+@pytest.mark.parametrize("group", [{"kind": "dihedral", "n": 4}, {"kind": "klein"}], ids=["D4", "klein"])
+def test_rotation_model_refuses_a_group_that_is_not_cyclic(group):
+    with pytest.raises(InvalidModelError, match="rotation acts through a cyclic group"):
+        group_action_from_json({"kind": "rotation", "n": 8}, group_from_json(group))
 
 
 def _cyclic3_spec(corrupt=False):
