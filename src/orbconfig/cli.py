@@ -27,6 +27,7 @@ verification that ran but failed; 6 no quasifibration witness
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -368,7 +369,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built on first use: main runs in-process
+    many times, and parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="orbconfig",
         description="Exact invariants of planar orbit configurations: "

@@ -453,6 +453,40 @@ def test_enumeration_matches_zaslavsky(dim, data):
         _witness_ok(spec, c)
 
 
+def _central_spec(dim, normals):
+    raw = [(tuple(map(F, a)), F(0)) for a in normals if any(a)]
+    return make_arrangement(dim, QQ, raw) if raw else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(min_value=2, max_value=4), data=st.data())
+def test_central_chambers_match_a_translate(dim, data):
+    """A central spec's chambers come from its affine slice; translated by
+    an integer vector off every hyperplane, the same hyperplanes take the
+    affine path, and the two must realize the same sign vectors."""
+    normal = st.tuples(*([small_coeff] * dim))
+    spec = _central_spec(dim, data.draw(st.lists(normal, min_size=1, max_size=7)))
+    if spec is None:
+        return
+    shift = data.draw(st.tuples(*([st.integers(min_value=-3, max_value=3)] * dim)))
+    if any(sum(a * t for a, t in zip(h.normal, shift)) == 0 for h in spec.hyperplanes):
+        # with |a_j| <= 2, a . (1, 3, 9, ...) is nonzero for every normal a
+        shift = tuple(3**j for j in range(dim))
+    moved = make_arrangement(
+        dim, QQ, [(h.normal, sum(a * t for a, t in zip(h.normal, shift))) for h in spec.hyperplanes]
+    )
+    assert [h.normal for h in moved.hyperplanes] == [h.normal for h in spec.hyperplanes]
+    assert all(h.offset != 0 for h in moved.hyperplanes)
+    chambers = enumerate_chambers(spec)
+    realized = chambers.sign_vectors()
+    assert enumerate_chambers(moved).sign_vectors() == realized
+    flip = str.maketrans("+-", "-+")
+    assert {signs.translate(flip) for signs in realized} == realized
+    assert len(chambers) == len(realized)
+    for c in chambers.chambers:
+        _witness_ok(spec, c)
+
+
 def _oracle_strictly_feasible(rows):
     """Whether {x : a . x + c > 0 for every (a, c) in rows} is nonempty.
 
@@ -788,6 +822,38 @@ def test_is_simplicial_guard_rail():
         is_simplicial(wide)
 
 
+def _assert_wall_incidence(spec):
+    """Each wall of a chamber is a facet on one hyperplane H, a chamber of
+    the restriction A^H, and each such facet bounds two chambers; so the
+    walls total 2 sum_H c(A^H), and every chamber has rank walls exactly
+    when that total is rank c(A).  The counts are Zaslavsky's, on the
+    division oracle's restrictions."""
+    report = is_simplicial(spec)
+    total, _ = chamber_count(flat_poset(spec))
+    facets = sum(
+        chamber_count(flat_poset(_oracle_restrict(spec, i)))[0] for i in range(len(spec.rows))
+    )
+    assert report.chamber_count == total
+    assert sum(report.wall_counts) == 2 * facets
+    assert report.simplicial == (2 * facets == report.rank * total)
+
+
+def test_wall_incidence_of_braid_and_sign_flip_arrangements():
+    for n in range(2, 7):
+        _assert_wall_incidence(braid_arrangement(n))
+    for n in range(1, 4):
+        _assert_wall_incidence(sign_flip_arrangement(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=4), data=st.data())
+def test_wall_incidence_of_random_central_spec(dim, data):
+    normal = st.tuples(*([small_coeff] * dim))
+    spec = _central_spec(dim, data.draw(st.lists(normal, min_size=1, max_size=7)))
+    if spec is not None:
+        _assert_wall_incidence(spec)
+
+
 # -- finite field counts -----------------------------------------------------
 
 
@@ -925,15 +991,19 @@ def _points_off(spec, q):
     return count
 
 
-@settings(max_examples=60, deadline=None)
-@given(dim=st.integers(min_value=1, max_value=3), data=st.data())
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=4), data=st.data())
 def test_finite_field_count_matches_pointwise_count(dim, data):
-    # the last coordinate is often zero, so rows with a_d = 0 are common
+    # the count walks planes in the last two coordinates; drawing those from
+    # a small set makes rows constant on the plane (both zero), parallel
+    # lines, lines that coincide mod q on some planes, and three or more
+    # lines through one point common
     head = st.integers(min_value=-3, max_value=3)
-    last = st.sampled_from([0, 0, 0, 1, -2, 3])
+    last = st.sampled_from([0, 0, 0, 1, -1, 2])
+    tail = [last] * min(dim, 2)
     rows = data.draw(
         st.lists(
-            st.tuples(st.tuples(*([head] * (dim - 1) + [last])), head),
+            st.tuples(st.tuples(*([head] * (dim - len(tail)) + tail)), head),
             min_size=0,
             max_size=6,
         )
@@ -943,6 +1013,17 @@ def test_finite_field_count_matches_pointwise_count(dim, data):
     for q in good_primes(spec, 2):
         if q**dim <= 3000:
             assert finite_field_count(spec, q) == _points_off(spec, q)
+
+
+def test_finite_field_count_of_concurrent_and_parallel_lines():
+    # x = 0, y = 0 and x + y = 0 meet at the origin, and x + y = 1 is
+    # parallel to x + y = 0 and meets x = 0 and y = 0 at (0, 1) and (1, 0):
+    # the 4 lines cover 4q - 2 - 1 - 1 points, which leaves (q - 2)^2
+    spec = lines((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1))
+    primes = good_primes(spec, 4)
+    assert primes == [2, 3, 5, 7]
+    for q in primes:
+        assert finite_field_count(spec, q) == (q - 2) ** 2 == _points_off(spec, q)
 
 
 # -- polynomial helper -------------------------------------------------------
