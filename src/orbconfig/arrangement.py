@@ -27,9 +27,12 @@ arrangements are enumerated by deletion and restriction on the integer
 rows: a new hyperplane cuts exactly the chambers whose sign vectors are
 realized on it, which is the same enumeration one dimension lower, so no
 linear program runs.  A central arrangement is enumerated on an affine
-slice, whose chambers are half of its own.  Every chamber carries an exact
-interior witness.  Points over F_q are counted a plane at a time, from the
-lines that the hyperplanes cut on each plane and the points where they meet.
+slice, whose chambers are half of its own, by the same restrict-and-lift
+step.  Every chamber carries an exact interior witness: the new half of a
+cut chamber steps off the witness lifted onto the hyperplane by a step
+that an integer gap bound, computed once per hyperplane, keeps inside.
+Points over F_q are counted a plane at a time, from the lines that the
+hyperplanes cut on each plane and the points where they meet.
 """
 
 from __future__ import annotations
@@ -705,37 +708,34 @@ class ChamberSet:
 
 def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     g = math.gcd(den, *nums)
-    return tuple(x // g for x in nums), den // g
+    return (tuple(nums), den) if g == 1 else (tuple([x // g for x in nums]), den // g)
 
 
-def _step_off(
-    rows: Sequence[Sequence[int]],
-    slopes: Sequence[int],
-    mask: int,
-    point: tuple[tuple[int, ...], int],
-    normal: Sequence[int],
-    direction: int,
-) -> tuple[tuple[int, ...], int]:
-    """Move point along direction * normal by half its exit time from the chamber.
+def _restrict(
+    row: Sequence[int], others: Sequence[Sequence[int]], dim: int, fixed: int = 0
+) -> dict[int, tuple[tuple[int, ...], int]]:
+    """Chambers of the rows others on the hyperplane of row, each witness
+    a point on that hyperplane.
 
-    The chamber is the one of rows with sign vector mask; slopes[i] is
-    rows[i] . normal.  Halving keeps the new point strictly inside.
+    Each other row loses x_p, for p the first nonzero entry of row's
+    normal: the elimination clears it with row normalized to a positive
+    entry there, which leaves a positive multiple of the other row on the
+    hyperplane, so every point of it keeps its sign.  The traces are
+    enumerated one dimension lower, with their first ``fixed`` rows bounding
+    a box, and x_p is solved back from row.
     """
-    nums, den = point
-    best = None  # exit time v / (q * den)
-    for i, (row, slope) in enumerate(zip(rows, slopes)):
-        sign = 1 if mask >> i & 1 else -1
-        q = -sign * direction * slope
-        if q > 0:
-            v = sign * (sum(map(mul, row, nums)) - row[-1] * den)
-            if best is None or v * best[1] < best[0] * q:
-                best = (v, q)
-    if best is None:
-        return _reduced([x + direction * den * a for x, a in zip(nums, normal)], den)
-    v, q = best
-    return _reduced(
-        [2 * q * x + direction * v * a for x, a in zip(nums, normal)], 2 * q * den
-    )
+    p = next(j for j, a in enumerate(row[:-1]) if a)
+    onto = _normalize(row, p, 1)
+    *rest, b = onto[:p] + onto[p + 1 :]
+    ap = onto[p]
+    traces = [_eliminate(other, onto, p, 1) for other in others]
+    on_h = _enumerate_chambers([t[:p] + t[p + 1 :] for t in traces], dim - 1, fixed)
+    lifted = {}
+    for m, (ys, dy) in on_h.items():
+        nums = [ap * y for y in ys]
+        nums.insert(p, b * dy - sum(map(mul, rest, ys)))
+        lifted[m] = _reduced(nums, ap * dy)
+    return lifted
 
 
 def _enumerate_chambers(
@@ -749,10 +749,17 @@ def _enumerate_chambers(
     keep only their positive side; they bound a box.  Row k cuts the
     chamber of rows 0..k-1 with mask m exactly when m is realized on the
     hyperplane a_k . x = b_k, which is the same enumeration one dimension
-    lower.  There, a row that vanishes keeps the constant sign of -b, and a
-    row that vanishes with its offset leaves no chamber.  The two halves of
-    a cut chamber step off the lifted witness along +-a_k; the half that
-    holds the old witness keeps it.
+    lower (_restrict).  There, a row that vanishes keeps the constant sign
+    of -b, and a row that vanishes with its offset leaves no chamber.
+
+    The half of a cut chamber that holds its old witness keeps it; the
+    other half steps off the witness P / D found on row k's hyperplane, to
+    (S P +- a_k) / (S D) with S = 2 max(1, max_i |a_i . a_k|) over the
+    earlier rows.  P and D are integers, so a_i . P - b_i D is a nonzero
+    integer: a_i . x - b_i is at least 1 / D away from zero at P / D, and
+    the step moves it by a_i . a_k / (S D), at most 1 / (2 D).  So the new
+    point keeps every earlier sign, and a_k . x - b_k = +-|a_k|^2 / (S D)
+    puts it strictly on its side of row k.
 
     Central rows (no box, every offset 0) in dimension 2 or more take
     their chambers from the affine slice a_0 . x = 1 instead (_cone_chambers),
@@ -771,39 +778,28 @@ def _enumerate_chambers(
             if b < 0:
                 cells = {m | bit: w for m, w in cells.items()}
             continue
-        p = next(j for j, a in enumerate(normal) if a)
-        ap = normal[p]
-        unit = 1 if ap > 0 else -1
-        rest = normal[:p] + normal[p + 1 :]
         earlier = rows[:k]
-        # a positive multiple of each earlier row, x_p cleared by row k: on
-        # row k's hyperplane every point keeps its sign
-        onto = _normalize(row, p, 1)
-        traces = [_eliminate(other, onto, p, 1) for other in earlier]
-        on_h = _enumerate_chambers([t[:p] + t[p + 1 :] for t in traces], dim - 1, min(fixed, k))
-        slopes = [sum(map(mul, other, normal)) for other in earlier]
+        on_h = _restrict(row, earlier, dim, min(fixed, k))
+        s = 2 * max(1, max((abs(sum(map(mul, other, normal))) for other in earlier), default=0))
         keep_minus = k >= fixed
         updated = {}
         for m, witness in cells.items():
             nums, den = witness
             gap = sum(map(mul, normal, nums)) - b * den
-            inside = on_h.get(m)
-            if inside is None:  # the chamber lies on one side of row k
+            lifted = on_h.get(m)
+            if lifted is None:  # the chamber lies on one side of row k
                 if gap > 0:
                     updated[m | bit] = witness
                 elif keep_minus:
                     updated[m] = witness
                 continue
-            ys, dy = inside
-            lifted = [abs(ap) * y for y in ys]
-            lifted.insert(p, unit * (b * dy - sum(map(mul, rest, ys))))
-            lifted = (lifted, abs(ap) * dy)
+            ps, d = lifted
             updated[m | bit] = (
-                witness if gap > 0 else _step_off(earlier, slopes, m, lifted, normal, 1)
+                witness if gap > 0 else _reduced([s * x + a for x, a in zip(ps, normal)], s * d)
             )
             if keep_minus:
                 updated[m] = (
-                    witness if gap < 0 else _step_off(earlier, slopes, m, lifted, normal, -1)
+                    witness if gap < 0 else _reduced([s * x - a for x, a in zip(ps, normal)], s * d)
                 )
         cells = updated
     return cells
@@ -817,26 +813,15 @@ def _cone_chambers(
     Hyperplanes, 1.6).
 
     Every chamber is a cone on one side of row 0.  Those on its positive
-    side meet the slice in the chambers of the traces of rows 1.., found
-    one dimension lower; each trace is its row with x_p cleared by the
-    slice's row, the same elimination deletion and restriction uses, so it
-    keeps the row's sign on the slice.  A slice chamber with mask m lifts
-    to mask m << 1 | 1 with its witness on the slice, and its negative,
-    the complement mask with the witness negated, is the chamber opposite.
+    side meet the slice in the chambers of rows 1.. there, found by the
+    restriction step deletion and restriction uses (_restrict).  A slice
+    chamber with mask m lifts to mask m << 1 | 1 with its witness on the
+    slice, and its negative, the complement mask with the witness negated,
+    is the chamber opposite.
     """
-    *normal, _ = rows[0]
-    p = next(j for j, a in enumerate(normal) if a)
-    onto = _normalize((*normal, 1), p, 1)
-    *rest, b = onto[:p] + onto[p + 1 :]
-    ap = onto[p]
-    traces = [_eliminate(other, onto, p, 1) for other in rows[1:]]
-    on_slice = _enumerate_chambers([t[:p] + t[p + 1 :] for t in traces], dim - 1)
     full = (1 << len(rows)) - 1
     cells = {}
-    for m, (ys, dy) in on_slice.items():
-        lifted = [ap * y for y in ys]
-        lifted.insert(p, b * dy - sum(map(mul, rest, ys)))
-        nums, den = _reduced(lifted, ap * dy)
+    for m, (nums, den) in _restrict((*rows[0][:-1], 1), rows[1:], dim).items():
         mask = m << 1 | 1
         cells[mask] = (nums, den)
         cells[full ^ mask] = (tuple([-x for x in nums]), den)

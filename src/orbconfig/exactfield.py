@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import AbstractSet, Iterable, Optional, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 class InvalidOrderError(ValueError):

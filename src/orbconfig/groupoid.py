@@ -1007,9 +1007,10 @@ def morita_triple(
     G(S/N_i, Gamma/N_i) come from the quotient projections.  Both arrows
     are checked against the two equivalence conditions.
     """
-    for candidate in (normal_first, normal_second):
-        if not action.group.is_normal(frozenset(candidate)):
-            raise InvalidModelError(f"{sorted(map(repr, candidate))} is not a normal subgroup")
+    # the per-N quotient cache decides normality; N1 and N2 go through it
+    # first, so a refusal names an input rather than their intersection
+    action._quotient(normal_first)
+    action._quotient(normal_second)
     intersection = frozenset(normal_first) & frozenset(normal_second)
     middle_action, *projections = action._quotient(intersection)
     middle = translation_groupoid(middle_action)

@@ -217,7 +217,7 @@ class FiniteGroup:
         """(Quotient group with frozenset cosets, the index of each
         element's coset); cosets in order of first appearance."""
         if not self.is_normal(normal):
-            raise InvalidModelError("quotient requires a normal subgroup")
+            raise InvalidModelError(f"{sorted(map(repr, normal))} is not a normal subgroup")
         members = [self.index[n] for n in normal]
         rows = self.table
         coset_of: list = [None] * self.order

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbconfig.arrangement import (
@@ -520,17 +520,27 @@ def _oracle_strictly_feasible(rows):
                 )
 
 
+def _fourier_motzkin_cases(dim):
+    # small fractions meet in many flats; integers up to 10^4 make nearly
+    # parallel walls, where the step off a restricted witness is tight
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=2) | st.integers(
+        min_value=-(10**4), max_value=10**4
+    ).map(F)
+    rows = st.lists(st.tuples(st.tuples(*([entry] * dim)), entry), min_size=0, max_size=5)
+    bound = st.none() | st.fractions(min_value=F(1, 2), max_value=3, max_denominator=2)
+    return st.tuples(st.just(dim), rows, bound)
+
+
+NEARLY_PARALLEL = [((1, 10**4), 1), ((1, 10**4 + 1), -1)]
+
+
 @settings(max_examples=80, deadline=None)
-@given(dim=st.integers(min_value=1, max_value=3), data=st.data())
-def test_enumeration_matches_fourier_motzkin_feasibility(dim, data):
-    entry = st.fractions(min_value=-2, max_value=2, max_denominator=2)
-    raw = data.draw(
-        st.lists(
-            st.tuples(st.tuples(*([entry] * dim)), entry), min_size=0, max_size=5
-        )
-    )
+@given(case=st.integers(min_value=1, max_value=3).flatmap(_fourier_motzkin_cases))
+@example(case=(2, NEARLY_PARALLEL, None))
+@example(case=(2, NEARLY_PARALLEL, F(1, 2)))
+def test_enumeration_matches_fourier_motzkin_feasibility(case):
+    dim, raw, bound = case
     raw = [(normal, offset) for normal, offset in raw if any(normal)]
-    bound = data.draw(st.none() | st.fractions(min_value=F(1, 2), max_value=3, max_denominator=2))
     spec = make_arrangement(dim, QQ, raw)
     chambers = enumerate_chambers(spec, bound=bound)
     box = []

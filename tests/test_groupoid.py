@@ -2,6 +2,7 @@
 coverings, equivalences, and the Morita triple construction."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -500,8 +501,13 @@ def test_morita_rejects_non_normal_inputs():
     d4 = FiniteGroup.dihedral(4)
     action = GroupAction.regular(d4)
     reflection = frozenset({(0, 0), (0, 1)})  # not normal in D4
-    with pytest.raises(InvalidModelError):
+    rotations = frozenset((k, 0) for k in range(4))
+    named = re.escape(f"{sorted(map(repr, reflection))} is not a normal subgroup")
+    with pytest.raises(InvalidModelError, match=named):
         morita_triple(action, reflection, frozenset(d4.elements))
+    # the intersection with the rotations is trivial, hence normal
+    with pytest.raises(InvalidModelError, match=named):
+        morita_triple(action, rotations, reflection)
 
 
 # -- JSON models ------------------------------------------------------------------
