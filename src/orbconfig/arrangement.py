@@ -685,20 +685,36 @@ class Chamber:
     witness: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
 class ChamberSet:
-    spec: ArrangementSpec
-    chambers: tuple[Chamber, ...]
+    """The chambers of an arrangement, kept as the enumeration returns them:
+    {mask: (numerators, denominator)}, where bit shift + i of a mask is the
+    side of the arrangement's hyperplane i (the box rows of a bound take
+    the low bits).  len() and sign_vectors() read the masks.  The Chamber
+    tuples, with their Fraction witnesses and sign strings, are built on
+    the first read of chambers or in to_json, since most callers need the
+    count only."""
+
+    def __init__(self, spec: ArrangementSpec, raw: dict, shift: int = 0):
+        self.spec, self._raw, self._shift = spec, raw, shift
 
     def __len__(self):
-        return len(self.chambers)
+        return len(self._raw)
+
+    @cached_property
+    def chambers(self) -> tuple[Chamber, ...]:
+        count, shift = len(self.spec.rows), self._shift
+        return tuple(
+            Chamber(signs=_sign_string(mask >> shift, count), witness=tuple(Fraction(x, den) for x in nums))
+            for mask, (nums, den) in self._raw.items()
+        )
 
     def sign_vectors(self) -> frozenset[str]:
-        return frozenset(c.signs for c in self.chambers)
+        count, shift = len(self.spec.rows), self._shift
+        return frozenset(_sign_string(mask >> shift, count) for mask in self._raw)
 
     def to_json(self) -> dict:
         return {
-            "count": len(self.chambers),
+            "count": len(self),
             "chambers": [
                 {"signs": c.signs, "witness": [format_rational(x) for x in c.witness]}
                 for c in sorted(self.chambers, key=lambda c: c.signs)
@@ -860,14 +876,7 @@ def enumerate_chambers(spec: ArrangementSpec, bound: Optional[Fraction] = None) 
                 face[i] = unit * bound.denominator
                 box.append(face)  # unit * x_i > -bound
     raw = _enumerate_chambers(box + list(spec._rational_rows), spec.dim, len(box))
-    chambers = tuple(
-        Chamber(
-            signs=_sign_string(mask >> len(box), len(spec.rows)),
-            witness=tuple(Fraction(x, den) for x in nums),
-        )
-        for mask, (nums, den) in raw.items()
-    )
-    return ChamberSet(spec=spec, chambers=chambers)
+    return ChamberSet(spec, raw, len(box))
 
 
 # ---------------------------------------------------------------------------

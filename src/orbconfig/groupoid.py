@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .arrangement import SizeGuardError
 from .exactfield import json_int, json_kind, json_shape
-from .groups import _MISSING, FiniteGroup, GroupAction, InvalidModelError, _associative_at
+from .groups import _MISSING, FiniteGroup, GroupAction, InvalidModelError, _associative_at, _generating_set
 
 # Largest group a JSON model may name.  Its Cayley table and a regular
 # action's permutations each have |G|^2 entries, and validating either
@@ -41,6 +41,16 @@ MAX_ACTION_POINTS = 128
 # composite, or its composite is a label that names no morphism.
 ABSENT = -1
 NOT_MORPHISM = -2
+
+# The rows of verify_axioms, in report order.
+_AXIOM_ROWS = (
+    "structure_maps_total",
+    "identities_exist",
+    "composition_wellformed",
+    "unit_laws",
+    "associativity",
+    "inverse_laws",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +340,23 @@ class FiniteGroupoid:
                     return False
         return True
 
+    def _axioms_hold_on_group(self) -> bool:
+        """True when the group and the action behind the tables show that
+        every axiom holds.  Only a translation groupoid has them."""
+        return False
+
+    def _vertex_map(self, dst: "FiniteGroupoid", objects: list, arrows: list) -> Optional[list]:
+        """psi with arrows[(x, h)] = (objects[x], psi(h)) for every morphism,
+        when both groupoids are translation groupoids; else None."""
+        return None
+
     def verify_axioms(self) -> CheckResult:
         """Exhaustive check of every groupoid axiom on the tables.
 
-        Each row names the first failure in row-major morphism order.  The
+        A translation groupoid first decides every row on its group table
+        and action (_axioms_hold_on_group); when that decision fails, or
+        for any other groupoid, the scans below run.  Each row names the
+        first failure in row-major morphism order.  The
         checks run on whole rows: composition_wellformed takes one _row per
         morphism g and compares its composites' sources and targets with
         per-object lists, and the unit laws take one _row and one _column
@@ -352,6 +375,8 @@ class FiniteGroupoid:
         scan over every composable triple runs, so the failure named is the
         first one in row-major order.
         """
+        if self._axioms_hold_on_group():
+            return CheckResult("groupoid axioms", tuple((name, True, "") for name in _AXIOM_ROWS))
         checks = []
         arrows = self._arrows
         n, size = len(self._objects), len(self._src)
@@ -460,13 +485,22 @@ class FiniteGroupoid:
 class _TranslationGroupoid(FiniteGroupoid):
     """The translation groupoid of an action.  Morphism x * |G| + h is
     (x, h), and its composites (h.x, h2) o (x, h) = (x, h2 h) come from the
-    group table instead of a stored table.
+    group table _mul instead of a stored table.
 
-    The outgoing arrows of an object hold exactly one arrow per group
-    element, and so do the incoming ones, since each h acts bijectively.
-    So once composition is well-formed, Light's rows at a middle (x, h)
-    compare (h' h) h'' with h' (h h'') over all of G, whatever x is: the
-    test runs once per group element of the middles, on the group table.
+    verify_axioms first reads every row off the group table and the
+    action's target array T, T[x][h] = _tgt[x * |G| + h] = h.x, in
+    O(|S| |G| (|G| + |X|)) steps for a generating set S of the table
+    (_axioms_hold_on_group).  With e a two-sided identity of _mul that
+    fixes every point, (x, h2) o (x', h) is defined exactly when x = h.x',
+    and its composite starts at x'; it ends at its right target exactly
+    when the action law T[x][g h] = T[T[x][h]][g] holds.  The h at which
+    that holds for every x and g are closed under products once _mul is
+    associative: T[x][g (h1 h2)] = T[x][(g h1) h2] = T[T[x][h2]][g h1] =
+    T[T[T[x][h2]][h1]][g] = T[T[x][h1 h2]][g].  They hold e, so the law
+    needs testing for h in S only, and associativity is Light's test on S.
+    The groupoid is then associative exactly when _mul is, the unit laws
+    are the identity row and column of _mul, and the inverse laws hold
+    when _inv is built from the table's inverse list.
     """
 
     lawful = True
@@ -476,14 +510,15 @@ class _TranslationGroupoid(FiniteGroupoid):
         order, points = group.order, range(len(action.points))
         self._action = action
         self._order, self._mul = order, group.table
+        self._unit, self._group_inverse = e, inverse = group._identity, group.inverse
         self.objects = self._objects = action.points
         self.warning = None
         self._table = None
         images = list(zip(*action.perms))  # images[x][h] = h.x
         self._src = [x for x in points for _ in range(order)]
         self._tgt = [y for column in images for y in column]
-        self._ident = [x * order + group._identity for x in points]
-        self._inv = [y * order + group.inverse[h] for column in images for h, y in enumerate(column)]
+        self._ident = [x * order + e for x in points]
+        self._inv = [y * order + inverse[h] for column in images for h, y in enumerate(column)]
 
     @cached_property
     def morphisms(self) -> tuple:
@@ -505,9 +540,48 @@ class _TranslationGroupoid(FiniteGroupoid):
         h = f % order
         return [f - h + table[g % order][h] if src[g] == t_f else ABSENT for g in gs]
 
-    def _generators_associate(self) -> bool:
-        order = self._order
-        return all(_associative_at(self._mul, h) for h in {a % order for a in self._generating_set})
+    def _axioms_hold_on_group(self) -> bool:
+        """Every axiom row passes, decided on the arrays the composites
+        read (_tgt, _ident, _inv, _mul); see the class docstring.  False
+        only means that the scans must decide."""
+        order, mul, tgt, e = self._order, self._mul, self._tgt, self._unit
+        count = len(self._objects)
+        elements = list(range(order))
+        images = [tgt[start : start + order] for start in range(0, len(tgt), order)]  # T[x]
+        if not (
+            max(tgt, default=-1) < count
+            and self._ident == [x * order + e for x in range(count)]
+            and all(row[e] == x for x, row in enumerate(images))
+            and mul[e] == elements
+            and [row[e] for row in mul] == elements
+        ):
+            return False
+        # generators of _mul itself, so the closure argument holds on the
+        # table the composites read
+        generators = _generating_set(mul, e)
+        if not all(_associative_at(mul, s) for s in generators):
+            return False
+        for s in generators:
+            column = [row[s] for row in mul]  # g -> g s
+            if any([row[c] for c in column] != images[row[s]] for row in images):
+                return False
+        inverse = self._group_inverse
+        return all(row[i] == e for row, i in zip(mul, inverse)) and self._inv == [
+            t * order + i for t, i in zip(tgt, inverse * count)
+        ]
+
+    def _vertex_map(self, dst: FiniteGroupoid, objects: list, arrows: list) -> Optional[list]:
+        """psi with arrows[x * |G| + h] = objects[x] * |G'| + psi(h) on
+        every block of one point's arrows, or None."""
+        if not isinstance(dst, _TranslationGroupoid) or not self._objects:
+            return None
+        order, width = self._order, dst._order
+        psi = [a % width for a in arrows[:order]]
+        for x, start in enumerate(range(0, len(arrows), order)):
+            base = objects[x] * width
+            if arrows[start : start + order] != [base + p for p in psi]:
+                return None
+        return psi
 
     def _pairs(self) -> Iterable[tuple[int, int, int]]:
         # f-major, as the composable pairs of every other model are built
@@ -679,14 +753,51 @@ class GroupoidHom:
         arrows = self.dst._arrows
         return {m: arrows[a] for m, a in zip(self.src._arrows, self._arrow_images)}
 
+    @cached_property
+    def _psi(self) -> Optional[list]:
+        """The map psi of group element indices when both ends are
+        translation groupoids and F(x, h) = (phi(x), psi(h)) on every
+        arrow (_vertex_map), else None.  Read once both maps are total."""
+        return self.src._vertex_map(self.dst, self._object_images, self._arrow_images)
+
+    def _equivariant(self, psi: list) -> bool:
+        """psi(h).phi(x) = phi(h.x) for every point x and element h, one
+        list comparison per point: for a map (phi, psi) between
+        translation groupoids, the endpoint law."""
+        src, dst, phi = self.src, self.dst, self._object_images
+        order, width, tgt, dst_tgt = src._order, dst._order, src._tgt, dst._tgt
+        for x, start in enumerate(range(0, len(tgt), order)):
+            base = phi[x] * width
+            if [dst_tgt[base + p] for p in psi] != [phi[y] for y in tgt[start : start + order]]:
+                return False
+        return True
+
     def _generators_preserved(self) -> bool:
-        """F(g o f) == F(g) o F(f) for every f in the src's _generating_set
-        and every composable g, two _columns per f.  The f at which this
-        holds for every g are closed under composition: for such f1 and f2,
-        F(g o f2 f1) = F((g o f2) o f1) = F(g o f2) o F(f1) = (F(g) o F(f2))
-        o F(f1) = F(g) o F(f2 f1).  So it decides the law everywhere when
-        both ends are groupoids and endpoints are preserved."""
-        src, dst, images = self.src, self.dst, self._arrow_images
+        """F(g o f) == F(g) o F(f) for every composable pair, decided over
+        generators when both ends are groupoids and endpoints are
+        preserved.
+
+        For a map (phi, psi) between translation groupoids the law reads
+        psi(g h) = psi(g) psi(h) on the group tables.  The s at which that
+        holds for every g are closed under products, psi(g s1 s2) =
+        psi(g s1) psi(s2) = psi(g) psi(s1) psi(s2) = psi(g) psi(s1 s2), and
+        e is one of them exactly when psi(e) = e'; so psi(e) = e' and the s
+        in the src group's generating set decide it.  Otherwise the check
+        runs for every f in the src's _generating_set and every composable
+        g, two _columns per f.  The f at which it holds for every g are
+        closed under composition: for such f1 and f2, F(g o f2 f1) =
+        F((g o f2) o f1) = F(g o f2) o F(f1) = (F(g) o F(f2)) o F(f1) =
+        F(g) o F(f2 f1)."""
+        src, dst, psi = self.src, self.dst, self._psi
+        if psi is not None:
+            if psi[src._unit] != dst._unit:
+                return False
+            for s in src._action.group._generating_set():
+                column = [row[psi[s]] for row in dst._mul]  # g' -> g' psi(s)
+                if [psi[row[s]] for row in src._mul] != [column[p] for p in psi]:
+                    return False
+            return True
+        images = self._arrow_images
         outgoing, _ = src._hom_index
         for f in src._generating_set:
             gs = outgoing.get(src._tgt[f], [])
@@ -696,9 +807,20 @@ class GroupoidHom:
 
     def verify(self) -> CheckResult:
         """Every homomorphism law, each row naming its first failure in
-        morphism order.  Composition is checked over the src's generating
-        set (_generators_preserved) when both ends are lawful, and by the
-        full scan in the order of src.compose otherwise or when that check
+        morphism order.
+
+        Between translation groupoids whose arrow images have product form,
+        F(x, h) = (phi(x), psi(h)) (_psi), the rows are decided on the
+        groups and actions: endpoints are psi(h).phi(x) = phi(h.x)
+        (_equivariant), the identity row reads psi(e) = e' at each object,
+        composition is psi(g s) = psi(g) psi(s) for s in a generating set
+        (_generators_preserved), and, once endpoints hold, inverses are
+        psi(h^-1) = psi(h)^-1, since the ends build their inverse arrays
+        from the group's inverse list.  Otherwise, or where such a decision
+        fails, the scans below name the first failure.
+        Composition is checked over the src's generating set
+        (_generators_preserved) when both ends are lawful, and by the full
+        scan in the order of src.compose otherwise or when that check
         fails.  The result is computed once per hom and kept, like the index
         maps, so the maps must not change afterwards; is_covering_hom and
         is_equivalence read the same result."""
@@ -709,18 +831,19 @@ class GroupoidHom:
         checks = []
         src, dst = self.src, self.dst
         f0, f1 = self._object_images, self._arrow_images
-        arrows = src._arrows
         objects_ok = None not in f0[: len(src._objects)]
         checks.append(("object_map_total", objects_ok, "" if objects_ok else "object map misses an object"))
         morphs_ok = None not in f1
         checks.append(("morphism_map_total", morphs_ok, "" if morphs_ok else "morphism map misses a morphism"))
         if not (objects_ok and morphs_ok):
             return CheckResult(f"homomorphism {self.name}", tuple(checks))
+        psi = self._psi
         st_ok, st_detail = True, ""
-        for m, image in enumerate(f1):
-            if dst._src[image] != f0[src._src[m]] or dst._tgt[image] != f0[src._tgt[m]]:
-                st_ok, st_detail = False, f"endpoints not preserved at {arrows[m]!r}"
-                break
+        if psi is None or not self._equivariant(psi):
+            for m, image in enumerate(f1):
+                if dst._src[image] != f0[src._src[m]] or dst._tgt[image] != f0[src._tgt[m]]:
+                    st_ok, st_detail = False, f"endpoints not preserved at {src._arrows[m]!r}"
+                    break
         checks.append(("preserves_endpoints", st_ok, st_detail))
         identities = enumerate(src._ident[: len(src._objects)])
         id_ok = all(e is not None and f1[e] == dst._ident[f0[x]] for x, e in identities)
@@ -731,10 +854,15 @@ class GroupoidHom:
             for g, f, h in src._pairs():
                 if h < 0 or dst._compose(f1[g], f1[f]) != f1[h]:
                     comp_ok = False
+                    arrows = src._arrows
                     comp_detail = f"composition not preserved at (g={arrows[g]!r}, f={arrows[f]!r})"
                     break
         checks.append(("preserves_composition", comp_ok, comp_detail))
-        inv_ok = all(i is not None and f1[i] == dst._inv[image] for i, image in zip(src._inv, f1))
+        inv_ok = (
+            st_ok
+            and psi is not None
+            and [psi[i] for i in src._group_inverse] == [dst._group_inverse[p] for p in psi]
+        ) or all(i is not None and f1[i] == dst._inv[image] for i, image in zip(src._inv, f1))
         checks.append(("preserves_inverses", inv_ok, "" if inv_ok else "an inverse is not preserved"))
         return CheckResult(f"homomorphism {self.name}", tuple(checks))
 

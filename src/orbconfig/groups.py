@@ -36,6 +36,27 @@ def _associative_at(rows: list, a: int) -> bool:
     return all(rows[row[a]] == [row[ay] for ay in column] for row in rows)
 
 
+def _generating_set(rows: list, identity: int) -> list:
+    """Indices S such that every index is identity s1 s2 ... sk for some
+    s1, ..., sk in S, products read off rows: in index order, each index
+    the products have not reached joins S.  Needs a closed table; it need
+    not be a group."""
+    generators: list = []
+    reached = {identity}
+    for a in range(len(rows)):
+        if a in reached:
+            continue
+        generators.append(a)
+        frontier = list(reached)
+        while frontier:
+            row = rows[frontier.pop()]
+            for s in generators:
+                if row[s] not in reached:
+                    reached.add(row[s])
+                    frontier.append(row[s])
+    return generators
+
+
 # ---------------------------------------------------------------------------
 # Finite groups
 # ---------------------------------------------------------------------------
@@ -82,28 +103,14 @@ class FiniteGroup:
                 raise InvalidModelError(f"{self.elements[a]!r} has no inverse")
         # Light's test: the a with (x a) y == x (a y) for all x and y are
         # closed under products, so checking a over generators decides the law
-        if not all(_associative_at(rows, a) for a in self._generating_set()):
+        self._generators = _generating_set(rows, e)
+        if not all(_associative_at(rows, a) for a in self._generators):
             raise InvalidModelError("associativity fails")
 
     def _generating_set(self) -> list:
-        """Indices S whose products give every element: in element order,
-        each element the products of S have not reached joins S.  Needs a
-        closed table with an identity."""
-        rows = self.table
-        generators: list = []
-        reached = {self._identity}
-        for a in range(len(rows)):
-            if a in reached:
-                continue
-            generators.append(a)
-            frontier = list(reached)
-            while frontier:
-                row = rows[frontier.pop()]
-                for s in generators:
-                    if row[s] not in reached:
-                        reached.add(row[s])
-                        frontier.append(row[s])
-        return generators
+        """Indices S whose products give every element (_generating_set on
+        the table), found once, when the table is validated."""
+        return self._generators
 
     @property
     def order(self) -> int:

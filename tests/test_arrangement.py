@@ -412,6 +412,22 @@ def test_enumerate_chambers_with_bound():
         enumerate_chambers(segment, bound=F(0))
 
 
+def test_chamber_set_builds_its_witnesses_on_first_read():
+    segment = lines((1, 0), (1, -1), dim=1)
+    for spec, bound in ((braid_arrangement(3), None), (braid_arrangement(3), F(1)), (segment, F(1, 2))):
+        chambers = enumerate_chambers(spec, bound=bound)
+        count, signs = len(chambers), chambers.sign_vectors()
+        assert "chambers" not in vars(chambers)
+        built = chambers.chambers
+        assert chambers.chambers is built
+        assert count == len(built) == chambers.to_json()["count"]
+        assert signs == {c.signs for c in built}
+        assert all(len(c.signs) == len(spec.rows) for c in built)
+        for c in built:
+            _witness_ok(spec, c)
+            assert bound is None or all(abs(x) < bound for x in c.witness)
+
+
 def test_enumeration_guard_rails():
     with pytest.raises(SizeGuardError):
         enumerate_chambers(sign_flip_arrangement(3))  # 13 hyperplanes

@@ -927,3 +927,212 @@ def test_hom_verify_matches_full_scan_off_the_generators(make):
             broken += not expected[4][1]
     assert cases >= 10
     assert broken == cases
+
+
+# -- group-level decisions against full scans and stored tables -------------------
+#
+# A translation groupoid decides its axiom rows, and a map between two of
+# them its hom rows, on the group tables and the actions.  Each decision is
+# checked against the scans of the same object and against a stored-table
+# copy built from the label tables, which reads no group table at all.
+
+
+def _d4_by_c2():
+    return FiniteGroup.product(FiniteGroup.dihedral(4), FiniteGroup.cyclic(2))
+
+
+def _c4_by_c4():
+    return FiniteGroup.product(FiniteGroup.cyclic(4), FiniteGroup.cyclic(4))
+
+
+def _quotient_middle_action():
+    """D4 x C2 acting on itself, modulo the centre of its D4 factor."""
+    centre = frozenset({((0, 0), 0), ((2, 0), 0)})
+    return GroupAction.regular(_d4_by_c2()).quotient_action(centre)[0]
+
+
+_AXIOM_ACTIONS = [
+    lambda: GroupAction.negation_mod(6),
+    lambda: GroupAction.rotation_mod(12, 4),
+    lambda: GroupAction.regular(FiniteGroup.dihedral(4)),
+    lambda: GroupAction.regular(_c4_by_c4()),
+    _quotient_middle_action,
+]
+
+
+def _scanned_rows(groupoid):
+    """verify_axioms of the groupoid with the group-level decision off."""
+    groupoid._axioms_hold_on_group = lambda: False
+    try:
+        return groupoid.verify_axioms().checks
+    finally:
+        del groupoid._axioms_hold_on_group
+
+
+def _damage(groupoid, rng):
+    """Change one entry of _tgt, _inv, _ident or _mul in place, to another
+    object, morphism or element index; returns the array's name.  "action"
+    changes one entry of _tgt and rebuilds _inv from it as the constructor
+    does, so that only the action law is broken."""
+    name = rng.choice(["_tgt", "_inv", "_ident", "_mul", "action"])
+    if name == "action":
+        _damage_entry(groupoid, "_tgt", rng)
+        order, inverse = groupoid._order, groupoid._action.group.inverse
+        groupoid._inv = [t * order + inverse[m % order] for m, t in enumerate(groupoid._tgt)]
+        return name
+    if name == "_mul":
+        rows = [list(row) for row in groupoid._mul]
+        a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
+        rows[a][b] = rng.choice([c for c in range(len(rows)) if c != rows[a][b]])
+        groupoid._mul = rows
+        return name
+    _damage_entry(groupoid, name, rng)
+    return name
+
+
+def _damage_entry(groupoid, name, rng):
+    values = list(getattr(groupoid, name))
+    bound = len(groupoid._objects) if name == "_tgt" else len(groupoid._src)
+    i = rng.randrange(len(values))
+    values[i] = rng.choice([v for v in range(bound) if v != values[i]])
+    setattr(groupoid, name, values)
+
+
+def test_axioms_decided_on_the_group_match_the_scans_and_a_stored_table():
+    rng = random.Random(23)
+    damaged = Counter()
+    for make in _AXIOM_ACTIONS:
+        groupoid = translation_groupoid(make())
+        assert groupoid._axioms_hold_on_group()
+        rows = groupoid.verify_axioms().checks
+        assert all(ok for _, ok, _ in rows)
+        assert rows == _scanned_rows(groupoid) == _stored_copy(groupoid).verify_axioms().checks
+        for _ in range(60):
+            copy = translation_groupoid(make())
+            damaged[_damage(copy, rng)] += 1
+            # each change breaks a law that the decision reads
+            assert not copy._axioms_hold_on_group()
+            rows = copy.verify_axioms().checks
+            assert not all(ok for _, ok, _ in rows)
+            assert rows == _stored_copy(copy).verify_axioms().checks
+    assert sum(damaged.values()) >= 200 and min(damaged.values()) >= 30, damaged
+
+
+def test_axioms_decided_on_the_group_refute_tables_that_fail_one_condition_only():
+    # a constant product is associative, e e = e and h h^-1 = e still hold,
+    # and an action that fixes every point satisfies the action law for any
+    # product: only the identity row and column of the table refute it
+    constant = translation_groupoid(GroupAction.from_function(FiniteGroup.dihedral(4), ["p"], lambda g, x: x))
+    constant._mul = [[constant._unit] * 8 for _ in range(8)]
+    # the trivial group has no generators at which to test the action law, so
+    # only "e fixes every point" refutes an e that moves a
+    moved = unit_groupoid(["a", "b", "c"])
+    moved._tgt = [1, 1, 2]
+    moved._inv = [1, 1, 2]
+    # a table on the indices of C4 with the identity and inverses of C4, in
+    # which Light's test holds at 1, the generator of C4, but not at 2: here
+    # 1 generates {0, 1, 3} only, and generators of this table include 2
+    skewed = translation_groupoid(GroupAction.from_function(FiniteGroup.cyclic(4), ["p"], lambda g, x: x))
+    assert skewed._action.group._generating_set() == [1]
+    skewed._mul = [[0, 1, 2, 3], [1, 3, 2, 0], [2, 2, 0, 2], [3, 0, 2, 1]]
+    for groupoid in (constant, moved, skewed):
+        assert not groupoid._axioms_hold_on_group()
+        rows = groupoid.verify_axioms().checks
+        assert not all(ok for _, ok, _ in rows)
+        assert rows == _stored_copy(groupoid).verify_axioms().checks
+
+
+def _stored_checks(hom):
+    """images -> the rows of the hom with those arrow images (its own when
+    None) and of the same index maps between stored-table copies of both
+    ends, asserted equal."""
+    src, dst = _stored_copy(hom.src), _stored_copy(hom.dst)
+    assert (src.morphisms, dst.morphisms) == (hom.src.morphisms, hom.dst.morphisms)
+    objects = hom._object_images[: len(hom.src._objects)]
+
+    def check(images=None):
+        images = list(images or hom._arrow_images)
+        mapped = GroupoidHom._encoded(hom.src, hom.dst, objects, images, hom.name)
+        rows = _hom_rows(mapped)
+        assert rows == _hom_rows(GroupoidHom._encoded(src, dst, objects, images, hom.name))
+        return mapped, rows
+
+    return check
+
+
+def _translation_homs(rng):
+    """Quotient arrows of Morita triples (a seeded sample of the pairs of
+    normal subgroups of each group) and subgroup coverings."""
+    for group in (FiniteGroup.dihedral(4), _c4_by_c4(), _d4_by_c2()):
+        action = GroupAction.regular(group)
+        normals = group.normal_subgroups()
+        pairs = [(a, b) for a in normals for b in normals]
+        for first, second in rng.sample(pairs, min(6, len(pairs))):
+            triple = morita_triple(action, first, second)
+            yield triple.to_first
+            yield triple.to_second
+    trivial = GroupAction.from_function(FiniteGroup.dihedral(4), ["p", "q"], lambda g, x: x)
+    for action in (GroupAction.rotation_mod(12, 4), GroupAction.regular(FiniteGroup.dihedral(4)), trivial):
+        for subgroup in action.group.subgroups():
+            yield subgroup_covering_hom(action, subgroup)
+
+
+def _hom_rows(hom):
+    verdict = is_equivalence(hom) if hom.name.startswith("to_") else is_covering_hom(hom)
+    return hom.verify().checks, verdict.checks
+
+
+def _twisted(hom, rng, c):
+    """The arrow images with psi multiplied on the left by the element c
+    on one left coset g<s> (g outside <s>) of the first generator s of the
+    src group: psi(x s) = psi(x) psi(s) still holds for every x, so only
+    another generator can refute the twisted psi; None when <s> is the
+    whole group."""
+    group, images = hom.src._action.group, hom._arrow_images
+    mul, width, order = group.table, hom.dst._order, hom.src._order
+    generators = group._generating_set()
+    if len(generators) < 2:
+        return None
+    s = generators[0]
+    cyclic = group._closure([s])
+    g = rng.choice([a for a in range(order) if a not in cyclic])
+    coset = {mul[g][a] for a in cyclic}
+    dst_mul = hom.dst._mul
+    return [a - a % width + dst_mul[c][a % width] if m % order in coset else a for m, a in enumerate(images)]
+
+
+def test_homs_decided_on_the_group_match_stored_tables():
+    rng = random.Random(23)
+    homs = permuted = changed = failing = twisted = reached = 0
+    for hom in _translation_homs(rng):
+        check = _stored_checks(hom)
+        assert hom._psi is not None and check()[0]._psi is not None
+        homs += 1
+        images, order, width = hom._arrow_images, hom.src._order, hom.dst._order
+        # one arrow image moved: swap two distinct images
+        i, j = rng.sample(range(len(images)), 2) if len(images) > 1 else (0, 0)
+        if images[i] != images[j]:
+            swapped = list(images)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            permuted += check(swapped)[0]._psi is None
+        if width == 1:
+            continue
+        # psi changed on one element h, in every block
+        h, shift = rng.randrange(order), rng.randrange(1, width)
+        changed_images = [a - a % width + (a % width + shift) % width if m % order == h else a for m, a in enumerate(images)]
+        moved, rows = check(changed_images)
+        assert moved._psi is not None
+        changed += 1
+        failing += not all(ok for _, ok, _ in rows[0])
+        # psi twisted on a coset; where endpoints hold and composition
+        # fails, a generator other than the first refutes it
+        others = [c for c in range(width) if c != hom.dst._unit]
+        for c in rng.sample(others, min(4, len(others))):
+            images_twisted = _twisted(hom, rng, c)
+            if images_twisted is None:
+                break
+            _, rows = check(images_twisted)
+            twisted += 1
+            reached += rows[0][2][1] and not rows[0][4][1]
+    assert homs >= 40 and permuted >= 30 and changed >= 25 and failing >= 40
+    assert twisted >= 60 and reached >= 5
