@@ -86,8 +86,12 @@ BUILDER_SIZES = {
     "case1": lambda n, m: (n, m * n * (n - 1) // 2, m),
     "case3X": lambda n, m: (n + 1, n * (n + 1) + 1, 1),
 }
-# `forget` builds the n-point configuration groupoid, whose composable pairs
-# number at most (|points| * |group|^2)^n; its compose table is the cost
+# `forget` builds the configuration groupoids on n and n - 1 points, each
+# the translation groupoid of a power of the group, and checks the map
+# between them in a few passes over the morphisms, at most
+# (|points| * |group|)^n.  The rail bounds the composable pairs,
+# (|points| * |group|^2)^n, which also bounds the |group|^2n entries of the
+# power's table.
 MAX_FORGET_PAIRS = 500_000
 # deepest nesting of JSON arrays and objects an input may use, checked on
 # the text before the parser or any model builder recurses into it

@@ -8,17 +8,19 @@ mapped to indices 0..n-1 once, when the model is read, and mapped back
 only in reports and failure details.  Groups and actions (orbconfig.groups)
 are Cayley tables and permutation lists; a groupoid keeps integer source,
 target, identity and inverse lists.  A translation groupoid computes its
-composites from the group table; every other model keeps its composites
-in a table keyed by pairs of indices.  "Surjective
-submersion" and "fibered product of manifolds" from the smooth theory are
-discretized to plain surjectivity and set-level fibered products.
+composites from the group table.  So does the configuration groupoid of
+one, which is the translation groupoid of G^n acting on the orbit
+configuration space.  Every other model keeps its composites in a table
+keyed by pairs of indices.  "Surjective submersion" and "fibered product
+of manifolds" from the smooth theory are discretized to plain
+surjectivity and set-level fibered products.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from math import prod
 from typing import Iterable, Optional, Sequence
@@ -113,10 +115,6 @@ class FiniteGroupoid:
     first use, where an entry that names no morphism reads None.
     """
 
-    # True when the tables are a groupoid by construction: built from a
-    # validated action, or derived from such a groupoid
-    lawful = False
-
     def __init__(
         self,
         objects: Sequence,
@@ -155,22 +153,13 @@ class FiniteGroupoid:
 
     @classmethod
     def _encoded(
-        cls,
-        objects: tuple,
-        morphisms: tuple,
-        src: list,
-        tgt: list,
-        ident: list,
-        inv: list,
-        table: dict,
-        lawful: bool,
+        cls, objects: tuple, morphisms: tuple, src: list, tgt: list, ident: list, inv: list, table: dict
     ) -> "FiniteGroupoid":
         groupoid = cls.__new__(cls)
         groupoid.objects = groupoid._objects = objects
         groupoid.morphisms = groupoid._arrows = morphisms
         groupoid._src, groupoid._tgt, groupoid._ident, groupoid._inv = src, tgt, ident, inv
         groupoid._table = table
-        groupoid.lawful = lawful
         groupoid.warning = None
         return groupoid
 
@@ -186,11 +175,6 @@ class FiniteGroupoid:
         """[_compose(g, f) for f in fs]."""
         table, base = self._table, g * len(self._src)
         return [table.get(base + f, ABSENT) for f in fs]
-
-    def _column(self, gs: Sequence[int], f: int) -> list:
-        """[_compose(g, f) for g in gs]."""
-        table, size = self._table, len(self._src)
-        return [table.get(g * size + f, ABSENT) for g in gs]
 
     def _pairs(self) -> Iterable[tuple[int, int, int]]:
         """(g, f, composite) for every pair with a composite, in the order
@@ -353,15 +337,13 @@ class FiniteGroupoid:
     def verify_axioms(self) -> CheckResult:
         """Exhaustive check of every groupoid axiom on the tables.
 
-        A translation groupoid first decides every row on its group table
-        and action (_axioms_hold_on_group); when that decision fails, or
-        for any other groupoid, the scans below run.  Each row names the
-        first failure in row-major morphism order.  The
-        checks run on whole rows: composition_wellformed takes one _row per
-        morphism g and compares its composites' sources and targets with
-        per-object lists, and the unit laws take one _row and one _column
-        per object.  Only a row that fails is walked element by element,
-        to name its first failure.
+        A translation groupoid, the configuration groupoid of one included,
+        first decides every row on its group table and action
+        (_axioms_hold_on_group); when that decision fails, or for a stored
+        table, the scans below run.  Each row names the first failure in
+        row-major morphism order.  composition_wellformed reads one _row per
+        morphism g, over the f composable with g and any f with a stored
+        g o f although s(g) != t(f).
 
         Associativity is decided by Light's test once the
         composition_wellformed row has passed, that is once composites are
@@ -381,7 +363,7 @@ class FiniteGroupoid:
         arrows = self._arrows
         n, size = len(self._objects), len(self._src)
         src, tgt, ident, inv, compose = self._src, self._tgt, self._ident, self._inv, self._compose
-        outgoing, incoming = self._hom_index
+        _, incoming = self._hom_index
 
         total = max(src, default=-1) < n and max(tgt, default=-1) < n
         checks.append(("structure_maps_total", total, "" if total else "a morphism lacks source or target"))
@@ -398,22 +380,11 @@ class FiniteGroupoid:
         # row-major order so the first failure named is the first of all pairs
         comp_ok, comp_detail = True, ""
         stray = self._stray()
-        # one code per pair of endpoints, and -1 at the indices ABSENT and
-        # NOT_MORPHISM, so a row of composites maps to its endpoint codes
-        codes = len(ident)
-        ends = [s * codes + t for s, t in zip(src, tgt)] + [-1, -1]
-        sources = {x: [src[f] * codes for f in fs] for x, fs in incoming.items()}
         for g in range(size):
             s_g = src[g]
             row = incoming.get(s_g, [])
             if g in stray:
                 row = sorted({*row, *stray[g]})
-            else:
-                # every f in the row is composable with g, so the row is
-                # well-formed when each composite runs from s(f) to t(g)
-                t_g = tgt[g]
-                if [ends[h] for h in self._row(g, row)] == [s + t_g for s in sources.get(s_g, [])]:
-                    continue
             for f, h in zip(row, self._row(g, row)):
                 composable = s_g == tgt[f]
                 if composable != (h != ABSENT):
@@ -429,14 +400,7 @@ class FiniteGroupoid:
         checks.append(("composition_wellformed", comp_ok, comp_detail))
 
         unit_ok, unit_detail = True, ""
-        if id_ok and comp_ok and not (
-            total
-            and all(
-                self._row(ident[x], incoming.get(x, [])) == incoming.get(x, [])
-                and self._column(outgoing.get(x, []), ident[x]) == outgoing.get(x, [])
-                for x in range(n)
-            )
-        ):
+        if id_ok and comp_ok:
             for f in range(size):
                 left, right = ident[tgt[f]], ident[src[f]]
                 if left is None or right is None or compose(left, f) != f or compose(f, right) != f:
@@ -483,9 +447,9 @@ class FiniteGroupoid:
 
 
 class _TranslationGroupoid(FiniteGroupoid):
-    """The translation groupoid of an action.  Morphism x * |G| + h is
-    (x, h), and its composites (h.x, h2) o (x, h) = (x, h2 h) come from the
-    group table _mul instead of a stored table.
+    """The translation groupoid of an action, configuration groupoids of
+    one included.  Morphism x * |G| + h is (x, h), and its composites
+    (h.x, h2) o (x, h) = (x, h2 h) come from the group table _mul.
 
     verify_axioms first reads every row off the group table and the
     action's target array T, T[x][h] = _tgt[x * |G| + h] = h.x, in
@@ -502,8 +466,6 @@ class _TranslationGroupoid(FiniteGroupoid):
     are the identity row and column of _mul, and the inverse laws hold
     when _inv is built from the table's inverse list.
     """
-
-    lawful = True
 
     def __init__(self, action: GroupAction):
         group = action.group
@@ -534,11 +496,6 @@ class _TranslationGroupoid(FiniteGroupoid):
         order, s_g, tgt = self._order, self._src[g], self._tgt
         product_row = self._mul[g % order]
         return [f - f % order + product_row[f % order] if tgt[f] == s_g else ABSENT for f in fs]
-
-    def _column(self, gs: Sequence[int], f: int) -> list:
-        order, t_f, src, table = self._order, self._tgt[f], self._src, self._mul
-        h = f % order
-        return [f - h + table[g % order][h] if src[g] == t_f else ABSENT for g in gs]
 
     def _axioms_hold_on_group(self) -> bool:
         """Every axiom row passes, decided on the arrays the composites
@@ -590,9 +547,6 @@ class _TranslationGroupoid(FiniteGroupoid):
             h = f % order
             for h2, product_row in enumerate(mul):
                 yield t * order + h2, f, f - h + product_row[h]
-
-    def _stray(self) -> dict:
-        return {}
 
 
 def translation_groupoid(action: GroupAction) -> FiniteGroupoid:
@@ -650,25 +604,61 @@ def orbit_space(groupoid: FiniteGroupoid) -> OrbitSpace:
 
 
 def configuration_groupoid(groupoid: FiniteGroupoid, n: int, verify: bool = True) -> FiniteGroupoid:
-    """Objects: n-tuples of objects in pairwise distinct orbits; morphisms:
-    n-tuples of morphisms whose source and target tuples both qualify.
+    """Objects: n-tuples of objects in pairwise distinct orbits, in the
+    product order of the base's objects; morphisms: n-tuples of morphisms
+    whose source and target tuples both qualify.
 
-    With fewer than n orbits the result is the empty groupoid carrying a
-    warning flag instead of an error.
+    The configuration groupoid of a translation groupoid is a translation
+    groupoid itself (_translation_configuration); of any other groupoid it
+    is built with every composite stored (_stored_configuration).  With
+    fewer than n orbits the result is the empty groupoid carrying a warning
+    flag instead of an error.
     """
     if n < 1:
         raise ValueError("configuration length must be >= 1")
-    orbit = _orbit_ids(groupoid)
-    orbits = max(orbit, default=-1) + 1
+    translation = isinstance(groupoid, _TranslationGroupoid)
+    # on the translation path an orbit is named by its least point index
+    orbit = [min(images) for images in zip(*groupoid._action.perms)] if translation else _orbit_ids(groupoid)
+    orbits = len(set(orbit))
     if orbits < n:
         warning = f"only {orbits} orbits; no {n}-tuples with distinct orbits exist"
         return FiniteGroupoid((), (), {}, {}, {}, {}, {}, warning=warning)
+    parts = [tup for tup in product(range(len(orbit)), repeat=n) if len({orbit[x] for x in tup}) == n]
+    result = (_translation_configuration if translation else _stored_configuration)(groupoid, parts)
+    if verify:
+        report = result.verify_axioms()
+        if not report:
+            raise InvalidModelError(f"configuration groupoid failed axioms: {report.first_failure()}")
+    return result
 
-    object_parts = [tup for tup in product(range(len(orbit)), repeat=n) if len({orbit[x] for x in tup}) == n]
+
+def _translation_configuration(groupoid: _TranslationGroupoid, parts: list) -> FiniteGroupoid:
+    """The translation groupoid of G^n acting coordinatewise on the n-tuples
+    of point indices in parts (the orbit configuration space), read from
+    the base's action.  As in FiniteGroup.product, (h1, ..., hn) has the
+    index h1 |G|^(n-1) + ... + hn, so the morphisms run object-tuple-major
+    and each is the tuple of base morphisms ((x1, h1), ..., (xn, hn))."""
+    action = groupoid._action
+    columns = list(zip(*action.perms))  # columns[x][h] = h.x
+    position = {t: i for i, t in enumerate(parts)}
+    images = [[position[y] for y in product(*(columns[x] for x in t))] for t in parts]
+    points = [tuple(action.points[x] for x in t) for t in parts]
+    power = reduce(FiniteGroup.product, [action.group] * len(parts[0]))
+    result = _TranslationGroupoid(GroupAction._from_perms(power, points, [list(perm) for perm in zip(*images)]))
+    order, arrows = groupoid._order, groupoid._arrows
+    blocks = [arrows[x * order : (x + 1) * order] for x in range(len(columns))]
+    result.morphisms = tuple(m for t in parts for m in product(*(blocks[x] for x in t)))
+    return result
+
+
+def _stored_configuration(groupoid: FiniteGroupoid, object_parts: list) -> FiniteGroupoid:
+    """The configuration groupoid on the given object tuples, every
+    composite computed from the base and stored; the morphisms run in the
+    product order of the base's morphisms."""
     objects = {tup: i for i, tup in enumerate(object_parts)}
     base_src, base_tgt = groupoid._src, groupoid._tgt
     arrow_parts, src, tgt = [], [], []
-    for tup in product(range(len(base_src)), repeat=n):
+    for tup in product(range(len(base_src)), repeat=len(object_parts[0])):
         s = objects.get(tuple(base_src[c] for c in tup))
         t = objects.get(tuple(base_tgt[c] for c in tup))
         if s is not None and t is not None:
@@ -687,7 +677,7 @@ def configuration_groupoid(groupoid: FiniteGroupoid, n: int, verify: bool = True
             composite = tuple(map(compose, arrow_parts[g], f_parts))
             table[g * size + f] = arrows.get(composite, NOT_MORPHISM)
     base_objects, base_arrows = groupoid._objects, groupoid._arrows
-    result = FiniteGroupoid._encoded(
+    return FiniteGroupoid._encoded(
         tuple(tuple(base_objects[x] for x in tup) for tup in object_parts),
         tuple(tuple(base_arrows[c] for c in tup) for tup in arrow_parts),
         src,
@@ -695,13 +685,7 @@ def configuration_groupoid(groupoid: FiniteGroupoid, n: int, verify: bool = True
         ident,
         inv,
         table,
-        groupoid.lawful,
     )
-    if verify:
-        report = result.verify_axioms()
-        if not report:
-            raise InvalidModelError(f"configuration groupoid failed axioms: {report.first_failure()}")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -773,35 +757,22 @@ class GroupoidHom:
         return True
 
     def _generators_preserved(self) -> bool:
-        """F(g o f) == F(g) o F(f) for every composable pair, decided over
-        generators when both ends are groupoids and endpoints are
-        preserved.
+        """F(g o f) == F(g) o F(f) for every composable pair, for a map
+        (phi, psi) between translation groupoids (_psi) that preserves
+        endpoints.
 
-        For a map (phi, psi) between translation groupoids the law reads
-        psi(g h) = psi(g) psi(h) on the group tables.  The s at which that
-        holds for every g are closed under products, psi(g s1 s2) =
-        psi(g s1) psi(s2) = psi(g) psi(s1) psi(s2) = psi(g) psi(s1 s2), and
-        e is one of them exactly when psi(e) = e'; so psi(e) = e' and the s
-        in the src group's generating set decide it.  Otherwise the check
-        runs for every f in the src's _generating_set and every composable
-        g, two _columns per f.  The f at which it holds for every g are
-        closed under composition: for such f1 and f2, F(g o f2 f1) =
-        F((g o f2) o f1) = F(g o f2) o F(f1) = (F(g) o F(f2)) o F(f1) =
-        F(g) o F(f2 f1)."""
+        The law then reads psi(g h) = psi(g) psi(h) on the group tables.
+        The s at which that holds for every g are closed under products,
+        psi(g s1 s2) = psi(g s1) psi(s2) = psi(g) psi(s1) psi(s2) =
+        psi(g) psi(s1 s2), and e is one of them exactly when psi(e) = e';
+        so psi(e) = e' and the s in the src group's generating set decide
+        it."""
         src, dst, psi = self.src, self.dst, self._psi
-        if psi is not None:
-            if psi[src._unit] != dst._unit:
-                return False
-            for s in src._action.group._generating_set():
-                column = [row[psi[s]] for row in dst._mul]  # g' -> g' psi(s)
-                if [psi[row[s]] for row in src._mul] != [column[p] for p in psi]:
-                    return False
-            return True
-        images = self._arrow_images
-        outgoing, _ = src._hom_index
-        for f in src._generating_set:
-            gs = outgoing.get(src._tgt[f], [])
-            if dst._column([images[g] for g in gs], images[f]) != [images[h] for h in src._column(gs, f)]:
+        if psi[src._unit] != dst._unit:
+            return False
+        for s in src._action.group._generating_set():
+            column = [row[psi[s]] for row in dst._mul]  # g' -> g' psi(s)
+            if [psi[row[s]] for row in src._mul] != [column[p] for p in psi]:
                 return False
         return True
 
@@ -817,12 +788,10 @@ class GroupoidHom:
         (_generators_preserved), and, once endpoints hold, inverses are
         psi(h^-1) = psi(h)^-1, since the ends build their inverse arrays
         from the group's inverse list.  Otherwise, or where such a decision
-        fails, the scans below name the first failure.
-        Composition is checked over the src's generating set
-        (_generators_preserved) when both ends are lawful, and by the full
-        scan in the order of src.compose otherwise or when that check
-        fails.  The result is computed once per hom and kept, like the index
-        maps, so the maps must not change afterwards; is_covering_hom and
+        fails, the scans below name the first failure; composition is then
+        scanned over every composable pair, in the order of src.compose.
+        The result is computed once per hom and kept, like the index maps,
+        so the maps must not change afterwards; is_covering_hom and
         is_equivalence read the same result."""
         return self._verified
 
@@ -849,7 +818,7 @@ class GroupoidHom:
         id_ok = all(e is not None and f1[e] == dst._ident[f0[x]] for x, e in identities)
         checks.append(("preserves_identities", id_ok, "" if id_ok else "an identity is not preserved"))
         comp_ok, comp_detail = True, ""
-        if not (st_ok and src.lawful and dst.lawful and self._generators_preserved()):
+        if not (st_ok and psi is not None and self._generators_preserved()):
             # the full scan, in the order of src.compose, names the first failure
             for g, f, h in src._pairs():
                 if h < 0 or dst._compose(f1[g], f1[f]) != f1[h]:
@@ -905,7 +874,6 @@ def _full_subgroupoid(groupoid: FiniteGroupoid, objects: list) -> tuple[FiniteGr
         [index.get(groupoid._ident[x]) for x in objects],
         [index.get(groupoid._inv[m]) for m in kept],
         table,
-        groupoid.lawful,
     )
     return sub, kept
 

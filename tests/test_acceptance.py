@@ -411,6 +411,28 @@ def test_groupoid_checks_at_the_rails():
     assert time.monotonic() - start < 10.0
 
 
+def test_groupoid_forget_at_the_rail(capsys):
+    # rotation(128) under C2 at n = 2: (128 * 2^2)^2 = 262,144 composable
+    # pairs, the largest forget input under MAX_FORGET_PAIRS; 64,512
+    # configuration morphisms map onto the 128 * 2 of the base
+    model = {
+        "schema": 1,
+        "type": "forget",
+        "group": {"kind": "cyclic", "n": 2},
+        "action": {"kind": "rotation", "n": 128},
+        "n": 2,
+    }
+    assert (128 * 2**2) ** 2 <= cli.MAX_FORGET_PAIRS < (128 * 2**2) ** 3
+    start = time.monotonic()
+    assert cli.main(["groupoid", json.dumps(model)]) == 0
+    elapsed = time.monotonic() - start
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["summary"] == {"base_objects": 128, "configuration_objects": 16128}
+    hom_rows = {row["name"]: row["pass"] for row in report["checks"][0]["checks"]}
+    assert all(hom_rows.values()) and "preserves_composition" in hom_rows
+    assert elapsed < 10.0
+
+
 def test_classification_decision_table():
     start = time.monotonic()
     for k in (2, 3, 4, 5, 9):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orbconfig import arrangement
 from orbconfig.arrangement import (
     MAX_FIELD_ORDER,
     ArrangementSpec,
@@ -878,6 +879,127 @@ def test_wall_incidence_of_random_central_spec(dim, data):
     spec = _central_spec(dim, data.draw(st.lists(normal, min_size=1, max_size=7)))
     if spec is not None:
         _assert_wall_incidence(spec)
+
+
+# -- invariance under field automorphisms and affine changes of coordinates ---
+
+
+def _galois_conjugate(x, k):
+    """sigma_k(x), zeta -> zeta^k, by Cyclotomic sums and powers alone."""
+    zeta, out = Cyclotomic.zeta(x.order), Cyclotomic.zero(x.order)
+    for i, c in enumerate(x.coeffs):
+        out = out + c * zeta ** (k * i)
+    return out
+
+
+def _planted_cyclotomic_spec(rng, m, dim):
+    """Three random hyperplanes over Q(zeta_m), coefficients a + b zeta,
+    then dependent ones: zeta^j times one row plus another, through the
+    intersection of the two, and zeta^j times a normal with a new offset,
+    parallel to it."""
+    field = ScalarField("cyclotomic", m)
+
+    def scalar():
+        return Cyclotomic(m, [rng.randint(-1, 1), rng.randint(-1, 1)])
+
+    rows = []
+    while len(rows) < 3:
+        normal = tuple(scalar() for _ in range(dim))
+        if any(normal):
+            rows.append((normal, scalar()))
+    for _ in range(2):
+        (a, b), c = rng.sample(rows, 2), rng.choice(rows)
+        power = Cyclotomic.zeta(m) ** rng.randrange(1, m)
+        rows.append((tuple(power * x + y for x, y in zip(a[0], b[0])), power * a[1] + b[1]))
+        rows.append((tuple(power * x for x in c[0]), scalar()))
+    return make_arrangement(dim, field, [(normal, offset) for normal, offset in rows if any(normal)])
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_characteristic_polynomial_is_invariant_under_galois_conjugation(m, monkeypatch):
+    # sigma_k for k coprime to m is a field automorphism, so applied to
+    # every coefficient it keeps the intersection lattice and chi; the
+    # planted rows make the lattice non-generic, and their leads outside Z
+    # reach the norm cofactor of _normalize inside flat_poset
+    rng = random.Random(m)
+    calls = []
+    cofactor = arrangement.norm_cofactor
+    monkeypatch.setattr(arrangement, "norm_cofactor", lambda order, a: calls.append(order) or cofactor(order, a))
+    conjugates = [k for k in range(2, m) if math.gcd(k, m) == 1]
+    nongeneric = compared = moved = 0
+    for dim in (2, 3, 2, 3):
+        spec = _planted_cyclotomic_spec(rng, m, dim)
+        del calls[:]
+        poset = flat_poset(spec)
+        assert calls, "no residue lead outside Z"
+        nongeneric += any(len(f.contains) > dim - f.dim for f in poset.flats)
+        chi = characteristic_polynomial(poset)
+        for k in conjugates:
+            raw = [
+                (tuple(_galois_conjugate(a, k) for a in h.normal), _galois_conjugate(h.offset, k))
+                for h in spec.hyperplanes
+            ]
+            conjugate = make_arrangement(dim, spec.field, raw)
+            moved += conjugate.rows != spec.rows
+            assert characteristic_polynomial(flat_poset(conjugate)) == chi, (spec.rows, k)
+            compared += 1
+    assert nongeneric == 4 and moved == compared == 4 * len(conjugates)
+
+
+def _unimodular(rng, dim):
+    """An integer matrix of determinant +-1: a product of elementary row
+    additions and sign changes."""
+    u = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(3 * dim):
+        i = rng.randrange(dim)
+        if dim > 1:
+            j = rng.choice([j for j in range(dim) if j != i])
+            u[i] = [x + rng.choice([-2, -1, 1, 2]) * y for x, y in zip(u[i], u[j])]
+        if rng.random() < 0.3:
+            u[i] = [-x for x in u[i]]
+    return u
+
+
+def _moved(spec, u, shift):
+    """The spec in the coordinates y with x = u y + shift: a . x = b reads
+    (u^T a) . y = b - a . shift."""
+    dim = spec.dim
+    raw = [
+        (
+            tuple(sum(u[i][j] * h.normal[i] for i in range(dim)) for j in range(dim)),
+            h.offset - sum(a * t for a, t in zip(h.normal, shift)),
+        )
+        for h in spec.hyperplanes
+    ]
+    return make_arrangement(dim, QQ, raw)
+
+
+def test_unimodular_changes_and_translations_keep_chi_chambers_and_simpliciality():
+    # an affine isomorphism of Q^d keeps the intersection lattice, the
+    # chambers and the shape of each chamber; the bad primes may move, so
+    # they are not compared
+    rng = random.Random(31)
+    specs = [braid_arrangement(n) for n in (3, 4)] + [sign_flip_arrangement(2), rotation_arrangement(2, 2)]
+    specs += [_random_spec(rng, dim, 5) for dim in (1, 2, 3, 3)]
+    for dim in (2, 3, 3, 4):
+        specs.append(_central_spec(dim, [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(5)]))
+    verdicts = set()
+    for spec in specs:
+        poset = flat_poset(spec)
+        chi, counts = characteristic_polynomial(poset), chamber_count(poset)
+        chambers = len(enumerate_chambers(spec))
+        verdict = is_simplicial(spec).simplicial if common_point(spec) is not None else None
+        verdicts.add(verdict)
+        for _ in range(3):
+            shift = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(spec.dim)]
+            moved = _moved(spec, _unimodular(rng, spec.dim), shift)
+            moved_poset = flat_poset(moved)
+            assert characteristic_polynomial(moved_poset) == chi, spec.label
+            assert chamber_count(moved_poset) == counts
+            assert len(enumerate_chambers(moved)) == chambers
+            if verdict is not None:
+                assert is_simplicial(moved).simplicial == verdict
+    assert verdicts == {True, False, None}
 
 
 # -- finite field counts -----------------------------------------------------

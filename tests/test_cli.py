@@ -231,6 +231,10 @@ def _cyclotomic_spec(m, dim=4, count=8):
     })
 
 
+def _forget_spec(group, action, n):
+    return json.dumps({"schema": 1, "type": "forget", "group": group, "action": action, "n": n})
+
+
 @pytest.mark.parametrize("m", [MAX_FIELD_ORDER + 1, 30011])
 def test_arrangement_field_order_rail_exit_4(capsys, m):
     # three lines in Q^2 over Q(zeta_30011) ran past 30 s when the order was
@@ -581,6 +585,45 @@ GOLDEN_STDOUT_SHA256 = [
         ["arrangement", '{"schema":1,"dim":4,"field":{"type":"Q"},"hyperplanes":[{"normal":[1,-1,0,0],"offset":2},{"normal":[0,0,1,0],"offset":2},{"normal":[0,0,0,1],"offset":0},{"normal":[1,-1,1,1],"offset":4},{"normal":[1,-1,-2,3],"offset":-2}]}'],
         "bbfa4e3535410bd87916784bda05a8dcf08a18828d6465404a3122d4ce134176",
         id="central-lineality-uneven-walls",
+    ),
+    # groupoid `forget` reports name the first two morphisms that share an
+    # image and a source, so they pin the morphism order of the
+    # configuration groupoids; rotation 128 under C2 at n = 2 is the
+    # largest input the forget rail admits
+    pytest.param(
+        ["groupoid", _forget_spec({"kind": "cyclic", "n": 2}, {"kind": "negation", "n": 6}, 2)],
+        "7916bb934ceab1162f08cf19e5167e79d0f7cc2a833f15501a6b198e54beb9eb",
+        id="forget-negation6-n2",
+    ),
+    pytest.param(
+        ["groupoid", _forget_spec({"kind": "cyclic", "n": 2}, {"kind": "negation", "n": 6}, 3)],
+        "78665ebaf8e280cb4751e9cef4e32cebf061681c1b2e8bd5e2a659e79fbfd095",
+        id="forget-negation6-n3",
+    ),
+    pytest.param(
+        ["groupoid", _forget_spec({"kind": "cyclic", "n": 4}, {"kind": "rotation", "n": 8}, 2)],
+        "63a2a7d9956b612a31015dd2de3b719e927a9dce75a86c5c1bea43dff8513ae9",
+        id="forget-rotation8-c4-n2",
+    ),
+    pytest.param(
+        ["groupoid", _forget_spec({"kind": "dihedral", "n": 3}, {"kind": "regular"}, 2)],
+        "1e52e2103271fbdffe13622f859db30a409c3d93d7e37a997357c042b94aa1cf",
+        id="forget-regular-d3-n2",
+    ),
+    pytest.param(
+        ["groupoid", _forget_spec({"kind": "cyclic", "n": 2}, {"kind": "rotation", "n": 128}, 2)],
+        "d11d7cd328525addf7becf965adfbc9c27dff2ab2d8e662db31979e0c14ba109",
+        id="forget-rotation128-c2-n2",
+    ),
+    pytest.param(
+        ["groupoid", '{"schema":1,"type":"skeleton","group":{"kind":"cyclic","n":2},"action":{"kind":"negation","n":128}}'],
+        "bba8f93e184895479d839816fba770bfef575d82472651fd14dd5e5090bb643e",
+        id="skeleton-negation128",
+    ),
+    pytest.param(
+        ["groupoid", '{"schema":1,"type":"morita","group":{"kind":"product","factors":[{"kind":"cyclic","n":4},{"kind":"cyclic","n":4}]},"n1":[[0,0],[0,2]],"n2":[[0,0],[2,0]]}'],
+        "7e55b3050ba6c5835a420951aaedfe217a72b6704c136942e791b2fed977c273",
+        id="morita-c4xc4",
     ),
 ]
 
