@@ -717,25 +717,23 @@ def _reduced_point(a: int, b: int, d: int) -> ComplexPoint:
 def complex_sqrt_exact(z: ComplexPoint) -> Optional[ComplexPoint]:
     """An exact square root of an exact point when one exists in Q(i).
 
-    z = (x+yi)^2 forces x^2 = (Re z + |z|)/2 with |z| rational, so the search
-    reduces to two rational square roots.  Returns the root with x > 0, or
-    x == 0 and y >= 0.
+    z = (a + bi)/d has the root r/d exactly when the Gaussian integer
+    (a + bi)*d = A + Bi has the root r in Z[i], since Z[i] is integrally
+    closed.  r = x + yi forces s = x^2 + y^2 = |A + Bi|, x^2 = (A + s)/2 and
+    y^2 = (s - A)/2, so three integer square roots decide it.  Returns the
+    root with x > 0, or x == 0 and y >= 0.
     """
-    a, b = z.re, z.im
-    if b == 0:
-        if a >= 0:
-            x = rational_sqrt(a)
-            return ComplexPoint.exact(x) if x is not None else None
-        y = rational_sqrt(-a)
-        return ComplexPoint.exact(0, y) if y is not None else None
-    s = rational_sqrt(a * a + b * b)
-    if s is None:
+    d = z._d
+    big_a, big_b = z._a * d, z._b * d
+    s = math.isqrt(big_a * big_a + big_b * big_b)
+    if s * s != big_a * big_a + big_b * big_b or (s + big_a) & 1:
         return None
-    x = rational_sqrt((a + s) / 2)
-    if x is None or x == 0:
+    x2, y2 = (s + big_a) >> 1, (s - big_a) >> 1
+    x, y = math.isqrt(x2), math.isqrt(y2)
+    if x * x != x2 or y * y != y2:
         return None
-    y = b / (2 * x)
-    return ComplexPoint.exact(x, y)
+    # (x + yi)^2 = A + 2xy i with (2xy)^2 = s^2 - A^2 = B^2: y takes B's sign
+    return _reduced_point(x, -y if big_b < 0 else y, d)
 
 
 def complex_to_cyclotomic(z: ComplexPoint, order: int) -> Cyclotomic:

@@ -10,14 +10,13 @@ the cone complement with scale times a sign-flip configuration space.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arrangement import QQ, ArrangementSpec, ScalarField, make_arrangement
-from .exactfield import ComplexPoint, Cyclotomic
+from .exactfield import ComplexPoint, Cyclotomic, _parts, _reduced_point
 from .orbmodel import PlanarAction, SignFlipPunctured
 
 Box = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -82,6 +81,15 @@ class ConfigPoint:
         }
 
 
+def _grid_range(lo: tuple[int, int], hi: tuple[int, int], denominator: int) -> tuple[int, int]:
+    """The first and last integers k with lo <= k / denominator <= hi, for
+    bounds (p, q) read as p / q with q > 0; lo > hi raises ValueError."""
+    (p, q), (r, t) = lo, hi
+    if p * t > r * q:
+        raise ValueError("empty sampling box")
+    return -(-p * denominator // q), r * denominator // t
+
+
 def sample_orbit_config(
     action: PlanarAction,
     n: int,
@@ -101,26 +109,23 @@ def sample_orbit_config(
         raise ValueError("configuration size must be nonnegative")
     if denominator < 1:
         raise ValueError("grid denominator must be positive")
-    re_lo, re_hi, im_lo, im_hi = (Fraction(b) for b in box)
-    if re_lo > re_hi or im_lo > im_hi:
-        raise ValueError("empty sampling box")
+    re_lo, re_hi, im_lo, im_hi = (_parts(b) for b in box)
     # grid numerators k with lo <= k / denominator <= hi; an empty range is
     # an error only once a coordinate is drawn, so n = 0 still succeeds
-    re_range = (math.ceil(re_lo * denominator), math.floor(re_hi * denominator))
-    im_range = (math.ceil(im_lo * denominator), math.floor(im_hi * denominator))
-    rng = random.Random(seed)
+    re_first, re_last = _grid_range(re_lo, re_hi, denominator)
+    im_first, im_last = _grid_range(im_lo, im_hi, denominator)
+    empty = re_first > re_last or im_first > im_last
+    randint = random.Random(seed).randint
 
-    def draw_scaled(bounds: tuple[int, int]) -> Fraction:
-        lo_n, hi_n = bounds
-        if lo_n > hi_n:
+    def draw() -> ComplexPoint:
+        if empty:
             raise ValueError("sampling box contains no grid point")
-        return Fraction(rng.randint(lo_n, hi_n), denominator)
+        # the canonical triple of (k_re + k_im i) / denominator, with k_re
+        # drawn first
+        return _reduced_point(randint(re_first, re_last), randint(im_first, im_last), denominator)
 
     for _ in range(max_attempts):
-        candidate = tuple(
-            ComplexPoint.exact(draw_scaled(re_range), draw_scaled(im_range))
-            for _ in range(n)
-        )
+        candidate = tuple(draw() for _ in range(n))
         if is_orbit_config(action, candidate):
             return ConfigPoint(action=action, points=candidate)
     raise SamplingError(

@@ -338,9 +338,9 @@ def test_verify_cover_squaring_n_rail_exit_4(capsys):
 
 def test_verify_cover_largest_admitted_runs_within_budget(capsys):
     # samples * degree <= MAX_FIBER_POINTS and, for qE, samples *
-    # (2 * window)^n <= MAX_EXP_COMBINATIONS, read before any sample.  The
-    # costliest admitted runs take about 1.5 s each on a 2-core host, and
-    # up to twice that under load; the budget keeps room for both.
+    # (2 * window)^n <= MAX_EXP_COMBINATIONS, read before any sample.  On a
+    # 2-core host the qE run takes about 1.2 s and the squaring run about
+    # 0.1 s, and up to twice that under load; the budget keeps room for both.
     start = time.perf_counter()
     for argv in (["squaring", "--n", "10", "--samples", "19"], ["qE", "--n", "6", "--window", "5", "--samples", "1"]):
         code, env = run_json(capsys, ["verify-cover", *argv])

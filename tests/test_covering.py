@@ -2,12 +2,15 @@
 power-difference fibration, plus the sampled verifier."""
 
 import cmath
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orbconfig import covering
 from orbconfig.covering import (
     CoveringReport,
     _joukowski_float,
@@ -24,8 +27,8 @@ from orbconfig.covering import (
     verify_cover,
 )
 from orbconfig.exactfield import ComplexPoint
-from orbconfig.orbmodel import CyclicRotation, DomainError
-from orbconfig.orbit_config import MembershipError, sample_orbit_config
+from orbconfig.orbmodel import CyclicRotation, DomainError, SignFlipPunctured
+from orbconfig.orbit_config import MembershipError, is_orbit_config, sample_orbit_config
 
 
 def pt(re, im=0) -> ComplexPoint:
@@ -302,3 +305,103 @@ def test_covering_report_json_shape():
     assert isinstance(data["fiber_sizes"], list)
     assert {"name", "mode", "ok"} <= set(data["deck_checks"][0])
     assert data["samples"] == data["used"] + data["skipped_singular"]
+
+
+# -- the squaring verifier against a per-tuple reference ---------------------
+
+
+def _squaring_reference(n: int, samples: int, seed: int) -> dict:
+    """verify_cover("squaring", ...).to_json() with the four rows decided
+    tuple by tuple on points, as the verifier first decided them."""
+    rng = random.Random(seed)
+    signs = list(product((1, -1), repeat=n))
+    sizes: dict = {}
+    checks: dict = {}
+    used = skipped = 0
+
+    def check(name, ok):
+        checks[name] = checks.get(name, True) and ok
+
+    for _ in range(samples):
+        ws = sample_orbit_config(SignFlipPunctured(), n, seed=rng.randrange(2**32)).points
+        if any(w == pt(0) for w in ws):
+            skipped += 1
+            continue
+        vs = squaring_cover(ws)
+        fiber = covering.squaring_fiber(vs)
+        distinct = set(fiber)
+        sizes[len(distinct)] = sizes.get(len(distinct), 0) + 1
+        used += 1
+        signed = [tuple(w * s for w, s in zip(ws, pattern)) for pattern in signs]
+        check("fiber_is_sign_enumeration", distinct == set(signed))
+        check(
+            "fiber_in_configuration_space",
+            all(is_orbit_config(SignFlipPunctured(), t) for t in fiber),
+        )
+        check("maps_back", all(tuple(z * z for z in t) == vs for t in fiber))
+        check("sign_action_invariance", all(squaring_cover(t) == vs for t in signed))
+    passed = all(size == 2**n for size in sizes) and used > 0 and all(checks.values())
+    return {
+        "map": "squaring",
+        "n": n,
+        "declared_degree": 2**n,
+        "window": None,
+        "samples": samples,
+        "used": used,
+        "skipped_singular": skipped,
+        "fiber_sizes": [[size, count] for size, count in sorted(sizes.items())],
+        "branch_points": [],
+        "deck_checks": [
+            {"name": name, "mode": "exact", "ok": ok} for name, ok in sorted(checks.items())
+        ],
+        "max_defect": 0.0,
+        "epsilon": 1e-9,
+        "seed": seed,
+        "pass": passed,
+    }
+
+
+def test_verify_squaring_matches_the_per_tuple_reference():
+    for n in range(1, 9):
+        for seed in range(5):
+            report = verify_cover("squaring", n=n, samples=2, seed=seed).to_json()
+            assert report == _squaring_reference(n, 2, seed), (n, seed)
+            assert report["pass"] is True
+
+
+def _drop_last(fiber):
+    return fiber[:-1]
+
+
+def _conjugate_one_root(fiber):
+    # conj(w)^2 = w^2 only for w on an axis, so take a root off both axes
+    first = fiber[0]
+    i = next(i for i, z in enumerate(first) if z.re and z.im)
+    return (first[:i] + (first[i].conjugate(),) + first[i + 1 :],) + fiber[1:]
+
+
+def _plant_one(fiber):
+    # +-1 are the punctures of the sign-flip domain
+    middle = len(fiber) // 2
+    t = fiber[middle]
+    return fiber[:middle] + ((pt(-1),) + t[1:],) + fiber[middle + 1 :]
+
+
+@pytest.mark.parametrize(
+    "fault, row",
+    [
+        (_drop_last, "fiber_is_sign_enumeration"),
+        (_conjugate_one_root, "maps_back"),
+        (_plant_one, "fiber_in_configuration_space"),
+    ],
+)
+def test_verify_squaring_fails_the_row_of_a_planted_fault(monkeypatch, fault, row):
+    exact = covering.squaring_fiber
+    monkeypatch.setattr(covering, "squaring_fiber", lambda vs: fault(exact(vs)))
+    for n in (3, 5):
+        report = verify_cover("squaring", n=n, samples=3, seed=4)
+        data = report.to_json()
+        assert report.used == 3
+        assert data["pass"] is False
+        assert {"name": row, "mode": "exact", "ok": False} in data["deck_checks"]
+        assert data == _squaring_reference(n, 3, 4)

@@ -1,6 +1,7 @@
 """Exact scalar layer: cyclotomic arithmetic and complex points."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,79 @@ def test_complex_sqrt_exact():
     sq = w * w
     root = complex_sqrt_exact(sq)
     assert root is not None and root * root == sq
+
+
+def _fraction_sqrt(value: Fraction):
+    # the rational square root the Fraction-based reference below was written on
+    if value < 0:
+        return None
+    rn, rd = math.isqrt(value.numerator), math.isqrt(value.denominator)
+    if rn * rn != value.numerator or rd * rd != value.denominator:
+        return None
+    return Fraction(rn, rd)
+
+
+def _fraction_complex_sqrt(z: ComplexPoint):
+    # complex_sqrt_exact as it was computed on Fractions: z = (x + yi)^2
+    # forces x^2 = (Re z + |z|) / 2 with |z| rational
+    a, b = z.re, z.im
+    if b == 0:
+        if a >= 0:
+            x = _fraction_sqrt(a)
+            return ComplexPoint.exact(x) if x is not None else None
+        y = _fraction_sqrt(-a)
+        return ComplexPoint.exact(0, y) if y is not None else None
+    s = _fraction_sqrt(a * a + b * b)
+    if s is None:
+        return None
+    x = _fraction_sqrt((a + s) / 2)
+    if x is None or x == 0:
+        return None
+    return ComplexPoint.exact(x, b / (2 * x))
+
+
+def test_complex_sqrt_exact_matches_the_fraction_reference():
+    rng = random.Random(2025)
+    bound = 10**6
+
+    def entry(square_denominator: bool) -> Fraction:
+        den = rng.randint(1, 1000) ** 2 if square_denominator else rng.randint(1, bound)
+        return Fraction(rng.randint(-bound, bound), den)
+
+    # every small Gaussian rational, such as 4 + 3i and 24 + 7i, whose norms
+    # are squares while they are not
+    cases = [
+        ComplexPoint.exact(Fraction(a, d), Fraction(b, d))
+        for a in range(-25, 26)
+        for b in range(-25, 26)
+        for d in (1, 2, 4, 5, 9)
+    ]
+    for _ in range(1500):
+        square_den = rng.random() < 0.5
+        w = ComplexPoint.exact(entry(square_den), entry(square_den))
+        cases.append(w * w)  # a square
+        # rational |z| but no root: i and 2 are not squares in Q(i)
+        cases.append(w * w * ComplexPoint.exact(0, 1))
+        cases.append(w * w * 2)
+        cases.append(w)  # almost never a square
+        cases.append(ComplexPoint.exact(-abs(entry(square_den))))  # a negative real
+        cases.append(ComplexPoint.exact(0, entry(square_den)))  # a pure imaginary
+        k = rng.randint(1, 1000)
+        cases.append(ComplexPoint.exact(Fraction(-(k * k), rng.randint(1, 1000) ** 2)))
+        t = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
+        cases.append(ComplexPoint.exact(0, 2 * t * t))  # (t + ti)^2
+    found = {"square": 0, "none": 0}
+    for z in cases:
+        root = complex_sqrt_exact(z)
+        assert root == _fraction_complex_sqrt(z), z
+        if root is None:
+            found["none"] += 1
+            continue
+        found["square"] += 1
+        assert root * root == z
+        assert root.re > 0 or (root.re == 0 and root.im >= 0), z
+    # both outcomes are well represented
+    assert min(found.values()) > 4000, found
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,6 +21,7 @@ from orbconfig.orbmodel import (
     SignFlipPunctured,
 )
 from orbconfig.orbit_config import (
+    DEFAULT_BOX,
     MembershipError,
     SamplingError,
     braid_arrangement,
@@ -148,6 +149,77 @@ def test_sampler_is_deterministic_and_valid():
         assert 8 % z.re.denominator == 0 and 8 % z.im.denominator == 0
 
 
+PINNED_ACTIONS = (
+    CyclicRotation(1),
+    CyclicRotation(2),
+    CyclicRotation(3),
+    CyclicRotation(4),
+    SignFlipPunctured(),
+    IntegerDihedral(),
+)
+ODD_BOX = (Fraction(-1, 3), Fraction(1, 2), Fraction(1, 5), Fraction(7, 5))
+# the draw sample_orbit_config(PINNED_ACTIONS[a], n, seed=10 * a + n, ...)
+# at n = 0..5, on DEFAULT_BOX for even n and ODD_BOX for odd n, with
+# denominator 8 for n = 0, 1, 4, 5 and 6 for n = 2, 3; each point is given
+# by its numerators (re, im) over the denominator
+PINNED_DRAWS = (
+    # CyclicRotation(1)
+    (
+        (),
+        ((-1, 11),),
+        ((-11, -10), (-10, -1)),
+        ((-1, 6), (2, 3), (0, 6)),
+        ((-1, 3), (-10, 9), (14, -7), (-11, -12)),
+        ((2, 6), (3, 7), (4, 10), (-2, 9), (4, 5)),
+    ),
+    # CyclicRotation(2)
+    (
+        (),
+        ((1, 10),),
+        ((3, -4), (9, 4)),
+        ((0, 4), (3, 7), (-1, 7)),
+        ((-10, -1), (1, 0), (2, -12), (12, 3)),
+        ((-1, 2), (2, 2), (-1, 5), (-2, 2), (4, 4)),
+    ),
+    # CyclicRotation(3)
+    (
+        (),
+        ((-1, 8),),
+        ((-8, -5), (-12, 7)),
+        ((0, 8), (-2, 2), (2, 4)),
+        ((8, -5), (-3, -6), (-4, -6), (-11, -7)),
+        ((2, 8), (-2, 11), (4, 3), (2, 5), (2, 11)),
+    ),
+    # CyclicRotation(4)
+    (
+        (),
+        ((-2, 9),),
+        ((-10, -6), (-8, -3)),
+        ((2, 3), (3, 3), (0, 5)),
+        ((6, -15), (-2, -15), (8, 7), (-12, 11)),
+        ((0, 11), (-2, 10), (4, 6), (3, 7), (4, 11)),
+    ),
+    # SignFlipPunctured()
+    (
+        (),
+        ((1, 7),),
+        ((8, -9), (-12, 11)),
+        ((-2, 4), (3, 8), (-1, 5)),
+        ((10, -9), (-5, 8), (-2, 2), (-15, -2)),
+        ((0, 8), (1, 6), (-2, 6), (0, 2), (-2, 9)),
+    ),
+    # IntegerDihedral()
+    (
+        (),
+        ((-1, 10),),
+        ((-4, -11), (11, 4)),
+        ((2, 8), (-1, 5), (2, 7)),
+        ((-8, 12), (3, 14), (15, 8), (-2, 12)),
+        ((-2, 5), (-1, 6), (4, 3), (3, 4), (0, 3)),
+    ),
+)
+
+
 def test_sampler_draws_are_pinned():
     # the grid bounds are computed once per call; the draws must not move
     first = sample_orbit_config(CyclicRotation(3), 4, seed=11).points
@@ -155,11 +227,16 @@ def test_sampler_draws_are_pinned():
         pt(Fraction(a), Fraction(b))
         for a, b in (("3/2", "13/8"), ("3/2", "2"), ("-1/2", "-5/8"), ("2", "7/4"))
     )
-    box = (Fraction(-1, 3), Fraction(1, 2), Fraction(1, 5), Fraction(7, 5))
-    second = sample_orbit_config(SignFlipPunctured(), 3, seed=5, box=box, denominator=6).points
+    second = sample_orbit_config(SignFlipPunctured(), 3, seed=5, box=ODD_BOX, denominator=6).points
     assert second == tuple(
         pt(Fraction(a), Fraction(b)) for a, b in (("1/3", "2/3"), ("1/2", "2/3"), ("1/2", "4/3"))
     )
+    for a, action in enumerate(PINNED_ACTIONS):
+        for n, numerators in enumerate(PINNED_DRAWS[a]):
+            box = ODD_BOX if n % 2 else DEFAULT_BOX
+            den = 6 if n in (2, 3) else 8
+            points = sample_orbit_config(action, n, seed=10 * a + n, box=box, denominator=den).points
+            assert points == tuple(pt(Fraction(re, den), Fraction(im, den)) for re, im in numerators)
 
 
 def test_sampler_empty_grid_raises_only_when_drawing():
@@ -167,6 +244,10 @@ def test_sampler_empty_grid_raises_only_when_drawing():
     assert sample_orbit_config(CyclicRotation(2), 0, box=box).points == ()
     with pytest.raises(ValueError, match="no grid point"):
         sample_orbit_config(CyclicRotation(2), 1, box=box)
+    # a box with lo > hi is refused before any draw, even at n = 0
+    for inverted in ((Fraction(1, 3), Fraction(1, 4), 0, 0), (0, 0, Fraction(-1, 5), Fraction(-1, 4))):
+        with pytest.raises(ValueError, match="empty sampling box"):
+            sample_orbit_config(CyclicRotation(2), 0, box=inverted)
 
 
 def test_sampler_different_seeds_differ():
