@@ -14,11 +14,11 @@ an input object does not read, an unreadable input file or unwritable
 --out path;
 3 reflector features; 4 size guard rails (arrangement size
 arrangement.MAX_SIMPLICIAL_DIM and MAX_SIMPLICIAL_HYPERPLANES, cyclotomic
-field order and hyperplanes arrangement.check_field_rail, squaring n, fiber
-points and qE logarithm combinations per run covering.MAX_FIBER_POINTS and
+field order and hyperplanes arrangement.check_field_rail, fiber points
+and qE logarithm combinations per run covering.MAX_FIBER_POINTS and
 MAX_EXP_COMBINATIONS, groupoid group
 order groupoid.MAX_GROUP_ORDER, negation and rotation point count
-groupoid.MAX_ACTION_POINTS, `forget` size MAX_FORGET_PAIRS, `obstruction`
+groupoid.MAX_ACTION_POINTS, `forget` size MAX_FORGET_SIZE, `obstruction`
 rotation order orbmodel.MAX_ROTATION_ORDER); 5 a covering
 verification that ran but failed; 6 no quasifibration witness
 (fixed-point-free action).
@@ -88,11 +88,10 @@ BUILDER_SIZES = {
 }
 # `forget` builds the configuration groupoids on n and n - 1 points, each
 # the translation groupoid of a power of the group, and checks the map
-# between them in a few passes over the morphisms, at most
-# (|points| * |group|)^n.  The rail bounds the composable pairs,
-# (|points| * |group|^2)^n, which also bounds the |group|^2n entries of the
-# power's table.
-MAX_FORGET_PAIRS = 500_000
+# between them on the powers and in a few passes over the morphisms.  The
+# rail bounds both sizes: the morphisms, at most (|points| * |group|)^n, and
+# the |group|^2n entries of the table of the n-th power.
+MAX_FORGET_SIZE = 500_000
 # deepest nesting of JSON arrays and objects an input may use, checked on
 # the text before the parser or any model builder recurses into it
 MAX_JSON_DEPTH = 100
@@ -284,12 +283,14 @@ def _cmd_groupoid(args) -> tuple[dict, dict, int]:
     elif kind == "forget":
         action = _groupoid_action(data)
         n = json_int(data.get("n", 2), "forget n")
-        width = len(action.points) * action.group.order**2
-        # capping the exponent keeps the test exact and cheap for huge n
-        if n > 1 and width ** min(n, MAX_FORGET_PAIRS.bit_length()) > MAX_FORGET_PAIRS:
+        order = action.group.order
+        # max((|points| |group|)^n, |group|^2n); capping the exponent keeps
+        # the test exact and cheap for huge n
+        width = max(len(action.points) * order, order**2)
+        if n > 1 and width ** min(n, MAX_FORGET_SIZE.bit_length()) > MAX_FORGET_SIZE:
             raise SizeGuardError(
                 f"forget with n = {n} exceeds the groupoid rail "
-                f"((|points| * |group|^2)^n <= {MAX_FORGET_PAIRS})"
+                f"((|points| * |group|)^n and |group|^2n <= {MAX_FORGET_SIZE})"
             )
         hom = forget_map(translation_groupoid(action), n)
         checks = [hom.verify().to_json(), is_covering_hom(hom).to_json()]

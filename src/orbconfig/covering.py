@@ -35,11 +35,6 @@ _ONE = ComplexPoint.exact(1)
 #: take no tolerance.
 DEFAULT_EPS = 1e-9
 
-#: Rail on the squaring check: each sample reads every coordinate of its 2^n
-#: fiber tuples once, so its cost grows like 2^n * n; about 6 ms per sample
-#: at n = 10 (2 cores, Python 3.11.7).
-MAX_SQUARING_N = 10
-
 #: Rail on a whole run: samples times the declared degree (2 for q, 2^n for
 #: squaring and qE), the fiber points checked; about 0.04 ms each for q and
 #: qE and under 0.01 ms each for squaring (2 cores, Python 3.11.7).
@@ -434,8 +429,8 @@ def verify_cover(
     preimages per fundamental window, scanned over window^n cells).
     Singular samples (branch values, degenerate coordinates) are skipped
     and counted, never silently dropped.  Guard rails, checked before any
-    sample: squaring takes n <= MAX_SQUARING_N, every map takes samples *
-    degree <= MAX_FIBER_POINTS, and qE takes samples * (2 * window)^n <=
+    sample: every map takes samples * degree <= MAX_FIBER_POINTS, which
+    also bounds the squaring n, and qE takes samples * (2 * window)^n <=
     MAX_EXP_COMBINATIONS.
     """
     if samples < 1:
@@ -450,10 +445,6 @@ def verify_cover(
         n = 1
     elif n < 1:
         raise ValueError(f"{map_id} needs n >= 1")
-    elif map_id == "squaring" and n > MAX_SQUARING_N:
-        raise SizeGuardError(
-            f"squaring verification capped at n = {MAX_SQUARING_N} (2^n fiber points per sample)"
-        )
     # 2 * window >= 2, so an exponent past the cap's bit length exceeds it
     elif map_id == "qE" and (
         samples * (2 * window) ** min(n, MAX_EXP_COMBINATIONS.bit_length()) > MAX_EXP_COMBINATIONS
@@ -462,11 +453,12 @@ def verify_cover(
             f"qE verification capped at samples * (2 * window)^n <= {MAX_EXP_COMBINATIONS} "
             f"(logarithm combinations per run)"
         )
-    declared = 2**n
-    if samples * declared > MAX_FIBER_POINTS:
+    # the degree is 2^n; an exponent past the cap's bit length exceeds it
+    if samples * 2 ** min(n, MAX_FIBER_POINTS.bit_length()) > MAX_FIBER_POINTS:
         raise SizeGuardError(
             f"{map_id} verification capped at samples * degree <= {MAX_FIBER_POINTS} (fiber points per run)"
         )
+    declared = 2**n
     rng = random.Random(seed)
     rb = _ReportBuilder()
     branch_records = _verify_quotient_map(rb, samples, rng) if map_id == "q" else ()

@@ -334,6 +334,27 @@ class FiniteGroupoid:
         when both groupoids are translation groupoids; else None."""
         return None
 
+    def _orbit_ids(self) -> list:
+        """The orbit number of each object index, numbered in object order:
+        y is in the orbit of x iff some morphism runs x -> y."""
+        outgoing, _ = self._hom_index
+        tgt = self._tgt
+        orbit: list = [None] * len(self._objects)
+        count = 0
+        for x in range(len(orbit)):
+            if orbit[x] is not None:
+                continue
+            orbit[x] = count
+            frontier = [x]
+            while frontier:
+                for m in outgoing.get(frontier.pop(), ()):
+                    y = tgt[m]
+                    if y < len(orbit) and orbit[y] is None:
+                        orbit[y] = count
+                        frontier.append(y)
+            count += 1
+        return orbit
+
     def verify_axioms(self) -> CheckResult:
         """Exhaustive check of every groupoid axiom on the tables.
 
@@ -472,15 +493,24 @@ class _TranslationGroupoid(FiniteGroupoid):
         order, points = group.order, range(len(action.points))
         self._action = action
         self._order, self._mul = order, group.table
-        self._unit, self._group_inverse = e, inverse = group._identity, group.inverse
+        self._unit = e = group._identity
+        self._group_inverse = group.inverse
         self.objects = self._objects = action.points
         self.warning = None
         self._table = None
-        images = list(zip(*action.perms))  # images[x][h] = h.x
-        self._src = [x for x in points for _ in range(order)]
-        self._tgt = [y for column in images for y in column]
+        self._tgt = [y for column in zip(*action.perms) for y in column]  # column[h] = h.x
         self._ident = [x * order + e for x in points]
-        self._inv = [y * order + inverse[h] for column in images for h, y in enumerate(column)]
+
+    # _src and _inv are built on first read: the coarse ends of a Morita
+    # triple read neither
+    @cached_property
+    def _src(self) -> list:
+        return [x for x in range(len(self._objects)) for _ in range(self._order)]
+
+    @cached_property
+    def _inv(self) -> list:
+        order = self._order
+        return [t * order + i for t, i in zip(self._tgt, self._group_inverse * len(self._objects))]
 
     @cached_property
     def morphisms(self) -> tuple:
@@ -540,6 +570,20 @@ class _TranslationGroupoid(FiniteGroupoid):
                 return None
         return psi
 
+    def _orbit_ids(self) -> list:
+        """The orbit of x is its row T[x] = _tgt[x * |G| : (x + 1) * |G|],
+        so each orbit is read off the row of its first point, and the
+        numbering is FiniteGroupoid._orbit_ids's."""
+        order, tgt = self._order, self._tgt
+        orbit: list = [None] * len(self._objects)
+        count = 0
+        for x, start in enumerate(range(0, len(tgt), order)):
+            if orbit[x] is None:
+                for y in tgt[start : start + order]:
+                    orbit[y] = count
+                count += 1
+        return orbit
+
     def _pairs(self) -> Iterable[tuple[int, int, int]]:
         # f-major, as the composable pairs of every other model are built
         order, mul = self._order, self._mul
@@ -571,32 +615,10 @@ class OrbitSpace:
         return {"orbits": [sorted(map(repr, block)) for block in self.blocks]}
 
 
-def _orbit_ids(groupoid: FiniteGroupoid) -> list:
-    """The orbit number of each object index, numbered in object order:
-    y is in the orbit of x iff some morphism runs x -> y."""
-    outgoing, _ = groupoid._hom_index
-    tgt = groupoid._tgt
-    orbit: list = [None] * len(groupoid._objects)
-    count = 0
-    for x in range(len(orbit)):
-        if orbit[x] is not None:
-            continue
-        orbit[x] = count
-        frontier = [x]
-        while frontier:
-            for m in outgoing.get(frontier.pop(), ()):
-                y = tgt[m]
-                if y < len(orbit) and orbit[y] is None:
-                    orbit[y] = count
-                    frontier.append(y)
-        count += 1
-    return orbit
-
-
 def orbit_space(groupoid: FiniteGroupoid) -> OrbitSpace:
     """Partition of objects by reachability: y in orbit(x) iff some
     morphism runs x -> y."""
-    orbit = _orbit_ids(groupoid)
+    orbit = groupoid._orbit_ids()
     blocks: list = [set() for _ in range(max(orbit, default=-1) + 1)]
     for x, label in zip(orbit, groupoid._objects):
         blocks[x].add(label)
@@ -616,15 +638,14 @@ def configuration_groupoid(groupoid: FiniteGroupoid, n: int, verify: bool = True
     """
     if n < 1:
         raise ValueError("configuration length must be >= 1")
-    translation = isinstance(groupoid, _TranslationGroupoid)
-    # on the translation path an orbit is named by its least point index
-    orbit = [min(images) for images in zip(*groupoid._action.perms)] if translation else _orbit_ids(groupoid)
+    orbit = groupoid._orbit_ids()
     orbits = len(set(orbit))
     if orbits < n:
         warning = f"only {orbits} orbits; no {n}-tuples with distinct orbits exist"
         return FiniteGroupoid((), (), {}, {}, {}, {}, {}, warning=warning)
     parts = [tup for tup in product(range(len(orbit)), repeat=n) if len({orbit[x] for x in tup}) == n]
-    result = (_translation_configuration if translation else _stored_configuration)(groupoid, parts)
+    build = _translation_configuration if isinstance(groupoid, _TranslationGroupoid) else _stored_configuration
+    result = build(groupoid, parts)
     if verify:
         report = result.verify_axioms()
         if not report:
@@ -698,7 +719,14 @@ class GroupoidHom:
     dst object index of src object code x and _arrow_images[m] the dst
     index of morphism m, None where the image names no dst object or
     morphism (and past the src objects).  object_map and morphism_map read
-    as label dicts: the ones given, or views built on first use."""
+    as label dicts: the ones given, or views built on first use.
+
+    A map between translation groupoids may be given in product form,
+    F(x, h) = (phi(x), psi(h)) (_product); its _arrow_images are then built
+    only when a scan or a label view reads them."""
+
+    # True for the homs built by _product
+    _product_form = False
 
     def __init__(
         self, src: FiniteGroupoid, dst: FiniteGroupoid, object_map: dict, morphism_map: dict, name: str = "f"
@@ -716,6 +744,21 @@ class GroupoidHom:
         hom._arrow_images = arrows
         return hom
 
+    @classmethod
+    def _product(
+        cls, src: "_TranslationGroupoid", dst: "_TranslationGroupoid", phi: list, psi: list, name: str
+    ) -> "GroupoidHom":
+        """F(x, h) = (phi[x], psi[h]) between translation groupoids, for
+        total lists phi of dst point indices and psi of dst element
+        indices; every arrow image then names a dst morphism."""
+        hom = cls.__new__(cls)
+        hom.src, hom.dst, hom.name = src, dst, name
+        hom._object_images = phi
+        # with no points there is no arrow to read psi off, as in _vertex_map
+        hom._psi = psi if phi else None
+        hom._product_form = True
+        return hom
+
     @cached_property
     def _object_images(self) -> list:
         index = self.dst._object_index
@@ -724,8 +767,20 @@ class GroupoidHom:
 
     @cached_property
     def _arrow_images(self) -> list:
+        if self._product_form:
+            width, psi = self.dst._order, self._psi
+            return [y * width + p for y in self._object_images for p in psi]
         index = self.dst._arrow_index
         return [index.get(self.morphism_map.get(m, _MISSING)) for m in self.src._arrows]
+
+    def _images(self, arrows: list) -> list:
+        """[_arrow_images[m] for m in arrows], read off phi and psi in
+        product form."""
+        if self._product_form:
+            phi, psi, order, width = self._object_images, self._psi, self.src._order, self.dst._order
+            return [phi[m // order] * width + psi[m % order] for m in arrows]
+        images = self._arrow_images
+        return [images[m] for m in arrows]
 
     @cached_property
     def object_map(self) -> dict:
@@ -741,20 +796,16 @@ class GroupoidHom:
     def _psi(self) -> Optional[list]:
         """The map psi of group element indices when both ends are
         translation groupoids and F(x, h) = (phi(x), psi(h)) on every
-        arrow (_vertex_map), else None.  Read once both maps are total."""
+        arrow: given to _product, else read off the arrow images
+        (_vertex_map); None otherwise.  Read once both maps are total."""
         return self.src._vertex_map(self.dst, self._object_images, self._arrow_images)
 
     def _equivariant(self, psi: list) -> bool:
-        """psi(h).phi(x) = phi(h.x) for every point x and element h, one
-        list comparison per point: for a map (phi, psi) between
-        translation groupoids, the endpoint law."""
-        src, dst, phi = self.src, self.dst, self._object_images
-        order, width, tgt, dst_tgt = src._order, dst._order, src._tgt, dst._tgt
-        for x, start in enumerate(range(0, len(tgt), order)):
-            base = phi[x] * width
-            if [dst_tgt[base + p] for p in psi] != [phi[y] for y in tgt[start : start + order]]:
-                return False
-        return True
+        """psi(h).phi(x) = phi(h.x) for every point x and element h, as one
+        comparison of two lists in morphism order: for a map (phi, psi)
+        between translation groupoids, the endpoint law."""
+        phi, width, dst_tgt = self._object_images, self.dst._order, self.dst._tgt
+        return [dst_tgt[y * width + p] for y in phi for p in psi] == [phi[y] for y in self.src._tgt]
 
     def _generators_preserved(self) -> bool:
         """F(g o f) == F(g) o F(f) for every composable pair, for a map
@@ -783,43 +834,46 @@ class GroupoidHom:
         Between translation groupoids whose arrow images have product form,
         F(x, h) = (phi(x), psi(h)) (_psi), the rows are decided on the
         groups and actions: endpoints are psi(h).phi(x) = phi(h.x)
-        (_equivariant), the identity row reads psi(e) = e' at each object,
+        (_equivariant), the identity row reads the image of each identity,
         composition is psi(g s) = psi(g) psi(s) for s in a generating set
         (_generators_preserved), and, once endpoints hold, inverses are
         psi(h^-1) = psi(h)^-1, since the ends build their inverse arrays
-        from the group's inverse list.  Otherwise, or where such a decision
-        fails, the scans below name the first failure; composition is then
-        scanned over every composable pair, in the order of src.compose.
-        The result is computed once per hom and kept, like the index maps,
-        so the maps must not change afterwards; is_covering_hom and
-        is_equivalence read the same result."""
+        from the group's inverse list.  A hom built by _product is total
+        once phi is, and none of these decisions reads _arrow_images.
+        Otherwise, or where such a decision fails, the scans below name the
+        first failure; composition is then scanned over every composable
+        pair, in the order of src.compose.  The result is computed once per
+        hom and kept, like the index maps, so the maps must not change
+        afterwards; is_covering_hom and is_equivalence read the same
+        result."""
         return self._verified
 
     @cached_property
     def _verified(self) -> CheckResult:
         checks = []
         src, dst = self.src, self.dst
-        f0, f1 = self._object_images, self._arrow_images
+        f0 = self._object_images
         objects_ok = None not in f0[: len(src._objects)]
         checks.append(("object_map_total", objects_ok, "" if objects_ok else "object map misses an object"))
-        morphs_ok = None not in f1
+        morphs_ok = objects_ok if self._product_form else None not in self._arrow_images
         checks.append(("morphism_map_total", morphs_ok, "" if morphs_ok else "morphism map misses a morphism"))
         if not (objects_ok and morphs_ok):
             return CheckResult(f"homomorphism {self.name}", tuple(checks))
         psi = self._psi
         st_ok, st_detail = True, ""
         if psi is None or not self._equivariant(psi):
-            for m, image in enumerate(f1):
+            for m, image in enumerate(self._arrow_images):
                 if dst._src[image] != f0[src._src[m]] or dst._tgt[image] != f0[src._tgt[m]]:
                     st_ok, st_detail = False, f"endpoints not preserved at {src._arrows[m]!r}"
                     break
         checks.append(("preserves_endpoints", st_ok, st_detail))
-        identities = enumerate(src._ident[: len(src._objects)])
-        id_ok = all(e is not None and f1[e] == dst._ident[f0[x]] for x, e in identities)
+        identities, count = src._ident[: len(src._objects)], len(src._objects)
+        id_ok = None not in identities and self._images(identities) == [dst._ident[y] for y in f0[:count]]
         checks.append(("preserves_identities", id_ok, "" if id_ok else "an identity is not preserved"))
         comp_ok, comp_detail = True, ""
         if not (st_ok and psi is not None and self._generators_preserved()):
             # the full scan, in the order of src.compose, names the first failure
+            f1 = self._arrow_images
             for g, f, h in src._pairs():
                 if h < 0 or dst._compose(f1[g], f1[f]) != f1[h]:
                     comp_ok = False
@@ -831,9 +885,50 @@ class GroupoidHom:
             st_ok
             and psi is not None
             and [psi[i] for i in src._group_inverse] == [dst._group_inverse[p] for p in psi]
-        ) or all(i is not None and f1[i] == dst._inv[image] for i, image in zip(src._inv, f1))
+        )
+        if not inv_ok:
+            f1 = self._arrow_images
+            inv_ok = all(i is not None and f1[i] == dst._inv[a] for i, a in zip(src._inv, f1))
         checks.append(("preserves_inverses", inv_ok, "" if inv_ok else "an inverse is not preserved"))
         return CheckResult(f"homomorphism {self.name}", tuple(checks))
+
+    def _equivalence_holds(self) -> bool:
+        """Both rows of is_equivalence pass, decided on orbits and
+        stabilizers for a verified map (phi, psi) between translation
+        groupoids (_psi); False only means that the scans must decide.
+
+        The orbit of x is the row T[x] of the action (_orbit_ids).  Every
+        H-orbit must meet phi(X).  The src arrows x -> x' are a coset
+        g Stab_G(x) when x' = g.x and none otherwise, and psi maps them into
+        the coset psi(g) Stab_H(phi x) of arrows phi(x) -> phi(x'); so the
+        map is a bijection onto the fibered-product triples exactly when phi
+        is injective on orbits, ker psi meets Stab_G(x) in e only and
+        |Stab_G(x)| = |Stab_H(phi x)|.  Stabilizers along an orbit are
+        conjugate and ker psi is normal, so one x per G-orbit decides.  Like
+        verify's decisions, this reads both ends as groups acting on points,
+        which a translation groupoid built from a GroupAction is."""
+        psi = self._psi
+        if psi is None:
+            return False
+        src, dst, phi = self.src, self.dst, self._object_images
+        src_orbit, dst_orbit = src._orbit_ids(), dst._orbit_ids()
+        if len({dst_orbit[y] for y in phi}) != max(dst_orbit, default=-1) + 1:
+            return False
+        first: dict = {}
+        for x, orbit in enumerate(src_orbit):
+            first.setdefault(orbit, x)
+        if len({dst_orbit[phi[x]] for x in first.values()}) != len(first):
+            return False
+        order, width, tgt, dst_tgt = src._order, dst._order, src._tgt, dst._tgt
+        e, e_dst = src._unit, dst._unit
+        for x in first.values():
+            stabilizer = [h for h, y in enumerate(tgt[x * order : (x + 1) * order]) if y == x]
+            if any(psi[h] == e_dst for h in stabilizer if h != e):
+                return False
+            y = phi[x]
+            if dst_tgt[y * width : (y + 1) * width].count(y) != len(stabilizer):
+                return False
+        return True
 
 
 def identity_hom(groupoid: FiniteGroupoid) -> GroupoidHom:
@@ -841,11 +936,21 @@ def identity_hom(groupoid: FiniteGroupoid) -> GroupoidHom:
 
 
 def forget_map(groupoid: FiniteGroupoid, n: int) -> GroupoidHom:
-    """PB_n -> PB_{n-1}: drop the last coordinate on objects and morphisms."""
+    """PB_n -> PB_{n-1}: drop the last coordinate on objects and morphisms.
+
+    Between the configuration groupoids of a translation groupoid of G the
+    map has product form: phi drops the last point of each tuple, and psi
+    the last factor of G^n, h -> h // |G| on the indices of
+    FiniteGroup.product."""
     if n < 2:
         raise ValueError("forgetting needs n >= 2")
     big = configuration_groupoid(groupoid, n, verify=False)
     small = configuration_groupoid(groupoid, n - 1, verify=False)
+    if isinstance(big, _TranslationGroupoid):
+        position = small._action.index
+        phi = [position[obj[:-1]] for obj in big._objects]
+        psi = [h // groupoid._order for h in range(big._order)]
+        return GroupoidHom._product(big, small, phi, psi, f"forget_{n}")
     return GroupoidHom(
         big,
         small,
@@ -896,7 +1001,7 @@ def inclusion_hom(sub: FiniteGroupoid, ambient: FiniteGroupoid, name: str = "inc
 def skeleton_inclusion(groupoid: FiniteGroupoid) -> GroupoidHom:
     """Inclusion of the full subgroupoid on one object per orbit."""
     first: dict = {}
-    for x, orbit in enumerate(_orbit_ids(groupoid)):
+    for x, orbit in enumerate(groupoid._orbit_ids()):
         first.setdefault(orbit, x)
     representatives = list(first.values())
     sub, kept = _full_subgroupoid(groupoid, representatives)
@@ -908,10 +1013,8 @@ def subgroup_covering_hom(action: GroupAction, subgroup: frozenset) -> GroupoidH
     restricted = action.restrict_group(subgroup)
     small = translation_groupoid(restricted)
     big = translation_groupoid(action)
-    order, kept = action.group.order, [action.group.index[g] for g in restricted.group.elements]
-    points = list(range(len(action.points)))
-    arrows = [x * order + g for x in points for g in kept]
-    return GroupoidHom._encoded(small, big, points, arrows, "subgroup_inclusion")
+    kept = [action.group.index[g] for g in restricted.group.elements]
+    return GroupoidHom._product(small, big, list(range(len(action.points))), kept, "subgroup_inclusion")
 
 
 # ---------------------------------------------------------------------------
@@ -956,7 +1059,7 @@ def is_covering_hom(f: GroupoidHom) -> CheckResult:
             break
         image[key] = h
     checks.append(("unique_source_lift", injective, inj_detail))
-    base_orbits = _orbit_ids(dst)
+    base_orbits = dst._orbit_ids()
     fiber_sizes: dict[int, set] = {}
     counts = Counter(f0)
     for y, orbit in enumerate(base_orbits):
@@ -980,11 +1083,26 @@ def is_equivalence(f: GroupoidHom) -> CheckResult:
     G1 x_{G0} H0 (pairs with s(g) = f0(x)) is onto the base objects.
     Condition 2: h -> (f1(h), s(h), t(h)) is a bijection onto the triples
     (g, x, x') with s(g) = f0(x) and t(g) = f0(x').
+
+    For a verified map F(x, h) = (phi(x), psi(h)) between translation
+    groupoids X//G -> Y//H, whether built in product form (_product) or
+    read off its arrow images, both conditions are first decided on orbits
+    and stabilizers (GroupoidHom._equivalence_holds), the criterion for
+    action groupoids: condition 1 holds exactly when every H-orbit meets
+    phi(X), and condition 2 exactly when phi is injective on orbits and,
+    at one x per G-orbit, ker psi meets Stab_G(x) in e only and
+    |Stab_G(x)| = |Stab_H(phi x)|.  That costs O(#orbits (|G| + |H|)) past
+    the orbit numbering.  When the decision fails, or for any other map,
+    the scans below decide, so every row and detail string is theirs:
+    condition 2 collects one triple per morphism.
     """
     checks = []
     hom = f.verify()
     checks.append(("homomorphism", hom.passed, "" if hom else f"not a homomorphism: {hom.first_failure()}"))
     if not hom.passed:
+        return CheckResult(f"equivalence {f.name}", tuple(checks))
+    if f._equivalence_holds():
+        checks += [("essentially_surjective", True, ""), ("fully_faithful_bijection", True, "")]
         return CheckResult(f"equivalence {f.name}", tuple(checks))
     src, dst = f.src, f.dst
     f1 = f._arrow_images
@@ -1088,9 +1206,7 @@ def _quotient_arrow(
     coset_map = [0] * fine._order
     for c, d in zip(fine_cosets, coarse_cosets):
         coset_map[c] = d
-    order = coarse_action.group.order
-    arrows = [point_map[p] * order + d for p in range(len(point_map)) for d in coset_map]
-    return GroupoidHom._encoded(fine, coarse, point_map, arrows, name)
+    return GroupoidHom._product(fine, coarse, point_map, coset_map, name)
 
 
 def morita_triple(

@@ -412,24 +412,37 @@ def test_groupoid_checks_at_the_rails():
 
 
 def test_groupoid_forget_at_the_rail(capsys):
-    # rotation(128) under C2 at n = 2: (128 * 2^2)^2 = 262,144 composable
-    # pairs, the largest forget input under MAX_FORGET_PAIRS; 64,512
-    # configuration morphisms map onto the 128 * 2 of the base
+    # C2 fixing each of 353 points at n = 2: at most (353 * 2)^2 = 498,436
+    # morphisms under MAX_FORGET_SIZE, and 354 points exceed it.  Of the
+    # inputs measured that the old (|points| * |group|^2)^n rail refused,
+    # it is the costliest (about 1.2 s on a 2-core host).  The 124,256
+    # configuration objects, each with 4 arrows, map onto the 353 objects
+    # and 706 arrows of the base.
+    table = [{"g": g, "x": x, "y": x} for g in range(2) for x in range(353)]
     model = {
         "schema": 1,
         "type": "forget",
         "group": {"kind": "cyclic", "n": 2},
-        "action": {"kind": "rotation", "n": 128},
+        "action": {"kind": "table", "points": list(range(353)), "table": table},
         "n": 2,
     }
-    assert (128 * 2**2) ** 2 <= cli.MAX_FORGET_PAIRS < (128 * 2**2) ** 3
+    assert (353 * 2) ** 2 <= cli.MAX_FORGET_SIZE < (354 * 2) ** 2
+    assert (353 * 2**2) ** 2 > cli.MAX_FORGET_SIZE
     start = time.monotonic()
     assert cli.main(["groupoid", json.dumps(model)]) == 0
     elapsed = time.monotonic() - start
     report = json.loads(capsys.readouterr().out)["report"]
-    assert report["summary"] == {"base_objects": 128, "configuration_objects": 16128}
+    assert report["summary"] == {"base_objects": 353, "configuration_objects": 353 * 352}
     hom_rows = {row["name"]: row["pass"] for row in report["checks"][0]["checks"]}
     assert all(hom_rows.values()) and "preserves_composition" in hom_rows
+    # the four arrows at a pair map to the two at its first point, in pairs
+    cover_rows = {row["name"]: row["pass"] for row in report["checks"][1]["checks"]}
+    assert cover_rows == {
+        "homomorphism": True,
+        "object_map_surjective": True,
+        "unique_source_lift": False,
+        "fiber_constant_on_orbits": True,
+    }
     assert elapsed < 10.0
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from orbconfig import __version__
 from orbconfig import cli
 from orbconfig.arrangement import MAX_FIELD_ORDER, ScalarField
+from orbconfig.covering import MAX_FIBER_POINTS
 from orbconfig.cli import main
 from orbconfig.exactfield import MAX_RATIONAL_DIGITS
 from orbconfig.obstruction import MAX_WITNESS_STEPS, NoWitnessError
@@ -330,19 +331,29 @@ def test_verify_cover_unknown_map_exit_2(capsys):
 
 
 def test_verify_cover_squaring_n_rail_exit_4(capsys):
-    code, out, err = run(capsys, ["verify-cover", "squaring", "--n", "20", "--samples", "1"])
-    assert code == 4
-    assert out == ""
-    assert "squaring verification capped at n = 10" in err
+    # the squaring n is bounded by samples * 2^n <= MAX_FIBER_POINTS alone:
+    # one sample at n = 14 (16,384 fiber points) runs, n = 15 and a huge n
+    # exit 4 before any sample, and without computing 2^n
+    assert 2**14 <= MAX_FIBER_POINTS < 2**15
+    code, env = run_json(capsys, ["verify-cover", "squaring", "--n", "14", "--samples", "1"])
+    assert code == 0 and env["report"]["fiber_sizes"] == [[2**14, 1]]
+    for n in ("15", "20", str(10**9)):
+        code, out, err = run(capsys, ["verify-cover", "squaring", "--n", n, "--samples", "1"])
+        assert (code, out) == (4, ""), n
+        assert "squaring verification capped at samples * degree <= 20000" in err
 
 
 def test_verify_cover_largest_admitted_runs_within_budget(capsys):
     # samples * degree <= MAX_FIBER_POINTS and, for qE, samples *
     # (2 * window)^n <= MAX_EXP_COMBINATIONS, read before any sample.  On a
-    # 2-core host the qE run takes about 1.2 s and the squaring run about
-    # 0.1 s, and up to twice that under load; the budget keeps room for both.
+    # 2-core host the qE run takes about 1.2 s and each squaring run about
+    # 0.2 s, and up to twice that under load; the budget keeps room for all.
     start = time.perf_counter()
-    for argv in (["squaring", "--n", "10", "--samples", "19"], ["qE", "--n", "6", "--window", "5", "--samples", "1"]):
+    for argv in (
+        ["squaring", "--n", "10", "--samples", "19"],
+        ["squaring", "--n", "14", "--samples", "1"],
+        ["qE", "--n", "6", "--window", "5", "--samples", "1"],
+    ):
         code, env = run_json(capsys, ["verify-cover", *argv])
         assert code == 0 and env["report"]["pass"] is True, argv
     elapsed = time.perf_counter() - start
@@ -785,13 +796,29 @@ def test_groupoid_group_order_rail_exit_4(capsys):
 
 
 def test_groupoid_forget_size_rail_exit_4(capsys):
-    # (6 points * 2^2)^3 = 13,824 composable-pair bound passes; n = 5 and a
-    # huge n exceed the 500,000 rail before a configuration table is built
-    assert run(capsys, ["groupoid", json.dumps(_negation_forget(3))])[0] == 0
-    for n in (5, 10**9):
+    # the rail bounds (|points| * |group|)^n and |group|^2n: (6 * 2)^5 =
+    # 248,832 passes (the old (|points| * |group|^2)^n bound refused it), and
+    # n = 6 and a huge n exceed the 500,000 rail before a configuration
+    # table is built
+    assert (6 * 2) ** 5 <= cli.MAX_FORGET_SIZE < (6 * 2) ** 6
+    assert run(capsys, ["groupoid", json.dumps(_negation_forget(5))])[0] == 0
+    for n in (6, 10**9):
         code, out, err = run(capsys, ["groupoid", json.dumps(_negation_forget(n))])
         assert (code, out) == (4, ""), n
         assert "forget" in err
+
+    # the table bound: a cyclic group fixing two points at n = 2 has at most
+    # (2 |G|)^2 morphisms, but the table of G^2 has |G|^4 entries
+    def fixing_two_points(order):
+        table = [{"g": g, "x": x, "y": x} for g in range(order) for x in ("a", "b")]
+        action = {"kind": "table", "points": ["a", "b"], "table": table}
+        return {**_negation_forget(2), "group": {"kind": "cyclic", "n": order}, "action": action}
+
+    assert 26**4 <= cli.MAX_FORGET_SIZE < 27**4
+    assert run(capsys, ["groupoid", json.dumps(fixing_two_points(26))])[0] == 0
+    code, out, err = run(capsys, ["groupoid", json.dumps(fixing_two_points(27))])
+    assert (code, out) == (4, "")
+    assert "|group|^2n" in err
 
 
 @pytest.mark.parametrize(

@@ -1176,3 +1176,230 @@ def test_homs_decided_on_the_group_match_stored_tables():
             reached += rows[0][2][1] and not rows[0][4][1]
     assert homs >= 40 and permuted >= 30 and changed >= 25 and failing >= 40
     assert twisted >= 60 and reached >= 5
+
+
+# -- the equivalence decision against a brute-force oracle ------------------------
+#
+# is_equivalence decides a map (phi, psi) between translation groupoids on
+# orbits and stabilizers.  The oracle reads only the label views and builds
+# the fibered-product triples from the definition; the scans are the same
+# call with the decision off.
+
+
+def _oracle_equivalence(hom):
+    """(essentially surjective, fully faithful) from the definition: every
+    base object is reached by an arrow out of the image, and h -> (F(h),
+    s(h), t(h)) is a bijection onto the triples (g, x, x') with s(g) = F(x)
+    and t(g) = F(x')."""
+    src, dst = hom.src, hom.dst
+    f0, f1 = hom.object_map, hom.morphism_map
+    image = {f0[x] for x in src.objects}
+    surjective = {dst.target[g] for g in dst.morphisms if dst.source[g] in image} == set(dst.objects)
+    over: dict = {}
+    for x in src.objects:
+        over.setdefault(f0[x], []).append(x)
+    triples = {
+        (g, x, y) for g in dst.morphisms for x in over.get(dst.source[g], ()) for y in over.get(dst.target[g], ())
+    }
+    images = [(f1[h], src.source[h], src.target[h]) for h in src.morphisms]
+    faithful = len(set(images)) == len(images) and set(images) == triples
+    return surjective, faithful
+
+
+def _scanned_equivalence(hom):
+    """is_equivalence of the hom with the orbit-stabilizer decision off."""
+    hom._equivalence_holds = lambda: False
+    try:
+        return is_equivalence(hom)
+    finally:
+        del hom._equivalence_holds
+
+
+def _check_equivalence(hom):
+    """Asserts the decision's CheckResult equal to the scan's and, for a
+    verified hom, its two rows equal to the oracle's verdict; returns
+    (decided on orbits and stabilizers, is an equivalence)."""
+    result = is_equivalence(hom)
+    assert result == _scanned_equivalence(hom), hom.name
+    if not hom.verify().passed:
+        return False, False
+    rows = {name: ok for name, ok, _ in result.checks}
+    assert (rows["essentially_surjective"], rows["fully_faithful_bijection"]) == _oracle_equivalence(hom), hom.name
+    return hom._psi is not None, result.passed
+
+
+def _morita_arrows(action):
+    for first in action.group.normal_subgroups():
+        for second in action.group.normal_subgroups():
+            triple = morita_triple(action, first, second)
+            yield triple.to_first
+            yield triple.to_second
+
+
+_MORITA_GROUPS = [
+    FiniteGroup.klein,
+    lambda: FiniteGroup.cyclic(4),
+    lambda: FiniteGroup.cyclic(8),
+    lambda: FiniteGroup.cyclic(12),
+    lambda: FiniteGroup.dihedral(4),
+    lambda: FiniteGroup.dihedral(6),
+    lambda: FiniteGroup.product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)),
+    _c4_by_c4,
+    _d4_by_c2,
+]
+# actions that are not free, so some quotient arrows are not equivalences
+_MORITA_ACTIONS = [
+    lambda: GroupAction.negation_mod(6),
+    lambda: GroupAction.negation_mod(7),
+    lambda: GroupAction.rotation_mod(12, 4),
+    lambda: GroupAction.rotation_mod(12, 6),
+    _d3_sign_action,
+    lambda: GroupAction.from_function(FiniteGroup.dihedral(4), ["p", "q"], lambda g, x: x),
+]
+
+
+def test_equivalence_decision_matches_the_scans_and_the_oracle_on_pristine_homs():
+    decided = failing = 0
+    homs = [arrow for make in _MORITA_GROUPS for arrow in _morita_arrows(GroupAction.regular(make()))]
+    homs += [arrow for make in _MORITA_ACTIONS for arrow in _morita_arrows(make())]
+    for make in (*_MORITA_ACTIONS, lambda: GroupAction.negation_mod(12), lambda: GroupAction.regular(_d4_by_c2())):
+        action = make()
+        homs += [subgroup_covering_hom(action, subgroup) for subgroup in action.group.subgroups()]
+        homs.append(skeleton_inclusion(translation_groupoid(action)))
+        homs.append(identity_hom(translation_groupoid(action)))
+    for make, n in ((GroupAction.negation_mod, 6), (GroupAction.negation_mod, 7)):
+        base = translation_groupoid(make(n))
+        homs += [forget_map(base, 2), forget_map(base, 3), skeleton_inclusion(configuration_groupoid(base, 2))]
+    homs.append(forget_map(translation_groupoid(GroupAction.rotation_mod(12, 4)), 2))
+    for hom in homs:
+        by_orbits, passed = _check_equivalence(hom)
+        decided += by_orbits
+        failing += not passed
+    # quotient arrows and subgroup covers are built in product form, and the
+    # identities have product form; skeleton inclusions are scanned
+    assert len(homs) >= 1800 and decided >= 1800 and failing >= 100, (len(homs), decided, failing)
+
+
+def _fixing(group, points):
+    return GroupAction.from_function(group, points, lambda g, x: x)
+
+
+def _damaged_homs():
+    """(name, hom) for product-form homs that fail one condition of the
+    decision each and pass the others."""
+    c2 = FiniteGroup.cyclic(2)
+    negation = GroupAction.negation_mod(6)
+    # Z/6 and an extra point z that both elements fix: phi misses {z}
+    plus_point = GroupAction.from_function(c2, [*range(6), "z"], lambda g, x: x if x == "z" or not g else (-x) % 6)
+    yield "an H-orbit missed", GroupoidHom._product(
+        translation_groupoid(negation), translation_groupoid(plus_point), list(range(6)), [0, 1], "missed"
+    )
+    # two copies of Z/6 folded onto one: phi identifies orbits
+    copies = [(c, x) for c in (0, 1) for x in range(6)]
+    twice = GroupAction.from_function(c2, copies, lambda g, p: (p[0], (-p[1]) % 6 if g else p[1]))
+    yield "orbits identified", GroupoidHom._product(
+        translation_groupoid(twice), translation_groupoid(negation), list(range(6)) * 2, [0, 1], "folded"
+    )
+    # C2 fixing a point onto C2 fixing a point through the trivial map:
+    # equal stabilizers, but ker psi is all of them
+    yield "ker psi meets a stabilizer", GroupoidHom._product(
+        translation_groupoid(_fixing(c2, ["p"])), translation_groupoid(_fixing(c2, ["q"])), [0], [0, 0], "trivial"
+    )
+    # the trivial group onto C2 at a fixed point: psi is injective, but the
+    # stabilizers have orders 1 and 2
+    yield "unequal stabilizers", GroupoidHom._product(
+        translation_groupoid(_fixing(FiniteGroup.cyclic(1), ["p", "r"])),
+        translation_groupoid(_fixing(c2, ["q", "s"])),
+        [0, 1],
+        [0],
+        "included",
+    )
+
+
+def test_equivalence_decision_refutes_homs_that_fail_one_condition_only():
+    expected = {
+        "an H-orbit missed": (False, True),
+        "orbits identified": (True, False),
+        "ker psi meets a stabilizer": (True, False),
+        "unequal stabilizers": (True, False),
+    }
+    for name, hom in _damaged_homs():
+        assert hom.verify().passed, name
+        assert not hom._equivalence_holds(), name
+        result = is_equivalence(hom)
+        assert result == _scanned_equivalence(hom), name
+        rows = tuple(ok for _, ok, _ in result.checks[1:])
+        assert rows == expected[name] == _oracle_equivalence(hom), name
+    # the rows and details of the scans
+    rows = {hom.name: is_equivalence(hom).checks[1:] for _, hom in _damaged_homs()}
+    assert rows["missed"][0] == ("essentially_surjective", False, "misses base objects [\"'z'\"]")
+    # the arrows between the two copies of a point have no preimage
+    assert rows["folded"][1] == ("fully_faithful_bijection", False, "24 fibered-product triples have no preimage")
+    same_triple = "two morphisms map to the same triple (('q', 0), 'p', 'p')"
+    assert rows["trivial"][1] == ("fully_faithful_bijection", False, same_triple)
+    assert rows["included"][1] == ("fully_faithful_bijection", False, "2 fibered-product triples have no preimage")
+
+
+def test_equivalence_decided_on_product_form_builds_no_arrow_images():
+    action = GroupAction.regular(_d4_by_c2())
+    centre = frozenset({((0, 0), 0), ((2, 0), 0)})
+    triple = morita_triple(action, centre, frozenset({((0, 0), 0), ((0, 0), 1)}))
+    assert triple.passed
+    for hom in (triple.to_first, triple.to_second):
+        assert hom._product_form and "_arrow_images" not in vars(hom)
+        # the coarse ends read neither source nor inverse arrays
+        assert "_src" not in vars(hom.dst) and "_inv" not in vars(hom.dst)
+    # the label views and the scans build the images from phi and psi: the
+    # middle's points and elements are blocks and cosets of N1 n N2, each
+    # sent to the block and coset of N1 that holds its members
+    hom = triple.to_first
+    dst_points, dst_group = hom.dst._action.points, hom.dst._action.group
+    block = {x: y for y in dst_points for x in y}
+    coset = {h: c for c in dst_group.elements for h in c}
+    expected = [(block[min(x)], coset[min(h)]) for x, h in hom.src.morphisms]
+    assert [hom.dst._arrows[a] for a in hom._arrow_images] == expected
+    assert list(hom.morphism_map.values()) == expected
+
+
+@pytest.mark.parametrize(
+    "make",
+    _KERNEL_ACTIONS + [_MORITA_ACTIONS[i] for i in (1, 3, 5)],
+    ids=_KERNEL_IDS + ["negation7", "rotation12_6", "d4_fixing"],
+)
+def test_orbit_ids_read_off_the_rows_match_the_search(make):
+    base = translation_groupoid(make())
+    assert base._orbit_ids() == _stored_copy(base)._orbit_ids()
+    for groupoid in [base] + [configuration_groupoid(base, n, verify=False) for n in (1, 2, 3)]:
+        if not groupoid.objects:
+            continue
+        rows = groupoid._orbit_ids()
+        assert rows == FiniteGroupoid._orbit_ids(groupoid)
+        # numbered in object order: each orbit first appears after the last
+        assert [orbit for x, orbit in enumerate(rows) if orbit not in rows[:x]] == list(range(max(rows) + 1))
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [
+        (lambda: GroupAction.negation_mod(6), 2),
+        (lambda: GroupAction.negation_mod(6), 3),
+        (lambda: GroupAction.rotation_mod(12, 4), 2),
+        (lambda: _fixing(FiniteGroup.dihedral(3), [0, 1, 2]), 2),
+        (lambda: _fixing(FiniteGroup.cyclic(2), ["a", "b", "c"]), 3),
+    ],
+    ids=["negation6_n2", "negation6_n3", "rotation12_4_n2", "d3_fixing_n2", "c2_fixing_n3"],
+)
+def test_forget_map_in_product_form_matches_the_label_map(make, n):
+    base = translation_groupoid(make())
+    hom = forget_map(base, n)
+    assert hom._product_form
+    big, small = hom.src, hom.dst
+    labelled = GroupoidHom(
+        big, small, {x: x[:-1] for x in big.objects}, {m: m[:-1] for m in big.morphisms}, name=hom.name
+    )
+    assert hom._object_images == labelled._object_images
+    assert hom._arrow_images == labelled._arrow_images
+    assert hom._psi == labelled._psi
+    assert hom.verify() == labelled.verify()
+    assert is_covering_hom(hom) == is_covering_hom(labelled)
+    assert is_equivalence(hom) == is_equivalence(labelled)
