@@ -48,7 +48,7 @@ from typing import Iterable, Optional, Sequence
 from .exactfield import (
     ComplexPoint,
     Cyclotomic,
-    complex_to_cyclotomic,
+    _gaussian_images,
     euler_phi,
     format_rational,
     json_int,
@@ -241,22 +241,36 @@ class ArrangementSpec:
         so each of its power-basis components is one equation
         ``(rhs, ((k, c), ...))`` meaning sum(c * x_k) == rhs in ints, with
         zero coefficients dropped.  A point lies on the hyperplane
-        exactly when all of its equations hold.
+        exactly when all of its equations hold.  The columns of Re z_j and
+        Im z_j are the residues of a_j and i a_j in Q(zeta_L): integer sums
+        over the residues of zeta_m^k and i zeta_m^k, a table cached per
+        (m, L) (_gaussian_images).
         """
         order = self.field.ring_order
         phi = euler_phi(order)
         target = math.lcm(order, 4)
-        i_unit = complex_to_cyclotomic(ComplexPoint.exact(0, 1), target)
+        width = euler_phi(target)
+        # the residues of zeta_m^k and i zeta_m^k in Q(zeta_L), k < phi(m)
+        images = _gaussian_images(order, target)
+
+        def combine(entry: Sequence[int], part: int) -> list[int]:
+            # the residue of sum_k entry[k] zeta_m^k (part 0), or of i times it
+            out = [0] * width
+            for x, pair in zip(entry, images):
+                if x:
+                    for r, t in pair[part]:
+                        out[r] += x * t
+            return out
+
         compiled = []
         for row in self.rows:
             columns = []
             for j in range(self.dim):
                 if any(entry := row[j * phi : (j + 1) * phi]):
-                    a = Cyclotomic(order, entry).embed(target)
-                    columns += [(2 * j, a._n), (2 * j + 1, (a * i_unit)._n)]
-            rhs = Cyclotomic(order, row[-phi:]).embed(target)
+                    columns += [(2 * j, combine(entry, 0)), (2 * j + 1, combine(entry, 1))]
+            rhs = combine(row[-phi:], 0)
             compiled.append(
-                tuple((b, tuple((k, c[r]) for k, c in columns if c[r])) for r, b in enumerate(rhs._n))
+                tuple((b, tuple((k, c[r]) for k, c in columns if c[r])) for r, b in enumerate(rhs))
             )
         return tuple(compiled)
 

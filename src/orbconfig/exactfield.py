@@ -481,6 +481,22 @@ def _embedding_images(order: int, target_order: int) -> tuple[tuple[tuple[int, i
     )
 
 
+@lru_cache(maxsize=None)
+def _gaussian_images(order: int, target_order: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """For k < phi(m), the residues of zeta_L^(sk) and of
+    i zeta_L^(sk) = zeta_L^(sk + L/4), s = L/m, L = target_order (4 | L),
+    as pairs of sparse integer rows: the two real columns of zeta_m^k in
+    Q(zeta_L)."""
+    step, quarter = target_order // order, target_order // 4
+    return tuple(
+        tuple(
+            tuple((r, c) for r, c in enumerate(_zeta_power(target_order, e % target_order)._n) if c)
+            for e in (step * k, step * k + quarter)
+        )
+        for k in range(euler_phi(order))
+    )
+
+
 def rational_sqrt(value: RationalLike) -> Optional[Fraction]:
     """Exact square root of a rational, or None when it is not a square."""
     value = Fraction(value)
@@ -541,7 +557,8 @@ class ComplexPoint:
         return cls(re, im)
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        # int true division rounds correctly, as Fraction.__float__ does
+        return complex(self._a / self._d, self._b / self._d)
 
     # -- arithmetic ----------------------------------------------------------
     # Each operator takes another point, an int or a Fraction; anything else
@@ -724,7 +741,13 @@ def complex_sqrt_exact(z: ComplexPoint) -> Optional[ComplexPoint]:
     root with x > 0, or x == 0 and y >= 0.
     """
     d = z._d
-    big_a, big_b = z._a * d, z._b * d
+    root = _gaussian_sqrt(z._a * d, z._b * d)
+    return None if root is None else _reduced_point(*root, d)
+
+
+def _gaussian_sqrt(big_a: int, big_b: int) -> Optional[tuple[int, int]]:
+    """(x, y) with (x + yi)^2 = A + Bi, x > 0 or x == 0 and y >= 0, when the
+    Gaussian integer A + Bi is a square in Z[i]; None otherwise."""
     s = math.isqrt(big_a * big_a + big_b * big_b)
     if s * s != big_a * big_a + big_b * big_b or (s + big_a) & 1:
         return None
@@ -733,7 +756,7 @@ def complex_sqrt_exact(z: ComplexPoint) -> Optional[ComplexPoint]:
     if x * x != x2 or y * y != y2:
         return None
     # (x + yi)^2 = A + 2xy i with (2xy)^2 = s^2 - A^2 = B^2: y takes B's sign
-    return _reduced_point(x, -y if big_b < 0 else y, d)
+    return x, -y if big_b < 0 else y
 
 
 def complex_to_cyclotomic(z: ComplexPoint, order: int) -> Cyclotomic:

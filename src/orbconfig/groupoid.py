@@ -1031,6 +1031,14 @@ def is_covering_hom(f: GroupoidHom) -> CheckResult:
     constant along each base orbit.  The last condition is independent of
     the others and is what makes the induced map on orbit spaces an even
     covering in the finite picture.
+
+    For a verified map F(x, h) = (phi(x), psi(h)) between translation
+    groupoids (_psi), the arrows (x, g) and (x, g') share image and source
+    exactly when psi(g) = psi(g'), so unique lifts hold when psi is
+    injective, and neither _arrow_images nor the src's source array is
+    built; the fiber condition reads phi alone.  Any other map, or a psi
+    that is not injective, is scanned for its first collision, which names
+    the detail.
     """
     checks = []
     hom = f.verify()
@@ -1038,16 +1046,18 @@ def is_covering_hom(f: GroupoidHom) -> CheckResult:
     if not hom.passed:
         return CheckResult(f"covering {f.name}", tuple(checks))
     src, dst = f.src, f.dst
-    f0, f1 = f._object_images[: len(src._objects)], f._arrow_images
+    f0 = f._object_images[: len(src._objects)]
     surjective = set(f0) == set(range(len(dst._objects)))
     checks.append((
         "object_map_surjective",
         surjective,
         "" if surjective else "object map misses part of the base",
     ))
+    psi = f._psi
+    decided = psi is not None and len(set(psi)) == len(psi)
     image: dict = {}
     injective, inj_detail = True, ""
-    for h, key in enumerate(zip(f1, src._src)):
+    for h, key in enumerate(() if decided else zip(f._arrow_images, src._src)):
         if key in image:
             injective = False
             outgoing, _ = dst._hom_index

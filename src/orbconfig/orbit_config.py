@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arrangement import QQ, ArrangementSpec, ScalarField, make_arrangement
-from .exactfield import ComplexPoint, Cyclotomic, _parts, _reduced_point
+from .arrangement import QQ, ArrangementSpec, ScalarField, _spec_from_rows, make_arrangement
+from .exactfield import ComplexPoint, _parts, _reduced_point, _zeta_power
 from .orbmodel import PlanarAction, SignFlipPunctured
 
 Box = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -166,20 +166,23 @@ def rotation_arrangement(n: int, m: int) -> ArrangementSpec:
     if n < 1 or m < 1:
         raise ValueError("rotation arrangement needs n >= 1 and m >= 1")
     field = QQ if m <= 2 else ScalarField("cyclotomic", m)
-    zero, one = field.zero(), field.one()
+    # the integer residues of -zeta_m^k in Z[zeta_m] (in Z for m <= 2)
     if m <= 2:
-        roots = [Fraction(1)] if m == 1 else [Fraction(1), Fraction(-1)]
+        negated = [(-1,)] if m == 1 else [(-1,), (1,)]
     else:
-        zeta = Cyclotomic.zeta(m)
-        roots = [zeta**k for k in range(m)]
+        negated = [tuple(-x for x in _zeta_power(m, k)._n) for k in range(m)]
+    phi = len(negated[0])
+    # row (i, j, k), the flat residues of entries 1 at i and -zeta_m^k at j
+    # and of the offset 0, is primitive, since one of its entries is 1
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            for root in roots:
-                normal = [zero] * n
-                normal[i], normal[j] = one, -root
-                rows.append((tuple(normal), zero))
-    return make_arrangement(n, field, rows, label=f"case1({m},{n})")
+            for root in negated:
+                row = [0] * ((n + 1) * phi)
+                row[i * phi] = 1
+                row[j * phi : (j + 1) * phi] = root
+                rows.append(tuple(row))
+    return _spec_from_rows(n, field, rows, f"case1({m},{n})")
 
 
 def sign_flip_arrangement(n: int) -> ArrangementSpec:

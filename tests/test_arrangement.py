@@ -1199,3 +1199,89 @@ def test_round_trip_preserves_poset():
     assert characteristic_polynomial(flat_poset(again)) == characteristic_polynomial(
         flat_poset(spec)
     )
+
+
+# -- specs and their real equations built on integer residues ------------------
+
+
+def _rotation_reference(n, m):
+    """rotation_arrangement through make_arrangement's coercions, as first
+    written: field elements 1 and -zeta^k."""
+    field = QQ if m <= 2 else ScalarField("cyclotomic", m)
+    zero, one = field.zero(), field.one()
+    if m <= 2:
+        roots = [F(1)] if m == 1 else [F(1), F(-1)]
+    else:
+        roots = [Cyclotomic.zeta(m) ** k for k in range(m)]
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for root in roots:
+                normal = [zero] * n
+                normal[i], normal[j] = one, -root
+                rows.append((tuple(normal), zero))
+    return make_arrangement(n, field, rows, label=f"case1({m},{n})")
+
+
+def _real_equations_reference(spec):
+    """spec._real_equations compiled through Cyclotomic embeddings and a
+    product by i, as first written."""
+    order = spec.field.ring_order
+    phi = arrangement.euler_phi(order)
+    target = math.lcm(order, 4)
+    i_unit = Cyclotomic(target, [0] * (target // 4) + [1])
+    compiled = []
+    for row in spec.rows:
+        columns = []
+        for j in range(spec.dim):
+            if any(entry := row[j * phi : (j + 1) * phi]):
+                a = Cyclotomic(order, entry).embed(target)
+                columns += [(2 * j, a._n), (2 * j + 1, (a * i_unit)._n)]
+        rhs = Cyclotomic(order, row[-phi:]).embed(target)
+        compiled.append(tuple((b, tuple((k, c[r]) for k, c in columns if c[r])) for r, b in enumerate(rhs._n)))
+    return tuple(compiled)
+
+
+def _inside_the_rails(n, m):
+    hyperplanes = m * n * (n - 1) // 2
+    try:
+        arrangement.check_field_rail(m, hyperplanes)
+    except SizeGuardError:
+        return False
+    return n <= arrangement.MAX_SIMPLICIAL_DIM and hyperplanes <= arrangement.MAX_SIMPLICIAL_HYPERPLANES
+
+
+def test_rotation_specs_from_residues_match_the_coerced_builder():
+    inside = 0
+    for m in range(1, MAX_FIELD_ORDER + 1):
+        for n in range(1, arrangement.MAX_SIMPLICIAL_DIM + 1):
+            # past the rails too at n <= 4 and the orders the workloads use
+            if not (_inside_the_rails(n, m) or (n <= 4 and m in (1, 2, 3, 4, 5, 6, 8, 12))):
+                continue
+            inside += _inside_the_rails(n, m)
+            spec, reference = rotation_arrangement(n, m), _rotation_reference(n, m)
+            assert spec == reference, (n, m)
+            assert spec._real_equations == _real_equations_reference(spec), (n, m)
+    assert inside >= 20, inside
+
+
+def test_real_equations_from_residues_match_the_cyclotomic_compile():
+    rng = random.Random(27)
+    specs = [braid_arrangement(4), sign_flip_arrangement(3)]
+    for m in range(3, MAX_FIELD_ORDER + 1):
+        field = ScalarField("cyclotomic", m)
+        phi = arrangement.euler_phi(m)
+        for offsets in (False, True):
+            # as the CLI tests draw them: a + b zeta with a, b in -1..1; and
+            # with dense coefficients and offsets
+            raw = []
+            for _ in range(8):
+                width = phi if offsets else 2
+                normal = tuple(Cyclotomic(m, [rng.randint(-1, 1) for _ in range(width)]) for _ in range(4))
+                offset = Cyclotomic(m, [rng.randint(-3, 3) for _ in range(width)] if offsets else [0])
+                if any(normal):
+                    raw.append((normal, offset))
+            specs.append(make_arrangement(4, field, raw))
+    specs.append(lines((1, 2, 3), (F(1, 2), -4, F(5, 3)), (0, 1, -7)))
+    for spec in specs:
+        assert spec._real_equations == _real_equations_reference(spec), spec.label

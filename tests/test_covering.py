@@ -2,6 +2,7 @@
 power-difference fibration, plus the sampled verifier."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -405,3 +406,231 @@ def test_verify_squaring_fails_the_row_of_a_planted_fault(monkeypatch, fault, ro
         assert data["pass"] is False
         assert {"name": row, "mode": "exact", "ok": False} in data["deck_checks"]
         assert data == _squaring_reference(n, 3, 4)
+
+
+# -- the quotient verifier against a per-sample reference ----------------------
+
+
+def _joukowski_map_reference(w):
+    """joukowski_map as first written, on ComplexPoint arithmetic."""
+    if not w:
+        raise DomainError("the quotient map has a pole at 0")
+    one = pt(1)
+    return (one - (one + w * w) * (w * 2).inverse()) * Fraction(1, 4)
+
+
+def _joukowski_fiber_reference(v, eps=1e-9):
+    """joukowski_fiber as first written: the trace and discriminant as
+    points, and complex_sqrt_exact on the discriminant."""
+    trace = pt(1) * 2 - v * 8
+    disc = trace * trace - 4
+    half = Fraction(1, 2)
+    if not disc:
+        return (trace * half,)
+    root = covering.complex_sqrt_exact(disc)
+    if root is None:
+        return covering._joukowski_float_roots(complex(v.re, v.im), eps)
+    return ((trace - root) * half, (trace + root) * half)
+
+
+def _grid_point(rng, span=24, den=8):
+    return ComplexPoint.exact(Fraction(rng.randint(-span, span), den), Fraction(rng.randint(-span, span), den))
+
+
+def _quotient_reference(samples, seed, jmap=_joukowski_map_reference, fiber_of=_joukowski_fiber_reference):
+    """verify_cover("q", ...).to_json() with the map evaluated four times a
+    sample, as the verifier first decided its rows."""
+    rng = random.Random(seed)
+    sizes: dict = {}
+    checks: dict = {}
+    used = skipped = 0
+
+    def check(name, ok):
+        checks[name] = checks.get(name, True) and ok
+
+    for _ in range(samples):
+        w = _grid_point(rng)
+        if w in {pt(0), pt(1), pt(-1)}:
+            skipped += 1
+            continue
+        v = jmap(w)
+        fiber = fiber_of(v)
+        sizes[len(fiber)] = sizes.get(len(fiber), 0) + 1
+        used += 1
+        check("fiber_matches_parametrization", set(fiber) == {w, w.inverse()})
+        if len(fiber) == 2:
+            check("reciprocal_root_product", fiber[0] * fiber[1] == pt(1))
+        check("maps_back", all(jmap(root) == v for root in fiber))
+        check("deck_invariance", jmap(w.inverse()) == v)
+    branch_records = []
+    for base, preimage, degree in ((pt(0), pt(1), 2), (pt(Fraction(1, 2)), pt(-1), 2)):
+        trace = pt(2) - base * 8
+        verified = trace * trace - 4 == pt(0) and fiber_of(base) == (preimage,) and jmap(preimage) == base
+        check("branch_data", verified)
+        branch_records.append(
+            {"value": base.to_json(), "preimage": preimage.to_json(), "local_degree": degree, "verified": verified}
+        )
+    passed = all(size == 2 for size in sizes) and used > 0 and all(checks.values())
+    return {
+        "map": "q",
+        "n": 1,
+        "declared_degree": 2,
+        "window": None,
+        "samples": samples,
+        "used": used,
+        "skipped_singular": skipped,
+        "fiber_sizes": [[size, count] for size, count in sorted(sizes.items())],
+        "branch_points": branch_records,
+        "deck_checks": [{"name": name, "mode": "exact", "ok": ok} for name, ok in sorted(checks.items())],
+        "max_defect": 0.0,
+        "epsilon": 1e-9,
+        "seed": seed,
+        "pass": passed,
+    }
+
+
+def test_verify_quotient_map_matches_the_per_sample_reference():
+    for seed in range(200):
+        report = verify_cover("q", samples=60, seed=seed).to_json()
+        assert report == _quotient_reference(60, seed), seed
+        assert report["pass"] is True
+    # the grid's three skipped points come up, and are counted
+    assert verify_cover("q", samples=2000, seed=1).skipped > 0
+    assert verify_cover("q", samples=2000, seed=1).to_json() == _quotient_reference(2000, 1)
+
+
+def _random_triple(rng, size):
+    return covering._reduced_point(rng.randint(-size, size), rng.randint(-size, size), rng.randint(1, size))
+
+
+def test_joukowski_map_and_fiber_match_the_point_formulas():
+    rng = random.Random(27)
+    exact = floats = double = 0
+    points = [pt(0), pt(Fraction(1, 2)), pt(1), pt(-1), pt(0, 1), pt(Fraction(1, 4))]
+    for t in range(20_000):
+        size = (2, 9, 60, 10**6, 10**40)[t % 5]
+        points.append(_random_triple(rng, size))
+    # the images of the grid points have square discriminants, as do their
+    # multiples of the branch values
+    points += [joukowski_map(w) for w in (_random_triple(rng, 30) for _ in range(2_000)) if w]
+    for z in points:
+        if z:
+            assert joukowski_map(z) == _joukowski_map_reference(z), z
+        fiber = joukowski_fiber(z)
+        assert fiber == _joukowski_fiber_reference(z), z
+        kinds = {type(w) for w in fiber}
+        exact += kinds == {ComplexPoint}
+        floats += kinds == {complex}
+        double += len(fiber) == 1
+    assert exact >= 2_000 and floats >= 10_000 and double >= 2, (exact, floats, double)
+
+
+def _swap_in_a_second_root(fiber):
+    # a fiber of two points whose product is not 1
+    return fiber if len(fiber) < 2 else (fiber[0], fiber[1] * 2)
+
+
+def _negate_roots(fiber):
+    # -w is a root of the fiber of the negated trace, and never of v's
+    return fiber if len(fiber) < 2 else tuple(-w for w in fiber)
+
+
+def _double_a_branch_fiber(fiber):
+    # a grid sample never has one root, so only the branch rows see this
+    return fiber * 2 if len(fiber) == 1 else fiber
+
+
+@pytest.mark.parametrize(
+    "fault, row",
+    [
+        (lambda fiber: fiber[:1], "fiber_matches_parametrization"),
+        (_swap_in_a_second_root, "reciprocal_root_product"),
+        (_negate_roots, "maps_back"),
+        (_double_a_branch_fiber, "branch_data"),
+    ],
+    ids=["one_root", "product_two", "negated", "branch_doubled"],
+)
+def test_verify_quotient_map_fails_the_row_of_a_planted_fiber_fault(monkeypatch, fault, row):
+    exact = covering.joukowski_fiber
+    faulty = lambda v, eps=1e-9: fault(exact(v, eps))  # noqa: E731
+    monkeypatch.setattr(covering, "joukowski_fiber", faulty)
+    report = verify_cover("q", samples=40, seed=6)
+    data = report.to_json()
+    assert data["pass"] is False
+    assert {"name": row, "mode": "exact", "ok": False} in data["deck_checks"]
+    assert data == _quotient_reference(40, 6, fiber_of=lambda v: fault(_joukowski_fiber_reference(v)))
+
+
+def test_verify_quotient_map_fails_the_deck_row_of_a_map_wrong_outside_the_disc(monkeypatch):
+    exact = covering.joukowski_map
+
+    def faulty(w):
+        # J(-w) outside the unit circle: still a map with exact fibers, but
+        # J(1/w) != J(w) for w off the circle and off the axes' fixed points
+        return exact(-w if w.norm2() > 1 else w)
+
+    monkeypatch.setattr(covering, "joukowski_map", faulty)
+    data = verify_cover("q", samples=40, seed=6).to_json()
+    assert data["pass"] is False
+    assert {"name": "deck_invariance", "mode": "exact", "ok": False} in data["deck_checks"]
+    reference = _quotient_reference(40, 6, jmap=lambda w: _joukowski_map_reference(-w if w.norm2() > 1 else w))
+    assert data == reference
+
+
+# -- the exponential composite against a per-combination reference ------------
+
+
+def _window_counts_reference(n, samples, window, seed, eps=1e-9):
+    """The per_window_count rows of verify_cover("qE", ...), each cell built
+    from one floor per coordinate per combination, as first written."""
+    rng = random.Random(seed)
+    unit_box = (Fraction(0), Fraction(7, 8), Fraction(-1), Fraction(1))
+    rows = []
+    for _ in range(samples):
+        zs = sample_orbit_config(covering.IntegerDihedral(), n, seed=rng.randrange(2**32), box=unit_box).points
+        vs = exp_joukowski_composite(zs, eps)
+        if any(abs((2 - 8 * v) ** 2 - 4) <= eps for v in vs):
+            continue
+        per_coord = [
+            [z for r in covering._joukowski_float_roots(v, eps) for z in covering._strip_logs(r, window)] for v in vs
+        ]
+        counts: dict = {}
+        for combo in product(*per_coord):
+            cell = tuple(math.floor(z.real) for z in combo)
+            counts[cell] = counts.get(cell, 0) + 1
+        rows.append(counts)
+    return rows
+
+
+def test_window_counts_match_the_per_combination_reference(monkeypatch):
+    seen = []
+    real_counter = covering.Counter
+
+    def recording(cells):
+        counts = real_counter(cells)
+        seen.append(counts)
+        return counts
+
+    monkeypatch.setattr(covering, "Counter", recording)
+    for n, samples, window in ((1, 20, 3), (2, 10, 3), (2, 6, 2), (3, 3, 3), (4, 1, 2)):
+        for seed in range(8):
+            seen.clear()
+            report = verify_cover("qE", n=n, samples=samples, window=window, seed=seed)
+            assert report.passed
+            reference = _window_counts_reference(n, samples, window, seed)
+            assert [list(c.items()) for c in seen] == [list(c.items()) for c in reference], (n, seed)
+
+
+def test_verify_exp_composite_fails_the_window_row_of_a_planted_fault(monkeypatch):
+    exact = covering._strip_logs
+    # one logarithm short per root: the cells of the last window go uncounted
+    monkeypatch.setattr(covering, "_strip_logs", lambda w, window: exact(w, window)[:-1])
+    data = verify_cover("qE", n=2, samples=6, seed=3).to_json()
+    assert data["pass"] is False
+    checks = {entry["name"]: entry["ok"] for entry in data["deck_checks"]}
+    assert checks == {
+        "maps_back": True,
+        "negation_invariance": True,
+        "per_window_count": False,
+        "translation_periodicity": True,
+    }

@@ -15,6 +15,7 @@ from orbconfig.exactfield import (
     Cyclotomic,
     InvalidOrderError,
     OrderMismatchError,
+    _reduced_point,
     complex_sqrt_exact,
     complex_to_cyclotomic,
     cyclotomic_polynomial,
@@ -503,3 +504,24 @@ def test_cyclotomic_matches_the_fraction_polynomial_oracle(m, data):
             with pytest.raises(ZeroDivisionError):
                 u.inverse()
     _same_element((a + b) - b, x, m)
+
+
+def test_to_complex_divides_the_triple_as_fraction_float_does():
+    # int true division is correctly rounded, as Fraction.__float__ is, so
+    # the floats are bit-identical whether or not a / d is in lowest terms
+    rng = random.Random(27)
+    for t in range(20_000):
+        size = 10 ** rng.randint(1, 60)
+        d = rng.randint(1, size)
+        z = _reduced_point(rng.randint(-size, size), rng.randint(-size, size), d if t % 3 else 1)
+        got = z.to_complex()
+        expected = complex(z.re, z.im)  # the Fraction form
+        assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex()), z
+    for big in (_reduced_point(10**400, 1, 1), _reduced_point(3, -(10**400), 7)):
+        with pytest.raises(OverflowError):
+            big.to_complex()
+        with pytest.raises(OverflowError):
+            complex(big.re, big.im)
+    # and past the float range downwards, both give zero
+    tiny = _reduced_point(1, -1, 10**400)
+    assert tiny.to_complex() == complex(tiny.re, tiny.im) == 0

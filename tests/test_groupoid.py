@@ -1403,3 +1403,98 @@ def test_forget_map_in_product_form_matches_the_label_map(make, n):
     assert hom.verify() == labelled.verify()
     assert is_covering_hom(hom) == is_covering_hom(labelled)
     assert is_equivalence(hom) == is_equivalence(labelled)
+
+
+# -- unique lifts decided on psi ------------------------------------------------
+
+
+def _scanned_covering(f):
+    """is_covering_hom as it reads every (image, source) pair: the rows and
+    details of the scan, with no decision on psi."""
+    checks = []
+    hom = f.verify()
+    checks.append(("homomorphism", hom.passed, "" if hom else f"not a homomorphism: {hom.first_failure()}"))
+    if not hom.passed:
+        return CheckResult(f"covering {f.name}", tuple(checks))
+    src, dst = f.src, f.dst
+    f0, f1 = f._object_images[: len(src._objects)], f._arrow_images
+    surjective = set(f0) == set(range(len(dst._objects)))
+    checks.append(("object_map_surjective", surjective, "" if surjective else "object map misses part of the base"))
+    image: dict = {}
+    injective, inj_detail = True, ""
+    for h, key in enumerate(zip(f1, src._src)):
+        if key in image:
+            injective = False
+            outgoing, _ = dst._hom_index
+            fibered = sum(len(outgoing.get(y, ())) for y in f0)
+            inj_detail = (
+                f"morphisms {src._arrows[image[key]]!r} and {src._arrows[h]!r} share image and source; "
+                f"|H1|={len(src.morphisms)} vs fibered product {fibered}"
+            )
+            break
+        image[key] = h
+    checks.append(("unique_source_lift", injective, inj_detail))
+    fiber_sizes: dict = {}
+    counts = Counter(f0)
+    for y, orbit in enumerate(dst._orbit_ids()):
+        fiber_sizes.setdefault(orbit, set()).add(counts[y])
+    constant = all(len(sizes) == 1 for sizes in fiber_sizes.values())
+    detail = "" if constant else "object fibers vary along one base orbit: " + repr(
+        {k: sorted(v) for k, v in fiber_sizes.items() if len(v) > 1}
+    )
+    checks.append(("fiber_constant_on_orbits", constant, detail))
+    return CheckResult(f"covering {f.name}", tuple(checks))
+
+
+_COVERING_ACTIONS = [
+    lambda: GroupAction.negation_mod(6),
+    lambda: GroupAction.negation_mod(12),
+    lambda: GroupAction.rotation_mod(12, 4),
+    lambda: GroupAction.rotation_mod(12, 6),
+    lambda: GroupAction.regular(FiniteGroup.cyclic(5)),
+    lambda: GroupAction.regular(FiniteGroup.cyclic(8)),
+    lambda: GroupAction.regular(FiniteGroup.klein()),
+    lambda: GroupAction.regular(FiniteGroup.dihedral(3)),
+    lambda: GroupAction.regular(FiniteGroup.dihedral(4)),
+    lambda: GroupAction.regular(FiniteGroup.product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4))),
+]
+
+
+def test_covering_decided_on_psi_matches_the_scan_on_every_subgroup_cover():
+    homs = 0
+    for make in _COVERING_ACTIONS + _MORITA_ACTIONS:
+        action = make()
+        for subgroup in action.group.subgroups():
+            hom = subgroup_covering_hom(action, subgroup)
+            result = is_covering_hom(hom)
+            assert result.passed, result.first_failure()
+            # decided on psi: neither the arrow images nor the src's source
+            # array is built
+            assert "_arrow_images" not in vars(hom) and "_src" not in vars(hom.src)
+            fresh = subgroup_covering_hom(action, subgroup)
+            assert result == _scanned_covering(fresh)
+            homs += 1
+    assert homs >= 70, homs
+
+
+def test_covering_with_a_psi_that_is_not_injective_is_scanned():
+    homs = [arrow for make in _MORITA_GROUPS[:5] for arrow in _morita_arrows(GroupAction.regular(make()))]
+    homs += [arrow for make in _MORITA_ACTIONS for arrow in _morita_arrows(make())]
+    homs += [hom for _, hom in _damaged_homs()]
+    refuted = 0
+    for hom in homs:
+        assert hom._product_form
+        result = is_covering_hom(hom)
+        assert result == _scanned_covering(hom), hom.name
+        if hom.verify().passed and len(set(hom._psi)) < len(hom._psi):
+            rows = {name: ok for name, ok, _ in result.checks}
+            assert not rows["unique_source_lift"], hom.name
+            refuted += 1
+    assert refuted >= 100, refuted
+    # the detail names the first colliding pair, as the scan finds it
+    trivial = dict(_damaged_homs())["ker psi meets a stabilizer"]
+    assert is_covering_hom(trivial).checks[2] == (
+        "unique_source_lift",
+        False,
+        "morphisms ('p', 0) and ('p', 1) share image and source; |H1|=2 vs fibered product 2",
+    )
