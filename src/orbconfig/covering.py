@@ -20,13 +20,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Optional, Sequence
 
 from .arrangement import SizeGuardError
 from .exactfield import ComplexPoint, _gaussian_sqrt, _reduced_point, complex_sqrt_exact
 from .orbmodel import CyclicRotation, DomainError, IntegerDihedral, SignFlipPunctured
-from .orbit_config import MembershipError, _config_invariants, is_orbit_config, sample_orbit_config
+from .orbit_config import MembershipError, _config_invariants, _sample_points, sample_orbit_config
 
 _ZERO = ComplexPoint.exact(0)
 _ONE = ComplexPoint.exact(1)
@@ -144,8 +144,10 @@ def exp_joukowski_composite(
     distinct, which is re-checked to the tolerance eps.  Cone values 0 and
     1/2 are allowed as outputs.
     """
-    zs = tuple(zs)
-    if not is_orbit_config(IntegerDihedral(), zs):
+    if not isinstance(zs, tuple):
+        zs = tuple(zs)
+    # a sample for the integer dihedral action is read, not checked again
+    if not _config_invariants(IntegerDihedral(), zs)[0]:
         raise MembershipError(
             "input is not an integer-dihedral configuration (z_i +- z_j hits Z)"
         )
@@ -163,11 +165,12 @@ def squaring_cover(ws: Sequence[ComplexPoint]) -> tuple[ComplexPoint, ...]:
     Output coordinates are pairwise distinct and never 1; the fiber over a
     generic image has the full 2^n sign choices.
     """
-    # w^2 is the sign flip's orbit invariant, so membership computes the image
-    is_config, squares = _config_invariants(SignFlipPunctured(), list(ws))
+    # w^2 is the sign flip's orbit invariant, so membership computes the
+    # image, or a sign-flip sample carries it
+    is_config, squares = _config_invariants(SignFlipPunctured(), ws)
     if not is_config:
         raise MembershipError("input is not a sign-flip configuration")
-    return tuple(squares)
+    return squares
 
 
 def squaring_fiber(vs: Sequence[ComplexPoint], eps: float = DEFAULT_EPS) -> tuple[tuple, ...]:
@@ -204,14 +207,15 @@ def power_difference_map(zs: Sequence[ComplexPoint], m: int) -> tuple[ComplexPoi
     distinct rotation orbits make every b_j nonzero and pairwise distinct.
     That consequence is re-checked and enforced.
     """
-    zs = tuple(zs)
+    if not isinstance(zs, tuple):
+        zs = tuple(zs)
     if m < 1:
         raise ValueError("rotation order must be >= 1")
     if not zs:
         raise MembershipError("need at least one coordinate")
     # the rotation about 0 has orbit invariant z^m, so the membership check
-    # hands back every power the map needs
-    is_config, powers = _config_invariants(CyclicRotation(m), list(zs))
+    # hands back every power the map needs, or a rotation sample carries them
+    is_config, powers = _config_invariants(CyclicRotation(m), zs)
     if not is_config:
         raise MembershipError("input coordinates do not lie in distinct rotation orbits")
     last = powers[-1]
@@ -335,25 +339,29 @@ def _verify_quotient_map(rb: _ReportBuilder, samples: int, rng: random.Random) -
 def _verify_squaring(rb: _ReportBuilder, n: int, samples: int, rng: random.Random) -> None:
     action = SignFlipPunctured()
     for _ in range(samples):
-        ws = sample_orbit_config(action, n, seed=rng.randrange(2**32)).points
-        if any(w == _ZERO for w in ws):
-            rb.skipped += 1  # 0 squares to the cone point with a degenerate fiber
-            continue
+        # samples avoid 0, which squares to the cone point with a
+        # degenerate fiber
+        ws = _sample_points(action, n, rng.randrange(2**32), avoid_zero=True)
         vs = squaring_cover(ws)
         fiber = squaring_fiber(vs)
         # The 2^n fiber tuples and signed samples take a few distinct points,
         # +-w_i when the cover is right.  Each gets an integer id, and its
         # domain membership and the id of its square (its orbit invariant)
-        # are decided once; every row then reads ids only.
-        ids: dict = {}
+        # are decided once; every row then reads ids only.  The samples come
+        # first, with ids 0..n-1: their squares are vs, with the same ids.
+        ids = dict(zip(ws, range(n)))
         fiber_ids = [tuple([ids.setdefault(z, len(ids)) for z in t]) for t in fiber]
-        signed_ids = [(ids.setdefault(w, len(ids)), ids.setdefault(-w, len(ids))) for w in ws]
+        signed_ids = [(j, ids.setdefault(-w, len(ids))) for j, w in enumerate(ws)]
         outside = {j for j, z in enumerate(ids) if not action.contains(z)}
-        square_ids: dict = {}
-        square_of = [
-            square_ids.setdefault(action.orbit_invariant(z), len(square_ids)) for z in ids
-        ].__getitem__
-        image = tuple(square_ids.get(v) for v in vs)
+        square_ids = dict(zip(vs, range(n)))
+        square_of = (
+            list(range(n))
+            + [
+                square_ids.setdefault(action.orbit_invariant(z), len(square_ids))
+                for z in islice(ids, n, None)
+            ]
+        ).__getitem__
+        image = tuple(range(n))
 
         def in_space(t: tuple) -> bool:
             return outside.isdisjoint(t) and len(set(map(square_of, t))) == len(t)
@@ -439,8 +447,9 @@ def verify_cover(
     map ids: "q" (degree 2), "squaring" (degree 2^n, full sign
     enumeration), "qE" (the exponential-then-quotient composite; 2^n
     preimages per fundamental window, scanned over window^n cells).
-    Singular samples (branch values, degenerate coordinates) are skipped
-    and counted, never silently dropped.  Guard rails, checked before any
+    Singular samples (branch values of q and qE) are skipped and counted,
+    never silently dropped; squaring samples avoid 0, where squaring
+    branches, so none is skipped.  Guard rails, checked before any
     sample: every map takes samples * degree <= MAX_FIBER_POINTS, which
     also bounds the squaring n, and qE takes samples * (2 * window)^n <=
     MAX_EXP_COMBINATIONS.

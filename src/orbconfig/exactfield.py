@@ -542,6 +542,11 @@ class ComplexPoint:
     def __setattr__(self, name, value):
         raise AttributeError("ComplexPoint is immutable")
 
+    def __reduce__(self):
+        # copies and pickles rebuild the point from its canonical triple,
+        # since the slots refuse setattr
+        return _exact_point, (self._a, self._b, self._d)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -700,7 +705,9 @@ def _operand(value) -> Optional[ComplexPoint]:
 def _exact_point(a: int, b: int, d: int) -> ComplexPoint:
     """The point (a + bi) / d from a triple that is already canonical."""
     z = _new_point(ComplexPoint)
-    _set_point(z, a, b, d)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
     return z
 
 

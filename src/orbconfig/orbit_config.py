@@ -17,11 +17,13 @@ from typing import Optional, Sequence
 
 from .arrangement import QQ, ArrangementSpec, ScalarField, _spec_from_rows, make_arrangement
 from .exactfield import ComplexPoint, _parts, _reduced_point, _zeta_power
-from .orbmodel import PlanarAction, SignFlipPunctured
+from .orbmodel import CyclicRotation, IntegerDihedral, PlanarAction, SignFlipPunctured
 
 Box = tuple[Fraction, Fraction, Fraction, Fraction]
 
 DEFAULT_BOX: Box = (Fraction(-2), Fraction(2), Fraction(-2), Fraction(2))
+
+_ZERO = ComplexPoint.exact(0)
 
 
 class MembershipError(ValueError):
@@ -48,18 +50,46 @@ def is_orbit_config(action: PlanarAction, points: Sequence[ComplexPoint]) -> boo
     orbit configuration space.  Orbits are compared by hashing one
     ``orbit_invariant`` per point.
     """
-    return _config_invariants(action, list(points))[0]
+    return _config_invariants(action, points)[0]
+
+
+# the actions whose domain is the whole plane: contains is always True
+_WHOLE_PLANE = (CyclicRotation, IntegerDihedral)
+
+
+class _SampledPoints(tuple):
+    """The points of a sampled configuration, carrying the action they were
+    accepted for and the orbit invariant of each point.
+
+    It compares and hashes as the plain tuple, and copies and pickles to
+    one; slices and sums are plain tuples too, so the invariants never
+    outlive the points they were computed on.
+    """
+
+    def __new__(cls, points: tuple, action: PlanarAction, invariants: tuple):
+        self = super().__new__(cls, points)
+        self.action = action
+        self.invariants = invariants
+        return self
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
 
 
 def _config_invariants(
-    action: PlanarAction, pts: list[ComplexPoint]
-) -> tuple[bool, Optional[list]]:
+    action: PlanarAction, points: Sequence[ComplexPoint]
+) -> tuple[bool, Optional[tuple]]:
     """is_orbit_config, plus the orbit invariant of each point when the
     points lie in the action's domain (None otherwise), so a caller that
-    needs the invariants does not compute them again."""
-    if not all(action.contains(z) for z in pts):
-        return False, None
-    keys = [action.orbit_invariant(z) for z in pts]
+    needs the invariants does not compute them again.  The points of a
+    sample for an equal action are read, not checked again."""
+    if type(points) is _SampledPoints and points.action == action:
+        return True, points.invariants
+    if type(action) not in _WHOLE_PLANE:
+        points = tuple(points)
+        if not all(map(action.contains, points)):
+            return False, None
+    keys = tuple(map(action.orbit_invariant, points))
     return len(set(keys)) == len(keys), keys
 
 
@@ -81,13 +111,13 @@ class ConfigPoint:
         }
 
 
-def _grid_range(lo: tuple[int, int], hi: tuple[int, int], denominator: int) -> tuple[int, int]:
-    """The first and last integers k with lo <= k / denominator <= hi, for
-    bounds (p, q) read as p / q with q > 0; lo > hi raises ValueError."""
+def _grid_range(lo: tuple[int, int], hi: tuple[int, int], denominator: int) -> range:
+    """The integers k with lo <= k / denominator <= hi, for bounds (p, q)
+    read as p / q with q > 0; lo > hi raises ValueError."""
     (p, q), (r, t) = lo, hi
     if p * t > r * q:
         raise ValueError("empty sampling box")
-    return -(-p * denominator // q), r * denominator // t
+    return range(-(-p * denominator // q), r * denominator // t + 1)
 
 
 def sample_orbit_config(
@@ -103,31 +133,48 @@ def sample_orbit_config(
     Coordinates are drawn uniformly from the grid of rationals with the
     given denominator inside the closed box (re_lo, re_hi, im_lo, im_hi);
     tuples failing is_orbit_config are rejected.  The same seed always
-    yields the same configuration.
+    yields the same configuration.  Its points carry the orbit invariants
+    they were accepted on, which the maps of ``covering`` read.
     """
+    points = _sample_points(action, n, seed, box, denominator, max_attempts)
+    return ConfigPoint(action=action, points=points)
+
+
+def _sample_points(
+    action: PlanarAction,
+    n: int,
+    seed: int,
+    box: Box = DEFAULT_BOX,
+    denominator: int = 8,
+    max_attempts: int = 1000,
+    avoid_zero: bool = False,
+) -> _SampledPoints:
+    """The points of sample_orbit_config; with avoid_zero, tuples holding
+    0 are rejected too, drawing on from the same stream."""
     if n < 0:
         raise ValueError("configuration size must be nonnegative")
     if denominator < 1:
         raise ValueError("grid denominator must be positive")
     re_lo, re_hi, im_lo, im_hi = (_parts(b) for b in box)
     # grid numerators k with lo <= k / denominator <= hi; an empty range is
-    # an error only once a coordinate is drawn, so n = 0 still succeeds
-    re_first, re_last = _grid_range(re_lo, re_hi, denominator)
-    im_first, im_last = _grid_range(im_lo, im_hi, denominator)
-    empty = re_first > re_last or im_first > im_last
-    randint = random.Random(seed).randint
-
-    def draw() -> ComplexPoint:
-        if empty:
-            raise ValueError("sampling box contains no grid point")
-        # the canonical triple of (k_re + k_im i) / denominator, with k_re
-        # drawn first
-        return _reduced_point(randint(re_first, re_last), randint(im_first, im_last), denominator)
-
+    # an error only when a coordinate is to be drawn, so n = 0 still succeeds
+    re_grid = _grid_range(re_lo, re_hi, denominator)
+    im_grid = _grid_range(im_lo, im_hi, denominator)
+    if n and not (re_grid and im_grid):
+        raise ValueError("sampling box contains no grid point")
+    # choice(range) reads the Mersenne stream as randint over its bounds
+    choice = random.Random(seed).choice
     for _ in range(max_attempts):
-        candidate = tuple(draw() for _ in range(n))
-        if is_orbit_config(action, candidate):
-            return ConfigPoint(action=action, points=candidate)
+        # the canonical triples of (k_re + k_im i) / denominator, with k_re
+        # drawn first
+        candidate = tuple(
+            [_reduced_point(choice(re_grid), choice(im_grid), denominator) for _ in range(n)]
+        )
+        if avoid_zero and _ZERO in candidate:
+            continue
+        is_config, invariants = _config_invariants(action, candidate)
+        if is_config:
+            return _SampledPoints(candidate, action, invariants)
     raise SamplingError(
         f"no valid {n}-point configuration in {max_attempts} attempts; "
         "enlarge the box or the grid denominator"

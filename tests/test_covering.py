@@ -5,13 +5,13 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbconfig import covering
+from orbconfig import covering, orbit_config
 from orbconfig.covering import (
     CoveringReport,
     _joukowski_float,
@@ -240,6 +240,57 @@ def test_power_difference_lands_in_punctured_configuration():
             assert in_punctured_configuration(base)
 
 
+def test_a_sample_for_another_action_gets_the_full_check():
+    quarter = (Fraction(-1, 4), Fraction(1, 4), Fraction(-1, 4), Fraction(1, 4))
+    zs = sample_orbit_config(CyclicRotation(1), 2, seed=90, box=quarter).points
+    # z and -z: one orbit of the rotation of order 2 and of the sign flip
+    assert zs[0] == -zs[1]
+    with pytest.raises(MembershipError):
+        power_difference_map(zs, 2)
+    with pytest.raises(MembershipError):
+        squaring_cover(zs)
+    assert power_difference_map(zs, 1) == (zs[1] - zs[0],)
+    shifted = sample_orbit_config(CyclicRotation(1), 2, seed=34).points
+    # z and z - 1: one orbit of the integer dihedral action
+    assert shifted[0] - shifted[1] == pt(1)
+    with pytest.raises(MembershipError):
+        exp_joukowski_composite(shifted)
+
+
+def test_plain_tuples_off_the_configuration_space_still_raise():
+    for a in (pt(1, 1), pt(Fraction(1, 2), 3)):
+        # a and -a: one orbit for each of the three actions
+        for make in (tuple, list, iter):
+            with pytest.raises(MembershipError):
+                power_difference_map(make((a, -a)), 2)
+            with pytest.raises(MembershipError):
+                squaring_cover(make((a, -a)))
+            with pytest.raises(MembershipError):
+                exp_joukowski_composite(make((a, -a)))
+    with pytest.raises(MembershipError):
+        exp_joukowski_composite((pt(Fraction(1, 3)), pt(Fraction(7, 3))))
+    with pytest.raises(MembershipError):
+        squaring_cover([pt(1, 1), pt(-1)])
+
+
+def test_power_difference_map_reads_the_sample_invariants(monkeypatch):
+    invariants, draws = [], []
+    orbit_invariant, draw = CyclicRotation.orbit_invariant, orbit_config._reduced_point
+    monkeypatch.setattr(
+        CyclicRotation, "orbit_invariant", lambda a, z: invariants.append(z) or orbit_invariant(a, z)
+    )
+    monkeypatch.setattr(orbit_config, "_reduced_point", lambda *t: draws.append(t) or draw(*t))
+    quarter = (Fraction(-1, 4), Fraction(1, 4), Fraction(-1, 4), Fraction(1, 4))
+    zs = sample_orbit_config(CyclicRotation(4), 3, seed=5, box=quarter).points
+    # this seed rejects two tuples first: one invariant per drawn coordinate
+    assert len(draws) == 9 and len(invariants) == 9
+    invariants.clear()
+    base = power_difference_map(zs, 4)
+    assert invariants == []
+    assert power_difference_map(tuple(zs), 4) == base
+    assert len(invariants) == 3
+
+
 def test_in_punctured_configuration_edges():
     assert in_punctured_configuration((pt(1), pt(2)))
     assert not in_punctured_configuration((pt(0), pt(2)))
@@ -311,6 +362,21 @@ def test_covering_report_json_shape():
 # -- the squaring verifier against a per-tuple reference ---------------------
 
 
+def _sign_flip_reference_sample(n: int, seed: int) -> tuple:
+    """The squaring verifier's sample as the sampler first drew it: a randint
+    per coordinate part on the 1/8 grid of [-2, 2]^2, real part first, each
+    tuple decided pair by pair; a tuple holding 0, where squaring branches,
+    is drawn again like one off the configuration space."""
+    rng = random.Random(seed)
+    for _ in range(1000):
+        ws = [pt(Fraction(rng.randint(-16, 16), 8), Fraction(rng.randint(-16, 16), 8)) for _ in range(n)]
+        if any(w in (pt(0), pt(1), pt(-1)) for w in ws):
+            continue
+        if not any(z == w or z == -w for z, w in combinations(ws, 2)):
+            return tuple(ws)
+    raise AssertionError("the reference ran out of attempts")
+
+
 def _squaring_reference(n: int, samples: int, seed: int) -> dict:
     """verify_cover("squaring", ...).to_json() with the four rows decided
     tuple by tuple on points, as the verifier first decided them."""
@@ -318,16 +384,13 @@ def _squaring_reference(n: int, samples: int, seed: int) -> dict:
     signs = list(product((1, -1), repeat=n))
     sizes: dict = {}
     checks: dict = {}
-    used = skipped = 0
+    used = 0
 
     def check(name, ok):
         checks[name] = checks.get(name, True) and ok
 
     for _ in range(samples):
-        ws = sample_orbit_config(SignFlipPunctured(), n, seed=rng.randrange(2**32)).points
-        if any(w == pt(0) for w in ws):
-            skipped += 1
-            continue
+        ws = _sign_flip_reference_sample(n, rng.randrange(2**32))
         vs = squaring_cover(ws)
         fiber = covering.squaring_fiber(vs)
         distinct = set(fiber)
@@ -349,7 +412,7 @@ def _squaring_reference(n: int, samples: int, seed: int) -> dict:
         "window": None,
         "samples": samples,
         "used": used,
-        "skipped_singular": skipped,
+        "skipped_singular": 0,
         "fiber_sizes": [[size, count] for size, count in sorted(sizes.items())],
         "branch_points": [],
         "deck_checks": [
@@ -363,11 +426,21 @@ def _squaring_reference(n: int, samples: int, seed: int) -> dict:
 
 
 def test_verify_squaring_matches_the_per_tuple_reference():
-    for n in range(1, 9):
-        for seed in range(5):
-            report = verify_cover("squaring", n=n, samples=2, seed=seed).to_json()
-            assert report == _squaring_reference(n, 2, seed), (n, seed)
-            assert report["pass"] is True
+    # seeds 48, 124, 169 and 243 drew samples holding 0 before squaring
+    # samples avoided it
+    cases = [(n, seed) for n in range(1, 9) for seed in range(5)]
+    cases += [(2, 124), (3, 124), (3, 169), (3, 243), (4, 48)]
+    for n, seed in cases:
+        report = verify_cover("squaring", n=n, samples=2, seed=seed).to_json()
+        assert report == _squaring_reference(n, 2, seed), (n, seed)
+        assert report["pass"] is True
+
+
+def test_squaring_samples_avoid_the_cone_point():
+    # the one sample of this seed drew 0 and was skipped: used 0, pass false
+    report = verify_cover("squaring", n=7, samples=1, seed=1098435636)
+    assert (report.used, report.skipped, report.passed) == (1, 0, True)
+    assert report.to_json() == _squaring_reference(7, 1, 1098435636)
 
 
 def _drop_last(fiber):

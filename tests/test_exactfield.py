@@ -1,6 +1,8 @@
 """Exact scalar layer: cyclotomic arithmetic and complex points."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -203,6 +205,16 @@ def test_complex_point_refuses_floats_and_round_trips_json():
     for mode in ("approx", "bogus", None):
         with pytest.raises(ValueError):
             ComplexPoint.from_json({"re": 1.0, "im": 2.0, "mode": mode})
+
+
+def test_complex_point_copies_and_pickles():
+    a = ComplexPoint.exact(Fraction(-3, 4), Fraction(5, 6))
+    for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(copied) is ComplexPoint
+        assert copied == a and hash(copied) == hash(a)
+        assert (copied._a, copied._b, copied._d) == (-9, 10, 12)
+        with pytest.raises(AttributeError):
+            copied._a = 0
 
 
 def test_rational_sqrt():

@@ -1,5 +1,9 @@
 """Configuration membership, the rational sampler, and arrangement builders."""
 
+import copy
+import math
+import pickle
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -261,6 +265,124 @@ def test_sampler_exhaustion():
     zero_box = (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
     with pytest.raises(SamplingError):
         sample_orbit_config(CyclicRotation(2), 2, seed=0, box=zero_box)
+
+
+# -- the sampler against a reference drawn with randint ---------------------
+
+
+def _fraction_power(z: tuple, m: int) -> tuple:
+    re, im = Fraction(1), Fraction(0)
+    for _ in range(m):
+        re, im = re * z[0] - im * z[1], re * z[1] + im * z[0]
+    return re, im
+
+
+def _integral(x: Fraction) -> bool:
+    return x.denominator == 1
+
+
+# pairwise orbit tests on (re, im) Fraction pairs, sharing no code with the
+# orbit invariants: (domain test, same-orbit test) per action
+REFERENCE_RULES = {
+    "rotation(3)": (
+        lambda z: True,
+        lambda z, w: _fraction_power(z, 3) == _fraction_power(w, 3),
+    ),
+    "sign_flip": (
+        lambda z: z not in ((1, 0), (-1, 0)),
+        lambda z, w: z == w or z == (-w[0], -w[1]),
+    ),
+    "integer_dihedral": (
+        lambda z: True,
+        lambda z, w: (z[1] == w[1] and _integral(z[0] - w[0]))
+        or (z[1] == -w[1] and _integral(z[0] + w[0])),
+    ),
+}
+REFERENCE_ACTIONS = {
+    "rotation(3)": CyclicRotation(3),
+    "sign_flip": SignFlipPunctured(),
+    "integer_dihedral": IntegerDihedral(),
+}
+
+
+def _reference_sample(rule: str, n: int, seed: int, box, den: int, max_attempts: int):
+    """sample_orbit_config(...).points as the sampler first drew them: a
+    randint per coordinate part over the grid numerators, real part first,
+    each tuple decided pair by pair; None when the attempts run out."""
+    in_domain, same = REFERENCE_RULES[rule]
+    re_lo, re_hi = math.ceil(box[0] * den), math.floor(box[1] * den)
+    im_lo, im_hi = math.ceil(box[2] * den), math.floor(box[3] * den)
+    rng = random.Random(seed)
+    for _ in range(max_attempts):
+        pairs = []
+        for _ in range(n):
+            # randint refuses an empty range with ValueError, as the sampler does
+            re = Fraction(rng.randint(re_lo, re_hi), den)
+            pairs.append((re, Fraction(rng.randint(im_lo, im_hi), den)))
+        if all(map(in_domain, pairs)) and not any(same(z, w) for z, w in combinations(pairs, 2)):
+            return tuple(pt(re, im) for re, im in pairs)
+    return None
+
+
+def test_sampler_draws_match_the_randint_reference():
+    boxes = (DEFAULT_BOX, (Fraction(-1), Fraction(3, 2), Fraction(-1, 2), Fraction(1)))
+    for rule, action in REFERENCE_ACTIONS.items():
+        for n in range(6):
+            for box in boxes:
+                for den in (1, 5, 8):
+                    for seed in range(20):
+                        expected = _reference_sample(rule, n, seed, box, den, 100)
+                        label = (rule, n, box, den, seed)
+                        if expected is None:
+                            with pytest.raises(SamplingError):
+                                sample_orbit_config(action, n, seed, box, den, max_attempts=100)
+                        else:
+                            got = sample_orbit_config(action, n, seed, box, den, max_attempts=100)
+                            assert got.points == expected, label
+
+
+def test_sampler_empty_grid_matches_the_randint_reference():
+    # no point k / 2 with 1/3 <= k / 2 <= 2/5
+    box = (Fraction(1, 3), Fraction(2, 5), Fraction(0), Fraction(1))
+    for rule, action in REFERENCE_ACTIONS.items():
+        assert sample_orbit_config(action, 0, seed=3, box=box, denominator=2).points == ()
+        assert _reference_sample(rule, 0, 3, box, 2, 1) == ()
+        with pytest.raises(ValueError):
+            _reference_sample(rule, 2, 3, box, 2, 1)
+        with pytest.raises(ValueError, match="no grid point"):
+            sample_orbit_config(action, 2, seed=3, box=box, denominator=2)
+
+
+# -- the invariants a sample carries ---------------------------------------
+
+
+def test_sampled_points_behave_as_the_plain_tuple():
+    for action in REFERENCE_ACTIONS.values():
+        points = sample_orbit_config(action, 3, seed=4).points
+        plain = tuple(points)
+        assert points == plain and plain == points
+        assert hash(points) == hash(plain)
+        assert repr(points) == repr(plain)
+        for copied in (copy.copy(points), copy.deepcopy(points), pickle.loads(pickle.dumps(points))):
+            assert type(copied) is tuple
+            assert copied == plain
+        # a slice or a sum is a new plain tuple
+        assert type(points[1:]) is tuple and type(points + ()) is tuple
+
+
+def test_sampled_points_are_read_for_an_equal_action_only():
+    points = sample_orbit_config(CyclicRotation(3), 3, seed=2).points
+    assert is_orbit_config(CyclicRotation(3), points)
+    # (2, 3) under the rotation of order 2: z and -z share an orbit
+    shared = sample_orbit_config(
+        CyclicRotation(1), 2, seed=90, box=(Fraction(-1, 4), Fraction(1, 4), Fraction(-1, 4), Fraction(1, 4))
+    ).points
+    assert shared[0] == -shared[1]
+    assert is_orbit_config(CyclicRotation(1), shared)
+    assert not is_orbit_config(CyclicRotation(2), shared)
+    assert not is_orbit_config(SignFlipPunctured(), shared)
+    assert not is_orbit_config(IntegerDihedral(), shared)
+    assert not is_orbit_config(CyclicRotation(2), list(shared))
 
 
 # -- arrangement builders -------------------------------------------------
