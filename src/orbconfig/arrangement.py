@@ -16,21 +16,22 @@ and restriction to a hyperplane is one elimination of its pivot column.
 Essentialization is projection onto the pivot columns of the normal
 matrix, which keeps each hyperplane's order and signs.
 
-Flats are computed as a breadth-first closure under intersection: each
-flat carries the residues of the hyperplanes not containing it, and the
-hyperplanes whose residues are proportional cut out one flat together.  The
-search records which flats produce each flat; those are its covers, so the
-Mobius function is a sum over each interval [V, X] alone (Orlik-Terao,
+Flats are computed as a breadth-first closure under intersection: each flat
+but a point carries the residues of the hyperplanes not containing it, and
+the hyperplanes whose residues are proportional cut out one flat together.
+The search records which flats produce each flat; those are its covers, so
+the Mobius function is a sum over each interval [V, X] alone (Orlik-Terao,
 Arrangements of Hyperplanes, 2.3).  The poset drives the characteristic and
 Poincare polynomials and the chamber counts.  Chambers of rational
 arrangements are enumerated by deletion and restriction on the integer
 rows: a new hyperplane cuts exactly the chambers whose sign vectors are
-realized on it, which is the same enumeration one dimension lower, so no
-linear program runs.  A central arrangement is enumerated on an affine
-slice, whose chambers are half of its own, by the same restrict-and-lift
-step.  Every chamber carries an exact interior witness: the new half of a
-cut chamber steps off the witness lifted onto the hyperplane by a step
-that an integer gap bound, computed once per hyperplane, keeps inside.
+realized on it, which is the same enumeration one dimension lower, down to
+a line, whose chambers are read off its sorted cut points; so no linear
+program runs.  A central arrangement is enumerated on an affine slice,
+whose chambers are half of its own, by the same restrict-and-lift step.
+Every chamber carries an exact interior witness: the new half of a cut
+chamber steps off the witness lifted onto the hyperplane by a step that an
+integer gap bound, computed once per hyperplane, keeps inside.
 Points over F_q are counted a plane at a time, from the lines that the
 hyperplanes cut on each plane and the points where they meet.
 """
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, zip_longest
-from operator import mul
+from operator import mul, xor
 from typing import Iterable, Optional, Sequence
 
 from .exactfield import (
@@ -349,13 +350,19 @@ def make_arrangement(
 
     Each pair becomes one primitive integer row, its residues times the lcm
     of their denominators over the gcd, for _spec_from_rows; so rescaled
-    duplicates collapse and the input order does not matter.
+    duplicates collapse and the input order does not matter.  Over Q an
+    int or Fraction entry is read as its numerator and denominator as it
+    stands; every other entry goes through field.coerce, whose errors it
+    raises.
     """
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
+    rational = field.is_rational
     rows = []
     for normal, offset in raw_hyperplanes:
-        values = [field.coerce(a) for a in (*normal, offset)]
+        values = [
+            a if rational and isinstance(a, (int, Fraction)) else field.coerce(a) for a in (*normal, offset)
+        ]
         if len(values) != dim + 1:
             raise ValueError(f"normal of length {len(values) - 1} in dimension {dim}")
         if not any(values[:-1]):
@@ -542,7 +549,11 @@ def flat_poset(spec: ArrangementSpec) -> FlatPoset:
     one per flat X cap H, and each class is the set of hyperplanes that
     flat adds to X's members.  The member set is the flat's canonical key.
     A new flat's residues are X's other residues with the class's pivot
-    column eliminated.  Flats keep the order of their first discovery.
+    column eliminated.  A point gets none and leaves the frontier: every
+    hyperplane not containing it misses it, so it produces no flat, and
+    its covers are all recorded in the pass that finds it, since every
+    flat of a pass has the same dimension.  Flats keep the order of their
+    first discovery.
 
     Both fields run on the spec's primitive integer rows over Z[zeta_m].
     A residue is normalized to a positive integer lead (over Q(zeta_m),
@@ -585,12 +596,13 @@ def flat_poset(spec: ArrangementSpec) -> FlatPoset:
                 members_of.append(members)
                 dims.append(dims[source] - 1)
                 covers.append([source])
-                remaining = {
-                    j: _eliminate(other, pivot_row, col, order)
-                    for j, other in residues.items()
-                    if j not in members
-                }
-                next_frontier.append((target, remaining))
+                if dims[target]:  # a point meets every other hyperplane in the empty set
+                    remaining = {
+                        j: _eliminate(other, pivot_row, col, order)
+                        for j, other in residues.items()
+                        if j not in members
+                    }
+                    next_frontier.append((target, remaining))
         frontier = next_frontier
 
     above: list[set[int]] = []
@@ -785,19 +797,23 @@ def _enumerate_chambers(
     The half of a cut chamber that holds its old witness keeps it; the
     other half steps off the witness P / D found on row k's hyperplane, to
     (S P +- a_k) / (S D) with S = 2 max(1, max_i |a_i . a_k|) over the
-    earlier rows.  P and D are integers, so a_i . P - b_i D is a nonzero
-    integer: a_i . x - b_i is at least 1 / D away from zero at P / D, and
-    the step moves it by a_i . a_k / (S D), at most 1 / (2 D).  So the new
-    point keeps every earlier sign, and a_k . x - b_k = +-|a_k|^2 / (S D)
-    puts it strictly on its side of row k.
+    earlier rows.  P and D > 0 are integers, however the lower level chose
+    them, so a_i . P - b_i D is a nonzero integer: a_i . x - b_i is at
+    least 1 / D away from zero at P / D, and the step moves it by
+    a_i . a_k / (S D), at most 1 / (2 D).  So the new point keeps every
+    earlier sign, and a_k . x - b_k = +-|a_k|^2 / (S D) puts it strictly on
+    its side of row k.
 
-    Central rows (no box, every offset 0) in dimension 2 or more take
-    their chambers from the affine slice a_0 . x = 1 instead (_cone_chambers),
-    which has half as many.
+    Dimension 1 is solved directly (_line_chambers).  Central rows (no
+    box, every offset 0) in dimension 2 or more take their chambers from
+    the affine slice a_0 . x = 1 instead (_cone_chambers), which has half
+    as many.
     """
     for i, row in enumerate(rows):
         if not any(row[:-1]) and (row[-1] == 0 or (i < fixed and row[-1] > 0)):
             return {}
+    if dim == 1:
+        return _line_chambers(rows, fixed)
     if rows and not fixed and dim > 1 and not any(row[-1] for row in rows):
         return _cone_chambers(rows, dim)
     cells = {0: ((0,) * dim, 1)}
@@ -833,6 +849,38 @@ def _enumerate_chambers(
                 )
         cells = updated
     return cells
+
+
+def _line_chambers(rows: Sequence[Sequence[int]], fixed: int) -> dict[int, tuple[tuple[int, ...], int]]:
+    """Chambers of the rows (a, b) on a line, for _enumerate_chambers.
+
+    Row i cuts the line at b_i / a_i = c_i / L, for L the lcm of the
+    nonzero a and c_i an integer.  The chambers are the open intervals
+    between the distinct sorted cut points, and beyond the end ones, with
+    the witnesses (c + c') / (2 L) between neighbours c < c', and
+    (c - 1) / L and (c + 1) / L beyond the first and the last; 0 when
+    nothing cuts.  Left of every cut a . x > b holds when a < 0, or when
+    a = 0 and b < 0; crossing a cut point flips the rows that cut there.
+    A mask off the positive side of a ``fixed`` row is dropped.
+    """
+    lcm = math.lcm(*(a for a, _ in rows if a))
+    flips: dict[int, int] = {}
+    mask = 0
+    for i, (a, b) in enumerate(rows):
+        if a:
+            cut = b * (lcm // a)
+            flips[cut] = flips.get(cut, 0) | 1 << i
+        if a < 0 or (not a and b < 0):
+            mask |= 1 << i
+    cuts = sorted(flips)
+    if not cuts:
+        witnesses = [(0, 1)]
+    else:
+        middles = [(c + d, 2 * lcm) for c, d in zip(cuts, cuts[1:])]
+        witnesses = [(cuts[0] - 1, lcm), *middles, (cuts[-1] + 1, lcm)]
+    box = (1 << fixed) - 1
+    masks = accumulate(map(flips.__getitem__, cuts), xor, initial=mask)
+    return {m: _reduced((p,), d) for m, (p, d) in zip(masks, witnesses) if m & box == box}
 
 
 def _cone_chambers(
@@ -964,7 +1012,9 @@ def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
     real t; then v lies in every hyperplane, and v = 0.  So the wall normals
     of every chamber span R^rank, every chamber has at least rank walls, and
     exactly rank walls are independent.  wall_counts lists the chambers in
-    sorted sign-string order.
+    sorted sign-string order, sorted without building the strings: the
+    complement mask written in binary and reversed has a 0 for each "+"
+    and a 1 for each "-", and "+" < "-" as 0 < 1.
 
     Guard rails: at most MAX_SIMPLICIAL_HYPERPLANES hyperplanes and rank at
     most MAX_SIMPLICIAL_DIM, the CLI's arrangement rails.
@@ -985,9 +1035,10 @@ def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
     raw = _enumerate_chambers(essential, rank)
     count = len(spec.rows)
     bits = [1 << i for i in range(count)]
+    full = (1 << count) - 1
     wall_counts = tuple(
-        sum(mask ^ bit in raw for bit in bits)
-        for mask in sorted(raw, key=lambda mask: _sign_string(mask, count))
+        sum(map(raw.__contains__, map(mask.__xor__, bits)))
+        for mask in sorted(raw, key=lambda mask: format(full ^ mask, f"0{count}b")[::-1])
     )
     return SimplicialityReport(
         simplicial=all(walls == rank for walls in wall_counts),

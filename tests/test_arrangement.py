@@ -81,6 +81,30 @@ def test_make_arrangement_dedups_cyclotomic_scalings():
     assert len(spec.hyperplanes) == 1
 
 
+def test_make_arrangement_reads_ints_fractions_and_rational_cyclotomics_alike():
+    hyperplanes = [((2, -4, 0), 1), ((0, 3, -1), -2), ((1, 1, 1), 0)]
+
+    def build(to_scalar):
+        return make_arrangement(
+            3, QQ, [(tuple(map(to_scalar, normal)), to_scalar(offset)) for normal, offset in hyperplanes]
+        )
+
+    as_ints = build(int)
+    assert as_ints.rows == ((0, 3, -1, -2), (2, -4, 0, 1), (1, 1, 1, 0))
+    # scaled by 3/2: the same rows after the lcm and gcd
+    assert build(lambda x: F(x) * F(3, 2)) == as_ints
+    assert build(lambda x: Cyclotomic.from_rational(5, F(x))) == as_ints
+    mixed = [((2, F(-4), Cyclotomic.from_rational(3, F(0))), F(1))]
+    mixed += [(tuple(map(F, normal)), offset) for normal, offset in hyperplanes[1:]]
+    assert make_arrangement(3, QQ, mixed) == as_ints
+    with pytest.raises(ValueError, match="does not lie in Q"):
+        make_arrangement(2, QQ, [((1, Cyclotomic.zeta(3)), 0)])
+    with pytest.raises(ValueError, match="normal of length 1 in dimension 2"):
+        make_arrangement(2, QQ, [((F(1),), 0)])
+    with pytest.raises(ValueError, match="zero normal"):
+        make_arrangement(2, QQ, [((0, F(0)), F(1))])
+
+
 def _coefficients(x):
     return x.coeffs if isinstance(x, Cyclotomic) else (x,)
 
@@ -205,6 +229,56 @@ def test_flat_poset_matches_brute_force_intersections(dim, data):
     found = {f.contains: (f.dim, f.mobius) for f in poset.flats}
     assert len(found) == len(poset.flats)
     assert found == _oracle_flats(dim, rows)
+
+
+def _moment_curve_spec():
+    """x . (1, t, t^2, t^3) = t^4 for t = 1..8: x lies on the hyperplane of
+    t exactly when t is a root of t^4 - x_4 t^3 - x_3 t^2 - x_2 t - x_1.
+    So any k <= 4 of them meet in a flat of dimension 4 - k (a Vandermonde
+    system) that no other one contains, since a monic quartic has at most
+    four roots."""
+    return make_arrangement(4, QQ, [((1, t, t * t, t**3), t**4) for t in range(1, 9)])
+
+
+def test_flat_poset_of_the_moment_curve_arrangement():
+    # generic: every subset of at most four hyperplanes is a flat of its own
+    spec = _moment_curve_spec()
+    poset = flat_poset(spec)
+    assert poset.count_by_dim() == {4: 1, 3: 8, 2: 28, 1: 56, 0: 70}
+    assert all(f.mobius == (-1) ** (4 - f.dim) for f in poset.flats)
+    assert characteristic_polynomial(poset).coeffs == (70, -56, 28, -8, 1)
+    assert chamber_count(poset) == (163, 35)
+    rows = [list(h.normal) + [h.offset] for h in spec.hyperplanes]
+    assert {f.contains: (f.dim, f.mobius) for f in poset.flats} == _oracle_flats(4, rows)
+
+
+@pytest.mark.parametrize(
+    "dim, raw",
+    [
+        # five planes through the origin of Q^3, and one that misses it
+        (3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((1, 1, 1), 0), ((1, 2, 3), 0), ((1, 1, 0), 1)]),
+        # six hyperplanes through (1, 1, 1, 1) in Q^4, one parallel to one of them, one generic
+        (
+            4,
+            [
+                ((1, 0, 0, 0), 1),
+                ((0, 1, 0, 0), 1),
+                ((0, 0, 1, 0), 1),
+                ((0, 0, 0, 1), 1),
+                ((1, 1, 1, 1), 4),
+                ((1, -1, 0, 0), 0),
+                ((1, 0, 0, 0), 3),
+                ((1, 2, -1, 3), 2),
+            ],
+        ),
+    ],
+)
+def test_flat_poset_of_points_shared_by_many_hyperplanes(dim, raw):
+    spec = make_arrangement(dim, QQ, raw)
+    poset = flat_poset(spec)
+    assert poset.count_by_dim()[0] >= 2
+    rows = [list(h.normal) + [h.offset] for h in spec.hyperplanes]
+    assert {f.contains: (f.dim, f.mobius) for f in poset.flats} == _oracle_flats(dim, rows)
 
 
 def _rational_flats(spec):
@@ -549,12 +623,26 @@ def _fourier_motzkin_cases(dim):
 
 
 NEARLY_PARALLEL = [((1, 10**4), 1), ((1, 10**4 + 1), -1)]
+# three lines through (1, 1): on the last one the traces of the other two
+# cut at the same point
+CONCURRENT = [((1, 0), 1), ((0, 1), 1), ((1, 1), 2)]
+# x = 0 and x = 1 parallel, crossed by y = x: on x = 1 the trace of x = 0
+# and a box face are constant, one of each sign, and on y = x the box
+# drops the intervals beyond its faces
+PARALLEL_AND_CROSSING = [((1, 0), 0), ((1, 0), 1), ((1, -1), 0)]
+# every cut point lies outside |x| < 1
+OUTSIDE_THE_BOX = [((1,), 2), ((1,), -3), ((2,), 5)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=st.integers(min_value=1, max_value=3).flatmap(_fourier_motzkin_cases))
 @example(case=(2, NEARLY_PARALLEL, None))
 @example(case=(2, NEARLY_PARALLEL, F(1, 2)))
+@example(case=(2, CONCURRENT, None))
+@example(case=(2, CONCURRENT, F(3, 2)))
+@example(case=(2, PARALLEL_AND_CROSSING, F(1, 2)))
+@example(case=(1, OUTSIDE_THE_BOX, F(1)))
+@example(case=(1, OUTSIDE_THE_BOX, None))
 def test_enumeration_matches_fourier_motzkin_feasibility(case):
     dim, raw, bound = case
     raw = [(normal, offset) for normal, offset in raw if any(normal)]
@@ -579,6 +667,45 @@ def test_enumeration_matches_fourier_motzkin_feasibility(case):
     for c in chambers.chambers:
         _witness_ok(spec, c)
         assert bound is None or all(abs(x) < bound for x in c.witness)
+
+
+def _line_masks_at(rows, x):
+    """The mask of the rows (a, b) at the rational x, or None when x lies on
+    one of them."""
+    mask = 0
+    for i, (a, b) in enumerate(rows):
+        if a * x == b:
+            return None
+        mask |= (a * x > b) << i
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(min_value=-4, max_value=4), st.integers(min_value=-6, max_value=6)),
+        max_size=7,
+    ),
+    data=st.data(),
+)
+@example(rows=[(0, -1), (2, 3), (0, 2), (-4, -6), (1, 0)], data=None)
+@example(rows=[(1, -2), (-1, -2), (0, -1), (3, 1), (1, 5), (-2, -10)], data=None)
+def test_line_chambers_match_sample_points(rows, data):
+    # the first rows bound a box, the others are any integer rows, with zero
+    # normals of either offset sign and repeated cut points among them; the
+    # samples are a grid of step 1 / (4 L) for L the lcm of the nonzero a,
+    # which puts a point inside every interval between two cut points
+    fixed = 2 if data is None else data.draw(st.integers(min_value=0, max_value=len(rows)))
+    found = arrangement._enumerate_chambers(rows, 1, fixed)
+    step = F(1, 4 * math.lcm(*(a for a, _ in rows if a)))
+    cuts = [F(b, a) for a, b in rows if a] or [F(0)]
+    start, stop = int(min(cuts) / step) - 8, int(max(cuts) / step) + 8
+    box = (1 << fixed) - 1
+    sampled = {_line_masks_at(rows, k * step) for k in range(start, stop + 1)} - {None}
+    assert set(found) == {m for m in sampled if m & box == box}
+    for mask, ((p,), d) in found.items():
+        assert d > 0 and math.gcd(p, d) == 1
+        assert _line_masks_at(rows, F(p, d)) == mask
 
 
 # -- centrality, essentialization, simpliciality ----------------------------
