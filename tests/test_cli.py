@@ -597,6 +597,24 @@ GOLDEN_STDOUT_SHA256 = [
         "bbfa4e3535410bd87916784bda05a8dcf08a18828d6465404a3122d4ce134176",
         id="central-lineality-uneven-walls",
     ),
+    # central reports whose chambers come from the affine slice
+    # (_cone_chambers), then by deletion and restriction one dimension lower
+    pytest.param(
+        ["arrangement", "--builder", "braid", "--n", "6"],
+        "1582655e92e0f1571a269b30625d712773907f37309ccef9b7e11d623af70bd1",
+        id="braid-n6",
+    ),
+    pytest.param(
+        ["arrangement", "--builder", "case3X", "--n", "3"],
+        "cf00ee1dd3f8b5244bbbbac5f70b274ebb0a14906144c8001de989b6fa09a96f",
+        id="case3X-n3",
+    ),
+    # the moment curve x . (1, t, t^2, t^3) = t^4, t = 1..8: generic in Q^4
+    pytest.param(
+        ["arrangement", '{"schema":1,"dim":4,"field":{"type":"Q"},"hyperplanes":[{"normal":[1,1,1,1],"offset":1},{"normal":[1,2,4,8],"offset":16},{"normal":[1,3,9,27],"offset":81},{"normal":[1,4,16,64],"offset":256},{"normal":[1,5,25,125],"offset":625},{"normal":[1,6,36,216],"offset":1296},{"normal":[1,7,49,343],"offset":2401},{"normal":[1,8,64,512],"offset":4096}]}'],
+        "155058d4a994a0f3e964339513bea6f869d744ec2ed7bbbc6a6201f8a4ea26d1",
+        id="moment-curve",
+    ),
     # groupoid `forget` reports name the first two morphisms that share an
     # image and a source, so they pin the morphism order of the
     # configuration groupoids; rotation 128 under C2 at n = 2 is the
