@@ -307,6 +307,32 @@ class ArrangementSpec:
             factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
         return factors[0]
 
+    @cached_property
+    def _echelon(self) -> tuple[tuple[int, tuple], ...]:
+        """The reduced echelon form of the integer rows [a | b], as (pivot
+        column, row) pairs in column order; computed once per spec for
+        common_point and is_simplicial.
+
+        Each row is reduced by the pivot rows so far, normalized at its first
+        nonzero entry, and eliminated from them in turn, so every pivot row is
+        zero in every other pivot column and positive there.  A pivot in the
+        offset column means the hyperplanes share no point; the other pivot
+        columns are those of the normal matrix.
+        """
+        order = self.field.ring_order
+        phi = euler_phi(order)
+        pivots: dict[int, tuple] = {}
+        for row in self.rows:
+            for col, pivot_row in pivots.items():
+                row = _eliminate(row, pivot_row, col, order)
+            lead = next((c for c, x in enumerate(row) if x), None)
+            if lead is not None:
+                col = lead // phi
+                row = _normalize(row, col, order)
+                pivots = {c: _eliminate(other, row, col, order) for c, other in pivots.items()}
+                pivots[col] = row
+        return tuple(sorted(pivots.items()))
+
     @classmethod
     def from_json(cls, data: dict) -> "ArrangementSpec":
         """A spec from JSON; a wrong shape or an unknown key raises
@@ -464,31 +490,6 @@ def _eliminate(row: tuple, pivot_row: tuple, col: int, order: int) -> tuple:
         return row
     g = math.gcd(*out)
     return tuple(out) if g < 2 else tuple([x // g for x in out])
-
-
-def _echelon(spec: ArrangementSpec) -> list[tuple[int, tuple]]:
-    """The reduced echelon form of the integer rows [a | b], as (pivot
-    column, row) pairs in column order.
-
-    Each row is reduced by the pivot rows so far, normalized at its first
-    nonzero entry, and eliminated from them in turn, so every pivot row is
-    zero in every other pivot column and positive there.  A pivot in the
-    offset column means the hyperplanes share no point; the other pivot
-    columns are those of the normal matrix.
-    """
-    order = spec.field.ring_order
-    phi = euler_phi(order)
-    pivots: dict[int, tuple] = {}
-    for row in spec.rows:
-        for col, pivot_row in pivots.items():
-            row = _eliminate(row, pivot_row, col, order)
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is not None:
-            col = lead // phi
-            row = _normalize(row, col, order)
-            pivots = {c: _eliminate(other, row, col, order) for c, other in pivots.items()}
-            pivots[col] = row
-    return sorted(pivots.items())
 
 
 # ---------------------------------------------------------------------------
@@ -713,30 +714,29 @@ class Chamber:
 
 class ChamberSet:
     """The chambers of an arrangement, kept as the enumeration returns them:
-    {mask: (numerators, denominator)}, where bit shift + i of a mask is the
-    side of the arrangement's hyperplane i (the box rows of a bound take
-    the low bits).  len() and sign_vectors() read the masks.  The Chamber
-    tuples, with their Fraction witnesses and sign strings, are built on
-    the first read of chambers or in to_json, since most callers need the
-    count only."""
+    {mask: (numerators, denominator)}, where bit i of a mask is the side of
+    the arrangement's hyperplane i.  len() and sign_vectors() read the
+    masks.  The Chamber tuples, with their Fraction witnesses and sign
+    strings, are built on the first read of chambers or in to_json, since
+    most callers need the count only."""
 
-    def __init__(self, spec: ArrangementSpec, raw: dict, shift: int = 0):
-        self.spec, self._raw, self._shift = spec, raw, shift
+    def __init__(self, spec: ArrangementSpec, raw: dict):
+        self.spec, self._raw = spec, raw
 
     def __len__(self):
         return len(self._raw)
 
     @cached_property
     def chambers(self) -> tuple[Chamber, ...]:
-        count, shift = len(self.spec.rows), self._shift
+        count = len(self.spec.rows)
         return tuple(
-            Chamber(signs=_sign_string(mask >> shift, count), witness=tuple(Fraction(x, den) for x in nums))
+            Chamber(signs=_sign_string(mask, count), witness=tuple(Fraction(x, den) for x in nums))
             for mask, (nums, den) in self._raw.items()
         )
 
     def sign_vectors(self) -> frozenset[str]:
-        count, shift = len(self.spec.rows), self._shift
-        return frozenset(_sign_string(mask >> shift, count) for mask in self._raw)
+        count = len(self.spec.rows)
+        return frozenset(_sign_string(mask, count) for mask in self._raw)
 
     def to_json(self) -> dict:
         return {
@@ -754,7 +754,7 @@ def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
 
 
 def _restrict(
-    row: Sequence[int], others: Sequence[Sequence[int]], dim: int, fixed: int = 0
+    row: Sequence[int], others: Sequence[Sequence[int]], dim: int
 ) -> dict[int, tuple[tuple[int, ...], int]]:
     """Chambers of the rows others on the hyperplane of row, each witness
     a point on that hyperplane.
@@ -763,15 +763,14 @@ def _restrict(
     normal: the elimination clears it with row normalized to a positive
     entry there, which leaves a positive multiple of the other row on the
     hyperplane, so every point of it keeps its sign.  The traces are
-    enumerated one dimension lower, with their first ``fixed`` rows bounding
-    a box, and x_p is solved back from row.
+    enumerated one dimension lower, and x_p is solved back from row.
     """
     p = next(j for j, a in enumerate(row[:-1]) if a)
     onto = _normalize(row, p, 1)
     *rest, b = onto[:p] + onto[p + 1 :]
     ap = onto[p]
     traces = [_eliminate(other, onto, p, 1) for other in others]
-    on_h = _enumerate_chambers([t[:p] + t[p + 1 :] for t in traces], dim - 1, fixed)
+    on_h = _enumerate_chambers([t[:p] + t[p + 1 :] for t in traces], dim - 1)
     lifted = {}
     for m, (ys, dy) in on_h.items():
         nums = [ap * y for y in ys]
@@ -780,15 +779,12 @@ def _restrict(
     return lifted
 
 
-def _enumerate_chambers(
-    rows: Sequence[Sequence[int]], dim: int, fixed: int = 0
-) -> dict[int, tuple[tuple[int, ...], int]]:
+def _enumerate_chambers(rows: Sequence[Sequence[int]], dim: int) -> dict[int, tuple[tuple[int, ...], int]]:
     """Chambers of the integer rows (a | b), by deletion and restriction.
 
     Returns {mask: (numerators, denominator)}: bit i of mask is set when
     a_i . x > b_i on the chamber, and the numerators over the positive
-    denominator are a point strictly inside it.  The first ``fixed`` rows
-    keep only their positive side; they bound a box.  Row k cuts the
+    denominator are a point strictly inside it.  Row k cuts the
     chamber of rows 0..k-1 with mask m exactly when m is realized on the
     hyperplane a_k . x = b_k, which is the same enumeration one dimension
     lower (_restrict).  There, a row that vanishes keeps the constant sign
@@ -804,17 +800,15 @@ def _enumerate_chambers(
     earlier sign, and a_k . x - b_k = +-|a_k|^2 / (S D) puts it strictly on
     its side of row k.
 
-    Dimension 1 is solved directly (_line_chambers).  Central rows (no
-    box, every offset 0) in dimension 2 or more take their chambers from
-    the affine slice a_0 . x = 1 instead (_cone_chambers), which has half
-    as many.
+    Dimension 1 is solved directly (_line_chambers).  Central rows (every
+    offset 0) in dimension 2 or more take their chambers from the affine
+    slice a_0 . x = 1 instead (_cone_chambers), which has half as many.
     """
-    for i, row in enumerate(rows):
-        if not any(row[:-1]) and (row[-1] == 0 or (i < fixed and row[-1] > 0)):
-            return {}
+    if any(not any(row) for row in rows):
+        return {}
     if dim == 1:
-        return _line_chambers(rows, fixed)
-    if rows and not fixed and dim > 1 and not any(row[-1] for row in rows):
+        return _line_chambers(rows)
+    if rows and dim > 1 and not any(row[-1] for row in rows):
         return _cone_chambers(rows, dim)
     cells = {0: ((0,) * dim, 1)}
     for k, row in enumerate(rows):
@@ -825,33 +819,26 @@ def _enumerate_chambers(
                 cells = {m | bit: w for m, w in cells.items()}
             continue
         earlier = rows[:k]
-        on_h = _restrict(row, earlier, dim, min(fixed, k))
+        on_h = _restrict(row, earlier, dim)
         s = 2 * max(1, max((abs(sum(map(mul, other, normal))) for other in earlier), default=0))
-        keep_minus = k >= fixed
         updated = {}
         for m, witness in cells.items():
             nums, den = witness
             gap = sum(map(mul, normal, nums)) - b * den
             lifted = on_h.get(m)
             if lifted is None:  # the chamber lies on one side of row k
-                if gap > 0:
-                    updated[m | bit] = witness
-                elif keep_minus:
-                    updated[m] = witness
+                updated[m | bit if gap > 0 else m] = witness
                 continue
             ps, d = lifted
             updated[m | bit] = (
                 witness if gap > 0 else _reduced([s * x + a for x, a in zip(ps, normal)], s * d)
             )
-            if keep_minus:
-                updated[m] = (
-                    witness if gap < 0 else _reduced([s * x - a for x, a in zip(ps, normal)], s * d)
-                )
+            updated[m] = witness if gap < 0 else _reduced([s * x - a for x, a in zip(ps, normal)], s * d)
         cells = updated
     return cells
 
 
-def _line_chambers(rows: Sequence[Sequence[int]], fixed: int) -> dict[int, tuple[tuple[int, ...], int]]:
+def _line_chambers(rows: Sequence[Sequence[int]]) -> dict[int, tuple[tuple[int, ...], int]]:
     """Chambers of the rows (a, b) on a line, for _enumerate_chambers.
 
     Row i cuts the line at b_i / a_i = c_i / L, for L the lcm of the
@@ -861,7 +848,6 @@ def _line_chambers(rows: Sequence[Sequence[int]], fixed: int) -> dict[int, tuple
     (c - 1) / L and (c + 1) / L beyond the first and the last; 0 when
     nothing cuts.  Left of every cut a . x > b holds when a < 0, or when
     a = 0 and b < 0; crossing a cut point flips the rows that cut there.
-    A mask off the positive side of a ``fixed`` row is dropped.
     """
     lcm = math.lcm(*(a for a, _ in rows if a))
     flips: dict[int, int] = {}
@@ -878,9 +864,8 @@ def _line_chambers(rows: Sequence[Sequence[int]], fixed: int) -> dict[int, tuple
     else:
         middles = [(c + d, 2 * lcm) for c, d in zip(cuts, cuts[1:])]
         witnesses = [(cuts[0] - 1, lcm), *middles, (cuts[-1] + 1, lcm)]
-    box = (1 << fixed) - 1
     masks = accumulate(map(flips.__getitem__, cuts), xor, initial=mask)
-    return {m: _reduced((p,), d) for m, (p, d) in zip(masks, witnesses) if m & box == box}
+    return {m: _reduced((p,), d) for m, (p, d) in zip(masks, witnesses)}
 
 
 def _cone_chambers(
@@ -910,14 +895,12 @@ def _sign_string(mask: int, count: int) -> str:
     return "".join("+" if mask >> i & 1 else "-" for i in range(count))
 
 
-def enumerate_chambers(spec: ArrangementSpec, bound: Optional[Fraction] = None) -> ChamberSet:
+def enumerate_chambers(spec: ArrangementSpec) -> ChamberSet:
     """All chambers of a rational arrangement, with exact interior witnesses.
 
-    With bound given, only chambers meeting the open box |x_i| < bound are
-    reported (sign vectors still refer to the arrangement's hyperplanes).
-    Without a bound, a central arrangement in dimension 2 or more is
-    enumerated on its affine slice, one dimension lower, and each chamber
-    found there gives two: itself and its negative.
+    A central arrangement in dimension 2 or more is enumerated on its
+    affine slice, one dimension lower, and each chamber found there gives
+    two: itself and its negative.
     Guard rails: dimension <= 6 and at most 12 hyperplanes.
     """
     if not spec.field.is_rational:
@@ -927,18 +910,7 @@ def enumerate_chambers(spec: ArrangementSpec, bound: Optional[Fraction] = None) 
             f"chamber enumeration capped at dim {MAX_ENUM_DIM} and "
             f"{MAX_ENUM_HYPERPLANES} hyperplanes"
         )
-    box = []
-    if bound is not None:
-        bound = Fraction(bound)
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        for i in range(spec.dim):
-            for unit in (1, -1):
-                face = [0] * spec.dim + [-bound.numerator]
-                face[i] = unit * bound.denominator
-                box.append(face)  # unit * x_i > -bound
-    raw = _enumerate_chambers(box + list(spec._rational_rows), spec.dim, len(box))
-    return ChamberSet(spec, raw, len(box))
+    return ChamberSet(spec, _enumerate_chambers(spec._rational_rows, spec.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -956,7 +928,7 @@ def common_point(spec: ArrangementSpec) -> Optional[list]:
     field = spec.field
     phi = euler_phi(field.ring_order)
     point = [field.zero()] * spec.dim
-    for col, row in _echelon(spec):
+    for col, row in spec._echelon:
         if col == spec.dim:
             return None
         point[col] = field.from_residues(row[-phi:], row[col * phi])
@@ -1025,7 +997,7 @@ def is_simplicial(spec: ArrangementSpec) -> SimplicialityReport:
         raise SizeGuardError(
             f"simpliciality capped at {MAX_SIMPLICIAL_HYPERPLANES} hyperplanes"
         )
-    pivots = [col for col, _ in _echelon(spec)]
+    pivots = [col for col, _ in spec._echelon]
     if spec.dim in pivots:
         raise CentralityError("simpliciality requires a central arrangement")
     rank = len(pivots)

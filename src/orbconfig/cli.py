@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from itertools import accumulate
@@ -362,8 +363,10 @@ def _emit(envelope: dict, fmt: str, out: Optional[str]) -> None:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    # nan fails both comparisons; inf, and a literal past the float range
+    # such as 1e400, would be printed as the non-JSON token Infinity
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 

@@ -458,8 +458,8 @@ def verify_cover(
         raise ValueError("need at least one sample")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < eps < math.inf:  # nan fails both; inf passes every tolerance check
+        raise ValueError("epsilon must be positive and finite")
     if map_id not in ("q", "squaring", "qE"):
         raise ValueError(f"unknown map id {map_id!r}")
     if map_id == "q":

@@ -330,6 +330,23 @@ def test_verify_cover_unknown_map_exit_2(capsys):
     assert run(capsys, ["verify-cover", "zeta"])[0] == 2
 
 
+# every subcommand records --epsilon in its report; inf (and 1e400, which
+# float() reads as inf) would print as Infinity, which is not JSON
+@pytest.mark.parametrize("epsilon", ["inf", "1e400"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-cover", "q", "--samples", "5"], ["arrangement", "--builder", "braid", "--n", "3"]],
+    ids=["verify-cover", "arrangement"],
+)
+def test_infinite_epsilon_exit_2(capsys, argv, epsilon):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--epsilon", epsilon])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "--epsilon: must be positive and finite" in captured.err
+
+
 def test_verify_cover_squaring_n_rail_exit_4(capsys):
     # the squaring n is bounded by samples * 2^n <= MAX_FIBER_POINTS alone:
     # one sample at n = 14 (16,384 fiber points) runs, n = 15 and a huge n

@@ -348,6 +348,13 @@ def test_verify_cover_rejects_unknown_map():
         verify_cover("q", samples=0)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0])
+def test_verify_cover_rejects_non_finite_or_nonpositive_eps(eps):
+    # nan passes an eps <= 0 check, and inf passes every tolerance check
+    with pytest.raises(ValueError, match="epsilon"):
+        verify_cover("qE", n=2, samples=5, eps=eps)
+
+
 def test_covering_report_json_shape():
     report = verify_cover("q", samples=20, seed=1)
     data = report.to_json()
