@@ -27,13 +27,17 @@ arrangements are enumerated by deletion and restriction on the integer
 rows: a new hyperplane cuts exactly the chambers whose sign vectors are
 realized on it, which is the same enumeration one dimension lower, down to
 a line, whose chambers are read off its sorted cut points; so no linear
-program runs.  A central arrangement is enumerated on an affine slice,
-whose chambers are half of its own, by the same restrict-and-lift step.
-Every chamber carries an exact interior witness: the new half of a cut
-chamber steps off the witness lifted onto the hyperplane by a step that an
-integer gap bound, computed once per hyperplane, keeps inside.
-Points over F_q are counted a plane at a time, from the lines that the
-hyperplanes cut on each plane and the points where they meet.
+program runs.  In the plane, each line's restriction is read in one pass
+over the rows before it.  A central arrangement is enumerated on an affine
+slice, whose chambers are half of its own, by the same restrict-and-lift
+step.  Every chamber carries an exact interior witness: the new half of a
+cut chamber steps off the witness lifted onto the hyperplane by a step that
+an integer gap bound, computed once per hyperplane, keeps inside.
+Points over F_q are counted on the essential arrangement: the normals
+reduced mod q have rank r and r pivot columns, the complement in F_q^d is
+F_q^(d-r) times that of the rows read on those columns in F_q^r, and there
+they are counted a plane at a time, from the lines that the hyperplanes
+cut on each plane and the points where they meet.
 """
 
 from __future__ import annotations
@@ -800,9 +804,11 @@ def _enumerate_chambers(rows: Sequence[Sequence[int]], dim: int) -> dict[int, tu
     earlier sign, and a_k . x - b_k = +-|a_k|^2 / (S D) puts it strictly on
     its side of row k.
 
-    Dimension 1 is solved directly (_line_chambers).  Central rows (every
-    offset 0) in dimension 2 or more take their chambers from the affine
-    slice a_0 . x = 1 instead (_cone_chambers), which has half as many.
+    Dimension 1 is solved directly (_line_chambers), and dimension 2 reads
+    each row's restriction in one pass (_plane_chambers).  Central rows
+    (every offset 0) in dimension 2 or more take their chambers from the
+    affine slice a_0 . x = 1 instead (_cone_chambers), which has half as
+    many.
     """
     if any(not any(row) for row in rows):
         return {}
@@ -810,6 +816,8 @@ def _enumerate_chambers(rows: Sequence[Sequence[int]], dim: int) -> dict[int, tu
         return _line_chambers(rows)
     if rows and dim > 1 and not any(row[-1] for row in rows):
         return _cone_chambers(rows, dim)
+    if dim == 2:
+        return _plane_chambers(rows)
     cells = {0: ((0,) * dim, 1)}
     for k, row in enumerate(rows):
         bit = 1 << k
@@ -834,6 +842,63 @@ def _enumerate_chambers(rows: Sequence[Sequence[int]], dim: int) -> dict[int, tu
                 witness if gap > 0 else _reduced([s * x + a for x, a in zip(ps, normal)], s * d)
             )
             updated[m] = witness if gap < 0 else _reduced([s * x - a for x, a in zip(ps, normal)], s * d)
+        cells = updated
+    return cells
+
+
+def _plane_chambers(rows: Sequence[Sequence[int]]) -> dict[int, tuple[tuple[int, ...], int]]:
+    """The deletion and restriction of _enumerate_chambers on rows
+    (a_1, a_2 | b) in the plane, each row's restriction read in one pass.
+
+    Row k, normalized to a positive a_p at its first nonzero normal entry
+    p, restricts each earlier row (c_1, c_2 | e) to its line as _restrict
+    does: a row with c_p = 0 keeps (c_o | e), for o the other column, and
+    any other becomes (a_p c_o - c_p a_o | a_p e - c_p b) over the gcd, the
+    trace that _eliminate leaves.  _line_chambers reads the traces in the
+    coordinate x_o, unless one vanishes, which leaves no chamber, and x_p =
+    (b - a_o x_o) / a_p lifts each witness back.  So the rows, the
+    witnesses and the masks are those of the general step.
+    """
+    cells = {0: ((0, 0), 1)}
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        a1, a2, b = row
+        if not (a1 or a2):
+            if b < 0:
+                cells = {m | bit: w for m, w in cells.items()}
+            continue
+        p, o = (0, 1) if a1 else (1, 0)
+        sign = 1 if row[p] > 0 else -1
+        ap, ao, bp = sign * row[p], sign * row[o], sign * b
+        traces = []
+        s = 1
+        for other in rows[:k]:
+            s = max(s, abs(other[0] * a1 + other[1] * a2))
+            cp, co, e = other[p], other[o], other[2]
+            if cp:
+                co, e = ap * co - cp * ao, ap * e - cp * bp
+                g = math.gcd(co, e)
+                if g > 1:
+                    co, e = co // g, e // g
+            traces.append((co, e))
+        on_h = {}
+        if (0, 0) not in traces:
+            for m, ((y,), dy) in _line_chambers(traces).items():
+                point = [0, 0]
+                point[p], point[o] = bp * dy - ao * y, ap * y
+                on_h[m] = _reduced(point, ap * dy)
+        s *= 2
+        updated = {}
+        for m, witness in cells.items():
+            (x1, x2), den = witness
+            gap = a1 * x1 + a2 * x2 - b * den
+            lifted = on_h.get(m)
+            if lifted is None:  # the chamber lies on one side of row k
+                updated[m | bit if gap > 0 else m] = witness
+                continue
+            (p1, p2), d = lifted
+            updated[m | bit] = witness if gap > 0 else _reduced([s * p1 + a1, s * p2 + a2], s * d)
+            updated[m] = witness if gap < 0 else _reduced([s * p1 - a1, s * p2 - a2], s * d)
         cells = updated
     return cells
 
@@ -1124,46 +1189,90 @@ def good_primes(spec: ArrangementSpec, count: int = 2) -> list[int]:
     return out
 
 
+def _pivot_columns_mod(rows: Sequence[Sequence[int]], dim: int, q: int) -> list[int]:
+    """Pivot columns of the normal matrix of the rows reduced mod the prime
+    q, in increasing order: columns that form a basis of its column space.
+
+    Each row is cleared at the pivots found so far, in the order found, by
+    subtracting its entry there over the pivot entry times the pivot's row;
+    each pivot row is zero mod q at the pivots found before it, so a later
+    clearing keeps the earlier zeros.  The first entry left nonzero mod q,
+    if any, is a new pivot, and the scan stops once every column is one.
+    """
+    basis: list[tuple[int, int, Sequence[int]]] = []  # (column, inverse of the entry there, row)
+    for row in rows:
+        v = row[:dim]
+        for col, inv, pivot_row in basis:
+            if f := v[col] * inv % q:
+                v = [(x - f * y) % q for x, y in zip(v, pivot_row)]
+        for col, x in enumerate(v):
+            if x % q:
+                basis.append((col, pow(x, -1, q), v))
+                if len(basis) == dim:
+                    return list(range(dim))
+                break
+    return sorted(col for col, _, _ in basis)
+
+
 def finite_field_count(spec: ArrangementSpec, q: int) -> int:
-    """Points of F_q^d avoiding every hyperplane, counted a plane at a time.
+    """Points of F_q^d avoiding every hyperplane, counted on the essential
+    arrangement a plane at a time.
 
     Requires a prime q larger than every coefficient magnitude, with q^d at
     most MAX_FIELD_POINTS, that divides no nonzero minor of [A | b].  The
     size cap is checked before the minors, so a refused count never builds
-    the spec's minor table.  For d = 1 each row a x = b excludes the one
-    residue b / a.  Otherwise an odometer walks F_q^(d-2), the first d - 2
-    coordinates x', and each step of coordinate i adds a step to every row's
-    tracked value, a wrap included.  On the plane over x', a row with
-    (a_(d-1), a_d) = 0 is the constant a' . x' - b, which excludes the
-    whole plane when it is 0 mod q and nothing otherwise.  Every other row
-    is a line, scaled to a leading one in (a_(d-1), a_d): rows with one
+    the spec's minor table.
+
+    Let P be r pivot columns of the normal matrix A mod q (_pivot_columns_mod).
+    Its columns P are a basis of its column space, so A = A_P C for an r x d
+    matrix C with the identity on the columns P, and y = C x maps F_q^d onto
+    F_q^r with q^(d-r) points over each y.  A point x avoids a row exactly
+    when y avoids the row read on P, (a_P | b): the count is q^(d-r) times
+    the count of those rows in F_q^r (Orlik-Terao, Arrangements of
+    Hyperplanes, ch. 1-2).  This is linear algebra mod q alone, which holds for
+    every q, and shares nothing with flat_poset.  It saves planes from
+    d = 3 on, so only there are the pivots found; below, r stands for d.
+
+    Rank 0 leaves F_q^r a point.  For r = 1 each row a y = b excludes the
+    one residue b / a.  Otherwise an odometer walks F_q^(r-2), the first
+    r - 2 coordinates y', and each step of coordinate i adds a step to
+    every row's tracked value, a wrap included.  On the plane over y', a
+    row with (a_(r-1), a_r) = 0 is the constant a' . y' - b, which excludes
+    the whole plane when it is 0 mod q and nothing otherwise.  Every other
+    row is a line, scaled to a leading one in (a_(r-1), a_r): rows with one
     scaled direction are parallel, and they coincide when their tracked
-    right sides (b - a' . x') / lead agree.  Two lines of different
+    right sides (b - a' . y') / lead agree.  Two lines of different
     directions meet in one point, solved with the inverse determinant of
     their directions, computed once per pair.  With L distinct lines and
     m_p lines through each point p met by two or more, the lines cover
     q L - sum of (m_p - 1) points, and a point met by m_p lines is found
     by C(m_p, 2) pairs.  This is the finite-field method of Athanasiadis
-    (Adv. Math. 122, 1996) on one plane: q^(d-2) planes of O(r^2) work for
-    r rows.
+    (Adv. Math. 122, 1996) on one plane: q^(r-2) planes of O(n^2) work for
+    n rows, while the size cap still reads q^d.
     """
     rows = spec._rational_rows
     if not _is_prime(q):
         raise ValueError(f"{q} is not prime")
     if any(abs(v) >= q for row in rows for v in row):
         raise BadPrimeError(f"q = {q} does not exceed all coefficient magnitudes")
-    dim = spec.dim
-    if q ** dim > MAX_FIELD_POINTS:
-        raise SizeGuardError(f"{q}^{dim} exceeds the enumeration cap")
+    if q ** spec.dim > MAX_FIELD_POINTS:
+        raise SizeGuardError(f"{q}^{spec.dim} exceeds the enumeration cap")
     if spec._minor_product % q == 0:
         raise BadPrimeError(f"q = {q} is a bad prime for this arrangement")
+    dim, free = spec.dim, 1
+    if dim > 2:  # below, the walk is one plane at most, whatever the rank
+        pivots = _pivot_columns_mod(rows, dim, q)
+        if len(pivots) < dim:
+            free = q ** (dim - len(pivots))
+            rows = [[row[c] for c in pivots] + [row[-1]] for row in rows]
+            dim = len(pivots)
     if dim == 0:
-        return 1  # the one point of F_q^0; a hyperplane needs a nonzero normal
+        return free  # no hyperplane: a hyperplane needs a nonzero normal
     if dim == 1:
-        return q - len({b * pow(a, -1, q) % q for a, b in rows})
+        return free * (q - len({b * pow(a, -1, q) % q for a, b in rows}))
     u, v = dim - 2, dim - 1
     flat = [row for row in rows if not (row[u] or row[v])]
-    # each line's direction (1, a_d / a_(d-1)) or (0, 1), and its rows
+    # each line's direction (1, a_r / a_(r-1)) or (0, 1), and its rows
     by_direction: dict[tuple[int, int], list[tuple]] = {}
     for row in rows:
         if row[u] or row[v]:
@@ -1184,8 +1293,8 @@ def finite_field_count(spec: ArrangementSpec, q: int) -> int:
         meets.append((i, j, t2 * inv % q, -t * inv % q, -s2 * inv % q, s * inv % q))
     # a point met by m lines is found by C(m, 2) pairs, and adds m - 1
     extra = {m * (m - 1) // 2: m - 1 for m in range(2, len(lines) + 1)}
-    # right sides (b - a' . x') / lead of the lines and a' . x' - b of the
-    # constant rows, both at x' = 0
+    # right sides (b - a' . y') / lead of the lines and a' . y' - b of the
+    # constant rows, both at y' = 0
     line_vals = [row[dim] * inv % q for row, inv in lines]
     flat_vals = [-row[dim] % q for row in flat]
     line_steps = [[-row[i] * inv % q for row, inv in lines] for i in range(u)]
@@ -1211,7 +1320,7 @@ def finite_field_count(spec: ArrangementSpec, q: int) -> int:
                 break
             digits[i] = 0
         else:
-            return count
+            return free * count
 
 
 # ---------------------------------------------------------------------------

@@ -346,8 +346,11 @@ def _table_lines(value, indent: int = 0, key: Optional[str] = None) -> list[str]
 
 
 def _emit(envelope: dict, fmt: str, out: Optional[str]) -> None:
+    """Write the report; a JSON report holding a non-finite float raises
+    ValueError before anything is written, since Infinity and NaN are not
+    JSON."""
     if fmt == "json":
-        text = json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
+        text = json.dumps(envelope, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     else:
         text = "\n".join(_table_lines(envelope)) + "\n"
     if out:

@@ -7,6 +7,8 @@ from direct orbit counting over F_q with q = 1 mod m, and small chamber
 pictures (concurrent lines, crossing lines) from elementary geometry.
 """
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -684,6 +686,66 @@ def test_line_chambers_match_sample_points(rows):
         assert _line_masks_at(rows, F(p, d)) == mask
 
 
+def _random_batch(seed, dim):
+    rng = random.Random(seed)
+    return [_random_spec(rng, dim, count) for count in (3, 5, 7, 9)]
+
+
+# Specs whose enumeration reaches the dimension-2 step, each pinned by the
+# SHA-256 of its chambers' JSON: sign vectors and witnesses, byte for byte.
+CHAMBER_SPECS = {
+    # five lines through (1, 1)
+    "concurrent-lines": lambda: lines((1, 0, 1), (0, 1, 1), (1, 1, 2), (1, -1, 0), (2, 1, 3)),
+    # two families of parallel lines and one line across them: on each line
+    # the trace of its parallels has a zero normal
+    "parallel-lines": lambda: lines((1, 0, 0), (1, 0, 1), (1, 0, -2), (0, 1, 0), (0, 1, 3), (1, 1, 1)),
+    # on x = 1 the trace of x = 0 has a zero normal, and on the planes that
+    # cross both the two traces are parallel lines
+    "zero-normal-trace": lambda: lines(
+        (1, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1), dim=3
+    ),
+    # x = 1, y = 1 and x + y = 2 share a line: restricted to the third, the
+    # first two trace that line twice, and on it the one trace vanishes
+    "vanishing-trace": lambda: lines(
+        (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 2), (0, 0, 1, 0), (1, 0, 1, 3), dim=3
+    ),
+    # central, three of them through the z-axis: enumerated on the slice
+    # x = 1, where the traces are two pairs of parallel lines
+    "vanishing-trace-central": lambda: lines(
+        (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), dim=3
+    ),
+    "braid4": lambda: braid_arrangement(4),
+    "moment-curve": _moment_curve_spec,
+}
+CHAMBER_BATCHES = {f"random-q{dim}-seed{seed}": (seed, dim) for dim in (2, 3) for seed in (7, 8)}
+
+
+def _chambers_digest(specs):
+    text = json.dumps([enumerate_chambers(s).to_json() for s in specs], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+CHAMBER_DIGESTS = {
+    "concurrent-lines": "b17cc55292aec24b882d71cd51429c62626a15b741d787428eb351192e918fa7",
+    "parallel-lines": "48153bb3494d6b7aeee0018d4bbb5676998cfa053f62e9948e6ee7a37eef154e",
+    "zero-normal-trace": "6e3be971b7a6c2184a436cfeea3a2291052fccd41aa65b98721aa07428f1e886",
+    "vanishing-trace": "5cfd61e275388be37cd1a261da9916707ff0f38243dc68d8f47e72a288fea92d",
+    "vanishing-trace-central": "32b1e533effa69dfb38ea212b8243d4b6d10f149a92e20d3a59d8a081b580e11",
+    "braid4": "cf4f45249824e800062136594ab4520124f55d21c41cf9778064335beb9d931c",
+    "moment-curve": "780858a3e3dec2c1b8a72e423bd50d42e38e27d3aacd24dc9c6771ca1daf3aeb",
+    "random-q2-seed7": "e0c4a0c6f22d8d93104d55cd6f7230169c5898e6ddf6531f51c2e514f380e4fc",
+    "random-q2-seed8": "9c77c50c85a5410bed0852bc9f2d7a384aedf2565f81b58e7111f0250b10d2cf",
+    "random-q3-seed7": "43506243ecc5f769602ce2f3d0573571c301301d3f1a7839eb3d8824293db46e",
+    "random-q3-seed8": "d1f3ec1e960ce419fdd555a7b05ddf0062ede36fa972566f7eb42f6198cd49b0",
+}
+
+
+@pytest.mark.parametrize("name", [*CHAMBER_SPECS, *CHAMBER_BATCHES])
+def test_chamber_reports_are_pinned_byte_for_byte(name):
+    specs = [CHAMBER_SPECS[name]()] if name in CHAMBER_SPECS else _random_batch(*CHAMBER_BATCHES[name])
+    assert _chambers_digest(specs) == CHAMBER_DIGESTS[name]
+
+
 # -- centrality, essentialization, simpliciality ----------------------------
 
 # Oracles by field division, sharing no code with the integer elimination:
@@ -1242,28 +1304,70 @@ def _points_off(spec, q):
     return count
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(dim=st.integers(min_value=1, max_value=4), data=st.data())
 def test_finite_field_count_matches_pointwise_count(dim, data):
-    # the count walks planes in the last two coordinates; drawing those from
-    # a small set makes rows constant on the plane (both zero), parallel
-    # lines, lines that coincide mod q on some planes, and three or more
-    # lines through one point common
     head = st.integers(min_value=-3, max_value=3)
-    last = st.sampled_from([0, 0, 0, 1, -1, 2])
-    tail = [last] * min(dim, 2)
-    rows = data.draw(
-        st.lists(
-            st.tuples(st.tuples(*([head] * (dim - len(tail)) + tail)), head),
-            min_size=0,
-            max_size=6,
+    if data.draw(st.booleans()):
+        # the count walks planes in the last two columns it keeps; drawing the
+        # last two columns from a small set makes rows constant on the plane
+        # (both zero), parallel lines, lines that coincide mod q on some
+        # planes, and three or more lines through one point common
+        last = st.sampled_from([0, 0, 0, 1, -1, 2])
+        tail = [last] * min(dim, 2)
+        normals = st.tuples(*([head] * (dim - len(tail)) + tail))
+    else:
+        # combinations of fewer vectors than columns, whose entries are
+        # often zero: the rank falls below dim, the leading columns are
+        # dependent or zero, and the pivots fall anywhere
+        entry = st.sampled_from([0, 0, 1, -1, 2])
+        basis = data.draw(st.lists(st.tuples(*[entry] * dim), min_size=1, max_size=max(1, dim - 1)))
+        normals = st.tuples(*[st.integers(min_value=-1, max_value=2)] * len(basis)).map(
+            lambda w: tuple(sum(c * b[j] for c, b in zip(w, basis)) for j in range(dim))
         )
-    )
+    rows = data.draw(st.lists(st.tuples(normals, head), min_size=0, max_size=6))
     raw = [(tuple(map(F, a)), F(b)) for a, b in rows if any(a)]
     spec = make_arrangement(dim, QQ, raw)
     for q in good_primes(spec, 2):
         if q**dim <= 3000:
             assert finite_field_count(spec, q) == _points_off(spec, q)
+
+
+@pytest.mark.parametrize(
+    "dim, rows, rank",
+    [
+        # no hyperplane: F_q^3 itself
+        (3, [], 0),
+        # three parallel planes
+        (3, [(1, 2, -1, 0), (1, 2, -1, 1), (2, 4, -2, 3)], 1),
+        # rank d - 1: normals in the plane x_1 = x_2 + x_3, two of them parallel
+        (3, [(1, 1, 0, 0), (1, 0, 1, 1), (0, 1, -1, 2), (2, 1, 1, -1), (0, 1, -1, -1)], 2),
+        # rank 2 with the first two columns zero or dependent
+        (4, [(0, 0, 1, -1, 2), (0, 1, 0, 0, 1), (0, 2, 1, -1, 0)], 2),
+        (4, [(0, 1, 1, 0, 0), (0, 0, 1, 1, 1), (0, 1, 0, -1, -1), (0, 1, 2, 1, 2)], 2),
+        # rank d - 1 with every pivot after column 0
+        (4, [(0, 1, 0, 0, 0), (0, 0, 1, 0, 1), (0, 0, 0, 1, -1), (0, 1, 1, 1, 2)], 3),
+    ],
+)
+def test_finite_field_count_on_the_essential_arrangement(dim, rows, rank):
+    spec = lines(*rows, dim=dim)
+    poset = flat_poset(spec)
+    assert poset.rank == rank
+    chi = characteristic_polynomial(poset)
+    for q in good_primes(spec, 2):
+        assert finite_field_count(spec, q) == _points_off(spec, q) == chi(q)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_finite_field_count_of_braid4(q):
+    spec = braid_arrangement(4)
+    assert finite_field_count(spec, q) == _points_off(spec, q) == q * (q - 1) * (q - 2) * (q - 3)
+
+
+def test_finite_field_count_of_two_parallel_hyperplanes_in_q6():
+    # rank 1: F_q^5 times the q - 2 residues of x_1 + 2 x_2 - x_6 off 0 and 3
+    spec = lines((1, 2, 0, 0, 0, -1, 0), (1, 2, 0, 0, 0, -1, 3), dim=6)
+    assert finite_field_count(spec, 11) == 11**5 * 9
 
 
 def test_finite_field_count_of_concurrent_and_parallel_lines():

@@ -1299,6 +1299,12 @@ def _fuzz_argv(data, files) -> list:
     return argv
 
 
+def _refuse_non_json(token):
+    """parse_constant for json.loads: Python reads Infinity, -Infinity and
+    NaN, which are not JSON, so a report holding one fails here."""
+    raise AssertionError(f"report holds the non-JSON token {token}")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzzed_cli_ends_in_a_documented_exit_code(fuzz_files, data):
@@ -1320,6 +1326,24 @@ def test_fuzzed_cli_ends_in_a_documented_exit_code(fuzz_files, data):
     elif "table" in argv:
         assert out.startswith("config:\n") and out.endswith("\n")
     else:
-        envelope = json.loads(out)
+        envelope = json.loads(out, parse_constant=_refuse_non_json)
         assert set(envelope) == {"tool", "version", "config", "report"}
         assert out == json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_non_finite_float_in_a_report_exits_2_without_output(capsys, monkeypatch, tmp_path, out):
+    class Diverged:
+        passed = True
+
+        def to_json(self):
+            return {"pass": True, "max_defect": float("inf")}
+
+    monkeypatch.setattr(cli, "verify_cover", lambda *args, **kwargs: Diverged())
+    target = tmp_path / "report.json"
+    argv = ["verify-cover", "q", "--samples", "1"] + (["--out", str(target)] if out else [])
+    code, stdout, stderr = run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert not target.exists()
+    assert stderr.startswith("orbconfig: ") and "Traceback" not in stderr
