@@ -2,16 +2,19 @@
 
 Subcommands parse JSON inputs (inline or by path, "schema": 1), dispatch
 to the library, and emit one report envelope embedding the tool version,
-the subcommand, the fully resolved run configuration, and the seed.  JSON
-output is canonical (sorted keys, no whitespace), so reruns with the same
-configuration are byte-identical; tables are rendered from that same JSON.
+the subcommand and the fully resolved run configuration.  Each subcommand
+takes --format and --out and only the options it reads: the seed,
+tolerance, sample count and window of the sampled checks belong to
+verify-cover alone.  JSON output is canonical (sorted keys, no whitespace),
+so reruns with the same configuration are byte-identical; tables are
+rendered from that same JSON.
 
 Exit codes (main applies the table EXIT_CODES): 0 success; 2 unparseable
 input, unknown ids, invalid models, JSON rationals past
 exactfield.MAX_RATIONAL_DIGITS digits, JSON nested deeper than
 MAX_JSON_DEPTH, a negation or rotation point count below 1, a key that
-an input object does not read, an unreadable input file or unwritable
---out path;
+an input object does not read, an arrangement option that the chosen
+input does not read, an unreadable input file or unwritable --out path;
 3 reflector features; 4 size guard rails (arrangement size
 arrangement.MAX_SIMPLICIAL_DIM and MAX_SIMPLICIAL_HYPERPLANES, cyclotomic
 field order and hyperplanes arrangement.check_field_rail, fiber points
@@ -29,7 +32,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from itertools import accumulate
@@ -189,17 +191,25 @@ def _check_rails(dim: int, hyperplanes: int, order: int = 1) -> None:
 
 
 def _builder_spec(args) -> tuple[ArrangementSpec, dict]:
+    """The arrangement of --builder or of the spec, and its config; like a
+    key an input does not read, an option the chosen input ignores is
+    refused."""
     if args.builder:
+        if args.spec is not None:
+            raise ValueError("give an arrangement spec or --builder, not both")
         if args.n is None:
             raise ValueError("builders require --n")
-        _check_rails(*BUILDER_SIZES[args.builder](args.n, args.m))
+        m = 2 if args.m is None else args.m
+        _check_rails(*BUILDER_SIZES[args.builder](args.n, m))
         if args.builder == "braid":
             spec = braid_arrangement(args.n)
         elif args.builder == "case1":
-            spec = rotation_arrangement(args.n, args.m)
+            spec = rotation_arrangement(args.n, m)
         else:
             spec = sign_flip_arrangement(args.n)
-        return spec, {"builder": args.builder, "n": args.n, "m": args.m}
+        return spec, {"builder": args.builder, "n": args.n, "m": m}
+    if args.n is not None or args.m is not None:
+        raise ValueError("--n and --m need --builder; an arrangement spec reads neither")
     if args.spec is None:
         raise ValueError("provide --builder or an arrangement spec")
     data = _load_input(args.spec)
@@ -237,16 +247,10 @@ def _cmd_arrangement(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_verify_cover(args) -> tuple[dict, dict, int]:
-    report = verify_cover(
-        args.map,
-        n=args.n,
-        samples=args.samples,
-        window=args.window,
-        eps=args.epsilon,
-        seed=args.seed,
-    )
+    options = {"n": args.n, "samples": args.samples, "window": args.window, "seed": args.seed}
+    report = verify_cover(args.map, eps=args.epsilon, **options)
     code = EXIT_OK if report.passed else EXIT_COVER_FAIL
-    return report.to_json(), {"map": args.map, "n": args.n}, code
+    return report.to_json(), {"map": args.map, "epsilon": args.epsilon, **options}, code
 
 
 def _cmd_obstruction(args) -> tuple[dict, dict, int]:
@@ -364,15 +368,6 @@ def _emit(envelope: dict, fmt: str, out: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    # nan fails both comparisons; inf, and a literal past the float range
-    # such as 1e400, would be printed as the non-JSON token Infinity
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return value
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -391,15 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"orbconfig {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the report")
-    common.add_argument(
-        "--epsilon",
-        type=_positive_float,
-        default=DEFAULT_EPS,
-        help="tolerance of verify-cover's floating-point checks; recorded in every report",
-    )
-    common.add_argument("--samples", type=_positive_int, default=200)
-    common.add_argument("--window", type=_positive_int, default=3)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--out", default=None, help="write the report to a file")
 
@@ -413,12 +399,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", nargs="?", help="JSON object or path")
     p.add_argument("--builder", choices=("braid", "case1", "case3X"))
     p.add_argument("--n", type=_positive_int, default=None)
-    p.add_argument("--m", type=_positive_int, default=2)
+    p.add_argument("--m", type=_positive_int, default=None, help="case1 rotation order (default 2)")
     p.set_defaults(handler=_cmd_arrangement)
 
     p = sub.add_parser("verify-cover", parents=[common], help="sampled covering checks")
     p.add_argument("map", help="map id: q, squaring, or qE")
     p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the report")
+    p.add_argument(
+        "--epsilon",
+        type=float,
+        default=DEFAULT_EPS,
+        help="tolerance of the floating-point checks; positive and finite",
+    )
+    p.add_argument("--samples", type=_positive_int, default=200)
+    p.add_argument("--window", type=_positive_int, default=3)
     p.set_defaults(handler=_cmd_verify_cover)
 
     p = sub.add_parser("obstruction", parents=[common], help="quasifibration witness")
@@ -436,15 +431,7 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, extra, code = args.handler(args)
-        config = {
-            "subcommand": args.command,
-            "seed": args.seed,
-            "epsilon": args.epsilon,
-            "samples": args.samples,
-            "window": args.window,
-            "format": args.format,
-            **extra,
-        }
+        config = {"subcommand": args.command, "format": args.format, **extra}
         envelope = {"tool": "orbconfig", "version": __version__, "config": config, "report": report}
         _emit(envelope, args.format, args.out)
     except tuple(EXIT_CODES) as exc:

@@ -82,6 +82,62 @@ def test_reruns_are_byte_identical(capsys):
     assert first.endswith("\n")
 
 
+# each subcommand records the options it reads and its input, nothing else
+_SPEC_AXIS = '{"schema":1,"dim":1,"field":{"type":"Q"},"hyperplanes":[{"normal":[1]}]}'
+_ENVELOPE_CONFIGS = [
+    pytest.param(["classify", '{"schema":1,"genus":0,"cones":[5]}'], {"input"}, id="classify"),
+    pytest.param(["arrangement", "--builder", "braid", "--n", "3"], {"builder", "n", "m"}, id="arrangement-builder"),
+    pytest.param(["arrangement", _SPEC_AXIS], {"input"}, id="arrangement-spec"),
+    pytest.param(
+        ["verify-cover", "q", "--samples", "5"],
+        {"map", "n", "seed", "epsilon", "samples", "window"},
+        id="verify-cover",
+    ),
+    pytest.param(["obstruction", '{"schema":1,"kind":"rotation","order":2}'], {"input", "n"}, id="obstruction"),
+    pytest.param(["groupoid", json.dumps(explicit_cyclic3())], {"input"}, id="groupoid"),
+]
+
+
+@pytest.mark.parametrize("argv, own", _ENVELOPE_CONFIGS)
+def test_config_holds_only_the_options_a_subcommand_reads(capsys, argv, own):
+    code, env = run_json(capsys, argv)
+    assert code == 0
+    assert set(env["config"]) == {"subcommand", "format"} | own
+
+
+def test_case1_without_m_reports_as_m_2(capsys):
+    # --m defaults to None, so a spec can refuse it, and to 2 in the builder branch
+    argv = ["arrangement", "--builder", "case1", "--n", "2"]
+    assert run(capsys, argv) == run(capsys, argv + ["--m", "2"])
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--seed", "1"), ("--epsilon", "1e-6"), ("--samples", "7"), ("--window", "2")]
+)
+@pytest.mark.parametrize("argv", [param.values[0] for param in _ENVELOPE_CONFIGS if param.id != "verify-cover"])
+def test_sampling_options_belong_to_verify_cover(capsys, argv, option, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, option, value])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and f"unrecognized arguments: {option}" in captured.err
+
+
+def test_arrangement_spec_with_builder_exit_2(capsys):
+    # the spec would be dropped and braid(2) reported in its place
+    code, out, err = run(capsys, ["arrangement", _SPEC_AXIS, "--builder", "braid", "--n", "2"])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and "--builder" in err
+
+
+@pytest.mark.parametrize("options", [["--n", "2"], ["--m", "3"], ["--n", "2", "--m", "3"]])
+def test_arrangement_spec_with_n_or_m_exit_2(capsys, options):
+    code, out, err = run(capsys, ["arrangement", _SPEC_AXIS, *options])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and "--n and --m need --builder" in err
+
+
 def test_out_flag_writes_the_same_bytes(capsys, tmp_path):
     target = tmp_path / "report.json"
     argv = ["arrangement", "--builder", "braid", "--n", "3"]
@@ -330,8 +386,9 @@ def test_verify_cover_unknown_map_exit_2(capsys):
     assert run(capsys, ["verify-cover", "zeta"])[0] == 2
 
 
-# every subcommand records --epsilon in its report; inf (and 1e400, which
-# float() reads as inf) would print as Infinity, which is not JSON
+# verify-cover records --epsilon in its report, and verify_cover refuses inf
+# (and 1e400, which float() reads as inf) before any sample: it would print
+# as Infinity, which is not JSON.  Other subcommands take no --epsilon.
 @pytest.mark.parametrize("epsilon", ["inf", "1e400"])
 @pytest.mark.parametrize(
     "argv",
@@ -339,12 +396,18 @@ def test_verify_cover_unknown_map_exit_2(capsys):
     ids=["verify-cover", "arrangement"],
 )
 def test_infinite_epsilon_exit_2(capsys, argv, epsilon):
-    with pytest.raises(SystemExit) as excinfo:
-        main([*argv, "--epsilon", epsilon])
+    if argv[0] == "verify-cover":
+        code = main([*argv, "--epsilon", epsilon])
+        message = "orbconfig: epsilon must be positive and finite"
+    else:
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--epsilon", epsilon])
+        code = excinfo.value.code
+        message = "unrecognized arguments: --epsilon"
     captured = capsys.readouterr()
-    assert excinfo.value.code == 2
+    assert code == 2
     assert captured.out == ""
-    assert "Traceback" not in captured.err and "--epsilon: must be positive and finite" in captured.err
+    assert "Traceback" not in captured.err and message in captured.err
 
 
 def test_verify_cover_squaring_n_rail_exit_4(capsys):
@@ -569,67 +632,67 @@ GOLDEN_STDOUT_SHA256 = [
     ),
     pytest.param(
         ["obstruction", '{"schema":1,"kind":"rotation","order":2}'],
-        "0fc52170de8da1ae939ec9b1884e15942efe6b121685a4610a3786d1f0847e15",
+        "3ba9bd1ae48b68cb75b34486bec6e6fe40d2f35733a2cfacc8e0530fdf1f5f3b",
         id="rotation",
     ),
     pytest.param(
         ["obstruction", '{"schema":1,"kind":"rotation","order":4,"center":{"re":"1/2","im":"-3/4"}}', "--n", "5"],
-        "388f48a99e43d69afeff0b709320d856a3becb505a0db0681ae543f8a9e63526",
+        "f5f5f3aaf1ab85063fac4e98a7f2584ff3cef526d630e7500bbf352e9b6fd22e",
         id="rotation-center",
     ),
     pytest.param(
         ["obstruction", '{"schema":1,"kind":"sign_flip"}', "--n", "4"],
-        "c5a21babfbfd92f36c67b6964da92a34b567db074026670463bc10778c2878fc",
+        "43f77aac08c798b189fcd70c1af6d552ca202e666ffd73de4de75e7ca2e435d7",
         id="sign-flip",
     ),
     pytest.param(
         ["arrangement", "--builder", "case1", "--n", "3", "--m", "3"],
-        "dffeda4480410e89ebd1003f646842e3b931da76e0738f68c9028b367f52946e",
+        "dd9297d68c69778fc8f75d63f9b5fcdf64c3304e7b2920d2684f2cb22d98bcef",
         id="case1-n3-m3",
     ),
     pytest.param(
         ["arrangement", "--builder", "case1", "--n", "3", "--m", "4"],
-        "2d2cdb5b1a048c5d48300005753705b1e24ce9ae49d57a8f7bec2f294fa5fc35",
+        "ac7397fe1c34b56ccd2d40b8129794372b49ceee242470b3834c3670efdce5d8",
         id="case1-n3-m4",
     ),
     pytest.param(
         ["arrangement", "--builder", "case1", "--n", "4", "--m", "2"],
-        "2a7f0d691ec6a5934a5568d733576d54776215e87d13bb674c85f53e17066a01",
+        "ecc51ac021280adfadc95ca2cfe8a2f200a0cd34a4373e0e464ad498227d095b",
         id="case1-n4-m2",
     ),
     # Q(zeta_5) gives leads outside Z, Q(zeta_13) the largest phi(m) = 12
     # and MAX_FIELD_ORDER the largest order
-    pytest.param(["arrangement", _cyclotomic_spec(5)], "3c5c04ba94ce05233e21bf92edd97e02eb11a5f23727d4bb5ba44db24fb64be8", id="cyclotomic-m5"),
-    pytest.param(["arrangement", _cyclotomic_spec(13)], "cdab79aa2a017f1f8c5b726ae0f869ff87da4f6ddbca3ef95ef9672f8605823a", id="cyclotomic-m13"),
-    pytest.param(["arrangement", _cyclotomic_spec(16)], "0cbe311ef3838ea8e4399197e85900b5e5a93d25d72120e368f7458920e8bfc6", id="cyclotomic-m16"),
+    pytest.param(["arrangement", _cyclotomic_spec(5)], "478d213f74811c889f29901b86ebe54038f2616697aa2a3faaf5c5e4c338190b", id="cyclotomic-m5"),
+    pytest.param(["arrangement", _cyclotomic_spec(13)], "5e9514492f74fde58a224d9b92d891414880de4f554845f2a2b4273221ccf97f", id="cyclotomic-m13"),
+    pytest.param(["arrangement", _cyclotomic_spec(16)], "30a84ce6d7a5831ce617a11b40324a895438017c50868bc735ef866bf974df6a", id="cyclotomic-m16"),
     pytest.param(
         ["arrangement", "--builder", "braid", "--n", "5"],
-        "92e5ea5cd3d61b3e84258f6a8b3be4c7379c689a9129ffed8ed3faf9678dceb0",
+        "1afa6cf9b4aa995abe06ad601baeda2a40b41b7936e562ef371a11fab7effa1f",
         id="braid-n5",
     ),
     # central about (2, 0, 2, 0), rank 3 in Q^4 and not simplicial; its
     # wall counts 3, 4 and 5 are uneven, so their order is pinned too
     pytest.param(
         ["arrangement", '{"schema":1,"dim":4,"field":{"type":"Q"},"hyperplanes":[{"normal":[1,-1,0,0],"offset":2},{"normal":[0,0,1,0],"offset":2},{"normal":[0,0,0,1],"offset":0},{"normal":[1,-1,1,1],"offset":4},{"normal":[1,-1,-2,3],"offset":-2}]}'],
-        "bbfa4e3535410bd87916784bda05a8dcf08a18828d6465404a3122d4ce134176",
+        "bb7f0e293ad2e1b38fd8b604b96e896d87e75a9a4bc49052cafd9ffd98a18866",
         id="central-lineality-uneven-walls",
     ),
     # central reports whose chambers come from the affine slice
     # (_cone_chambers), then by deletion and restriction one dimension lower
     pytest.param(
         ["arrangement", "--builder", "braid", "--n", "6"],
-        "1582655e92e0f1571a269b30625d712773907f37309ccef9b7e11d623af70bd1",
+        "7669ab96c4108af393cbe378209ac46d296beb0148dee11f186f20f2a9d8e74f",
         id="braid-n6",
     ),
     pytest.param(
         ["arrangement", "--builder", "case3X", "--n", "3"],
-        "cf00ee1dd3f8b5244bbbbac5f70b274ebb0a14906144c8001de989b6fa09a96f",
+        "bf72faddd0c87ace82d8b11cdd8b9780181259851bc20585c8be9e7f79c2c9e5",
         id="case3X-n3",
     ),
     # the moment curve x . (1, t, t^2, t^3) = t^4, t = 1..8: generic in Q^4
     pytest.param(
         ["arrangement", '{"schema":1,"dim":4,"field":{"type":"Q"},"hyperplanes":[{"normal":[1,1,1,1],"offset":1},{"normal":[1,2,4,8],"offset":16},{"normal":[1,3,9,27],"offset":81},{"normal":[1,4,16,64],"offset":256},{"normal":[1,5,25,125],"offset":625},{"normal":[1,6,36,216],"offset":1296},{"normal":[1,7,49,343],"offset":2401},{"normal":[1,8,64,512],"offset":4096}]}'],
-        "155058d4a994a0f3e964339513bea6f869d744ec2ed7bbbc6a6201f8a4ea26d1",
+        "d7d5d8d8f0b87cec0983eff766e1fd63ca5188ced5e8b98a52120772688c78ee",
         id="moment-curve",
     ),
     # groupoid `forget` reports name the first two morphisms that share an
@@ -638,37 +701,37 @@ GOLDEN_STDOUT_SHA256 = [
     # largest input the forget rail admits
     pytest.param(
         ["groupoid", _forget_spec({"kind": "cyclic", "n": 2}, {"kind": "negation", "n": 6}, 2)],
-        "7916bb934ceab1162f08cf19e5167e79d0f7cc2a833f15501a6b198e54beb9eb",
+        "a7833b2bc7843a7555571951cc0d49b7d674d0e5e0364b68a329d541bcd0f2db",
         id="forget-negation6-n2",
     ),
     pytest.param(
         ["groupoid", _forget_spec({"kind": "cyclic", "n": 2}, {"kind": "negation", "n": 6}, 3)],
-        "78665ebaf8e280cb4751e9cef4e32cebf061681c1b2e8bd5e2a659e79fbfd095",
+        "1f5c41df061d11340260a338883d80ed9f51081c999108ee60ab7801ee0da3e0",
         id="forget-negation6-n3",
     ),
     pytest.param(
         ["groupoid", _forget_spec({"kind": "cyclic", "n": 4}, {"kind": "rotation", "n": 8}, 2)],
-        "63a2a7d9956b612a31015dd2de3b719e927a9dce75a86c5c1bea43dff8513ae9",
+        "47f4776bf8806cfb60485710d321849daf62a7f506773ff32674012e458d747a",
         id="forget-rotation8-c4-n2",
     ),
     pytest.param(
         ["groupoid", _forget_spec({"kind": "dihedral", "n": 3}, {"kind": "regular"}, 2)],
-        "1e52e2103271fbdffe13622f859db30a409c3d93d7e37a997357c042b94aa1cf",
+        "66ff1e69e5d61bdcedf082e8fbe0a74e509cc217939feca9f65fe6893dcc03b4",
         id="forget-regular-d3-n2",
     ),
     pytest.param(
         ["groupoid", _forget_spec({"kind": "cyclic", "n": 2}, {"kind": "rotation", "n": 128}, 2)],
-        "d11d7cd328525addf7becf965adfbc9c27dff2ab2d8e662db31979e0c14ba109",
+        "7adde04bb7a23d92cb47c664da04dde0ba23181026966c64d56758d2da10ee03",
         id="forget-rotation128-c2-n2",
     ),
     pytest.param(
         ["groupoid", '{"schema":1,"type":"skeleton","group":{"kind":"cyclic","n":2},"action":{"kind":"negation","n":128}}'],
-        "bba8f93e184895479d839816fba770bfef575d82472651fd14dd5e5090bb643e",
+        "4272ac2ea5d9b398eb8bc2781b4c7a834895125ddff0939170bd4d9a3279d4b0",
         id="skeleton-negation128",
     ),
     pytest.param(
         ["groupoid", '{"schema":1,"type":"morita","group":{"kind":"product","factors":[{"kind":"cyclic","n":4},{"kind":"cyclic","n":4}]},"n1":[[0,0],[0,2]],"n2":[[0,0],[2,0]]}'],
-        "7e55b3050ba6c5835a420951aaedfe217a72b6704c136942e791b2fed977c273",
+        "34f689fed4026bb8948a47bad4f2d6d92134eab1c2dbbdc265cbf85d3fa50261",
         id="morita-c4xc4",
     ),
 ]
@@ -1261,8 +1324,13 @@ _option_values = st.one_of(
     st.integers(min_value=-2, max_value=5).map(str),
     st.sampled_from(["x", "1.5", "nan", "inf", "1e-300", ""]),
 )
-_SHARED_OPTIONS = ["--seed", "--epsilon", "--samples", "--window", "--format", "--out"]
-_OWN_OPTIONS = {"arrangement": ["--builder", "--n", "--m"], "verify-cover": ["--n"], "obstruction": ["--n"]}
+_SHARED_OPTIONS = ["--format", "--out"]
+_OWN_OPTIONS = {
+    "arrangement": ["--builder", "--n", "--m"],
+    "verify-cover": ["--n", "--seed", "--epsilon", "--samples", "--window"],
+    "obstruction": ["--n"],
+}
+_ALL_OPTIONS = sorted(set(_SHARED_OPTIONS).union(*_OWN_OPTIONS.values()))
 
 
 @pytest.fixture(scope="module")
@@ -1286,6 +1354,9 @@ def _fuzz_argv(data, files) -> list:
     else:
         argv.append(data.draw(st.sampled_from([files["deep"], files["dir"], "/nonexistent/spec.json"]) | st.text(max_size=8)))
     options = _SHARED_OPTIONS + _OWN_OPTIONS.get(subcommand, [])
+    if data.draw(st.integers(min_value=0, max_value=9)) == 0:
+        # now and then an option the subcommand does not take, which argparse refuses
+        options += [option for option in _ALL_OPTIONS if option not in options]
     for option in data.draw(st.lists(st.sampled_from(options), max_size=3, unique=True)):
         if option == "--builder":
             value = data.draw(st.sampled_from(["braid", "case1", "case3X", "nope"]))
