@@ -10,9 +10,11 @@ every exact linear-algebra question, building a spec included:
 normalizing makes a row's lead a positive integer, since a lead times its
 other Galois conjugates is its norm (Cohen, A Course in Computational
 Algebraic Number Theory, 4.3), and elimination is fraction free (Bareiss,
-Math. Comp. 1968).  The flat poset applies them to residues, one reduced
-echelon form of all rows gives the common point and the essential rank,
-and restriction to a hyperplane is one elimination of its pivot column.
+Math. Comp. 1968).  The flat poset applies them to residues (over
+Q(zeta_m) it walks the rows reduced to F_p and checks exactly, with them,
+only the dependencies that walk asserts), one reduced echelon form of all
+rows gives the common point and the essential rank, and restriction to a
+hyperplane is one elimination of its pivot column.
 Essentialization is projection onto the pivot columns of the normal
 matrix, which keeps each hyperplane's order and signs.
 
@@ -45,10 +47,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, zip_longest
 from operator import mul, xor
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactfield import (
     ComplexPoint,
@@ -87,9 +89,11 @@ class SizeGuardError(ValueError):
 
 
 # Largest cyclotomic order m; check_field_rail also caps the hyperplanes
-# over Q(zeta_m) at 16 - phi(m) // 2, for the flat poset's cost grows about
-# 1.7x per hyperplane and 1.25x per step of 2 in phi(m).  See the timed test
-# at that cap; 16 generic affine hyperplanes in Q^6 take 80 s at m = 13.
+# over Q(zeta_m) at 16 - phi(m) // 2, for the exact walk of the flat poset,
+# which runs when every reduction prime is refused, grows about 1.7x per
+# hyperplane and 1.25x per step of 2 in phi(m); 16 generic affine
+# hyperplanes in Q^6 take 80 s there at m = 13.  See the timed test at that
+# cap, whose certified walk over F_p costs about its flat count.
 MAX_FIELD_ORDER = 16
 
 # the keys of an arrangement spec, of each of its hyperplanes and of each
@@ -539,32 +543,81 @@ class FlatPoset:
         }
 
 
+# flat_poset over Q(zeta_m) tries this many primes p = 1 mod m above the
+# floor before its exact walk
+_REDUCTION_PRIMES = 3
+_REDUCTION_FLOOR = 2**30
+
+
+@lru_cache(maxsize=None)
+def _reduction_primes(order: int) -> tuple[tuple[int, int], ...]:
+    """The least _REDUCTION_PRIMES primes p = 1 mod m above 2^30, m = order,
+    each with r of order m mod p: r = g^((p - 1) / m) for the least g >= 2
+    with r^(m / f) != 1 for every prime f dividing m.  As p does not divide
+    m, x^m - 1 has distinct roots mod p, and those of order m are the roots
+    of Phi_m; so zeta -> r is a ring map Z[zeta_m] -> F_p."""
+    factors = [f for f in range(2, order + 1) if order % f == 0 and _is_prime(f)]
+    out = []
+    p = _REDUCTION_FLOOR + 1 + -_REDUCTION_FLOOR % order
+    while len(out) < _REDUCTION_PRIMES:
+        if _is_prime(p):
+            g = 2
+            while any(pow(g, (p - 1) // f, p) == 1 for f in factors):
+                g += 1
+            out.append((p, pow(g, (p - 1) // order, p)))
+        p += order
+    return tuple(out)
+
+
 def flat_poset(spec: ArrangementSpec) -> FlatPoset:
     """All nonempty intersections, with Mobius values from the top.
 
     Flats are closed under intersection breadth first, one rank per pass.
     Each flat X of the frontier carries, for every hyperplane not
     containing X, that hyperplane's residue: its row [a | b] with the pivot
-    columns of X's reduced echelon form eliminated.  A residue is never
-    zero, and one that is zero outside the offset column marks a hyperplane
-    parallel to X.  H_j contains X cap H exactly when H_j's row lies in the
-    span of X's rows and H's, that is, when H_j's residue is a multiple of
-    H's: the vectors of that span that vanish on X's pivot columns are the
-    multiples of H's residue.  So the normalized residues of X fall into classes,
-    one per flat X cap H, and each class is the set of hyperplanes that
-    flat adds to X's members.  The member set is the flat's canonical key.
-    A new flat's residues are X's other residues with the class's pivot
-    column eliminated.  A point gets none and leaves the frontier: every
-    hyperplane not containing it misses it, so it produces no flat, and
-    its covers are all recorded in the pass that finds it, since every
-    flat of a pass has the same dimension.  Flats keep the order of their
-    first discovery.
+    columns of X's echelon form eliminated, stored normalized with its lead
+    column.  A residue is never zero, and one that is zero outside the
+    offset column marks a hyperplane parallel to X.  H_j contains X cap H
+    exactly when H_j's row lies in the span of X's rows and H's, that is,
+    when H_j's residue is a multiple of H's: the vectors of that span that
+    vanish on X's pivot columns are the multiples of H's residue.  So the
+    normalized residues of X fall into classes, one per flat X cap H, and
+    each class is the set of hyperplanes that flat adds to X's members.  The
+    member set is the flat's canonical key.  A new flat's residues are X's
+    other residues, but the parallel ones, with the class's pivot column
+    eliminated; one that is zero there is carried unchanged.  A point gets
+    none and leaves the frontier: every hyperplane not containing it misses
+    it, so it produces no flat, and its covers are all recorded in the pass
+    that finds it, since every flat of a pass has the same dimension.  Flats
+    keep the order of their first discovery.
 
-    Both fields run on the spec's primitive integer rows over Z[zeta_m].
-    A residue is normalized to a positive integer lead (over Q(zeta_m),
-    times its lead's norm cofactor) and is then primitive with a rational
-    lead, so proportional residues normalize to one row, their class key.
-    Elimination is fraction free, so residues stay primitive.
+    The walk runs on one of two row arithmetics (_exact_walk, _modular_walk).
+    Over Q it runs on the spec's primitive integer rows; a residue is
+    normalized to a positive lead, and elimination is fraction free
+    (_eliminate), so residues stay primitive and proportional residues
+    normalize to one row, their class key.  Over Q(zeta_m) it first runs on
+    the rows reduced to F_p by zeta -> r, for a prime p = 1 mod m and r a
+    root of Phi_m mod p (_reduction_primes), each residue scaled to a
+    leading one.  That reduction is a ring map, so a minor that vanishes
+    over Q(zeta_m) vanishes mod p: on the coned rows and the offset vector
+    e, rank mod p is at most the rank over Q(zeta_m) for every set of
+    vectors, a weak map of matroids (Oxley, Matroid Theory).  So each
+    basis the F_p walk finds is independent over Q(zeta_m), its exact span
+    holds every row that lies in it, a hyperplane the F_p walk meets is met
+    exactly, and the F_p walk is the exact one unless it asserts a
+    dependency that does not hold.  A certificate checks each of those
+    exactly, with _eliminate and _normalize (_certified): (a) in each flat
+    with more members than its codimension, every member outside its F_p
+    basis lies in the exact span of that basis, and (b) each hyperplane
+    found parallel to a flat has a normal in the exact span of the flat's
+    basis normals.  A flat found again from another flat has a basis of the
+    same size inside the same exact span.  So when both checks hold, every
+    flat has the same members, dimension and covers, in the same order as
+    the exact walk, which the F_p walk is then shown to be (von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 5).  A prime under which a
+    normal vanishes, or that fails a check, gives way to the next, and after
+    the last the exact walk runs on the integer rows over Z[zeta_m], each
+    residue normalized by its lead's norm cofactor.
 
     Every flat Y that produces X = Y cap H is covered by X, and every cover
     Y of X produces it: take H containing X but not Y.  So the producers of
@@ -574,23 +627,46 @@ def flat_poset(spec: ArrangementSpec) -> FlatPoset:
     Hyperplanes, 2.3).  The zero-sum identity over each lower interval is a
     consequence and is exercised by the tests.
     """
-    dim = spec.dim
-    order = spec.field.ring_order
-    phi = euler_phi(order)
-    members_of = [frozenset()]
-    dims = [dim]
-    covers: list[list[int]] = [[]]
-    frontier = [(0, dict(enumerate(spec.rows)))]
+    if not spec.field.is_rational:
+        for p, r in _reduction_primes(spec.field.order):
+            walk = _modular_walk(spec, p, r)
+            if walk is not None and _certified(spec, walk):
+                return FlatPoset(spec=spec, flats=_flats(walk))
+    return FlatPoset(spec=spec, flats=_flats(_exact_walk(spec)))
+
+
+class _Walk(NamedTuple):
+    """The flats of one walk in discovery order: for each, its members, its
+    dimension, the flats that produced it, its basis (the hyperplanes whose
+    rows were its pivots, in order) and, in parallel, the (flat, hyperplane)
+    pairs where a residue was first zero outside the offset column."""
+
+    members: list[frozenset]
+    dims: list[int]
+    covers: list[list[int]]
+    bases: list[tuple[int, ...]]
+    parallel: list[tuple[int, int]]
+
+
+def _walk(dim: int, residues: dict[int, tuple[int, tuple]], restrict) -> _Walk:
+    """The breadth-first walk of flat_poset from the ambient space, whose
+    residues are the normalized rows {j: (lead column, row)}.
+    restrict(residues, members, col, pivot_row) gives the residues of a new
+    flat: those of hyperplanes neither among its members nor parallel, with
+    column col eliminated by the normalized pivot row."""
+    walk = _Walk([frozenset()], [dim], [[]], [()], [])
+    members_of, dims, covers, bases = walk.members, walk.dims, walk.covers, walk.bases
+    frontier = [(0, residues)]
     while frontier:
         next_frontier = []
         found: dict[frozenset, int] = {}
         for source, residues in frontier:
             classes: dict[tuple, tuple[int, list[int]]] = {}
-            for j, residue in residues.items():
-                col = next(c for c, x in enumerate(residue) if x) // phi
-                if col < dim:  # otherwise H_j is parallel to X
-                    pivot_row = _normalize(residue, col, order)
-                    classes.setdefault(pivot_row, (col, []))[1].append(j)
+            for j, (col, row) in residues.items():
+                if col < dim:
+                    classes.setdefault(row, (col, []))[1].append(j)
+                else:  # H_j is parallel to X
+                    walk.parallel.append((source, j))
             for pivot_row, (col, joined) in classes.items():
                 members = members_of[source].union(joined)
                 target = found.get(members)
@@ -601,25 +677,122 @@ def flat_poset(spec: ArrangementSpec) -> FlatPoset:
                 members_of.append(members)
                 dims.append(dims[source] - 1)
                 covers.append([source])
+                bases.append(bases[source] + (joined[0],))
                 if dims[target]:  # a point meets every other hyperplane in the empty set
-                    remaining = {
-                        j: _eliminate(other, pivot_row, col, order)
-                        for j, other in residues.items()
-                        if j not in members
-                    }
-                    next_frontier.append((target, remaining))
+                    next_frontier.append((target, restrict(residues, members, col, pivot_row)))
         frontier = next_frontier
+    return walk
 
+
+def _exact_walk(spec: ArrangementSpec) -> _Walk:
+    """The walk on the spec's integer rows over Z[zeta_m] (Z over Q)."""
+    dim = spec.dim
+    order = spec.field.ring_order
+    phi = euler_phi(order)
+
+    def restrict(residues, members, col, pivot_row):
+        start, stop = col * phi, (col + 1) * phi
+        out = {}
+        for j, residue in residues.items():
+            lead, row = residue
+            if lead == dim or j in members:
+                continue
+            if row[start] or (phi > 1 and any(row[start + 1 : stop])):
+                row = _eliminate(row, pivot_row, col, order)
+                if lead == col:  # before col the pivot row is zero, so a lead there stays
+                    lead = next(c for c, x in enumerate(row) if x) // phi
+                    if lead < dim:
+                        row = _normalize(row, lead, order)
+                residue = lead, row
+            out[j] = residue
+        return out
+
+    leads = (next(c for c, x in enumerate(row) if x) // phi for row in spec.rows)
+    return _walk(dim, dict(enumerate(zip(leads, spec.rows))), restrict)
+
+
+def _modular_walk(spec: ArrangementSpec, p: int, r: int) -> Optional[_Walk]:
+    """The walk on the spec's rows reduced to F_p by zeta -> r, for r a root
+    of Phi_m mod p (_reduction_primes), each residue scaled to a leading
+    one; None when a normal vanishes mod p."""
+    dim = spec.dim
+    phi = euler_phi(spec.field.order)
+    powers = [pow(r, k, p) for k in range(phi)]
+
+    def restrict(residues, members, col, pivot_row):
+        out = {}
+        for j, residue in residues.items():
+            lead, row = residue
+            if lead == dim or j in members:
+                continue
+            if f := row[col]:
+                row = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+                if lead == col:  # before col the pivot row is zero, so a lead of one there stays
+                    lead = next(c for c, x in enumerate(row) if x)
+                    if lead < dim:
+                        inv = pow(row[lead], -1, p)
+                        row = [x * inv % p for x in row]
+                residue = lead, tuple(row)
+            out[j] = residue
+        return out
+
+    residues = {}
+    for j, row in enumerate(spec.rows):
+        reduced = [sum(map(mul, row[k : k + phi], powers)) % p for k in range(0, len(row), phi)]
+        lead = next((c for c, x in enumerate(reduced[:dim]) if x), None)
+        if lead is None:
+            return None
+        inv = pow(reduced[lead], -1, p)
+        residues[j] = (lead, tuple([x * inv % p for x in reduced]))
+    return _walk(dim, residues, restrict)
+
+
+def _certified(spec: ArrangementSpec, walk: _Walk) -> bool:
+    """Whether the dependencies that a walk over F_p asserts hold over
+    Q(zeta_m): checks (a) and (b) of flat_poset, on the integer rows.
+
+    The rows of a basis are reduced in order by the pivots of the rows
+    before them and normalized there, an echelon form built once per basis
+    prefix; a row lies in the basis's span when it reduces to zero by those
+    pivots, and its normal in the span of the basis normals when it reduces
+    to zero outside the offset column.
+    """
+    order = spec.field.ring_order
+    phi = euler_phi(order)
+    rows, offset = spec.rows, spec.dim * phi
+    echelons: dict[tuple, tuple] = {(): ()}
+
+    def residue(j: int, basis: tuple) -> tuple:
+        row = rows[j]
+        for col, pivot_row in echelon(basis):
+            row = _eliminate(row, pivot_row, col, order)
+        return row
+
+    def echelon(basis: tuple) -> tuple:
+        if basis not in echelons:
+            row = residue(basis[-1], basis[:-1])
+            col = next(c for c, x in enumerate(row) if x) // phi
+            echelons[basis] = echelon(basis[:-1]) + ((col, _normalize(row, col, order)),)
+        return echelons[basis]
+
+    for members, basis in zip(walk.members, walk.bases):
+        if len(members) > len(basis) and any(any(residue(j, basis)) for j in members.difference(basis)):
+            return False
+    return not any(any(residue(j, walk.bases[flat])[:offset]) for flat, j in walk.parallel)
+
+
+def _flats(walk: _Walk) -> tuple[Flat, ...]:
+    """The flats of a walk, with mu(X) = -sum of mu over the flats above X:
+    X's covers and the flats above them."""
     above: list[set[int]] = []
     mobius: list[int] = []
-    for index, parents in enumerate(covers):
+    for index, parents in enumerate(walk.covers):
         up = set(parents)
         for parent in parents:
             up |= above[parent]
         above.append(up)
         mobius.append(-sum(mobius[z] for z in up) if index else 1)
-    flats = tuple(map(Flat, members_of, dims, mobius))
-    return FlatPoset(spec=spec, flats=flats)
+    return tuple(map(Flat, walk.members, walk.dims, mobius))
 
 
 @dataclass(frozen=True)
@@ -1158,25 +1331,54 @@ def bad_primes(spec: ArrangementSpec) -> set[int]:
     return primes
 
 
+# the first twelve primes, the bases of _is_prime, and the bound below which
+# they decide primality (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over _PRIME_BASES, exact below _PRIME_BOUND.
+
+    The bases are first tried as factors, up to the square root of n, so a
+    number below 37^2 is decided by trial division alone.  Any other number
+    past the bound raises SizeGuardError: such a prime is never countable
+    under MAX_FIELD_POINTS.
+    """
     if n < 2:
         return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
+    for b in _PRIME_BASES:
+        if b * b > n:
+            return True
+        if n % b == 0:
             return False
-        p += 1
+    if n >= _PRIME_BOUND:
+        raise SizeGuardError(f"primality of {n} is decided below {_PRIME_BOUND} only")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 
 def good_primes(spec: ArrangementSpec, count: int = 2) -> list[int]:
     """The smallest admissible primes for finite_field_count.
 
-    Candidates run upward from the largest coefficient magnitude, and a
-    prime is bad when it divides the product of the distinct nonzero
-    minors; nothing is factored.  The minor table is the exponential part:
-    at the CLI's largest shape, 16 hyperplanes in Q^6, it holds about
-    245,000 minors, and the timed test of that shape bounds this call.
+    Candidates run upward from the largest coefficient magnitude, each
+    tested by _is_prime, and a prime is bad when it divides the product of
+    the distinct nonzero minors; nothing is factored.  The minor table is
+    the exponential part: at the CLI's largest shape, 16 hyperplanes in
+    Q^6, it holds about 245,000 minors, and the timed test of that shape
+    bounds this call.
     """
     rows = spec._rational_rows
     floor = max((abs(v) for row in rows for v in row), default=1)
@@ -1220,8 +1422,8 @@ def finite_field_count(spec: ArrangementSpec, q: int) -> int:
 
     Requires a prime q larger than every coefficient magnitude, with q^d at
     most MAX_FIELD_POINTS, that divides no nonzero minor of [A | b].  The
-    size cap is checked before the minors, so a refused count never builds
-    the spec's minor table.
+    size cap is checked first, so a refused count never tests q for
+    primality or builds the spec's minor table.
 
     Let P be r pivot columns of the normal matrix A mod q (_pivot_columns_mod).
     Its columns P are a basis of its column space, so A = A_P C for an r x d
@@ -1251,12 +1453,12 @@ def finite_field_count(spec: ArrangementSpec, q: int) -> int:
     n rows, while the size cap still reads q^d.
     """
     rows = spec._rational_rows
+    if q ** spec.dim > MAX_FIELD_POINTS:
+        raise SizeGuardError(f"{q}^{spec.dim} exceeds the enumeration cap")
     if not _is_prime(q):
         raise ValueError(f"{q} is not prime")
     if any(abs(v) >= q for row in rows for v in row):
         raise BadPrimeError(f"q = {q} does not exceed all coefficient magnitudes")
-    if q ** spec.dim > MAX_FIELD_POINTS:
-        raise SizeGuardError(f"{q}^{spec.dim} exceeds the enumeration cap")
     if spec._minor_product % q == 0:
         raise BadPrimeError(f"q = {q} is a bad prime for this arrangement")
     dim, free = spec.dim, 1

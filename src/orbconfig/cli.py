@@ -193,7 +193,8 @@ def _check_rails(dim: int, hyperplanes: int, order: int = 1) -> None:
 def _builder_spec(args) -> tuple[ArrangementSpec, dict]:
     """The arrangement of --builder or of the spec, and its config; like a
     key an input does not read, an option the chosen input ignores is
-    refused."""
+    refused, --m with a builder but case1 after the size rails, which read
+    --n alone there."""
     if args.builder:
         if args.spec is not None:
             raise ValueError("give an arrangement spec or --builder, not both")
@@ -201,6 +202,8 @@ def _builder_spec(args) -> tuple[ArrangementSpec, dict]:
             raise ValueError("builders require --n")
         m = 2 if args.m is None else args.m
         _check_rails(*BUILDER_SIZES[args.builder](args.n, m))
+        if args.m is not None and args.builder != "case1":
+            raise ValueError(f"--m is read by --builder case1 only; {args.builder} takes no field order")
         if args.builder == "braid":
             spec = braid_arrangement(args.n)
         elif args.builder == "case1":

@@ -3,7 +3,9 @@
 Each test states one headline promise: exact branch data for the degree-two
 quotient map, simpliciality of the sign-flip complements, agreement between
 the three independent chamber counters, the arrangement report and the
-good-prime search at the CLI's size rail, predicate/arrangement equivalence
+good-prime search at the CLI's size rail, the cyclotomic report at the
+field rail and its certified flat posets against the exact walk,
+predicate/arrangement equivalence
 for rotation configurations, well-definedness of the power-difference map,
 covering degrees with deck identities, the first-Betti-number obstruction,
 the exhaustive groupoid suite, and the orbifold decision table.
@@ -17,7 +19,7 @@ from math import comb
 
 import pytest
 
-from orbconfig import cli
+from orbconfig import arrangement, cli
 
 from orbconfig.arrangement import (
     QQ,
@@ -216,18 +218,33 @@ def _field_rail_spec(m, count):
 
 
 def test_cyclotomic_arrangement_report_at_the_field_rail(capsys):
-    # Over Q(zeta_11) (phi = 10) the field rail admits 16 - 5 = 11
-    # hyperplanes.  Of the specs at the rail for every m <= 16, drawn with
-    # two-term and with dense coefficients, this one had the costliest flat
-    # poset: about 4 s on a 2-core host, 6 s under load.  It is generic, so
-    # chi(t) = sum over k of (-1)^k C(11, k) t^(6 - k).
+    # Over Q(zeta_4) (phi = 2) the field rail admits 16 - 1 = 15
+    # hyperplanes.  Of the specs at the rail for every m <= 16, this one and
+    # those at m = 3 and 6, with 15 hyperplanes too, had the costliest flat
+    # posets, within noise of each other: the 9,940 flats here are walked
+    # over F_p and certified exactly in 0.4-0.5 s on a 2-core host (the
+    # exact walk alone takes 1.5 s).  Above the points it is generic, so
+    # chi(t) has the coefficients (-1)^k C(15, k) of t^(6 - k) for k <= 5;
+    # one point lies on seven hyperplanes, with mu = 6 in place of C(7, 6)
+    # generic points, and three sets of six meet in no point, so
+    # chi(0) = 5005 - 7 + 6 - 3.
     start = time.monotonic()
-    assert cli.main(["arrangement", _field_rail_spec(11, 11)]) == 0
+    assert cli.main(["arrangement", _field_rail_spec(4, 15)]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
-    assert report["characteristic"]["coefficients"] == [(-1) ** k * comb(11, k) for k in range(7)][::-1]
+    assert report["characteristic"]["coefficients"] == [5001] + [(-1) ** k * comb(15, k) for k in range(6)][::-1]
+    assert report["flats_by_dim"]["0"] == 5005 - 7 + 1 - 3
     assert report["rank"] == 6
-    assert cli.main(["arrangement", _field_rail_spec(11, 12)]) == 4
+    assert cli.main(["arrangement", _field_rail_spec(4, 16)]) == 4
     assert time.monotonic() - start < 20.0
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_certified_flat_posets_at_the_field_rail_equal_the_exact_walk(m):
+    # every spec at the rail, walked over F_p and certified, against the
+    # walk on the exact integer rows over Z[zeta_m], called directly: the
+    # same flats in the same order
+    spec = ArrangementSpec.from_json(json.loads(_field_rail_spec(m, 16 - euler_phi(m) // 2)))
+    assert flat_poset(spec).flats == arrangement._flats(arrangement._exact_walk(spec))
 
 
 def test_good_primes_at_the_size_rail():

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -43,7 +44,7 @@ from orbconfig.arrangement import (
     poincare_polynomial,
     restrict_to_hyperplane,
 )
-from orbconfig.exactfield import Cyclotomic
+from orbconfig.exactfield import Cyclotomic, cyclotomic_polynomial
 from orbconfig.orbit_config import (
     braid_arrangement,
     rotation_arrangement,
@@ -1080,35 +1081,247 @@ def _planted_cyclotomic_spec(rng, m, dim):
     return make_arrangement(dim, field, [(normal, offset) for normal, offset in rows if any(normal)])
 
 
+def _exact_flats(spec):
+    """The flats of flat_poset's walk on the exact integer rows, in order."""
+    return arrangement._flats(arrangement._exact_walk(spec))
+
+
+def _galois_conjugate_specs(rng, m):
+    """Planted specs over Q(zeta_m) in dimensions 2, 3, 2 and 3, each with
+    its images under every sigma_k, k coprime to m."""
+    conjugates = [k for k in range(2, m) if math.gcd(k, m) == 1]
+    for dim in (2, 3, 2, 3):
+        spec = _planted_cyclotomic_spec(rng, m, dim)
+        images = [
+            make_arrangement(
+                dim,
+                spec.field,
+                [
+                    (tuple(_galois_conjugate(a, k) for a in h.normal), _galois_conjugate(h.offset, k))
+                    for h in spec.hyperplanes
+                ],
+            )
+            for k in conjugates
+        ]
+        yield spec, images
+
+
 @pytest.mark.parametrize("m", [3, 5, 7])
 def test_characteristic_polynomial_is_invariant_under_galois_conjugation(m, monkeypatch):
     # sigma_k for k coprime to m is a field automorphism, so applied to
     # every coefficient it keeps the intersection lattice and chi; the
     # planted rows make the lattice non-generic, and their leads outside Z
-    # reach the norm cofactor of _normalize inside flat_poset
-    rng = random.Random(m)
+    # reach the norm cofactor of _normalize in the exact walk, which
+    # flat_poset's walk over F_p must equal, flat for flat and in order
     calls = []
     cofactor = arrangement.norm_cofactor
     monkeypatch.setattr(arrangement, "norm_cofactor", lambda order, a: calls.append(order) or cofactor(order, a))
-    conjugates = [k for k in range(2, m) if math.gcd(k, m) == 1]
+    conjugates = sum(math.gcd(k, m) == 1 for k in range(2, m))
     nongeneric = compared = moved = 0
-    for dim in (2, 3, 2, 3):
-        spec = _planted_cyclotomic_spec(rng, m, dim)
+    for spec, images in _galois_conjugate_specs(random.Random(m), m):
         del calls[:]
-        poset = flat_poset(spec)
+        exact = _exact_flats(spec)
         assert calls, "no residue lead outside Z"
-        nongeneric += any(len(f.contains) > dim - f.dim for f in poset.flats)
+        poset = flat_poset(spec)
+        assert poset.flats == exact
+        nongeneric += any(len(f.contains) > spec.dim - f.dim for f in poset.flats)
         chi = characteristic_polynomial(poset)
-        for k in conjugates:
-            raw = [
-                (tuple(_galois_conjugate(a, k) for a in h.normal), _galois_conjugate(h.offset, k))
-                for h in spec.hyperplanes
-            ]
-            conjugate = make_arrangement(dim, spec.field, raw)
+        for conjugate in images:
             moved += conjugate.rows != spec.rows
-            assert characteristic_polynomial(flat_poset(conjugate)) == chi, (spec.rows, k)
+            conjugate_poset = flat_poset(conjugate)
+            assert conjugate_poset.flats == _exact_flats(conjugate)
+            assert characteristic_polynomial(conjugate_poset) == chi, conjugate.rows
             compared += 1
-    assert nongeneric == 4 and moved == compared == 4 * len(conjugates)
+    assert nongeneric == 4 and moved == compared == 4 * conjugates
+
+
+# -- flat posets over F_p, certified exactly ----------------------------------
+
+
+def _oracle_is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _oracle_prime_factors_of(m):
+    return [f for f in range(2, m + 1) if m % f == 0 and _oracle_is_prime(f)]
+
+
+def _has_order(r, m, p):
+    return pow(r, m, p) == 1 and all(pow(r, m // f, p) != 1 for f in _oracle_prime_factors_of(m))
+
+
+def test_reduction_primes_are_the_least_above_two_to_the_thirty():
+    # zeta -> r is a ring map Z[zeta_m] -> F_p when r has order m, the
+    # roots of Phi_m mod p for p = 1 mod m; a composite candidate has a
+    # small factor, so trial division skips it at once
+    floor = 2**30
+    for m in range(3, MAX_FIELD_ORDER + 1):
+        primes = arrangement._reduction_primes(m)
+        expected = [p for p in range(floor + 1, primes[-1][0] + 1) if p % m == 1 and _oracle_is_prime(p)]
+        assert [p for p, _ in primes] == expected[:3] == expected, m
+        for p, r in primes:
+            assert _has_order(r, m, p), (m, p, r)
+            assert sum(c * pow(r, k, p) for k, c in enumerate(cyclotomic_polynomial(m))) % p == 0
+
+
+def _zeta3_lines(coefficient, offset):
+    """x = 0 and x + coefficient y = offset over Q(zeta_3)."""
+    field = ScalarField("cyclotomic", 3)
+    one, zero = Cyclotomic.one(3), Cyclotomic.zero(3)
+    return make_arrangement(2, field, [((one, zero), zero), ((one, coefficient), offset)])
+
+
+def _certified_primes(monkeypatch, primes):
+    """Force flat_poset's primes; record each certificate's verdict and
+    each exact walk."""
+    verdicts, exact = [], []
+    certified, walk = arrangement._certified, arrangement._exact_walk
+    monkeypatch.setattr(arrangement, "_reduction_primes", lambda m: primes)
+    monkeypatch.setattr(arrangement, "_certified", lambda *a: verdicts.append(certified(*a)) or verdicts[-1])
+    monkeypatch.setattr(arrangement, "_exact_walk", lambda spec: exact.append(spec) or walk(spec))
+    return verdicts, exact
+
+
+@pytest.mark.parametrize("offset", [0, 1], ids=["merged-check-a", "parallel-check-b"])
+def test_a_prime_that_breaks_a_dependency_is_refused_by_its_check(monkeypatch, offset):
+    # zeta -> 2 has order 3 mod 7 and sends zeta - 2 to 0, so mod 7 the
+    # second line is x = offset: at offset 0 the two lines merge, one atom
+    # with two members, which check (a) refuses; at offset 1 they are
+    # parallel, while over Q(zeta_3) they meet in a point, which check (b)
+    # keeps
+    zeta = Cyclotomic.zeta(3)
+    spec = _zeta3_lines(zeta - 2, Cyclotomic.from_rational(3, offset))
+    exact = _exact_flats(spec)
+    assert [sorted(f.contains) for f in exact] == [[], [0], [1], [0, 1]]
+    good = arrangement._reduction_primes(3)[0]
+    verdicts, walks = _certified_primes(monkeypatch, ((7, 2), good))
+    assert flat_poset(spec).flats == exact
+    assert verdicts == [False, True] and walks == []
+
+
+def test_the_exact_walk_runs_when_every_prime_is_refused(monkeypatch):
+    # (zeta - 2)(zeta - 9)(zeta - 7) vanishes under zeta -> 2 mod 7, 9 mod
+    # 13 and 7 mod 19, each of order 3; and a line whose normal vanishes
+    # under zeta -> 4 mod 7 has no hyperplane there
+    zeta = Cyclotomic.zeta(3)
+    spec = _zeta3_lines((zeta - 2) * (zeta - 9) * (zeta - 7), Cyclotomic.zero(3))
+    exact = _exact_flats(spec)
+    verdicts, walks = _certified_primes(monkeypatch, ((7, 2), (13, 9), (19, 7)))
+    assert flat_poset(spec).flats == exact
+    assert verdicts == [False, False, False] and walks == [spec]
+    field = ScalarField("cyclotomic", 3)
+    vanishing = make_arrangement(2, field, [((zeta - 4, Cyclotomic.zero(3)), Cyclotomic.one(3))])
+    exact = _exact_flats(vanishing)
+    del verdicts[:], walks[:]
+    monkeypatch.setattr(arrangement, "_reduction_primes", lambda m: ((7, 4),))
+    assert flat_poset(vanishing).flats == exact
+    assert verdicts == [] and walks == [vanishing]
+
+
+def test_certified_flat_posets_of_rotation_specs_equal_the_exact_walk():
+    # case1 (3, 3) and (3, 4) are among the pinned reports of test_cli
+    for n, m in ((2, 3), (2, 4), (2, 5), (2, 8), (2, 12), (2, 13), (2, 16), (4, 3)):
+        spec = rotation_arrangement(n, m)
+        assert flat_poset(spec).flats == _exact_flats(spec), (n, m)
+
+
+# An independent oracle for chi over Q(zeta_m): with p = 1 mod m and r of
+# order m, zeta -> r reduces the coefficients to F_p, and when no nonzero
+# minor of [A | b] reduces to 0 every subsystem keeps its rank and its
+# consistency, so chi(p) counts the points of F_p^d off the reduced
+# hyperplanes (Athanasiadis, Adv. Math. 122, 1996).  The minors are built
+# with Cyclotomic arithmetic and the points counted one at a time.
+
+
+def _oracle_cyclotomic_det(matrix, zero):
+    if not matrix:
+        return zero + 1
+    total = zero
+    for j, a in enumerate(matrix[0]):
+        if a:
+            minor = _oracle_cyclotomic_det([row[:j] + row[j + 1 :] for row in matrix[1:]], zero)
+            total = total + a * minor if j % 2 == 0 else total - a * minor
+    return total
+
+
+def _oracle_reduce(x, p, r):
+    """x under zeta -> r mod p, or None when p divides a denominator."""
+    if any(c.denominator % p == 0 for c in x.coeffs):
+        return None
+    return sum(c.numerator * pow(c.denominator, -1, p) * pow(r, k, p) for k, c in enumerate(x.coeffs)) % p
+
+
+def _oracle_reduction(matrix, m, limit):
+    """The least p = 1 mod m below limit, with the least r of order m,
+    under which every entry reduces and no nonzero minor reduces to 0."""
+    zero = Cyclotomic.zero(m)
+    minors = [
+        _oracle_cyclotomic_det([[matrix[i][j] for j in cols] for i in rows], zero)
+        for size in range(1, min(len(matrix), len(matrix[0])) + 1)
+        for rows in combinations(range(len(matrix)), size)
+        for cols in combinations(range(len(matrix[0])), size)
+    ]
+    nonzero = [x for x in minors if x]
+    for p in range(m + 1, limit, m):
+        if _oracle_is_prime(p):
+            for r in range(2, p):
+                if _has_order(r, m, p):
+                    images = [_oracle_reduce(x, p, r) for x in nonzero + [x for row in matrix for x in row]]
+                    if None not in images and all(images[: len(nonzero)]):
+                        return p, r
+    return None
+
+
+def _oracle_points_off(matrix, p, r):
+    """Points of F_p^d on no reduced hyperplane, a line along the last
+    coordinate at a time: on the line over the first d - 1 coordinates a
+    row with a_d != 0 holds at one point, and one with a_d = 0 at every
+    point or none."""
+    rows = [[_oracle_reduce(x, p, r) for x in row] for row in matrix]
+    count = 0
+    for head in product(range(p), repeat=len(matrix[0]) - 2):
+        on = set()
+        for *normal, a, b in rows:
+            gap = (sum(c * x for c, x in zip(normal, head)) - b) % p
+            if a:
+                on.add(-gap * pow(a, -1, p) % p)
+            elif not gap:
+                on = set(range(p))
+        count += p - len(on)
+    return count
+
+
+def _oracle_specs():
+    """Specs over Q(zeta_m), m in 3, 4, 5 and 7: random ones in dimension
+    at most 3 with at most 5 hyperplanes, every residue in -1, 0 and 1, and
+    the planted Galois-conjugate ones."""
+    rng = random.Random(35)
+    for m in (3, 4, 5, 7):
+        field, phi = ScalarField("cyclotomic", m), arrangement.euler_phi(m)
+        for dim in (1, 2, 3, 2, 3):
+            raw = []
+            for _ in range(rng.randint(1, 5)):
+                normal = tuple(Cyclotomic(m, [rng.randint(-1, 1) for _ in range(phi)]) for _ in range(dim))
+                if any(normal):
+                    raw.append((normal, Cyclotomic(m, [rng.randint(-1, 1) for _ in range(phi)])))
+            yield make_arrangement(dim, field, raw)
+    for m in (3, 5, 7):
+        for spec, images in _galois_conjugate_specs(random.Random(m), m):
+            yield spec
+            yield images[0]
+
+
+def test_characteristic_polynomial_counts_points_over_f_p():
+    counted = 0
+    for spec in _oracle_specs():
+        m = spec.field.order
+        matrix = [list(h.normal) + [h.offset] for h in spec.hyperplanes]
+        reduction = _oracle_reduction(matrix, m, 100)
+        assert reduction is not None, spec.rows
+        p, r = reduction
+        assert characteristic_polynomial(flat_poset(spec))(p) == _oracle_points_off(matrix, p, r), (spec.rows, p, r)
+        counted += 1
+    assert counted == 20 + 2 * 12
 
 
 def _unimodular(rng, dim):
@@ -1196,6 +1409,46 @@ def test_finite_field_guards():
         good_primes(cyclotomic)
     with pytest.raises(NotRealError):
         bad_primes(cyclotomic)
+
+
+def test_size_cap_precedes_the_primality_test():
+    # 2^61 - 1 is prime, but q^3 is past the cap; trial division up to its
+    # square root ran for more than 20 s before the cap was read
+    start = time.monotonic()
+    with pytest.raises(SizeGuardError):
+        finite_field_count(braid_arrangement(3), 2**61 - 1)
+    with pytest.raises(SizeGuardError):
+        finite_field_count(braid_arrangement(3), 2**61)
+    assert time.monotonic() - start < 1.0
+
+
+def test_good_primes_above_a_large_coefficient():
+    # x = 0 and y = 10^18: candidates start past 10^18, where trial division
+    # did not return within 20 s; the least primes above 10^18 are
+    # 10^18 + 3 and 10^18 + 9, and the minors 1 and 10^18 exclude neither
+    start = time.monotonic()
+    spec = make_arrangement(2, QQ, [((1, 0), 0), ((0, 1), 10**18)])
+    assert good_primes(spec) == [10**18 + 3, 10**18 + 9]
+    assert time.monotonic() - start < 1.0
+
+
+def test_is_prime_matches_trial_division_and_refuses_past_its_bound():
+    assert [n for n in range(-3, 20_000) if arrangement._is_prime(n)] == [
+        n for n in range(-3, 20_000) if _oracle_is_prime(n)
+    ]
+    # strong pseudoprimes to the first 4, 5, 7, 8 and 9 prime bases, and
+    # Carmichael numbers
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051, 561, 41041):
+        assert not arrangement._is_prime(n), n
+    for n in (2**31 - 1, 2**61 - 1, 10**18 + 3, 10**18 + 9):
+        assert arrangement._is_prime(n), n
+    assert not arrangement._is_prime((2**31 - 1) * (2**41 - 1))
+    # the bound is a strong pseudoprime to all twelve bases; past it, a
+    # number with no base as a factor is refused
+    for n in (arrangement._PRIME_BOUND, 2**89 - 1):
+        with pytest.raises(SizeGuardError):
+            arrangement._is_prime(n)
+    assert not arrangement._is_prime(2**89)
 
 
 def test_size_guard_precedes_the_bad_prime_check():

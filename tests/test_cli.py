@@ -18,13 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbconfig import __version__
-from orbconfig import cli
-from orbconfig.arrangement import MAX_FIELD_ORDER, ScalarField
+from orbconfig import arrangement, cli
+from orbconfig.arrangement import MAX_FIELD_ORDER, ArrangementSpec, ScalarField, flat_poset
 from orbconfig.covering import MAX_FIBER_POINTS
 from orbconfig.cli import main
 from orbconfig.exactfield import MAX_RATIONAL_DIGITS
 from orbconfig.obstruction import MAX_WITNESS_STEPS, NoWitnessError
+from orbconfig.orbit_config import rotation_arrangement
 from orbconfig.orbmodel import MAX_ROTATION_ORDER
+from test_acceptance import _field_rail_spec
 
 
 def run(capsys, argv):
@@ -136,6 +138,17 @@ def test_arrangement_spec_with_n_or_m_exit_2(capsys, options):
     code, out, err = run(capsys, ["arrangement", _SPEC_AXIS, *options])
     assert (code, out) == (2, "")
     assert "Traceback" not in err and "--n and --m need --builder" in err
+
+
+@pytest.mark.parametrize("builder", ["braid", "case3X"])
+def test_arrangement_m_without_case1_exit_2(capsys, builder):
+    # only case1 reads a field order; braid and case3X would record --m in
+    # their config and compute the same report, so it is refused
+    code, out, err = run(capsys, ["arrangement", "--builder", builder, "--n", "3", "--m", "5"])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and "--m is read by --builder case1 only" in err
+    code, env = run_json(capsys, ["arrangement", "--builder", builder, "--n", "3"])
+    assert code == 0 and env["config"]["m"] == 2
 
 
 def test_out_flag_writes_the_same_bytes(capsys, tmp_path):
@@ -665,6 +678,9 @@ GOLDEN_STDOUT_SHA256 = [
     pytest.param(["arrangement", _cyclotomic_spec(5)], "478d213f74811c889f29901b86ebe54038f2616697aa2a3faaf5c5e4c338190b", id="cyclotomic-m5"),
     pytest.param(["arrangement", _cyclotomic_spec(13)], "5e9514492f74fde58a224d9b92d891414880de4f554845f2a2b4273221ccf97f", id="cyclotomic-m13"),
     pytest.param(["arrangement", _cyclotomic_spec(16)], "30a84ce6d7a5831ce617a11b40324a895438017c50868bc735ef866bf974df6a", id="cyclotomic-m16"),
+    # 11 generic hyperplanes in Q^6 over Q(zeta_11), at the field rail: 1,486
+    # flats, walked over F_p and certified exactly
+    pytest.param(["arrangement", _field_rail_spec(11, 11)], "dc9affbde24f867e7b1e043a29e14114f07f4f91a39e163d76a4f7b405c0f321", id="field-rail-m11"),
     pytest.param(
         ["arrangement", "--builder", "braid", "--n", "5"],
         "1afa6cf9b4aa995abe06ad601baeda2a40b41b7936e562ef371a11fab7effa1f",
@@ -742,6 +758,21 @@ def test_exact_reports_are_pinned_byte_for_byte(capsys, argv, digest):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        rotation_arrangement(3, 3),
+        rotation_arrangement(3, 4),
+        *(ArrangementSpec.from_json(json.loads(_cyclotomic_spec(m))) for m in (5, 13, 16)),
+    ],
+    ids=["case1-n3-m3", "case1-n3-m4", "cyclotomic-m5", "cyclotomic-m13", "cyclotomic-m16"],
+)
+def test_pinned_cyclotomic_flat_posets_equal_the_exact_walk(spec):
+    # the pinned reports' flat posets, walked over F_p and certified, against
+    # the walk on the exact integer rows, called directly, flat for flat
+    assert flat_poset(spec).flats == arrangement._flats(arrangement._exact_walk(spec))
 
 
 # ---------------------------------------------------------------------------
