@@ -12,9 +12,8 @@ other Galois conjugates is its norm (Cohen, A Course in Computational
 Algebraic Number Theory, 4.3), and elimination is fraction free (Bareiss,
 Math. Comp. 1968).  The flat poset applies them to residues (over
 Q(zeta_m) it walks the rows reduced to F_p and checks exactly, with them,
-only the dependencies that walk asserts), one reduced echelon form of all
-rows gives the common point and the essential rank, and restriction to a
-hyperplane is one elimination of its pivot column.
+only the dependencies that walk asserts), and one reduced echelon form of
+all rows gives the common point and the essential rank.
 Essentialization is projection onto the pivot columns of the normal
 matrix, which keeps each hyperplane's order and signs.
 
@@ -140,9 +139,6 @@ class ScalarField:
     def zero(self):
         return Fraction(0) if self.is_rational else Cyclotomic.zero(self.order)
 
-    def one(self):
-        return Fraction(1) if self.is_rational else Cyclotomic.one(self.order)
-
     def coerce(self, value):
         if self.is_rational:
             if isinstance(value, Cyclotomic):
@@ -189,14 +185,6 @@ class Hyperplane:
 
     normal: tuple
     offset: object
-
-    def eval_gap(self, point: Sequence):
-        """normal . point - offset, in whatever ring the inputs live in."""
-        total = None
-        for a, x in zip(self.normal, point):
-            term = a * x
-            total = term if total is None else total + term
-        return total - self.offset
 
 
 @dataclass(frozen=True)
@@ -296,8 +284,8 @@ class ArrangementSpec:
         """The distinct nonzero |minor| values of the integer system [A | b].
 
         Computed once per spec, one minor size at a time (_nonzero_minors).
-        bad_primes factors them; good_primes and finite_field_count only
-        test divisibility, through _minor_product.
+        good_primes and finite_field_count test divisibility only, through
+        _minor_product; no minor is factored.
         """
         return frozenset(_nonzero_minors(self._rational_rows))
 
@@ -1309,28 +1297,6 @@ def _nonzero_minors(rows: Sequence[Sequence[int]]) -> set[int]:
     return values
 
 
-def bad_primes(spec: ArrangementSpec) -> set[int]:
-    """Primes dividing some nonzero minor of the integer system [A | b].
-
-    Avoiding all of them preserves the rank and consistency pattern of every
-    subsystem mod q, which forces the point count to equal chi(q).  This is
-    the only function that factors the minors: it factors the spec's
-    distinct values by trial division on each call.
-    """
-    primes: set[int] = set()
-    for value in spec._minor_values:
-        p = 2
-        while p * p <= value:
-            if value % p == 0:
-                primes.add(p)
-                while value % p == 0:
-                    value //= p
-            p += 1
-        if value > 1:
-            primes.add(value)
-    return primes
-
-
 # the first twelve primes, the bases of _is_prime, and the bound below which
 # they decide primality (Sorenson and Webster, Math. Comp. 86, 2017)
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -1523,45 +1489,3 @@ def finite_field_count(spec: ArrangementSpec, q: int) -> int:
             digits[i] = 0
         else:
             return free * count
-
-
-# ---------------------------------------------------------------------------
-# Deletion and restriction (used by the property tests and reports)
-# ---------------------------------------------------------------------------
-
-
-def _check_index(spec: ArrangementSpec, index: int) -> None:
-    """Refuse a hyperplane index outside 0..len(rows) - 1, negative ones
-    included, so a wrong index cannot act on an unchanged arrangement."""
-    if not 0 <= index < len(spec.rows):
-        raise IndexError(f"hyperplane index {index} is outside 0..{len(spec.rows) - 1}")
-
-
-def delete_hyperplane(spec: ArrangementSpec, index: int) -> ArrangementSpec:
-    _check_index(spec, index)
-    remaining = [row for i, row in enumerate(spec.rows) if i != index]
-    return _spec_from_rows(spec.dim, spec.field, remaining, f"{spec.label} minus {index}")
-
-
-def restrict_to_hyperplane(spec: ArrangementSpec, index: int) -> ArrangementSpec:
-    """The multiset of traces K cap H as an arrangement inside H.
-
-    H's integer row, whose first nonzero entry p is a positive integer,
-    eliminates column p from every other row; on H the result, with column
-    p dropped, is the trace's equation in the remaining coordinates.  Rows
-    whose normal vanishes are parallel to H and have no trace.
-    """
-    _check_index(spec, index)
-    order = spec.field.ring_order
-    phi = euler_phi(order)
-    onto = spec.rows[index]
-    start = next(c for c, x in enumerate(onto) if x)
-    traces = []
-    for i, row in enumerate(spec.rows):
-        if i == index:
-            continue
-        row = _eliminate(row, onto, start // phi, order)
-        row = row[:start] + row[start + phi :]
-        if any(row[:-phi]):
-            traces.append(row)
-    return _spec_from_rows(spec.dim - 1, spec.field, traces, f"{spec.label} | {index}")

@@ -14,7 +14,8 @@ input, unknown ids, invalid models, JSON rationals past
 exactfield.MAX_RATIONAL_DIGITS digits, JSON nested deeper than
 MAX_JSON_DEPTH, a negation or rotation point count below 1, a key that
 an input object does not read, an arrangement option that the chosen
-input does not read, an unreadable input file or unwritable --out path;
+input does not read or a verify-cover option that the chosen map does
+not read, an unreadable input file or unwritable --out path;
 3 reflector features; 4 size guard rails (arrangement size
 arrangement.MAX_SIMPLICIAL_DIM and MAX_SIMPLICIAL_HYPERPLANES, cyclotomic
 field order and hyperplanes arrangement.check_field_rail, fiber points
@@ -250,7 +251,16 @@ def _cmd_arrangement(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_verify_cover(args) -> tuple[dict, dict, int]:
-    options = {"n": args.n, "samples": args.samples, "window": args.window, "seed": args.seed}
+    # the config records only the options the map reads; one it does not
+    # read is refused
+    reads = {"q": (), "squaring": ("n",)}.get(args.map, ("n", "window"))
+    options = {"samples": args.samples, "seed": args.seed}
+    for name, default in (("n", 2), ("window", 3)):
+        value = getattr(args, name)
+        if name in reads:
+            options[name] = default if value is None else value
+        elif value is not None:
+            raise ValueError(f"--{name} is not read by map {args.map}")
     report = verify_cover(args.map, eps=args.epsilon, **options)
     code = EXIT_OK if report.passed else EXIT_COVER_FAIL
     return report.to_json(), {"map": args.map, "epsilon": args.epsilon, **options}, code
@@ -407,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-cover", parents=[common], help="sampled covering checks")
     p.add_argument("map", help="map id: q, squaring, or qE")
-    p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--n", type=_positive_int, default=None, help="read by squaring and qE (default 2)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the report")
     p.add_argument(
         "--epsilon",
@@ -416,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="tolerance of the floating-point checks; positive and finite",
     )
     p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--window", type=_positive_int, default=3)
+    p.add_argument("--window", type=_positive_int, default=None, help="read by qE (default 3)")
     p.set_defaults(handler=_cmd_verify_cover)
 
     p = sub.add_parser("obstruction", parents=[common], help="quasifibration witness")

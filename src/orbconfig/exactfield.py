@@ -6,13 +6,13 @@ fiber count is made in exact arithmetic.  Rationals are ``fractions.Fraction``
 Q(zeta_m) is a dense vector of integer numerators over one positive
 denominator, gcd-canonical, in the power basis 1, zeta, ..., zeta^(phi(m)-1)
 modulo the m-th cyclotomic polynomial; Phi_m is monic, so products reduce
-by an integer table of x^k mod Phi_m, and an inverse is the product of the
-other Galois conjugates over the norm, a rational integer.  A complex point
-is a Gaussian rational stored the same way, (a + b*i) / d with
-gcd(a, b, d) = 1.  So each value has one canonical form and its arithmetic
-runs on ints.  There is no approximate point: the one float map of the
-package (the exponential cover in ``covering``) works on builtin
-``complex`` values with an explicit tolerance.
+by an integer table of x^k mod Phi_m (residue_product), and a residue times
+the product of its other Galois conjugates is its norm, a rational integer
+(norm_cofactor).  A complex point is a Gaussian rational stored the same
+way, (a + b*i) / d with gcd(a, b, d) = 1.  So each value has one canonical
+form and its arithmetic runs on ints.  There is no approximate point: the
+one float map of the package (the exponential cover in ``covering``) works
+on builtin ``complex`` values with an explicit tolerance.
 """
 
 from __future__ import annotations
@@ -238,9 +238,9 @@ class Cyclotomic:
     The element is stored as integer numerators (n_0, ..., n_(phi(m)-1))
     over one denominator d > 0 with gcd(n_0, ..., d) = 1, so each value has
     one canonical form.  ``coeffs`` reads the coefficients back as
-    Fractions.  Arithmetic between elements of different orders raises
-    OrderMismatchError; ints and Fractions coerce into the constant
-    coefficient.
+    Fractions, and ``==`` also takes ints and Fractions.  It is a value
+    type: decisions do their field arithmetic on bare residues, through
+    residue_product and norm_cofactor.
     """
 
     # order m and integer numerators _n over the denominator _d > 0
@@ -277,30 +277,10 @@ class Cyclotomic:
         return cls(order, [])
 
     @classmethod
-    def one(cls, order: int) -> "Cyclotomic":
-        return cls(order, [1])
-
-    @classmethod
     def from_rational(cls, order: int, value: RationalLike) -> "Cyclotomic":
         return cls(order, [value])
 
-    @classmethod
-    def zeta(cls, order: int) -> "Cyclotomic":
-        """The primitive m-th root of unity generating the field."""
-        return cls(order, [0, 1])
-
     # -- structure ----------------------------------------------------------
-
-    def _coerce(self, other) -> "Cyclotomic":
-        if isinstance(other, Cyclotomic):
-            if other.order != self.order:
-                raise OrderMismatchError(
-                    f"cannot mix Q(zeta_{self.order}) with Q(zeta_{other.order})"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.order, other)
-        return NotImplemented  # type: ignore[return-value]
 
     def __bool__(self) -> bool:
         return any(self._n)
@@ -335,88 +315,22 @@ class Cyclotomic:
             return None
         return Fraction(self._n[0], self._d)
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def _sum(self, other, sign: int) -> "Cyclotomic":
-        # over the lcm of the denominators; the result is reduced once
-        d, f = self._d, other._d
-        g = math.gcd(d, f)
-        s, t = f // g, sign * (d // g)
-        nums = [x * s + y * t for x, y in zip(self._n, other._n)]
-        return _reduced_cyclotomic(self.order, nums, d * s)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._sum(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _reduced_cyclotomic(self.order, [-x for x in self._n], self._d)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._sum(other, -1)
-
-    def __rsub__(self, other):
-        return -(self - other)
+    # -- products ------------------------------------------------------------
+    # * and embed are kept for the benchmark's scalar kernel rates.
 
     def __mul__(self, other):
-        if type(other) is not Cyclotomic or other.order != self.order:
-            if isinstance(other, (int, Fraction)):
-                # a rational scalar scales the numerators and the denominator
-                p, q = _parts(other)
-                return _reduced_cyclotomic(self.order, [x * p for x in self._n], self._d * q)
-            other = self._coerce(other)  # raises on an order mismatch
-            if other is NotImplemented:
+        if type(other) is not Cyclotomic:
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            # a rational scalar scales the numerators and the denominator
+            p, q = _parts(other)
+            return _reduced_cyclotomic(self.order, [x * p for x in self._n], self._d * q)
+        if other.order != self.order:
+            raise OrderMismatchError(f"cannot mix Q(zeta_{self.order}) with Q(zeta_{other.order})")
         nums = residue_product(self.order, self._n, other._n)
         return _reduced_cyclotomic(self.order, nums, self._d * other._d)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse through the norm.
-
-        With self = a / d for an integer residue a, let c be a's norm
-        cofactor, the product of its other Galois conjugates.  Then a * c
-        is the norm N(a), a rational integer, positive because a lies
-        outside Q and so m >= 3; the inverse is d * c / N(a).
-        """
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        if not any(self._n[1:]):
-            # a rational c / d
-            c = self._n[0]
-            return Cyclotomic(self.order, [Fraction(self._d, c)])
-        cofactor = norm_cofactor(self.order, self._n)
-        norm = residue_product(self.order, self._n, cofactor)[0]
-        return _reduced_cyclotomic(self.order, [self._d * y for y in cofactor], norm)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Cyclotomic.one(self.order)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
 
     def embed(self, target_order: int) -> "Cyclotomic":
         """Image under Q(zeta_m) -> Q(zeta_L), zeta_m -> zeta_L^(L/m), m | L."""
@@ -495,18 +409,6 @@ def _gaussian_images(order: int, target_order: int) -> tuple[tuple[tuple[tuple[i
         )
         for k in range(euler_phi(order))
     )
-
-
-def rational_sqrt(value: RationalLike) -> Optional[Fraction]:
-    """Exact square root of a rational, or None when it is not a square."""
-    value = Fraction(value)
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
 
 
 def _parts(value) -> tuple[int, int]:
@@ -764,12 +666,3 @@ def _gaussian_sqrt(big_a: int, big_b: int) -> Optional[tuple[int, int]]:
         return None
     # (x + yi)^2 = A + 2xy i with (2xy)^2 = s^2 - A^2 = B^2: y takes B's sign
     return x, -y if big_b < 0 else y
-
-
-def complex_to_cyclotomic(z: ComplexPoint, order: int) -> Cyclotomic:
-    """Embed a Gaussian rational into Q(zeta_L) with 4 | L (i = zeta_L^(L/4))."""
-    if order % 4 != 0:
-        raise OrderMismatchError(f"embedding Q(i) needs 4 | order, got {order}")
-    nums = [z._b * t for t in _zeta_power(order, order // 4)._n]
-    nums[0] += z._a
-    return _reduced_cyclotomic(order, nums, z._d)

@@ -931,10 +931,6 @@ class GroupoidHom:
         return True
 
 
-def identity_hom(groupoid: FiniteGroupoid) -> GroupoidHom:
-    return inclusion_hom(groupoid, groupoid, name="id")
-
-
 def forget_map(groupoid: FiniteGroupoid, n: int) -> GroupoidHom:
     """PB_n -> PB_{n-1}: drop the last coordinate on objects and morphisms.
 
@@ -981,11 +977,6 @@ def _full_subgroupoid(groupoid: FiniteGroupoid, objects: list) -> tuple[FiniteGr
         table,
     )
     return sub, kept
-
-
-def full_subgroupoid(groupoid: FiniteGroupoid, objects: Sequence) -> FiniteGroupoid:
-    index = groupoid._object_index
-    return _full_subgroupoid(groupoid, list(dict.fromkeys(index[x] for x in objects)))[0]
 
 
 def inclusion_hom(sub: FiniteGroupoid, ambient: FiniteGroupoid, name: str = "incl") -> GroupoidHom:

@@ -19,6 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cyclotomic_oracle as oracle
+from cyclotomic_oracle import Element
 from orbconfig import arrangement
 from orbconfig.arrangement import (
     MAX_FIELD_ORDER,
@@ -30,11 +32,9 @@ from orbconfig.arrangement import (
     QQ,
     ScalarField,
     SizeGuardError,
-    bad_primes,
     chamber_count,
     characteristic_polynomial,
     common_point,
-    delete_hyperplane,
     enumerate_chambers,
     finite_field_count,
     flat_poset,
@@ -42,7 +42,6 @@ from orbconfig.arrangement import (
     is_simplicial,
     make_arrangement,
     poincare_polynomial,
-    restrict_to_hyperplane,
 )
 from orbconfig.exactfield import Cyclotomic, cyclotomic_polynomial
 from orbconfig.orbit_config import (
@@ -56,6 +55,30 @@ F = Fraction
 
 def lines(*rows, dim=2):
     return make_arrangement(dim, QQ, [(tuple(map(F, r[:-1])), F(r[-1])) for r in rows])
+
+
+# Field values cross into the tests' own model of Q(zeta_m)
+# (tests/cyclotomic_oracle.py) and back, so that every sum, product and
+# quotient a test computes is the model's; over Q they are Fractions.
+
+
+def _lift(x):
+    """A spec's scalar as the model's value: Element over Q(zeta_m)."""
+    return Element(x.order, x.coeffs) if isinstance(x, Cyclotomic) else x
+
+
+def _package(x):
+    """The model's value as make_arrangement reads it."""
+    return Cyclotomic(x.m, x.coeffs) if isinstance(x, Element) else x
+
+
+def _lifted_rows(spec):
+    """[a | b] of each hyperplane of the read view, in the model."""
+    return [[_lift(a) for a in h.normal] + [_lift(h.offset)] for h in spec.hyperplanes]
+
+
+def _oracle_zero(field):
+    return F(0) if field.is_rational else Element(field.order)
 
 
 # -- construction and normalization ----------------------------------------
@@ -73,13 +96,15 @@ def test_make_arrangement_normalizes_and_dedups():
 
 
 def test_make_arrangement_dedups_cyclotomic_scalings():
+    # (zeta, -1) times zeta^2 is (1, -zeta^2) = (1, 1 + zeta)
     field = ScalarField("cyclotomic", 3)
-    zeta = Cyclotomic.zeta(3)
-    one = Cyclotomic.one(3)
     spec = make_arrangement(
         2,
         field,
-        [((zeta, -one), field.zero()), ((one, -zeta * zeta), field.zero())],
+        [
+            ((Cyclotomic(3, [0, 1]), Cyclotomic(3, [-1])), field.zero()),
+            ((Cyclotomic(3, [1]), Cyclotomic(3, [1, 1])), field.zero()),
+        ],
     )
     assert len(spec.hyperplanes) == 1
 
@@ -101,7 +126,7 @@ def test_make_arrangement_reads_ints_fractions_and_rational_cyclotomics_alike():
     mixed += [(tuple(map(F, normal)), offset) for normal, offset in hyperplanes[1:]]
     assert make_arrangement(3, QQ, mixed) == as_ints
     with pytest.raises(ValueError, match="does not lie in Q"):
-        make_arrangement(2, QQ, [((1, Cyclotomic.zeta(3)), 0)])
+        make_arrangement(2, QQ, [((1, Cyclotomic(3, [0, 1])), 0)])
     with pytest.raises(ValueError, match="normal of length 1 in dimension 2"):
         make_arrangement(2, QQ, [((F(1),), 0)])
     with pytest.raises(ValueError, match="zero normal"):
@@ -123,13 +148,13 @@ def test_make_arrangement_ignores_scaling_and_order(data, m):
         scalar = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     else:
         residues = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=1, max_size=4)
-        scalar = residues.map(lambda c: Cyclotomic(m, c))
+        scalar = residues.map(lambda c: Element(m, c))
     scalar = scalar.filter(bool)
     raw = []
-    for h in spec.hyperplanes:
+    for *normal, offset in _lifted_rows(spec):
         for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
             c = data.draw(scalar)
-            raw.append((tuple(c * a for a in h.normal), c * h.offset))
+            raw.append((tuple(_package(c * a) for a in normal), _package(c * offset)))
     rebuilt = make_arrangement(spec.dim, field, data.draw(st.permutations(raw)))
     assert rebuilt.rows == spec.rows
     assert rebuilt.hyperplanes == spec.hyperplanes
@@ -401,6 +426,17 @@ def test_d3_characteristic_matches_brute_force_field_count():
     assert finite_field_count(spec, 7) == chi(7) == 120
 
 
+def _assert_deletion_restriction(spec, index):
+    """chi(A) = chi(A - H) - chi(A^H) for H the index-th hyperplane: the
+    deletion drops H's row, and the restriction is the division oracle's
+    (_oracle_restrict)."""
+    deleted = ArrangementSpec(spec.dim, spec.field, spec.rows[:index] + spec.rows[index + 1 :])
+    chi = characteristic_polynomial(flat_poset(spec))
+    assert chi == characteristic_polynomial(flat_poset(deleted)) - characteristic_polynomial(
+        flat_poset(_oracle_restrict(spec, index))
+    ), (spec.rows, index)
+
+
 def test_deletion_restriction_recursion():
     for spec in [
         braid_arrangement(4),
@@ -408,23 +444,7 @@ def test_deletion_restriction_recursion():
         rotation_arrangement(2, 3),
         lines((1, 0, 0), (1, 0, 1), (0, 1, 0)),
     ]:
-        chi = characteristic_polynomial(flat_poset(spec))
-        deleted = characteristic_polynomial(flat_poset(delete_hyperplane(spec, 0)))
-        restricted = characteristic_polynomial(
-            flat_poset(restrict_to_hyperplane(spec, 0))
-        )
-        assert chi == deleted - restricted
-
-
-@pytest.mark.parametrize("index", [7, 3, -1])
-def test_deletion_and_restriction_refuse_an_index_outside_the_rows(index):
-    spec = braid_arrangement(3)
-    assert len(spec.rows) == 3
-    with pytest.raises(IndexError, match="outside 0..2"):
-        delete_hyperplane(spec, index)
-    with pytest.raises(IndexError, match="outside 0..2"):
-        restrict_to_hyperplane(spec, index)
-    assert len(delete_hyperplane(spec, 2).rows) == 2
+        _assert_deletion_restriction(spec, 0)
 
 
 # -- chamber counts ----------------------------------------------------------
@@ -460,7 +480,7 @@ def test_sign_flip_counts_against_field_counts():
 
 def _witness_ok(spec, chamber):
     for sign, h in zip(chamber.signs, spec.hyperplanes):
-        gap = h.eval_gap(chamber.witness)
+        gap = sum(a * x for a, x in zip(h.normal, chamber.witness)) - h.offset
         assert gap != 0
         assert (gap > 0) == (sign == "+")
 
@@ -752,12 +772,13 @@ def test_chamber_reports_are_pinned_byte_for_byte(name):
 # Oracles by field division, sharing no code with the integer elimination:
 # a reduced row echelon form, the common point read off it, essentialization
 # in the coordinates of a row-space basis of the normals, and restriction by
-# a null-space parametrization of the hyperplane.
+# a null-space parametrization of the hyperplane.  They compute in the
+# tests' model of the field (_lift).
 
 
-def _oracle_rref(rows, field):
+def _oracle_rref(rows, zero):
     """(nonzero rows, pivot columns) of the reduced row echelon form."""
-    zero, one = field.zero(), field.one()
+    one = zero + 1
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -780,11 +801,11 @@ def _oracle_rref(rows, field):
 
 
 def _oracle_common_point(spec):
-    rows = [list(h.normal) + [h.offset] for h in spec.hyperplanes]
-    reduced, pivots = _oracle_rref(rows, spec.field)
+    zero = _oracle_zero(spec.field)
+    reduced, pivots = _oracle_rref(_lifted_rows(spec), zero)
     if spec.dim in pivots:
         return None
-    point = [spec.field.zero()] * spec.dim
+    point = [zero] * spec.dim
     for row, pivot in zip(reduced, pivots):
         point[pivot] = row[spec.dim]
     return point
@@ -795,31 +816,31 @@ def _oracle_essentialize(spec):
     normals, each normal solved for against that basis, offsets zero."""
     center = _oracle_common_point(spec)
     assert center is not None
-    field = spec.field
-    zero = field.zero()
-    basis, _ = _oracle_rref([list(h.normal) for h in spec.hyperplanes], field)
+    zero = _oracle_zero(spec.field)
+    normals = [row[:-1] for row in _lifted_rows(spec)]
+    basis, _ = _oracle_rref(normals, zero)
     rank = len(basis)
     if rank == spec.dim and all(c == zero for c in center):
         return spec
     new_rows = []
-    for h in spec.hyperplanes:
-        augmented = [list(col) + [a] for col, a in zip(zip(*basis), h.normal)]
-        solved, pivots = _oracle_rref(augmented, field)
+    for normal in normals:
+        augmented = [list(col) + [a] for col, a in zip(zip(*basis), normal)]
+        solved, pivots = _oracle_rref(augmented, zero)
         assert rank not in pivots
         coeffs = [zero] * rank
         for row, pivot in zip(solved, pivots):
             coeffs[pivot] = row[rank]
-        new_rows.append((tuple(coeffs), zero))
-    return make_arrangement(rank, field, new_rows, label=f"{spec.label} (essential)")
+        new_rows.append((tuple(map(_package, coeffs)), _package(zero)))
+    return make_arrangement(rank, spec.field, new_rows, label=f"{spec.label} (essential)")
 
 
 def _oracle_restrict(spec, index):
     """Traces on H, parametrized as x = anchor + sum of y_c times the
     null-space basis vectors of H's normal, one per free column c."""
-    field = spec.field
-    zero, one = field.zero(), field.one()
-    h = spec.hyperplanes[index]
-    reduced, pivots = _oracle_rref([list(h.normal) + [h.offset]], field)
+    zero = _oracle_zero(spec.field)
+    one = zero + 1
+    rows = _lifted_rows(spec)
+    reduced, pivots = _oracle_rref([rows[index]], zero)
     anchor = [zero] * spec.dim
     anchor[pivots[0]] = reduced[0][spec.dim]
     basis = []
@@ -830,14 +851,14 @@ def _oracle_restrict(spec, index):
             vec[pivots[0]] = -reduced[0][c]
             basis.append(vec)
     traces = []
-    for i, other in enumerate(spec.hyperplanes):
+    for i, (*other, other_offset) in enumerate(rows):
         if i == index:
             continue
-        normal = tuple(sum((b * a for b, a in zip(vec, other.normal)), zero) for vec in basis)
+        normal = tuple(sum((b * a for b, a in zip(vec, other)), zero) for vec in basis)
         if any(v != zero for v in normal):
-            offset = other.offset - sum((a * x for a, x in zip(other.normal, anchor)), zero)
-            traces.append((normal, offset))
-    return make_arrangement(spec.dim - 1, field, traces, label=f"{spec.label} | {index}")
+            offset = other_offset - sum((a * x for a, x in zip(other, anchor)), zero)
+            traces.append((tuple(map(_package, normal)), _package(offset)))
+    return make_arrangement(spec.dim - 1, spec.field, traces, label=f"{spec.label} | {index}")
 
 
 def test_common_point_and_essentialize():
@@ -872,9 +893,7 @@ def _affine_specs(draw, field=QQ):
     if field.is_rational:
         scalar = st.fractions(min_value=-2, max_value=2, max_denominator=3)
     else:
-        scalar = st.lists(small, min_size=1, max_size=2).map(
-            lambda c: Cyclotomic(field.order, c)
-        )
+        scalar = st.lists(small, min_size=1, max_size=2).map(lambda c: Element(field.order, c))
     span = draw(st.lists(st.tuples(*([small] * dim)), min_size=1, max_size=dim))
     center = draw(st.tuples(*([scalar] * dim))) if draw(st.booleans()) else None
     raw = []
@@ -882,7 +901,7 @@ def _affine_specs(draw, field=QQ):
         if draw(st.booleans()):
             coeffs = [draw(small) for _ in span]
             normal = [sum(c * v[j] for c, v in zip(coeffs, span)) for j in range(dim)]
-            normal = tuple(draw(scalar) * field.coerce(a) for a in normal)
+            normal = tuple(draw(scalar) * a for a in normal)
         else:
             normal = tuple(draw(scalar) for _ in range(dim))
         if not any(normal):
@@ -890,15 +909,16 @@ def _affine_specs(draw, field=QQ):
         if center is None:
             offset = draw(scalar)
         else:
-            offset = sum((a * x for a, x in zip(normal, center)), field.zero())
-        raw.append((normal, offset))
+            offset = sum((a * x for a, x in zip(normal, center)), _oracle_zero(field))
+        raw.append((tuple(map(_package, normal)), _package(offset)))
     return make_arrangement(dim, field, raw)
 
 
 def _assert_point_and_traces_match_the_oracles(spec):
-    assert common_point(spec) == _oracle_common_point(spec)
-    for i in range(len(spec.hyperplanes)):
-        assert restrict_to_hyperplane(spec, i) == _oracle_restrict(spec, i)
+    point = common_point(spec)
+    assert (point if point is None else list(map(_lift, point))) == _oracle_common_point(spec)
+    for i in range(len(spec.rows)):
+        _assert_deletion_restriction(spec, i)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1051,11 +1071,8 @@ def test_wall_incidence_of_random_central_spec(dim, data):
 
 
 def _galois_conjugate(x, k):
-    """sigma_k(x), zeta -> zeta^k, by Cyclotomic sums and powers alone."""
-    zeta, out = Cyclotomic.zeta(x.order), Cyclotomic.zero(x.order)
-    for i, c in enumerate(x.coeffs):
-        out = out + c * zeta ** (k * i)
-    return out
+    """sigma_k(x), zeta -> zeta^k, by the model's substitution x -> x^k."""
+    return Cyclotomic(x.order, oracle.conjugate(x.coeffs, k, x.order))
 
 
 def _planted_cyclotomic_spec(rng, m, dim):
@@ -1066,7 +1083,7 @@ def _planted_cyclotomic_spec(rng, m, dim):
     field = ScalarField("cyclotomic", m)
 
     def scalar():
-        return Cyclotomic(m, [rng.randint(-1, 1), rng.randint(-1, 1)])
+        return Element(m, [rng.randint(-1, 1), rng.randint(-1, 1)])
 
     rows = []
     while len(rows) < 3:
@@ -1075,10 +1092,12 @@ def _planted_cyclotomic_spec(rng, m, dim):
             rows.append((normal, scalar()))
     for _ in range(2):
         (a, b), c = rng.sample(rows, 2), rng.choice(rows)
-        power = Cyclotomic.zeta(m) ** rng.randrange(1, m)
+        power = oracle.zeta(m, rng.randrange(1, m))
         rows.append((tuple(power * x + y for x, y in zip(a[0], b[0])), power * a[1] + b[1]))
         rows.append((tuple(power * x for x in c[0]), scalar()))
-    return make_arrangement(dim, field, [(normal, offset) for normal, offset in rows if any(normal)])
+    return make_arrangement(
+        dim, field, [(tuple(map(_package, normal)), _package(offset)) for normal, offset in rows if any(normal)]
+    )
 
 
 def _exact_flats(spec):
@@ -1165,10 +1184,11 @@ def test_reduction_primes_are_the_least_above_two_to_the_thirty():
 
 
 def _zeta3_lines(coefficient, offset):
-    """x = 0 and x + coefficient y = offset over Q(zeta_3)."""
+    """x = 0 and x + coefficient y = offset over Q(zeta_3), for coefficient
+    and offset in the model."""
     field = ScalarField("cyclotomic", 3)
-    one, zero = Cyclotomic.one(3), Cyclotomic.zero(3)
-    return make_arrangement(2, field, [((one, zero), zero), ((one, coefficient), offset)])
+    one, zero = Cyclotomic(3, [1]), Cyclotomic.zero(3)
+    return make_arrangement(2, field, [((one, zero), zero), ((one, _package(coefficient)), _package(offset))])
 
 
 def _certified_primes(monkeypatch, primes):
@@ -1189,8 +1209,8 @@ def test_a_prime_that_breaks_a_dependency_is_refused_by_its_check(monkeypatch, o
     # with two members, which check (a) refuses; at offset 1 they are
     # parallel, while over Q(zeta_3) they meet in a point, which check (b)
     # keeps
-    zeta = Cyclotomic.zeta(3)
-    spec = _zeta3_lines(zeta - 2, Cyclotomic.from_rational(3, offset))
+    zeta = oracle.zeta(3)
+    spec = _zeta3_lines(zeta - 2, Element(3, [offset]))
     exact = _exact_flats(spec)
     assert [sorted(f.contains) for f in exact] == [[], [0], [1], [0, 1]]
     good = arrangement._reduction_primes(3)[0]
@@ -1203,14 +1223,14 @@ def test_the_exact_walk_runs_when_every_prime_is_refused(monkeypatch):
     # (zeta - 2)(zeta - 9)(zeta - 7) vanishes under zeta -> 2 mod 7, 9 mod
     # 13 and 7 mod 19, each of order 3; and a line whose normal vanishes
     # under zeta -> 4 mod 7 has no hyperplane there
-    zeta = Cyclotomic.zeta(3)
-    spec = _zeta3_lines((zeta - 2) * (zeta - 9) * (zeta - 7), Cyclotomic.zero(3))
+    zeta = oracle.zeta(3)
+    spec = _zeta3_lines((zeta - 2) * (zeta - 9) * (zeta - 7), Element(3))
     exact = _exact_flats(spec)
     verdicts, walks = _certified_primes(monkeypatch, ((7, 2), (13, 9), (19, 7)))
     assert flat_poset(spec).flats == exact
     assert verdicts == [False, False, False] and walks == [spec]
     field = ScalarField("cyclotomic", 3)
-    vanishing = make_arrangement(2, field, [((zeta - 4, Cyclotomic.zero(3)), Cyclotomic.one(3))])
+    vanishing = make_arrangement(2, field, [((_package(zeta - 4), Cyclotomic.zero(3)), Cyclotomic(3, [1]))])
     exact = _exact_flats(vanishing)
     del verdicts[:], walks[:]
     monkeypatch.setattr(arrangement, "_reduction_primes", lambda m: ((7, 4),))
@@ -1230,18 +1250,22 @@ def test_certified_flat_posets_of_rotation_specs_equal_the_exact_walk():
 # minor of [A | b] reduces to 0 every subsystem keeps its rank and its
 # consistency, so chi(p) counts the points of F_p^d off the reduced
 # hyperplanes (Athanasiadis, Adv. Math. 122, 1996).  The minors are built
-# with Cyclotomic arithmetic and the points counted one at a time.
+# in the tests' model of the field and the points counted one at a time.
 
 
-def _oracle_cyclotomic_det(matrix, zero):
-    if not matrix:
-        return zero + 1
-    total = zero
-    for j, a in enumerate(matrix[0]):
-        if a:
-            minor = _oracle_cyclotomic_det([row[:j] + row[j + 1 :] for row in matrix[1:]], zero)
-            total = total + a * minor if j % 2 == 0 else total - a * minor
-    return total
+def _oracle_cyclotomic_det(matrix, rows, cols, known):
+    """The minor on rows x cols by Laplace expansion along its first row,
+    each smaller minor computed once and kept in known."""
+    if (rows, cols) not in known:
+        one = known[(), ()]  # the empty minor
+        total = one - one
+        for j, c in enumerate(cols):
+            a = matrix[rows[0]][c]
+            if a:
+                minor = a * _oracle_cyclotomic_det(matrix, rows[1:], cols[:j] + cols[j + 1 :], known)
+                total = total + minor if j % 2 == 0 else total - minor
+        known[rows, cols] = total
+    return known[rows, cols]
 
 
 def _oracle_reduce(x, p, r):
@@ -1254,9 +1278,9 @@ def _oracle_reduce(x, p, r):
 def _oracle_reduction(matrix, m, limit):
     """The least p = 1 mod m below limit, with the least r of order m,
     under which every entry reduces and no nonzero minor reduces to 0."""
-    zero = Cyclotomic.zero(m)
+    known = {((), ()): Element(m, [1])}
     minors = [
-        _oracle_cyclotomic_det([[matrix[i][j] for j in cols] for i in rows], zero)
+        _oracle_cyclotomic_det(matrix, rows, cols, known)
         for size in range(1, min(len(matrix), len(matrix[0])) + 1)
         for rows in combinations(range(len(matrix)), size)
         for cols in combinations(range(len(matrix[0])), size)
@@ -1315,7 +1339,7 @@ def test_characteristic_polynomial_counts_points_over_f_p():
     counted = 0
     for spec in _oracle_specs():
         m = spec.field.order
-        matrix = [list(h.normal) + [h.offset] for h in spec.hyperplanes]
+        matrix = _lifted_rows(spec)
         reduction = _oracle_reduction(matrix, m, 100)
         assert reduction is not None, spec.rows
         p, r = reduction
@@ -1393,7 +1417,7 @@ def test_finite_field_counts_on_braid():
 
 def test_finite_field_guards():
     spec = rotation_arrangement(2, 2)
-    assert 2 in bad_primes(spec)
+    assert 2 in _oracle_bad_primes(spec)
     assert good_primes(spec, 3) == [3, 5, 7]
     with pytest.raises(ValueError):
         finite_field_count(spec, 4)
@@ -1407,8 +1431,6 @@ def test_finite_field_guards():
         finite_field_count(cyclotomic, 7)
     with pytest.raises(NotRealError):
         good_primes(cyclotomic)
-    with pytest.raises(NotRealError):
-        bad_primes(cyclotomic)
 
 
 def test_size_cap_precedes_the_primality_test():
@@ -1457,7 +1479,7 @@ def test_size_guard_precedes_the_bad_prime_check():
     for dim, error in ((4, BadPrimeError), (5, SizeGuardError)):
         pad = (F(0),) * (dim - 2)
         spec = make_arrangement(dim, QQ, [((F(1), F(2)) + pad, F(0)), ((F(8), F(-3)) + pad, F(0))])
-        assert 19 in bad_primes(spec)
+        assert 19 in _oracle_bad_primes(spec)
         with pytest.raises(error):
             finite_field_count(spec, 19)
 
@@ -1465,6 +1487,8 @@ def test_size_guard_precedes_the_bad_prime_check():
 # An independent oracle for the bad primes: the primitive integer rows
 # [a | b] rebuilt from the public hyperplanes, every square submatrix's
 # determinant by Gaussian elimination over Fraction, and trial division.
+# The package factors no minor: good_primes skips the primes that divide
+# their product, and finite_field_count refuses them.
 
 
 def _oracle_rows(spec):
@@ -1541,19 +1565,24 @@ def test_bad_and_good_primes_match_an_independent_oracle():
                 normal[rng.randrange(dim)] = F(1)
             raw.append((tuple(normal), F(rng.randint(-5, 5), rng.randint(1, 3))))
         specs.append(make_arrangement(dim, QQ, raw))
+    refused = 0
     for spec in specs:
         bad = _oracle_bad_primes(spec)
-        assert bad_primes(spec) == bad, spec
         assert good_primes(spec, 3) == _oracle_good_primes(spec, bad, 3), spec
+        for q in sorted(bad):
+            if q**spec.dim <= arrangement.MAX_FIELD_POINTS:
+                with pytest.raises(BadPrimeError):
+                    finite_field_count(spec, q)
+                refused += 1
+    assert refused >= 100, refused
 
 
 def _points_off(spec, q):
-    """Points of F_q^d on no hyperplane, one point at a time: x lies on
-    normal . x = offset mod q when q divides the numerator of the rational
-    gap, whose denominator is a unit mod q."""
+    """Points of F_q^d on no hyperplane, one point at a time: x lies on the
+    integer row [a | b] mod q when q divides a . x - b."""
     count = 0
     for point in product(range(q), repeat=spec.dim):
-        count += all(h.eval_gap(point).numerator % q for h in spec.hyperplanes)
+        count += all((sum(a * x for a, x in zip(row, point)) - row[-1]) % q for row in spec.rows)
     return count
 
 
@@ -1668,37 +1697,37 @@ def _rotation_reference(n, m):
     """rotation_arrangement through make_arrangement's coercions, as first
     written: field elements 1 and -zeta^k."""
     field = QQ if m <= 2 else ScalarField("cyclotomic", m)
-    zero, one = field.zero(), field.one()
+    zero, one = field.zero(), field.coerce(1)
     if m <= 2:
         roots = [F(1)] if m == 1 else [F(1), F(-1)]
     else:
-        roots = [Cyclotomic.zeta(m) ** k for k in range(m)]
+        roots = [oracle.zeta(m, k) for k in range(m)]
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
             for root in roots:
                 normal = [zero] * n
-                normal[i], normal[j] = one, -root
+                normal[i], normal[j] = one, _package(-root)
                 rows.append((tuple(normal), zero))
     return make_arrangement(n, field, rows, label=f"case1({m},{n})")
 
 
 def _real_equations_reference(spec):
-    """spec._real_equations compiled through Cyclotomic embeddings and a
-    product by i, as first written."""
+    """spec._real_equations compiled through embeddings and a product by i
+    in the tests' model of the field."""
     order = spec.field.ring_order
     phi = arrangement.euler_phi(order)
     target = math.lcm(order, 4)
-    i_unit = Cyclotomic(target, [0] * (target // 4) + [1])
+    i_unit = oracle.zeta(target, target // 4).coeffs
     compiled = []
     for row in spec.rows:
         columns = []
         for j in range(spec.dim):
             if any(entry := row[j * phi : (j + 1) * phi]):
-                a = Cyclotomic(order, entry).embed(target)
-                columns += [(2 * j, a._n), (2 * j + 1, (a * i_unit)._n)]
-        rhs = Cyclotomic(order, row[-phi:]).embed(target)
-        compiled.append(tuple((b, tuple((k, c[r]) for k, c in columns if c[r])) for r, b in enumerate(rhs._n)))
+                a = oracle.embed(entry, order, target)
+                columns += [(2 * j, a), (2 * j + 1, oracle.mul(a, i_unit, target))]
+        rhs = oracle.embed(row[-phi:], order, target)
+        compiled.append(tuple((b, tuple((k, c[r]) for k, c in columns if c[r])) for r, b in enumerate(rhs)))
     return tuple(compiled)
 
 

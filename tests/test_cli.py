@@ -90,10 +90,16 @@ _ENVELOPE_CONFIGS = [
     pytest.param(["classify", '{"schema":1,"genus":0,"cones":[5]}'], {"input"}, id="classify"),
     pytest.param(["arrangement", "--builder", "braid", "--n", "3"], {"builder", "n", "m"}, id="arrangement-builder"),
     pytest.param(["arrangement", _SPEC_AXIS], {"input"}, id="arrangement-spec"),
+    pytest.param(["verify-cover", "q", "--samples", "5"], {"map", "seed", "epsilon", "samples"}, id="verify-cover"),
     pytest.param(
-        ["verify-cover", "q", "--samples", "5"],
+        ["verify-cover", "squaring", "--samples", "5"],
+        {"map", "n", "seed", "epsilon", "samples"},
+        id="verify-cover-squaring",
+    ),
+    pytest.param(
+        ["verify-cover", "qE", "--samples", "5"],
         {"map", "n", "seed", "epsilon", "samples", "window"},
-        id="verify-cover",
+        id="verify-cover-qE",
     ),
     pytest.param(["obstruction", '{"schema":1,"kind":"rotation","order":2}'], {"input", "n"}, id="obstruction"),
     pytest.param(["groupoid", json.dumps(explicit_cyclic3())], {"input"}, id="groupoid"),
@@ -116,7 +122,9 @@ def test_case1_without_m_reports_as_m_2(capsys):
 @pytest.mark.parametrize(
     "option, value", [("--seed", "1"), ("--epsilon", "1e-6"), ("--samples", "7"), ("--window", "2")]
 )
-@pytest.mark.parametrize("argv", [param.values[0] for param in _ENVELOPE_CONFIGS if param.id != "verify-cover"])
+@pytest.mark.parametrize(
+    "argv", [param.values[0] for param in _ENVELOPE_CONFIGS if not param.id.startswith("verify-cover")]
+)
 def test_sampling_options_belong_to_verify_cover(capsys, argv, option, value):
     with pytest.raises(SystemExit) as excinfo:
         main([*argv, option, value])
@@ -124,6 +132,32 @@ def test_sampling_options_belong_to_verify_cover(capsys, argv, option, value):
     assert excinfo.value.code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err and f"unrecognized arguments: {option}" in captured.err
+
+
+def test_squaring_and_qe_without_n_or_window_report_the_defaults(capsys):
+    # --n and --window default to None, so a map can refuse them, and to 2
+    # and 3 where the map reads them
+    for argv, given in (
+        (["verify-cover", "squaring", "--samples", "5"], ["--n", "2"]),
+        (["verify-cover", "qE", "--samples", "5"], ["--n", "2", "--window", "3"]),
+    ):
+        assert run(capsys, argv) == run(capsys, argv + given)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["q", "--n", "3"], "--n"),
+        (["q", "--n", "2"], "--n"),
+        (["q", "--window", "3"], "--window"),
+        (["squaring", "--window", "3"], "--window"),
+    ],
+    ids=["q-n3", "q-n2", "q-window", "squaring-window"],
+)
+def test_verify_cover_refuses_an_option_its_map_does_not_read(capsys, argv, option):
+    code, out, err = run(capsys, ["verify-cover", *argv, "--samples", "5"])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and f"{option} is not read by map {argv[0]}" in err
 
 
 def test_arrangement_spec_with_builder_exit_2(capsys):
@@ -635,12 +669,12 @@ def test_arrangement_bad_rational_names_the_field_exit_2(capsys, offset):
 GOLDEN_STDOUT_SHA256 = [
     pytest.param(
         ["verify-cover", "q", "--samples", "200", "--seed", "3"],
-        "aab7c5352dabb99da03a7d961413d9bd52d8e177813d6e8b00a4ad503b3b0dd0",
+        "c54725ecd9fbd75a3bcc32596cb05d933a19b5a9a06331b30ab73360769afd26",
         id="q",
     ),
     pytest.param(
         ["verify-cover", "squaring", "--n", "3", "--samples", "20", "--seed", "2"],
-        "07047fb657ce0cc0774af4324f8fb5b33d1155929542d86dcbaffacc0a6f1f5e",
+        "fdef475f5eaa8cb7ada2f876ec70001f8b0ecc7254e83d5a3d3ee6bfcd9ead3c",
         id="squaring",
     ),
     pytest.param(

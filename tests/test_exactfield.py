@@ -1,4 +1,4 @@
-"""Exact scalar layer: cyclotomic arithmetic and complex points."""
+"""Exact scalar layer: cyclotomic values and kernels, and complex points."""
 
 import copy
 import math
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclotomic_oracle as oracle
 from orbconfig.arrangement import MAX_FIELD_ORDER
 from orbconfig.exactfield import (
     MAX_RATIONAL_DIGITS,
@@ -18,43 +19,27 @@ from orbconfig.exactfield import (
     InvalidOrderError,
     OrderMismatchError,
     _reduced_point,
+    _zeta_power,
     complex_sqrt_exact,
-    complex_to_cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
     format_rational,
+    norm_cofactor,
     parse_rational,
-    rational_sqrt,
+    residue_product,
 )
-
-# Textbook cyclotomic polynomials, ascending coefficients.
-KNOWN_PHI = {
-    1: (-1, 1),
-    2: (1, 1),
-    3: (1, 1, 1),
-    4: (1, 0, 1),
-    6: (1, -1, 1),
-    12: (1, 0, -1, 0, 1),
-}
-
-
-def _oracle_poly_mod(poly, modulus):
-    # Independent long division used to pin reduction results in tests.
-    poly = [Fraction(c) for c in poly]
-    modulus = [Fraction(c) for c in modulus]
-    while len(poly) >= len(modulus):
-        lead = poly[-1] / modulus[-1]
-        shift = len(poly) - len(modulus)
-        for i, c in enumerate(modulus):
-            poly[shift + i] -= lead * c
-        while poly and poly[-1] == 0:
-            poly.pop()
-    return poly
 
 
 def test_cyclotomic_polynomials_match_table():
-    for m, coeffs in KNOWN_PHI.items():
+    for m, coeffs in oracle.TABLE_PHI.items():
         assert cyclotomic_polynomial(m) == coeffs
+
+
+def test_the_oracle_float_product_matches_the_table():
+    # the oracle takes Phi_m for an order its table lacks from this product
+    for m, coeffs in oracle.TABLE_PHI.items():
+        assert oracle.float_phi(m) == coeffs, m
+    assert [oracle.degree(m) for m in range(1, 61)] == [euler_phi(m) for m in range(1, 61)]
 
 
 def test_euler_phi_small_values():
@@ -62,38 +47,36 @@ def test_euler_phi_small_values():
 
 
 def test_zeta3_cubes_to_one_against_long_division_oracle():
-    # Oracle: x^3 reduced mod Phi_3 by independent long division.
-    expected = _oracle_poly_mod([0, 0, 0, 1], KNOWN_PHI[3])
-    assert expected == [Fraction(1)]
-    z = Cyclotomic.zeta(3)
-    assert z * z * z == Cyclotomic.one(3)
-    assert z ** 3 == Cyclotomic.one(3)
+    # Oracle: x^3 reduced mod Phi_3 by independent long division; the
+    # constructor reduces a long coefficient vector to the same element
+    assert oracle.poly_mod([0, 0, 0, 1], oracle.TABLE_PHI[3]) == [Fraction(1)]
+    assert Cyclotomic(3, [0, 0, 0, 1]) == Cyclotomic(3, [1]) == 1
+    assert _zeta_power(3, 3) == _zeta_power(3, 0) == 1
 
 
 def test_inverse_of_one_plus_zeta3_is_minus_zeta3():
-    # Oracle: multiply the claimed inverse back, using only ring operations.
-    z = Cyclotomic.zeta(3)
-    a = Cyclotomic.one(3) + z
-    claimed = -z
-    assert a * claimed == Cyclotomic.one(3)
-    assert a.inverse() == claimed
+    # 1 + zeta_3 = -zeta_3^2 is a unit: the oracle's inverse is -zeta_3, and
+    # so is the norm cofactor, the conjugate 1 + zeta_3^2, since the norm is 1
+    assert oracle.inverse((1, 1), 3) == (0, -1)
+    assert norm_cofactor(3, [1, 1]) == [0, -1]
+    assert residue_product(3, [1, 1], [0, -1]) == [1, 0]
 
 
 def test_primitive_root_powers_distinct_for_order_6():
-    z = Cyclotomic.zeta(6)
-    powers = [z ** k for k in range(6)]
+    powers = [_zeta_power(6, k) for k in range(6)]
     assert len(set(powers)) == 6
+    assert [p.coeffs for p in powers] == [oracle.zeta(6, k).coeffs for k in range(6)]
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_root_of_unity_relations(m):
-    z = Cyclotomic.zeta(m)
-    assert z ** m == Cyclotomic.one(m)
+    # zeta^m = 1, and for m >= 2 the m-th roots of unity sum to 0: the
+    # constructor reduces x^m and 1 + x + ... + x^(m-1) mod Phi_m
+    assert Cyclotomic(m, [0] * m + [1]) == Cyclotomic(m, [1]) == 1
+    assert _zeta_power(m, m) == 1
     if m >= 2:
-        total = Cyclotomic.zero(m)
-        for k in range(m):
-            total = total + z ** k
-        assert total == Cyclotomic.zero(m)
+        assert Cyclotomic(m, [1] * m) == Cyclotomic.zero(m) == 0
+        assert oracle.reduce([1] * m, m) == (0,) * euler_phi(m)
 
 
 small_rationals = st.fractions(
@@ -101,47 +84,57 @@ small_rationals = st.fractions(
 )
 
 
-@st.composite
-def cyclotomic_elements(draw, order=None):
-    m = order if order is not None else draw(st.integers(min_value=1, max_value=12))
-    coeffs = draw(
-        st.lists(small_rationals, min_size=euler_phi(m), max_size=euler_phi(m))
-    )
-    return Cyclotomic(m, coeffs)
+def cyclotomic_coefficients(m):
+    return st.lists(small_rationals, min_size=euler_phi(m), max_size=euler_phi(m))
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=1, max_value=MAX_FIELD_ORDER), st.data())
 def test_field_laws(m, data):
-    a = data.draw(cyclotomic_elements(order=m))
-    b = data.draw(cyclotomic_elements(order=m))
-    c = data.draw(cyclotomic_elements(order=m))
+    # the oracle's field: its products, its extended-Euclid inverse and its
+    # conjugations, which the tests rely on, obey the field laws
+    a = oracle.Element(m, data.draw(cyclotomic_coefficients(m)))
+    b = oracle.Element(m, data.draw(cyclotomic_coefficients(m)))
+    c = oracle.Element(m, data.draw(cyclotomic_coefficients(m)))
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
+    k = data.draw(st.sampled_from([k for k in range(1, m + 1) if math.gcd(k, m) == 1]))
+    # sigma_k by substitution is the sum of the coefficients times zeta^(k i),
+    # and a ring map
+    powers = sum((x * oracle.zeta(m, k * i) for i, x in enumerate(a.coeffs)), oracle.Element(m))
+    assert oracle.conjugate(a.coeffs, k, m) == powers.coeffs
+    sigma = oracle.Element(m, oracle.conjugate(a.coeffs, k, m))
+    assert sigma * oracle.Element(m, oracle.conjugate(b.coeffs, k, m)) == oracle.Element(
+        m, oracle.conjugate((a * b).coeffs, k, m)
+    )
     if a:
-        assert a * a.inverse() == Cyclotomic.one(m)
-        assert (a / a) == Cyclotomic.one(m)
+        assert a * (1 / a) == 1
+        assert a / a == 1
+        assert (c / a) * a == c
+    else:
+        with pytest.raises(ZeroDivisionError):
+            oracle.inverse(a.coeffs, m)
 
 
 def test_order_mismatch_raises():
-    with pytest.raises(OrderMismatchError):
-        Cyclotomic.zeta(3) + Cyclotomic.zeta(4)
+    # products and embeddings across orders raise OrderMismatchError, where
+    # they are compared with the oracle below
     with pytest.raises(InvalidOrderError):
         Cyclotomic.zero(0)
-    with pytest.raises(ZeroDivisionError):
-        Cyclotomic.zero(5).inverse()
+    with pytest.raises(InvalidOrderError):
+        Cyclotomic(-3, [1])
+    assert Cyclotomic(3, [0, 1]) != Cyclotomic(6, [0, 1])
 
 
 def test_embedding_into_larger_field():
-    z6 = Cyclotomic.zeta(6)
-    z12 = Cyclotomic.zeta(12)
-    assert z6.embed(12) == z12 ** 2
-    a = Cyclotomic(6, [Fraction(1, 2), Fraction(-2)])
-    assert (a * a).embed(12) == a.embed(12) * a.embed(12)
+    # zeta_6 -> zeta_12^2, against the oracle's substitution x -> x^2
+    assert Cyclotomic(6, [0, 1]).embed(12).coeffs == oracle.embed((0, 1), 6, 12) == oracle.zeta(12, 2).coeffs
+    a = (Fraction(1, 2), Fraction(-2))
+    assert Cyclotomic(6, a).embed(12).coeffs == oracle.embed(a, 6, 12)
     with pytest.raises(OrderMismatchError):
-        Cyclotomic.zeta(5).embed(12)
+        Cyclotomic(5, [0, 1]).embed(12)
 
 
 def test_rational_serialization_round_trip():
@@ -215,13 +208,6 @@ def test_complex_point_copies_and_pickles():
         assert (copied._a, copied._b, copied._d) == (-9, 10, 12)
         with pytest.raises(AttributeError):
             copied._a = 0
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-1)) is None
-    assert rational_sqrt(0) == 0
 
 
 def test_complex_sqrt_exact():
@@ -313,11 +299,13 @@ def test_complex_sqrt_exact_matches_the_fraction_reference():
 @settings(max_examples=60, deadline=None)
 @given(small_rationals, small_rationals)
 def test_gaussian_rational_cyclotomic_embedding(re, im):
+    # the oracle's Q(i) -> Q(zeta_L) is a ring map, so ComplexPoint's
+    # square lands on the oracle's square of the image
     z = ComplexPoint.exact(re, im)
     for order in (4, 12):
-        image = complex_to_cyclotomic(z, order)
-        square = complex_to_cyclotomic(z * z, order)
-        assert image * image == square
+        image = oracle.gaussian(re, im, order)
+        square = z * z
+        assert oracle.mul(image, image, order) == oracle.gaussian(square.re, square.im, order)
 
 
 # ---------------------------------------------------------------------------
@@ -417,53 +405,11 @@ def test_exact_points_are_canonical():
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic elements against Fraction polynomials reduced mod Phi_m
+# Cyclotomic values and residue kernels against Fraction polynomials
+# reduced mod Phi_m (tests/cyclotomic_oracle.py)
 # ---------------------------------------------------------------------------
 
-# Textbook cyclotomic polynomials for the oracle orders and their embedding
-# targets lcm(m, 4) and 2m, ascending coefficients.
-ORACLE_PHI = {
-    3: (1, 1, 1),
-    4: (1, 0, 1),
-    5: (1, 1, 1, 1, 1),
-    6: (1, -1, 1),
-    8: (1, 0, 0, 0, 1),
-    10: (1, -1, 1, -1, 1),
-    12: (1, 0, -1, 0, 1),
-    13: (1,) * 13,
-    16: (1, 0, 0, 0, 0, 0, 0, 0, 1),
-    20: (1, 0, -1, 0, 1, 0, -1, 0, 1),
-    24: (1, 0, 0, 0, -1, 0, 0, 0, 1),
-    26: (1, -1) * 6 + (1,),
-    32: (1,) + (0,) * 15 + (1,),
-    52: (1, 0, -1, 0) * 6 + (1,),
-}
 ORACLE_ORDERS = (3, 4, 5, 8, 12, 13, 16)
-
-
-def _ref_reduce(poly, m):
-    """Fraction coefficients of poly mod Phi_m, padded to length phi(m)."""
-    phi = len(ORACLE_PHI[m]) - 1
-    rem = _oracle_poly_mod(poly, ORACLE_PHI[m])
-    return tuple(rem) + (Fraction(0),) * (phi - len(rem))
-
-
-def _ref_mul(a, b, m):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ref_reduce(out, m)
-
-
-def _ref_embed(a, m, target):
-    # zeta_m -> zeta_L^(L/m): coefficient k moves to degree k * L/m
-    step = target // m
-    out = [Fraction(0)] * (step * (len(a) - 1) + 1)
-    for k, c in enumerate(a):
-        out[k * step] = c
-    return _ref_reduce(out, target)
-
 
 # numerators up to 10^6 over denominators of unequal size
 oracle_rationals = st.builds(
@@ -485,37 +431,56 @@ def _same_element(x, expected, m):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(ORACLE_ORDERS), st.data())
 def test_cyclotomic_matches_the_fraction_polynomial_oracle(m, data):
-    phi = len(ORACLE_PHI[m]) - 1
+    phi = oracle.degree(m)
     # a long coefficient vector exercises the constructor's reduction
-    raw = [
-        data.draw(st.lists(oracle_rationals, min_size=1, max_size=2 * phi + 1)) for _ in range(3)
-    ]
-    refs = [_ref_reduce(r, m) for r in raw]
-    a, b, c = (Cyclotomic(m, r) for r in raw)
-    x, y, z = refs
-    for element, ref in zip((a, b, c), refs):
-        _same_element(element, ref, m)
-    _same_element(a * b, _ref_mul(x, y, m), m)
-    _same_element(a + b, tuple(p + q for p, q in zip(x, y)), m)
-    _same_element(a - b, tuple(p - q for p, q in zip(x, y)), m)
+    raw = [data.draw(st.lists(oracle_rationals, min_size=1, max_size=2 * phi + 1)) for _ in range(2)]
+    x, y = (oracle.reduce(r, m) for r in raw)
+    a, b = (Cyclotomic(m, r) for r in raw)
+    _same_element(a, x, m)
+    _same_element(b, y, m)
+    assert bool(a) == any(x) and (a == b) == (x == y)
+    assert a.as_rational() == (x[0] if not any(x[1:]) else None)
+    _same_element(Cyclotomic.from_json(m, a.to_json()), x, m)
+    # the two products the benchmark times
+    _same_element(a * b, oracle.mul(x, y, m), m)
     _same_element(a * Fraction(3, 7), tuple(p * Fraction(3, 7) for p in x), m)
+    with pytest.raises(OrderMismatchError):
+        a * Cyclotomic(2 * m, [1])
     for target in sorted({math.lcm(m, 4), 2 * m}):
-        _same_element(a.embed(target), _ref_embed(x, m, target), target)
-    one = _ref_reduce([1], m)
-    for u, ref in ((a, x), (b, y)):
-        if any(ref):
-            inverse = u.inverse()
-            assert _ref_mul(inverse.coeffs, ref, m) == one
-            _same_element(inverse, inverse.coeffs, m)
-            quotient = c / u
-            assert _ref_mul(quotient.coeffs, ref, m) == z
-            _same_element(quotient, quotient.coeffs, m)
-            # the same value reached by another route has one form
-            _same_element((c * u) / u, z, m)
-        else:
-            with pytest.raises(ZeroDivisionError):
-                u.inverse()
-    _same_element((a + b) - b, x, m)
+        _same_element(a.embed(target), oracle.embed(x, m, target), target)
+
+
+# residues with many zeros and a few large entries
+kernel_residues = st.one_of(
+    st.just(0), st.integers(min_value=-3, max_value=3), st.integers(min_value=-(10**9), max_value=10**9)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=3, max_value=MAX_FIELD_ORDER), st.data())
+def test_residue_kernels_match_the_oracle(m, data):
+    # the integer kernels of the F_p certificate and the exact walk: a
+    # product reduced mod Phi_m, and the norm cofactor, whose product with
+    # a is the norm N(a), a positive rational integer for a != 0
+    phi = oracle.degree(m)
+    residues = st.lists(kernel_residues, min_size=phi, max_size=phi)
+    a, b = data.draw(residues), data.draw(residues)
+    product = residue_product(m, a, b)
+    assert all(type(c) is int for c in product)
+    assert tuple(product) == oracle.mul(a, b, m)
+    cofactor = norm_cofactor(m, a)
+    assert all(type(c) is int for c in cofactor)
+    expected = oracle.reduce([1], m)
+    for k in range(2, m):
+        if math.gcd(k, m) == 1:
+            expected = oracle.mul(expected, oracle.conjugate(a, k, m), m)
+    assert tuple(cofactor) == expected
+    norm = oracle.mul(a, cofactor, m)
+    assert norm == oracle.norm(a, m)
+    if any(a):
+        assert not any(norm[1:]) and norm[0] > 0 and norm[0].denominator == 1
+    else:
+        assert not any(norm)
 
 
 def test_to_complex_divides_the_triple_as_fraction_float_does():

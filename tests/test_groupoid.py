@@ -16,11 +16,9 @@ from orbconfig.groupoid import (
     InvalidModelError,
     configuration_groupoid,
     forget_map,
-    full_subgroupoid,
     group_action_from_json,
     group_from_json,
     groupoid_from_json,
-    identity_hom,
     inclusion_hom,
     induced_configuration_hom,
     is_covering_hom,
@@ -349,8 +347,12 @@ def test_subgroup_inclusions_are_coverings():
         assert report.passed, report.first_failure()
 
 
+def _identity_hom(groupoid):
+    return inclusion_hom(groupoid, groupoid, name="id")
+
+
 def test_identity_is_a_covering():
-    assert is_covering_hom(identity_hom(negation_groupoid())).passed
+    assert is_covering_hom(_identity_hom(negation_groupoid())).passed
 
 
 def test_each_hom_is_verified_once():
@@ -424,7 +426,7 @@ def test_skeleton_inclusion_is_an_equivalence():
 
 
 def test_identity_is_an_equivalence():
-    assert is_equivalence(identity_hom(negation_groupoid())).passed
+    assert is_equivalence(_identity_hom(negation_groupoid())).passed
 
 
 def test_non_full_inclusion_fails_condition_two():
@@ -934,8 +936,8 @@ def _full_scan_hom_rows(src, dst, f0, f1):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: identity_hom(translation_groupoid(_d3_sign_action())),
-        lambda: identity_hom(
+        lambda: _identity_hom(translation_groupoid(_d3_sign_action())),
+        lambda: _identity_hom(
             translation_groupoid(GroupAction.from_function(FiniteGroup.dihedral(4), ["p"], lambda g, x: x))
         ),
         lambda: subgroup_covering_hom(
@@ -1266,7 +1268,7 @@ def test_equivalence_decision_matches_the_scans_and_the_oracle_on_pristine_homs(
         action = make()
         homs += [subgroup_covering_hom(action, subgroup) for subgroup in action.group.subgroups()]
         homs.append(skeleton_inclusion(translation_groupoid(action)))
-        homs.append(identity_hom(translation_groupoid(action)))
+        homs.append(_identity_hom(translation_groupoid(action)))
     for make, n in ((GroupAction.negation_mod, 6), (GroupAction.negation_mod, 7)):
         base = translation_groupoid(make(n))
         homs += [forget_map(base, 2), forget_map(base, 3), skeleton_inclusion(configuration_groupoid(base, 2))]

@@ -17,7 +17,8 @@ from orbconfig.arrangement import (
     complement_contains,
     make_arrangement,
 )
-from orbconfig.exactfield import ComplexPoint, Cyclotomic, complex_to_cyclotomic
+import cyclotomic_oracle as oracle
+from orbconfig.exactfield import ComplexPoint, Cyclotomic
 from orbconfig.orbmodel import (
     CyclicRotation,
     DomainError,
@@ -456,12 +457,13 @@ def test_cone_complement_matches_sign_flip_arrangement(xs):
 # -- compiled membership over Q(zeta_3), evaluated in Q(zeta_12) ----------
 
 Q_ZETA3 = ScalarField("cyclotomic", 3)
-ZETA3 = Cyclotomic.zeta(3)
+ZETA3 = Cyclotomic(3, [0, 1])
+ZETA3_SQUARED = Cyclotomic(3, [0, 0, 1])  # -1 - zeta_3
 
 
 def _offset_plane(offset) -> ArrangementSpec:
     """z_1 + zeta_3 z_2 + zeta_3^2 z_3 = offset, with a rational offset."""
-    return make_arrangement(3, Q_ZETA3, [((1, ZETA3, ZETA3**2), offset)])
+    return make_arrangement(3, Q_ZETA3, [((1, ZETA3, ZETA3_SQUARED), offset)])
 
 
 def test_cyclotomic_complement_with_rational_offset():
@@ -479,11 +481,14 @@ def test_cyclotomic_complement_with_rational_offset():
 
 
 def _on_some_hyperplane_in_q_zeta_12(spec, zs) -> bool:
-    """Reference: evaluate every form directly in Q(zeta_12)."""
+    """Reference: evaluate every form directly in Q(zeta_12), in the tests'
+    own model of the field."""
+    m = spec.field.order
     for h in spec.hyperplanes:
-        gap = -h.offset.embed(12)
+        gap = oracle.Element(12, oracle.embed([-c for c in h.offset.coeffs], m, 12))
         for a, z in zip(h.normal, zs):
-            gap = gap + a.embed(12) * complex_to_cyclotomic(z, 12)
+            term = oracle.mul(oracle.embed(a.coeffs, m, 12), oracle.gaussian(z.re, z.im, 12), 12)
+            gap = gap + oracle.Element(12, term)
         if not gap:
             return True
     return False
@@ -498,7 +503,7 @@ collision_points = st.sampled_from(
 @given(zs=st.tuples(collision_points, collision_points, collision_points))
 def test_compiled_membership_matches_direct_field_evaluation(zs):
     rows = [(h.normal, h.offset) for h in rotation_arrangement(3, 3).hyperplanes]
-    rows.append(((1, ZETA3, ZETA3**2), Fraction(1, 2)))
+    rows.append(((1, ZETA3, ZETA3_SQUARED), Fraction(1, 2)))
     spec = make_arrangement(3, Q_ZETA3, rows)
     assert complement_contains(spec, zs) == (
         not _on_some_hyperplane_in_q_zeta_12(spec, zs)
