@@ -242,6 +242,12 @@ class ArrangementSpec:
         Im z_j are the residues of a_j and i a_j in Q(zeta_L): integer sums
         over the residues of zeta_m^k and i zeta_m^k, a table cached per
         (m, L) (_gaussian_images).
+
+        The rows of a spec repeat few distinct entries (the m + 1
+        coefficients 1 and -zeta_m^k of a rotation arrangement), so each
+        distinct entry is embedded once per compile, its nonzero terms are
+        built once per coordinate it occupies, and every row's equations are
+        joined from them.  Those tables live only while the spec compiles.
         """
         order = self.field.ring_order
         phi = euler_phi(order)
@@ -259,16 +265,31 @@ class ArrangementSpec:
                         out[r] += x * t
             return out
 
+        # each distinct entry's Re and Im columns, once per spec
+        columns: dict[tuple, tuple] = {}
+
+        def columns_of(entry: tuple) -> tuple:
+            if entry not in columns:
+                columns[entry] = combine(entry, 0), combine(entry, 1)
+            return columns[entry]
+
+        # per coordinate j and distinct entry there, its nonzero terms at
+        # each residue r, in the columns 2j and 2j + 1 of Re z_j and Im z_j
+        terms: dict[tuple, tuple] = {}
         compiled = []
         for row in self.rows:
-            columns = []
+            parts = []
             for j in range(self.dim):
-                if any(entry := row[j * phi : (j + 1) * phi]):
-                    columns += [(2 * j, combine(entry, 0)), (2 * j + 1, combine(entry, 1))]
-            rhs = combine(row[-phi:], 0)
-            compiled.append(
-                tuple((b, tuple((k, c[r]) for k, c in columns if c[r])) for r, b in enumerate(rhs))
-            )
+                entry = row[j * phi : (j + 1) * phi]
+                if any(entry):
+                    if (j, entry) not in terms:
+                        pairs = tuple(zip((2 * j, 2 * j + 1), columns_of(entry)))
+                        terms[j, entry] = tuple(tuple((k, c[r]) for k, c in pairs if c[r]) for r in range(width))
+                    parts.append(terms[j, entry])
+            # at each residue r, the offset's Re column is the rhs, and the
+            # terms are those of the nonzero entries in coordinate order
+            rhs = columns_of(row[-phi:])[0]
+            compiled.append(tuple(zip(rhs, (sum(at_r, ()) for at_r in zip(*parts)))))
         return tuple(compiled)
 
     @property
@@ -402,15 +423,25 @@ def make_arrangement(
 def _spec_from_rows(dim: int, field: ScalarField, rows: Iterable[tuple], label: str) -> ArrangementSpec:
     """The spec of primitive integer rows with nonzero normals, each
     normalized at its lead, without duplicates, sorted by the values over the
-    lead: the lexicographic order of the hyperplanes scaled to a leading one."""
+    lead: the lexicographic order of the hyperplanes scaled to a leading one.
+
+    Each row's lead is found once, and a row whose lead is the lcm of the
+    leads is its own sort key, so most keys cost nothing."""
     order = field.ring_order
     phi = euler_phi(order)
-    unique = {_normalize(row, next(c for c, x in enumerate(row) if x) // phi, order) for row in rows}
+    leads: dict[tuple, int] = {}
+    for row in rows:
+        col = next(c for c, x in enumerate(row) if x) // phi
+        row = _normalize(row, col, order)
+        leads[row] = row[col * phi]
     # each row over its lead, times the lcm of the leads: exact integer keys
-    leads = {row: next(x for x in row if x) for row in unique}
     scale = math.lcm(*leads.values())
-    ordered = sorted(unique, key=lambda row: [x * (scale // leads[row]) for x in row])
-    return ArrangementSpec(dim, field, tuple(ordered), label)
+
+    def key(row: tuple) -> tuple:
+        lead = leads[row]
+        return row if lead == scale else tuple([x * (scale // lead) for x in row])
+
+    return ArrangementSpec(dim, field, tuple(sorted(leads, key=key)), label)
 
 
 def complement_contains(spec: ArrangementSpec, point: Sequence[ComplexPoint]) -> bool:

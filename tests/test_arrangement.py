@@ -43,6 +43,7 @@ from orbconfig.arrangement import (
     make_arrangement,
     poincare_polynomial,
 )
+from orbconfig.cli import BUILDER_SIZES, _check_rails
 from orbconfig.exactfield import Cyclotomic, cyclotomic_polynomial
 from orbconfig.orbit_config import (
     braid_arrangement,
@@ -1752,6 +1753,112 @@ def test_rotation_specs_from_residues_match_the_coerced_builder():
             assert spec == reference, (n, m)
             assert spec._real_equations == _real_equations_reference(spec), (n, m)
     assert inside >= 20, inside
+
+
+def _braid_from_integer_rows(n):
+    """braid(n) from its primitive integer rows, 1 at i and -1 at j with
+    offset 0, handed straight to _spec_from_rows."""
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = [0] * (n + 1)
+            row[i], row[j] = 1, -1
+            rows.append(tuple(row))
+    return arrangement._spec_from_rows(n, QQ, rows, f"braid({n})")
+
+
+def _sign_flip_from_integer_rows(n):
+    """case3X(n) from the primitive integer rows of x_i + sign x_j = 0 and
+    x_1 = 0, handed straight to _spec_from_rows."""
+    dim = n + 1
+    rows = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for sign in (-1, 1):
+                row = [0] * (dim + 1)
+                row[i], row[j] = 1, sign
+                rows.append(tuple(row))
+    rows.append(tuple([1] + [0] * dim))
+    return arrangement._spec_from_rows(dim, QQ, rows, f"case3X({n})")
+
+
+@pytest.mark.parametrize(
+    "name, builder, reference, first",
+    [
+        ("braid", braid_arrangement, _braid_from_integer_rows, 1),
+        ("case3X", sign_flip_arrangement, _sign_flip_from_integer_rows, 0),
+    ],
+)
+def test_braid_and_sign_flip_builders_match_their_integer_rows(name, builder, reference, first):
+    # the builders coerce Fraction rows through make_arrangement; their
+    # primitive integer rows given straight to _spec_from_rows, as
+    # rotation_arrangement gives its rows, must build the same spec, at every
+    # n the CLI rails admit, up to the first one they refuse
+    n = first
+    while True:
+        try:
+            _check_rails(*BUILDER_SIZES[name](n, 2))
+        except SizeGuardError:
+            break
+        spec, expected = builder(n), reference(n)
+        assert spec == expected, n
+        assert spec.hyperplanes == expected.hyperplanes, n
+        assert spec._real_equations == _real_equations_reference(spec), n
+        n += 1
+    assert n == {"braid": 7, "case3X": 4}[name]
+
+
+def test_spec_from_integer_rows_matches_the_field_element_builder():
+    # primitive integer rows as rotation_arrangement passes them, against
+    # make_arrangement on the same hyperplanes written as field elements over
+    # a leading one: leads negative, leads in Z but not units, leads outside
+    # Z, and hyperplanes repeated times the unit -zeta^k
+    rng = random.Random(37)
+    kinds = dict.fromkeys(("negative", "not a unit", "outside Z", "repeated"), 0)
+    for m in (1, *range(3, MAX_FIELD_ORDER + 1)):
+        field = QQ if m == 1 else ScalarField("cyclotomic", m)
+        phi = arrangement.euler_phi(m)
+
+        def entry():
+            roll = rng.random()
+            if roll < 0.4:
+                return [0] * phi
+            if roll < 0.7:
+                return [rng.randint(-4, 4)] + [0] * (phi - 1)
+            return [rng.randint(-3, 3) for _ in range(phi)]
+
+        for _ in range(8):
+            dim = rng.randint(1, 3)
+            rows = []
+            while len(rows) < 6:
+                row = [x for _ in range(dim + 1) for x in entry()]
+                if not any(row[:-phi]):
+                    continue
+                g = math.gcd(*row)
+                rows.append(tuple(x // g for x in row))
+                if rng.random() < 0.3:
+                    unit = -oracle.zeta(m, rng.randrange(m))
+                    elements = [unit * Element(m, rows[-1][k : k + phi]) for k in range(0, len(rows[-1]), phi)]
+                    rows.append(tuple(int(c) for a in elements for c in a.coeffs))
+                    kinds["repeated"] += 1
+            raw = []
+            for row in rows:
+                elements = [Element(m, row[k : k + phi]) for k in range(0, len(row), phi)]
+                lead = next(a for a in elements if a)
+                if any(lead.coeffs[1:]):
+                    kinds["outside Z"] += 1
+                elif lead.coeffs[0] < 0:
+                    kinds["negative"] += 1
+                elif lead.coeffs[0] > 1:
+                    kinds["not a unit"] += 1
+                scaled = [a / lead for a in elements]
+                values = [a.coeffs[0] for a in scaled] if m == 1 else [_package(a) for a in scaled]
+                raw.append((tuple(values[:-1]), values[-1]))
+            spec = arrangement._spec_from_rows(dim, field, rows, "custom")
+            expected = make_arrangement(dim, field, raw)
+            assert spec == expected, (m, rows)
+            assert spec.hyperplanes == expected.hyperplanes, (m, rows)
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_real_equations_from_residues_match_the_cyclotomic_compile():

@@ -677,6 +677,22 @@ GOLDEN_STDOUT_SHA256 = [
         "fdef475f5eaa8cb7ada2f876ec70001f8b0ecc7254e83d5a3d3ee6bfcd9ead3c",
         id="squaring",
     ),
+    # q at covering.MAX_FIBER_POINTS, the rail edge: 10,000 samples of degree 2
+    pytest.param(
+        ["verify-cover", "q", "--samples", "10000"],
+        "7d8c7e514ed779265d7f2f28924f178f7c8bf1e176ab9a10af312e5f226b83fe",
+        id="q-samples10000",
+    ),
+    pytest.param(
+        ["classify", '{"schema":1,"genus":0,"punctures":1,"cones":[3]}'],
+        "0e42a1dc31fe371aed3b35848f0197e7ff902ba42b4a67aca98c49fcc10a186c",
+        id="classify-plane-cone3",
+    ),
+    pytest.param(
+        ["groupoid", json.dumps(explicit_cyclic3())],
+        "74eb45127de6a170598981e18ce8e43f3779795afc8ed593e92f8ede9ca392b8",
+        id="explicit-cyclic3",
+    ),
     pytest.param(
         ["obstruction", '{"schema":1,"kind":"rotation","order":2}'],
         "3ba9bd1ae48b68cb75b34486bec6e6fe40d2f35733a2cfacc8e0530fdf1f5f3b",

@@ -8,10 +8,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbconfig.arrangement import (
+    MAX_FIELD_ORDER,
     ArrangementSpec,
     ScalarField,
     complement_contains,
@@ -536,12 +537,25 @@ big_rationals = st.builds(
 PLANTS = [lambda x, y: (x, y), lambda x, y: (-x, -y), lambda x, y: (-y, x), lambda x, y: (y, -x)]
 
 
-@settings(max_examples=150, deadline=None)
+def _at_every_order(test):
+    """One explicit example per m <= MAX_FIELD_ORDER, so that every compile
+    width phi(lcm(m, 4)), 2 to 24, is checked whatever is drawn: z, i z and
+    -z, where z and -z share an orbit when 2 | m and i z joins them when
+    4 | m."""
+    z = (Fraction(1, 3), Fraction(-2, 7))
+    pairs = [z, PLANTS[2](*z), PLANTS[1](*z)]
+    for m in range(1, MAX_FIELD_ORDER + 1):
+        test = example(m=m, pairs=list(pairs), plant=None)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    m=st.sampled_from([1, 2, 3, 4, 6]),
+    m=st.integers(min_value=1, max_value=MAX_FIELD_ORDER),
     pairs=st.lists(st.tuples(big_rationals, big_rationals), min_size=2, max_size=4),
     plant=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(PLANTS)),
 )
+@_at_every_order
 def test_integer_membership_matches_fraction_power_oracle(m, pairs, plant):
     if plant is not None:
         i, j, unit = plant
