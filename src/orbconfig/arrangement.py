@@ -19,10 +19,13 @@ matrix, which keeps each hyperplane's order and signs.
 
 Flats are computed as a breadth-first closure under intersection: each flat
 but a point carries the residues of the hyperplanes not containing it, and
-the hyperplanes whose residues are proportional cut out one flat together.
-The search records which flats produce each flat; those are its covers, so
-the Mobius function is a sum over each interval [V, X] alone (Orlik-Terao,
-Arrangements of Hyperplanes, 2.3).  The poset drives the characteristic and
+the hyperplanes whose residues are proportional cut out one flat together;
+a flat is keyed by the bitmask of its members.  The search records which
+flats produce each flat; those are its covers, so the Mobius function is a
+sum over each interval [V, X] alone (Orlik-Terao, Arrangements of
+Hyperplanes, 2.3), and a flat with as many members as its codimension has
+a boolean interval, whose value is a sign (Stanley, Enumerative
+Combinatorics I, ch. 3).  The poset drives the characteristic and
 Poincare polynomials and the chamber counts.  Chambers of rational
 arrangements are enumerated by deletion and restriction on the integer
 rows: a new hyperplane cuts exactly the chambers whose sign vectors are
@@ -47,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, zip_longest
+from itertools import accumulate, combinations, compress, count, zip_longest
 from operator import mul, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -89,10 +92,11 @@ class SizeGuardError(ValueError):
 
 # Largest cyclotomic order m; check_field_rail also caps the hyperplanes
 # over Q(zeta_m) at 16 - phi(m) // 2, for the exact walk of the flat poset,
-# which runs when every reduction prime is refused, grows about 1.7x per
-# hyperplane and 1.25x per step of 2 in phi(m); 16 generic affine
-# hyperplanes in Q^6 take 80 s there at m = 13.  See the timed test at that
-# cap, whose certified walk over F_p costs about its flat count.
+# which runs when every reduction prime is refused.  On a 2-core host that
+# walk takes 0.9-5.0 s at the cap for every m; at m = 13 it grows about 1.9x
+# per generic affine hyperplane in Q^6 (1.9 s at 9, 14.7 s at 12), and 16
+# take 83 s.  See the timed test at that cap, whose certified walk over F_p
+# costs about its flat count (0.04-0.35 s).
 MAX_FIELD_ORDER = 16
 
 # the keys of an arrangement spec, of each of its hyperplanes and of each
@@ -341,12 +345,12 @@ class ArrangementSpec:
         pivots: dict[int, tuple] = {}
         for row in self.rows:
             for col, pivot_row in pivots.items():
-                row = _eliminate(row, pivot_row, col, order)
+                row = _eliminate(row, pivot_row, col, order, phi)
             lead = next((c for c, x in enumerate(row) if x), None)
             if lead is not None:
                 col = lead // phi
-                row = _normalize(row, col, order)
-                pivots = {c: _eliminate(other, row, col, order) for c, other in pivots.items()}
+                row = _normalize(row, col, order, phi)
+                pivots = {c: _eliminate(other, row, col, order, phi) for c, other in pivots.items()}
                 pivots[col] = row
         return tuple(sorted(pivots.items()))
 
@@ -432,7 +436,7 @@ def _spec_from_rows(dim: int, field: ScalarField, rows: Iterable[tuple], label: 
     leads: dict[tuple, int] = {}
     for row in rows:
         col = next(c for c, x in enumerate(row) if x) // phi
-        row = _normalize(row, col, order)
+        row = _normalize(row, col, order, phi)
         leads[row] = row[col * phi]
     # each row over its lead, times the lcm of the leads: exact integer keys
     scale = math.lcm(*leads.values())
@@ -487,11 +491,11 @@ def _scaled(order: int, factor: Sequence[int], row: tuple) -> list[int]:
     return [x for e in entries for x in (residue_product(order, factor, e) if any(e) else e)]
 
 
-def _normalize(row: tuple, col: int, order: int) -> tuple:
+def _normalize(row: tuple, col: int, order: int, phi: int) -> tuple:
     """The primitive multiple of a primitive row with a positive integer in
     entry col: a lead outside Z first becomes its norm, the row times the
-    lead's norm cofactor over the gcd.  Proportional rows give one row."""
-    phi = euler_phi(order)
+    lead's norm cofactor over the gcd.  Proportional rows give one row.
+    phi = euler_phi(order), read once by the caller."""
     start = col * phi
     if phi > 1 and any(row[start + 1 : start + phi]):
         out = _scaled(order, norm_cofactor(order, row[start : start + phi]), row)
@@ -500,11 +504,10 @@ def _normalize(row: tuple, col: int, order: int) -> tuple:
     return row if row[start] > 0 else tuple([-x for x in row])
 
 
-def _eliminate(row: tuple, pivot_row: tuple, col: int, order: int) -> tuple:
+def _eliminate(row: tuple, pivot_row: tuple, col: int, order: int, phi: int) -> tuple:
     """p * row - row[col] * pivot_row over the gcd, for p = pivot_row[col]
     a positive integer: primitive and zero in entry col.  A factor row[col]
     in Z scales pivot_row directly, one outside Z entry by entry."""
-    phi = euler_phi(order)
     start = col * phi
     factor = row[start]
     p = pivot_row[start]
@@ -602,13 +605,13 @@ def flat_poset(spec: ArrangementSpec) -> FlatPoset:
     vanish on X's pivot columns are the multiples of H's residue.  So the
     normalized residues of X fall into classes, one per flat X cap H, and
     each class is the set of hyperplanes that flat adds to X's members.  The
-    member set is the flat's canonical key.  A new flat's residues are X's
-    other residues, but the parallel ones, with the class's pivot column
-    eliminated; one that is zero there is carried unchanged.  A point gets
-    none and leaves the frontier: every hyperplane not containing it misses
-    it, so it produces no flat, and its covers are all recorded in the pass
-    that finds it, since every flat of a pass has the same dimension.  Flats
-    keep the order of their first discovery.
+    member set, as a bitmask, is the flat's canonical key.  A new flat's
+    residues are X's other residues, but the parallel ones, with the class's
+    pivot column eliminated; one that is zero there is carried unchanged.
+    A point gets none and leaves the frontier: every hyperplane not
+    containing it misses it, so it produces no flat, and its covers are all
+    recorded in the pass that finds it, since every flat of a pass has the
+    same dimension.  Flats keep the order of their first discovery.
 
     The walk runs on one of two row arithmetics (_exact_walk, _modular_walk).
     Over Q it runs on the spec's primitive integer rows; a residue is
@@ -643,8 +646,11 @@ def flat_poset(spec: ArrangementSpec) -> FlatPoset:
     X, found again or not, are its covers, and the flats strictly above X
     are its covers and theirs.  mu(ambient) = 1 and mu(X) = -sum of mu(Z)
     over that set, the interval [V, X] alone (Orlik-Terao, Arrangements of
-    Hyperplanes, 2.3).  The zero-sum identity over each lower interval is a
-    consequence and is exercised by the tests.
+    Hyperplanes, 2.3).  That interval is the lattice of the hyperplanes
+    containing X.  When X has exactly codim X of them, their normals are
+    independent, so [V, X] is boolean and mu(X) = (-1)^codim X (Stanley,
+    Enumerative Combinatorics I, ch. 3), with no sum.  The zero-sum identity
+    over each lower interval is a consequence and is exercised by the tests.
     """
     if not spec.field.is_rational:
         for p, r in _reduction_primes(spec.field.order):
@@ -658,7 +664,9 @@ class _Walk(NamedTuple):
     """The flats of one walk in discovery order: for each, its members, its
     dimension, the flats that produced it, its basis (the hyperplanes whose
     rows were its pivots, in order) and, in parallel, the (flat, hyperplane)
-    pairs where a residue was first zero outside the offset column."""
+    pairs where a residue was first zero outside the offset column.  The
+    walk keys flats by member bitmasks; each member set is built once, when
+    its flat is found."""
 
     members: list[frozenset]
     dims: list[int]
@@ -671,14 +679,16 @@ def _walk(dim: int, residues: dict[int, tuple[int, tuple]], restrict) -> _Walk:
     """The breadth-first walk of flat_poset from the ambient space, whose
     residues are the normalized rows {j: (lead column, row)}.
     restrict(residues, members, col, pivot_row) gives the residues of a new
-    flat: those of hyperplanes neither among its members nor parallel, with
-    column col eliminated by the normalized pivot row."""
+    flat: those of hyperplanes neither among its members (a bitmask, bit j
+    for H_j) nor parallel, with column col eliminated by the normalized
+    pivot row."""
     walk = _Walk([frozenset()], [dim], [[]], [()], [])
     members_of, dims, covers, bases = walk.members, walk.dims, walk.covers, walk.bases
+    masks = [0]
     frontier = [(0, residues)]
     while frontier:
         next_frontier = []
-        found: dict[frozenset, int] = {}
+        found: dict[int, int] = {}
         for source, residues in frontier:
             classes: dict[tuple, tuple[int, list[int]]] = {}
             for j, (col, row) in residues.items():
@@ -687,13 +697,16 @@ def _walk(dim: int, residues: dict[int, tuple[int, tuple]], restrict) -> _Walk:
                 else:  # H_j is parallel to X
                     walk.parallel.append((source, j))
             for pivot_row, (col, joined) in classes.items():
-                members = members_of[source].union(joined)
+                members = masks[source]
+                for j in joined:
+                    members |= 1 << j
                 target = found.get(members)
                 if target is not None:
                     covers[target].append(source)
                     continue
-                target = found[members] = len(members_of)
-                members_of.append(members)
+                target = found[members] = len(masks)
+                masks.append(members)
+                members_of.append(members_of[source].union(joined))
                 dims.append(dims[source] - 1)
                 covers.append([source])
                 bases.append(bases[source] + (joined[0],))
@@ -714,19 +727,19 @@ def _exact_walk(spec: ArrangementSpec) -> _Walk:
         out = {}
         for j, residue in residues.items():
             lead, row = residue
-            if lead == dim or j in members:
+            if lead == dim or members >> j & 1:
                 continue
             if row[start] or (phi > 1 and any(row[start + 1 : stop])):
-                row = _eliminate(row, pivot_row, col, order)
+                row = _eliminate(row, pivot_row, col, order, phi)
                 if lead == col:  # before col the pivot row is zero, so a lead there stays
-                    lead = next(c for c, x in enumerate(row) if x) // phi
+                    lead = next(compress(count(), row)) // phi
                     if lead < dim:
-                        row = _normalize(row, lead, order)
+                        row = _normalize(row, lead, order, phi)
                 residue = lead, row
             out[j] = residue
         return out
 
-    leads = (next(c for c, x in enumerate(row) if x) // phi for row in spec.rows)
+    leads = (next(compress(count(), row)) // phi for row in spec.rows)
     return _walk(dim, dict(enumerate(zip(leads, spec.rows))), restrict)
 
 
@@ -742,12 +755,12 @@ def _modular_walk(spec: ArrangementSpec, p: int, r: int) -> Optional[_Walk]:
         out = {}
         for j, residue in residues.items():
             lead, row = residue
-            if lead == dim or j in members:
+            if lead == dim or members >> j & 1:
                 continue
             if f := row[col]:
                 row = [(x - f * y) % p for x, y in zip(row, pivot_row)]
                 if lead == col:  # before col the pivot row is zero, so a lead of one there stays
-                    lead = next(c for c, x in enumerate(row) if x)
+                    lead = next(compress(count(), row))
                     if lead < dim:
                         inv = pow(row[lead], -1, p)
                         row = [x * inv % p for x in row]
@@ -758,7 +771,7 @@ def _modular_walk(spec: ArrangementSpec, p: int, r: int) -> Optional[_Walk]:
     residues = {}
     for j, row in enumerate(spec.rows):
         reduced = [sum(map(mul, row[k : k + phi], powers)) % p for k in range(0, len(row), phi)]
-        lead = next((c for c, x in enumerate(reduced[:dim]) if x), None)
+        lead = next(compress(count(), reduced[:dim]), None)
         if lead is None:
             return None
         inv = pow(reduced[lead], -1, p)
@@ -784,14 +797,14 @@ def _certified(spec: ArrangementSpec, walk: _Walk) -> bool:
     def residue(j: int, basis: tuple) -> tuple:
         row = rows[j]
         for col, pivot_row in echelon(basis):
-            row = _eliminate(row, pivot_row, col, order)
+            row = _eliminate(row, pivot_row, col, order, phi)
         return row
 
     def echelon(basis: tuple) -> tuple:
         if basis not in echelons:
             row = residue(basis[-1], basis[:-1])
-            col = next(c for c, x in enumerate(row) if x) // phi
-            echelons[basis] = echelon(basis[:-1]) + ((col, _normalize(row, col, order)),)
+            col = next(compress(count(), row)) // phi
+            echelons[basis] = echelon(basis[:-1]) + ((col, _normalize(row, col, order, phi)),)
         return echelons[basis]
 
     for members, basis in zip(walk.members, walk.bases):
@@ -800,17 +813,30 @@ def _certified(spec: ArrangementSpec, walk: _Walk) -> bool:
     return not any(any(residue(j, walk.bases[flat])[:offset]) for flat, j in walk.parallel)
 
 
+# bin() digits to the bytes 0 and 1, which itertools.compress reads as selectors
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _flats(walk: _Walk) -> tuple[Flat, ...]:
-    """The flats of a walk, with mu(X) = -sum of mu over the flats above X:
-    X's covers and the flats above them."""
-    above: list[set[int]] = []
-    mobius: list[int] = []
+    """The flats of a walk, with mu(X) = (-1)^codim X when X has exactly
+    codim X members, a boolean interval, and otherwise -sum of mu over the
+    flats above X: its up-set, a bitset over flat indices, the union of its
+    covers' up-sets with the covers themselves."""
+    top = walk.dims[0]
+    # None marks a flat whose value is a sum, filled in below
+    mobius: list[Optional[int]] = [
+        (-1 if len(members) & 1 else 1) if len(members) == top - dim else None
+        for members, dim in zip(walk.members, walk.dims)
+    ]
+    closed: list[int] = []
     for index, parents in enumerate(walk.covers):
-        up = set(parents)
+        up = 0
         for parent in parents:
-            up |= above[parent]
-        above.append(up)
-        mobius.append(-sum(mobius[z] for z in up) if index else 1)
+            up |= closed[parent]
+        closed.append(up | 1 << index)
+        if mobius[index] is None:
+            # the bits of up, least significant first, select the flats above X
+            mobius[index] = -sum(compress(mobius, bin(up)[:1:-1].encode().translate(_BIT_BYTES)))
     return tuple(map(Flat, walk.members, walk.dims, mobius))
 
 
@@ -962,10 +988,10 @@ def _restrict(
     enumerated one dimension lower, and x_p is solved back from row.
     """
     p = next(j for j, a in enumerate(row[:-1]) if a)
-    onto = _normalize(row, p, 1)
+    onto = _normalize(row, p, 1, 1)
     *rest, b = onto[:p] + onto[p + 1 :]
     ap = onto[p]
-    traces = [_eliminate(other, onto, p, 1) for other in others]
+    traces = [_eliminate(other, onto, p, 1, 1) for other in others]
     on_h = _enumerate_chambers([t[:p] + t[p + 1 :] for t in traces], dim - 1)
     lifted = {}
     for m, (ys, dy) in on_h.items():

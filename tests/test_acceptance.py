@@ -222,8 +222,8 @@ def test_cyclotomic_arrangement_report_at_the_field_rail(capsys):
     # hyperplanes.  Of the specs at the rail for every m <= 16, this one and
     # those at m = 3 and 6, with 15 hyperplanes too, had the costliest flat
     # posets, within noise of each other: the 9,940 flats here are walked
-    # over F_p and certified exactly in 0.4-0.5 s on a 2-core host (the
-    # exact walk alone takes 1.5 s).  Above the points it is generic, so
+    # over F_p and certified exactly in 0.25-0.3 s on a 2-core host (the
+    # exact walk alone takes 0.9 s).  Above the points it is generic, so
     # chi(t) has the coefficients (-1)^k C(15, k) of t^(6 - k) for k <= 5;
     # one point lies on seven hyperplanes, with mu = 6 in place of C(7, 6)
     # generic points, and three sets of six meet in no point, so

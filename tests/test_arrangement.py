@@ -50,6 +50,7 @@ from orbconfig.orbit_config import (
     rotation_arrangement,
     sign_flip_arrangement,
 )
+from test_acceptance import _field_rail_spec, _rail_spec
 
 F = Fraction
 
@@ -372,6 +373,83 @@ def test_mobius_matches_all_pairs_recursion():
     for spec in specs:
         poset = flat_poset(spec)
         assert {f.contains: f.mobius for f in poset.flats} == _all_pairs_mobius(poset)
+
+
+def _zeta3_pencil():
+    """z1 = 0, z2 = 0 and z1 = zeta^k z2 (k = 0, 1, 2) over Q(zeta_3), five
+    lines through the origin, and z1 + zeta z2 = 1, which meets each of them
+    in a point of its own."""
+    one, zero = Element(3, [1]), Element(3)
+    raw = [((one, zero), zero), ((zero, one), zero)]
+    raw += [((one, -oracle.zeta(3, k)), zero) for k in range(3)]
+    raw.append(((one, oracle.zeta(3)), one))
+    packed = [(tuple(map(_package, normal)), _package(offset)) for normal, offset in raw]
+    return make_arrangement(2, ScalarField("cyclotomic", 3), packed)
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (braid_arrangement(6), "c473b933b59a8bb2bc816bd25e55cf9375302777882d475b4d52297d9d7b9bf9"),
+        (sign_flip_arrangement(3), "760c15e3346d7923acde776836c5cf5100eb1ea934499e064d51d48c77484e7c"),
+        (rotation_arrangement(3, 4), "6cbcca3387259b5eaac4a464af7b67d931e6589e8280dcadf42ad1adbffce071"),
+        (_moment_curve_spec(), "6f83a065d70c672c761e2972a36ad3d9fb2bfe21072d4c7b0209b30aff91a9b0"),
+        (
+            ArrangementSpec.from_json(json.loads(_field_rail_spec(11, 11))),
+            "15222bae93f3882700d00b3e5b25e22527980485168ee99234cea4f6b86bf703",
+        ),
+        (
+            ArrangementSpec.from_json(json.loads(_rail_spec(central=True))),
+            "1145630fb5226c71290af143f12cfc7c55bb32263b8f45e455011426ba687838",
+        ),
+    ],
+    ids=["braid-n6", "case3X-n3", "case1-n3-m4", "moment-curve", "field-rail-m11", "rail-central"],
+)
+def test_flat_poset_discovery_order_is_pinned(spec, digest):
+    # the SHA-256 of the JSON list of [sorted members, dim, mu] per flat, in
+    # FlatPoset.flats order: the walk's discovery order, which the other
+    # tests compare only with the same walk
+    flats = [(sorted(f.contains), f.dim, f.mobius) for f in flat_poset(spec).flats]
+    assert hashlib.sha256(json.dumps(flats).encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # x = 0, y = 0 and x = y through the line x = y = 0, a triple point
+        # on every plane z = c, among three generic planes
+        make_arrangement(
+            3, QQ, [((1, 0, 0), 0), ((0, 1, 0), 0), ((1, -1, 0), 0), ((0, 0, 1), 1), ((1, 2, 3), 4), ((2, -1, 5), 3)]
+        ),
+        # five central planes in Q^3 with normals (1, t, t^2): any three are
+        # independent, so only the origin has more members than its codimension
+        make_arrangement(3, QQ, [((1, t, t * t), 0) for t in range(1, 6)]),
+        # braid(4) plus two generic hyperplanes, which cut its non-boolean
+        # flats into more
+        make_arrangement(
+            4,
+            QQ,
+            [(h.normal, h.offset) for h in braid_arrangement(4).hyperplanes]
+            + [((1, 2, 4, 8), 1), ((1, 3, 9, 27), 2)],
+        ),
+        _zeta3_pencil(),
+    ],
+    ids=["triple-point", "central-origin", "braid4-plus-two", "zeta3-pencil"],
+)
+def test_mobius_of_boolean_and_other_flats_matches_the_crosscut_and_all_pairs_oracles(spec, monkeypatch):
+    # flat_poset reads mu(X) = (-1)^codim X off a flat with exactly codim X
+    # members and sums mu over the up-set of any other; each spec has both
+    # kinds, and the Q(zeta_3) one takes the certified walk over F_p
+    walks = []
+    exact_walk = arrangement._exact_walk
+    monkeypatch.setattr(arrangement, "_exact_walk", lambda spec: walks.append(spec) or exact_walk(spec))
+    poset = flat_poset(spec)
+    assert walks == ([spec] if spec.field.is_rational else [])
+    boolean = [len(f.contains) == spec.dim - f.dim for f in poset.flats]
+    assert any(boolean) and not all(boolean)
+    assert {f.contains: f.mobius for f in poset.flats} == _all_pairs_mobius(poset)
+    oracle_flats = _oracle_flats(spec.dim, _lifted_rows(spec))
+    assert {f.contains: (f.dim, f.mobius) for f in poset.flats} == oracle_flats
 
 
 # -- characteristic and Poincare polynomials --------------------------------
