@@ -924,10 +924,6 @@ def chamber_count(poset: FlatPoset) -> tuple[int, int]:
 # Chamber enumeration with exact witnesses
 # ---------------------------------------------------------------------------
 
-MAX_ENUM_DIM = 6
-MAX_ENUM_HYPERPLANES = 12
-
-
 @dataclass(frozen=True)
 class Chamber:
     signs: str  # one of "+"/"-" per hyperplane, in spec order
@@ -1184,14 +1180,16 @@ def enumerate_chambers(spec: ArrangementSpec) -> ChamberSet:
     A central arrangement in dimension 2 or more is enumerated on its
     affine slice, one dimension lower, and each chamber found there gives
     two: itself and its negative.
-    Guard rails: dimension <= 6 and at most 12 hyperplanes.
+    Guard rails: dimension <= MAX_SIMPLICIAL_DIM and at most
+    MAX_SIMPLICIAL_HYPERPLANES hyperplanes, the rails of is_simplicial,
+    which runs the same enumeration.
     """
     if not spec.field.is_rational:
         raise NotRealError("chamber enumeration needs an arrangement defined over Q")
-    if spec.dim > MAX_ENUM_DIM or len(spec.rows) > MAX_ENUM_HYPERPLANES:
+    if spec.dim > MAX_SIMPLICIAL_DIM or len(spec.rows) > MAX_SIMPLICIAL_HYPERPLANES:
         raise SizeGuardError(
-            f"chamber enumeration capped at dim {MAX_ENUM_DIM} and "
-            f"{MAX_ENUM_HYPERPLANES} hyperplanes"
+            f"chamber enumeration capped at dim {MAX_SIMPLICIAL_DIM} and "
+            f"{MAX_SIMPLICIAL_HYPERPLANES} hyperplanes"
         )
     return ChamberSet(spec, _enumerate_chambers(spec._rational_rows, spec.dim))
 

@@ -27,7 +27,8 @@ from typing import Iterable, Optional, Sequence
 
 from .arrangement import SizeGuardError
 from .exactfield import json_int, json_kind, json_shape
-from .groups import _MISSING, FiniteGroup, GroupAction, InvalidModelError, _associative_at, _generating_set
+from .groups import _MISSING, FiniteGroup, GroupAction, InvalidModelError, _label_index
+from .groups import _associative_at, _generating_set
 
 # Largest group a JSON model may name.  Its Cayley table and a regular
 # action's permutations each have |G|^2 entries, and validating either
@@ -329,11 +330,6 @@ class FiniteGroupoid:
         every axiom holds.  Only a translation groupoid has them."""
         return False
 
-    def _vertex_map(self, dst: "FiniteGroupoid", objects: list, arrows: list) -> Optional[list]:
-        """psi with arrows[(x, h)] = (objects[x], psi(h)) for every morphism,
-        when both groupoids are translation groupoids; else None."""
-        return None
-
     def _orbit_ids(self) -> list:
         """The orbit number of each object index, numbered in object order:
         y is in the orbit of x iff some morphism runs x -> y."""
@@ -557,19 +553,6 @@ class _TranslationGroupoid(FiniteGroupoid):
             t * order + i for t, i in zip(tgt, inverse * count)
         ]
 
-    def _vertex_map(self, dst: FiniteGroupoid, objects: list, arrows: list) -> Optional[list]:
-        """psi with arrows[x * |G| + h] = objects[x] * |G'| + psi(h) on
-        every block of one point's arrows, or None."""
-        if not isinstance(dst, _TranslationGroupoid) or not self._objects:
-            return None
-        order, width = self._order, dst._order
-        psi = [a % width for a in arrows[:order]]
-        for x, start in enumerate(range(0, len(arrows), order)):
-            base = objects[x] * width
-            if arrows[start : start + order] != [base + p for p in psi]:
-                return None
-        return psi
-
     def _orbit_ids(self) -> list:
         """The orbit of x is its row T[x] = _tgt[x * |G| : (x + 1) * |G|],
         so each orbit is read off the row of its first point, and the
@@ -722,11 +705,11 @@ class GroupoidHom:
     as label dicts: the ones given, or views built on first use.
 
     A map between translation groupoids may be given in product form,
-    F(x, h) = (phi(x), psi(h)) (_product); its _arrow_images are then built
-    only when a scan or a label view reads them."""
+    F(x, h) = (phi(x), psi(h)) (_product): phi is _object_images and psi
+    the list _psi of dst element indices, and _arrow_images is built only
+    when a scan or a label view reads it.  Every other hom has _psi None."""
 
-    # True for the homs built by _product
-    _product_form = False
+    _psi: Optional[list] = None
 
     def __init__(
         self, src: FiniteGroupoid, dst: FiniteGroupoid, object_map: dict, morphism_map: dict, name: str = "f"
@@ -753,10 +736,7 @@ class GroupoidHom:
         indices; every arrow image then names a dst morphism."""
         hom = cls.__new__(cls)
         hom.src, hom.dst, hom.name = src, dst, name
-        hom._object_images = phi
-        # with no points there is no arrow to read psi off, as in _vertex_map
-        hom._psi = psi if phi else None
-        hom._product_form = True
+        hom._object_images, hom._psi = phi, psi
         return hom
 
     @cached_property
@@ -767,7 +747,7 @@ class GroupoidHom:
 
     @cached_property
     def _arrow_images(self) -> list:
-        if self._product_form:
+        if self._psi is not None:
             width, psi = self.dst._order, self._psi
             return [y * width + p for y in self._object_images for p in psi]
         index = self.dst._arrow_index
@@ -776,7 +756,7 @@ class GroupoidHom:
     def _images(self, arrows: list) -> list:
         """[_arrow_images[m] for m in arrows], read off phi and psi in
         product form."""
-        if self._product_form:
+        if self._psi is not None:
             phi, psi, order, width = self._object_images, self._psi, self.src._order, self.dst._order
             return [phi[m // order] * width + psi[m % order] for m in arrows]
         images = self._arrow_images
@@ -791,14 +771,6 @@ class GroupoidHom:
     def morphism_map(self) -> dict:
         arrows = self.dst._arrows
         return {m: arrows[a] for m, a in zip(self.src._arrows, self._arrow_images)}
-
-    @cached_property
-    def _psi(self) -> Optional[list]:
-        """The map psi of group element indices when both ends are
-        translation groupoids and F(x, h) = (phi(x), psi(h)) on every
-        arrow: given to _product, else read off the arrow images
-        (_vertex_map); None otherwise.  Read once both maps are total."""
-        return self.src._vertex_map(self.dst, self._object_images, self._arrow_images)
 
     def _equivariant(self, psi: list) -> bool:
         """psi(h).phi(x) = phi(h.x) for every point x and element h, as one
@@ -831,16 +803,15 @@ class GroupoidHom:
         """Every homomorphism law, each row naming its first failure in
         morphism order.
 
-        Between translation groupoids whose arrow images have product form,
-        F(x, h) = (phi(x), psi(h)) (_psi), the rows are decided on the
-        groups and actions: endpoints are psi(h).phi(x) = phi(h.x)
-        (_equivariant), the identity row reads the image of each identity,
-        composition is psi(g s) = psi(g) psi(s) for s in a generating set
-        (_generators_preserved), and, once endpoints hold, inverses are
-        psi(h^-1) = psi(h)^-1, since the ends build their inverse arrays
-        from the group's inverse list.  A hom built by _product is total
-        once phi is, and none of these decisions reads _arrow_images.
-        Otherwise, or where such a decision fails, the scans below name the
+        For a hom built in product form, F(x, h) = (phi(x), psi(h))
+        (_product), the rows are decided on the groups and actions:
+        endpoints are psi(h).phi(x) = phi(h.x) (_equivariant), the identity
+        row reads the image of each identity, composition is psi(g s) =
+        psi(g) psi(s) for s in a generating set (_generators_preserved),
+        and, once endpoints hold, inverses are psi(h^-1) = psi(h)^-1, since
+        the ends build their inverse arrays from the group's inverse list.  Such a hom is total once phi is,
+        and none of these decisions reads _arrow_images.  For any other
+        hom, or where such a decision fails, the scans below name the
         first failure; composition is then scanned over every composable
         pair, in the order of src.compose.  The result is computed once per
         hom and kept, like the index maps, so the maps must not change
@@ -855,11 +826,11 @@ class GroupoidHom:
         f0 = self._object_images
         objects_ok = None not in f0[: len(src._objects)]
         checks.append(("object_map_total", objects_ok, "" if objects_ok else "object map misses an object"))
-        morphs_ok = objects_ok if self._product_form else None not in self._arrow_images
+        psi = self._psi
+        morphs_ok = objects_ok if psi is not None else None not in self._arrow_images
         checks.append(("morphism_map_total", morphs_ok, "" if morphs_ok else "morphism map misses a morphism"))
         if not (objects_ok and morphs_ok):
             return CheckResult(f"homomorphism {self.name}", tuple(checks))
-        psi = self._psi
         st_ok, st_detail = True, ""
         if psi is None or not self._equivariant(psi):
             for m, image in enumerate(self._arrow_images):
@@ -1023,8 +994,8 @@ def is_covering_hom(f: GroupoidHom) -> CheckResult:
     the others and is what makes the induced map on orbit spaces an even
     covering in the finite picture.
 
-    For a verified map F(x, h) = (phi(x), psi(h)) between translation
-    groupoids (_psi), the arrows (x, g) and (x, g') share image and source
+    For a verified hom built in product form, F(x, h) = (phi(x), psi(h))
+    (_product), the arrows (x, g) and (x, g') share image and source
     exactly when psi(g) = psi(g'), so unique lifts hold when psi is
     injective, and neither _arrow_images nor the src's source array is
     built; the fiber condition reads phi alone.  Any other map, or a psi
@@ -1085,10 +1056,10 @@ def is_equivalence(f: GroupoidHom) -> CheckResult:
     Condition 2: h -> (f1(h), s(h), t(h)) is a bijection onto the triples
     (g, x, x') with s(g) = f0(x) and t(g) = f0(x').
 
-    For a verified map F(x, h) = (phi(x), psi(h)) between translation
-    groupoids X//G -> Y//H, whether built in product form (_product) or
-    read off its arrow images, both conditions are first decided on orbits
-    and stabilizers (GroupoidHom._equivalence_holds), the criterion for
+    For a verified hom built in product form between translation
+    groupoids X//G -> Y//H, F(x, h) = (phi(x), psi(h)) (_product), both
+    conditions are first decided on orbits and stabilizers
+    (GroupoidHom._equivalence_holds), the criterion for
     action groupoids: condition 1 holds exactly when every H-orbit meets
     phi(X), and condition 2 exactly when phi is injective on orbits and,
     at one x per G-orbit, ker psi meets Stab_G(x) in e only and
@@ -1329,7 +1300,8 @@ def group_action_from_json(data: dict, group: FiniteGroup) -> GroupAction:
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
     """Explicit groupoid tables, as emitted by hand-written CLI inputs; a
-    wrong JSON shape raises InvalidModelError naming its field."""
+    wrong JSON shape, or an object label or morphism id given twice, raises
+    InvalidModelError."""
     try:
         objects = [_freeze(x) for x in json_shape(data["objects"], list, "objects")]
         morphisms = []
@@ -1351,6 +1323,9 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
         inverse = {_freeze(m): _freeze(v) for m, v in inverses.items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidModelError(f"malformed groupoid spec: {exc}") from exc
+    # a repeated id would keep its last endpoints, and the report count every repeat
+    _label_index(objects, "objects")
+    _label_index(morphisms, "morphism ids")
     if set(identity) != set(objects):
         # JSON object keys are strings; tolerate integer-labeled objects
         coerce = _label_coercion(objects)

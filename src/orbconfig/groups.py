@@ -25,7 +25,8 @@ def _label_index(labels: tuple, what: str) -> dict:
     """label -> index, for labels that must be distinct."""
     index = {label: i for i, label in enumerate(labels)}
     if len(index) != len(labels):
-        raise InvalidModelError(f"duplicate {what}")
+        repeated = next(label for i, label in enumerate(labels) if index[label] != i)
+        raise InvalidModelError(f"duplicate {what}: {repeated!r}")
     return index
 
 
@@ -242,11 +243,6 @@ class FiniteGroup:
         )
         return quotient, coset_of
 
-    def quotient(self, normal: frozenset) -> tuple["FiniteGroup", dict]:
-        """(Quotient group with frozenset cosets, projection map)."""
-        quotient, coset_of = self._quotient(normal)
-        return quotient, {g: quotient.elements[c] for g, c in zip(self.elements, coset_of)}
-
 
 # ---------------------------------------------------------------------------
 # Group actions
@@ -276,7 +272,7 @@ class GroupAction:
         self.index = index
         self.perms = perms
         self._validate()
-        # frozenset(N) -> (quotient_action(N), point index map, coset index map)
+        # frozenset(N) -> _quotient(N)
         self._quotients: dict = {}
 
     def _validate(self) -> None:
@@ -343,17 +339,6 @@ class GroupAction:
             shift[g] = k * (n // order)
         return cls._from_perms(group, range(n), [[(x + s) % n for x in range(n)] for s in shift])
 
-    def orbits(self) -> tuple[frozenset, ...]:
-        seen: set = set()
-        blocks = []
-        for x in range(len(self.points)):
-            if x in seen:
-                continue
-            block = {perm[x] for perm in self.perms}
-            seen |= block
-            blocks.append(frozenset(self.points[y] for y in block))
-        return tuple(blocks)
-
     def restrict_group(self, subgroup: frozenset) -> "GroupAction":
         members = self.group._subgroup_indices(subgroup)
         if members is None:
@@ -370,14 +355,15 @@ class GroupAction:
         return GroupAction._from_perms(sub, self.points, [self.perms[g] for g in kept], self.index)
 
     def _quotient(self, normal) -> tuple["GroupAction", list, list]:
-        """(quotient_action(normal)'s action, the index of each point's
-        block, the index of each element's coset), built once per N."""
+        """(The induced action of group/N on the N-orbits of the points,
+        well-defined as N is normal; the index of each point's orbit; the
+        index of each element's coset), built once per N, given as a set or
+        frozenset, and shared by later calls, so callers must not mutate it."""
         normal = frozenset(normal)
         if normal not in self._quotients:
             quotient, coset_of = self.group._quotient(normal)
             members = [self.group.index[n] for n in normal]
             point_of: list = [None] * len(self.points)
-            point_proj: dict = {}
             reps, blocks = [], []
             for x in range(len(self.points)):
                 # N is a subgroup, so the block of a point not yet projected is new
@@ -385,26 +371,11 @@ class GroupAction:
                     block = frozenset(self.points[self.perms[n][x]] for n in members)
                     for y in block:
                         point_of[self.index[y]] = len(reps)
-                    point_proj.update(dict.fromkeys(block, block))
                     reps.append(x)
                     blocks.append(block)
             coset_reps: dict = {}
             for g, c in enumerate(coset_of):
                 coset_reps.setdefault(c, g)
             perms = [[point_of[self.perms[coset_reps[c]][x]] for x in reps] for c in range(quotient.order)]
-            action = GroupAction._from_perms(quotient, blocks, perms)
-            group_proj = {g: quotient.elements[c] for g, c in zip(self.group.elements, coset_of)}
-            self._quotients[normal] = (action, point_proj, group_proj), point_of, coset_of
-        result, point_of, coset_of = self._quotients[normal]
-        return result[0], point_of, coset_of
-
-    def quotient_action(self, normal: frozenset) -> tuple["GroupAction", dict, dict]:
-        """The induced action of group/N on the N-orbit space of the points.
-
-        Returns (action, point projection, group projection); well-defined
-        because conjugation by any group element preserves N.  The result is
-        built once per N (given as a set or frozenset) and shared by every
-        later call on this action, so callers must not mutate it.
-        """
-        self._quotient(normal)
-        return self._quotients[frozenset(normal)][0]
+            self._quotients[normal] = GroupAction._from_perms(quotient, blocks, perms), point_of, coset_of
+        return self._quotients[normal]

@@ -183,14 +183,17 @@ def test_arrangement_report_at_the_size_rail(capsys):
     # Generic position pins every invariant: chi(t) = sum over k of
     # (-1)^k C(16, k) t^(6 - k), with k <= 5 and mu(0) = C(15, 5) when
     # central, and a central generic arrangement has 2 sum_{i <= 5} C(15, i)
-    # chambers, not all simplicial.
+    # chambers, not all simplicial.  enumerate_chambers shares the rail of
+    # is_simplicial and lists them all.
     start = time.monotonic()
     assert cli.main(["arrangement", _rail_spec(central=False)]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
     affine = [(-1) ** k * comb(16, k) for k in range(7)][::-1]
     assert report["characteristic"]["coefficients"] == affine
-    assert report["chambers"]["total"] == sum(comb(16, k) for k in range(7))
+    assert report["chambers"]["total"] == sum(comb(16, k) for k in range(7)) == 14893
     assert report["simplicial"] is None
+    spec = ArrangementSpec.from_json(json.loads(_rail_spec(central=False)))
+    assert len(enumerate_chambers(spec)) == 14893
 
     assert cli.main(["arrangement", _rail_spec(central=True)]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
@@ -201,6 +204,8 @@ def test_arrangement_report_at_the_size_rail(capsys):
     assert report["chambers"]["total"] == chambers
     assert report["simplicial"]["chambers"] == chambers
     assert report["simplicial"]["simplicial"] is False
+    spec = ArrangementSpec.from_json(json.loads(_rail_spec(central=True)))
+    assert len(enumerate_chambers(spec)) == chambers
     assert time.monotonic() - start < 20.0
 
 

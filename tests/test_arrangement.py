@@ -596,11 +596,19 @@ def test_chamber_set_builds_its_witnesses_on_first_read():
 
 
 def test_enumeration_guard_rails():
+    # the rails of is_simplicial, which runs the same enumeration
+    assert len(enumerate_chambers(sign_flip_arrangement(3))) == 240  # 13 hyperplanes
+    lines = [((F(1), F(k)), F(0)) for k in range(17)]  # through the origin of Q^2
+    assert len(enumerate_chambers(make_arrangement(2, QQ, lines[:16]))) == 32
     with pytest.raises(SizeGuardError):
-        enumerate_chambers(sign_flip_arrangement(3))  # 13 hyperplanes
-    wide = make_arrangement(7, QQ, [(tuple(F(int(i == 0)) for i in range(7)), F(0))])
+        enumerate_chambers(make_arrangement(2, QQ, lines))
+
+    def axis(dim):
+        return make_arrangement(dim, QQ, [(tuple(F(int(i == 0)) for i in range(dim)), F(0))])
+
+    assert len(enumerate_chambers(axis(6))) == 2
     with pytest.raises(SizeGuardError):
-        enumerate_chambers(wide)
+        enumerate_chambers(axis(7))
     with pytest.raises(NotRealError):
         enumerate_chambers(rotation_arrangement(2, 3))
 

@@ -1057,6 +1057,38 @@ def test_explicit_groupoid_wrong_json_shape_exit_2(capsys, change, message):
     assert message in err
 
 
+_LOOP_E = {"id": "e", "src": "a", "tgt": "a"}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # one object and one morphism, given twice each, were counted twice
+        ({"objects": ["a", "a"], "morphisms": [_LOOP_E, _LOOP_E]}, "duplicate objects: 'a'"),
+        # the second e at b kept its endpoints, and a lost its identity
+        (
+            {"objects": ["a", "b"], "morphisms": [_LOOP_E, {"id": "e", "src": "b", "tgt": "b"}]},
+            "duplicate morphism ids: 'e'",
+        ),
+    ],
+    ids=["object_and_morphism", "morphism_endpoints"],
+)
+def test_explicit_groupoid_with_a_repeated_label_exit_2(capsys, change, message):
+    model = {
+        "schema": 1,
+        "type": "explicit",
+        "objects": ["a"],
+        "morphisms": [_LOOP_E],
+        "compose": [["e", "e", "e"]],
+        "identities": {"a": "e"},
+        "inverses": {"e": "e"},
+    }
+    model.update(change)
+    code, out, err = run(capsys, ["groupoid", json.dumps(model)])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_groupoid_action_point_rail_exit_4(capsys):
     def skeleton(action, order):
         group = {"kind": "cyclic", "n": order}

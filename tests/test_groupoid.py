@@ -69,12 +69,12 @@ def test_subgroup_enumeration_counts():
 
 def test_quotient_group():
     c4 = FiniteGroup.cyclic(4)
-    quotient, projection = c4.quotient(frozenset({0, 2}))
+    quotient, coset_of = c4._quotient(frozenset({0, 2}))
     assert quotient.order == 2
-    assert projection[0] == projection[2] == quotient.identity
-    assert projection[1] == projection[3]
+    assert coset_of[0] == coset_of[2] == quotient.index[quotient.identity]
+    assert coset_of[1] == coset_of[3] != coset_of[0]
     with pytest.raises(InvalidModelError):
-        FiniteGroup.dihedral(4).quotient(frozenset({(0, 0), (0, 1)}))
+        FiniteGroup.dihedral(4)._quotient(frozenset({(0, 0), (0, 1)}))
 
 
 # -- actions ------------------------------------------------------------------
@@ -86,14 +86,17 @@ def test_action_validation():
         GroupAction(group, [0, 1], {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 0})
 
 
+def _orbits(action):
+    """The orbits of an action, in the order of their first points."""
+    return orbit_space(translation_groupoid(action)).blocks
+
+
 def test_negation_orbits():
-    blocks = {tuple(sorted(b)) for b in GroupAction.negation_mod(6).orbits()}
-    assert blocks == {(0,), (3,), (1, 5), (2, 4)}
+    assert _orbits(GroupAction.negation_mod(6)) == ({0}, {1, 5}, {2, 4}, {3})
 
 
 def test_rotation_mod_orbits():
-    blocks = {tuple(sorted(b)) for b in GroupAction.rotation_mod(12, 4).orbits()}
-    assert blocks == {(0, 3, 6, 9), (1, 4, 7, 10), (2, 5, 8, 11)}
+    assert _orbits(GroupAction.rotation_mod(12, 4)) == ({0, 3, 6, 9}, {1, 4, 7, 10}, {2, 5, 8, 11})
     with pytest.raises(InvalidModelError):
         GroupAction.rotation_mod(10, 4)
 
@@ -101,12 +104,10 @@ def test_rotation_mod_orbits():
 def test_quotient_action_of_klein():
     klein = FiniteGroup.klein()
     action = GroupAction.regular(klein)
-    quotient, point_proj, group_proj = action.quotient_action(
-        frozenset({(0, 0), (1, 0)})
-    )
+    quotient, point_of, coset_of = action._quotient(frozenset({(0, 0), (1, 0)}))
     assert quotient.group.order == 2
     assert len(quotient.points) == 2
-    assert point_proj[(0, 0)] == point_proj[(1, 0)]
+    assert point_of[action.index[(0, 0)]] == point_of[action.index[(1, 0)]]
 
 
 # -- translation groupoids ----------------------------------------------------
@@ -508,22 +509,22 @@ def test_morita_dihedral_center_and_rotations():
 
 
 def _quotient_tables(result):
-    action, point_proj, group_proj = result
-    return action.group.elements, action.group.table, action.points, action.perms, point_proj, group_proj
+    action, point_of, coset_of = result
+    return action.group.elements, action.group.table, action.points, action.perms, point_of, coset_of
 
 
 def test_quotient_action_is_shared_per_normal_subgroup():
     action = GroupAction.regular(FiniteGroup.dihedral(4))
     center = frozenset({(0, 0), (2, 0)})
-    first = action.quotient_action(center)
-    assert action.quotient_action(center) is first
-    assert action.quotient_action(set(center)) is first
-    fresh = GroupAction.regular(FiniteGroup.dihedral(4)).quotient_action(set(center))
+    first = action._quotient(center)
+    assert action._quotient(center) is first
+    assert action._quotient(set(center)) is first
+    fresh = GroupAction.regular(FiniteGroup.dihedral(4))._quotient(set(center))
     assert _quotient_tables(fresh) == _quotient_tables(first)
     reflection = frozenset({(0, 0), (0, 1)})  # not normal in D4
     for normal in (reflection, set(reflection)):
         with pytest.raises(InvalidModelError):
-            action.quotient_action(normal)
+            action._quotient(normal)
 
 
 def test_morita_reports_agree_on_shared_and_fresh_actions():
@@ -561,7 +562,7 @@ def test_group_and_action_from_json():
     action = group_action_from_json({"kind": "regular"}, group)
     assert len(action.points) == 4
     negation = group_action_from_json({"kind": "negation", "n": 6}, group_from_json({"kind": "cyclic", "n": 2}))
-    assert len(negation.orbits()) == 4
+    assert len(_orbits(negation)) == 4
     with pytest.raises(InvalidModelError):
         group_from_json({"kind": "free"})
 
@@ -575,7 +576,7 @@ def test_rotation_model_acts_through_the_given_cyclic_group():
     assert [action.apply((1, 1), x) for x in range(3)] == [2, 3, 4]
     assert action.apply((0, 1), 0) == 8
     assert action.apply((1, 0), 0) == 6
-    assert len(action.orbits()) == 2
+    assert len(_orbits(action)) == 2
     # a cyclic model keeps the labels and table of rotation_mod
     c4 = group_action_from_json({"kind": "rotation", "n": 12}, group_from_json({"kind": "cyclic", "n": 4}))
     reference = GroupAction.rotation_mod(12, 4)
@@ -990,7 +991,7 @@ def _c4_by_c4():
 def _quotient_middle_action():
     """D4 x C2 acting on itself, modulo the centre of its D4 factor."""
     centre = frozenset({((0, 0), 0), ((2, 0), 0)})
-    return GroupAction.regular(_d4_by_c2()).quotient_action(centre)[0]
+    return GroupAction.regular(_d4_by_c2())._quotient(centre)[0]
 
 
 _AXIOM_ACTIONS = [
@@ -1085,19 +1086,20 @@ def test_axioms_decided_on_the_group_refute_tables_that_fail_one_condition_only(
 
 
 def _stored_checks(hom):
-    """images -> the rows of the hom with those arrow images (its own when
-    None) and of the same index maps between stored-table copies of both
-    ends, asserted equal."""
+    """psi -> the rows of the product-form hom (phi, psi) with the hom's
+    ends and phi, decided on the groups, and of the same map between
+    stored-table copies of both ends, which is scanned arrow by arrow,
+    asserted equal."""
     src, dst = _stored_copy(hom.src), _stored_copy(hom.dst)
     assert (src.morphisms, dst.morphisms) == (hom.src.morphisms, hom.dst.morphisms)
-    objects = hom._object_images[: len(hom.src._objects)]
+    phi, order, width = hom._object_images, hom.src._order, hom.dst._order
 
-    def check(images=None):
-        images = list(images or hom._arrow_images)
-        mapped = GroupoidHom._encoded(hom.src, hom.dst, objects, images, hom.name)
-        rows = _hom_rows(mapped)
-        assert rows == _hom_rows(GroupoidHom._encoded(src, dst, objects, images, hom.name))
-        return mapped, rows
+    def check(psi):
+        product = GroupoidHom._product(hom.src, hom.dst, phi, psi, hom.name)
+        rows = _hom_rows(product)
+        images = [phi[m // order] * width + psi[m % order] for m in range(len(src.morphisms))]
+        assert rows == _hom_rows(GroupoidHom._encoded(src, dst, phi, images, hom.name))
+        return rows
 
     return check
 
@@ -1125,59 +1127,51 @@ def _hom_rows(hom):
 
 
 def _twisted(hom, rng, c):
-    """The arrow images with psi multiplied on the left by the element c
-    on one left coset g<s> (g outside <s>) of the first generator s of the
-    src group: psi(x s) = psi(x) psi(s) still holds for every x, so only
-    another generator can refute the twisted psi; None when <s> is the
-    whole group."""
-    group, images = hom.src._action.group, hom._arrow_images
-    mul, width, order = group.table, hom.dst._order, hom.src._order
+    """psi multiplied on the left by the element c on one left coset g<s>
+    (g outside <s>) of the first generator s of the src group: psi(x s) =
+    psi(x) psi(s) still holds for every x, so only another generator can
+    refute the twisted psi; None when <s> is the whole group."""
+    group, psi = hom.src._action.group, hom._psi
     generators = group._generating_set()
     if len(generators) < 2:
         return None
     s = generators[0]
     cyclic = group._closure([s])
-    g = rng.choice([a for a in range(order) if a not in cyclic])
-    coset = {mul[g][a] for a in cyclic}
-    dst_mul = hom.dst._mul
-    return [a - a % width + dst_mul[c][a % width] if m % order in coset else a for m, a in enumerate(images)]
+    g = rng.choice([a for a in range(group.order) if a not in cyclic])
+    coset = {group.table[g][a] for a in cyclic}
+    return [hom.dst._mul[c][p] if h in coset else p for h, p in enumerate(psi)]
 
 
 def test_homs_decided_on_the_group_match_stored_tables():
     rng = random.Random(23)
-    homs = permuted = changed = failing = twisted = reached = 0
+    homs = changed = failing = twisted = reached = 0
     for hom in _translation_homs(rng):
         check = _stored_checks(hom)
-        assert hom._psi is not None and check()[0]._psi is not None
+        assert hom._psi is not None
+        check(hom._psi)
         homs += 1
-        images, order, width = hom._arrow_images, hom.src._order, hom.dst._order
-        # one arrow image moved: swap two distinct images
-        i, j = rng.sample(range(len(images)), 2) if len(images) > 1 else (0, 0)
-        if images[i] != images[j]:
-            swapped = list(images)
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            permuted += check(swapped)[0]._psi is None
+        order, width = hom.src._order, hom.dst._order
         if width == 1:
             continue
-        # psi changed on one element h, in every block
+        # psi changed on one element h
         h, shift = rng.randrange(order), rng.randrange(1, width)
-        changed_images = [a - a % width + (a % width + shift) % width if m % order == h else a for m, a in enumerate(images)]
-        moved, rows = check(changed_images)
-        assert moved._psi is not None
+        psi = list(hom._psi)
+        psi[h] = (psi[h] + shift) % width
+        rows = check(psi)
         changed += 1
         failing += not all(ok for _, ok, _ in rows[0])
         # psi twisted on a coset; where endpoints hold and composition
         # fails, a generator other than the first refutes it
         others = [c for c in range(width) if c != hom.dst._unit]
         for c in rng.sample(others, min(4, len(others))):
-            images_twisted = _twisted(hom, rng, c)
-            if images_twisted is None:
+            psi = _twisted(hom, rng, c)
+            if psi is None:
                 break
-            _, rows = check(images_twisted)
+            rows = check(psi)
             twisted += 1
             reached += rows[0][2][1] and not rows[0][4][1]
-    assert homs >= 40 and permuted >= 30 and changed >= 25 and failing >= 40
-    assert twisted >= 60 and reached >= 5
+    assert homs >= 40 and changed >= 25 and failing >= 40
+    assert twisted >= 60 and reached >= 5, (twisted, reached)
 
 
 # -- the equivalence decision against a brute-force oracle ------------------------
@@ -1277,8 +1271,8 @@ def test_equivalence_decision_matches_the_scans_and_the_oracle_on_pristine_homs(
         by_orbits, passed = _check_equivalence(hom)
         decided += by_orbits
         failing += not passed
-    # quotient arrows and subgroup covers are built in product form, and the
-    # identities have product form; skeleton inclusions are scanned
+    # quotient arrows, subgroup covers and forget maps are built in product
+    # form; the identities, given by labels, and skeleton inclusions are scanned
     assert len(homs) >= 1800 and decided >= 1800 and failing >= 100, (len(homs), decided, failing)
 
 
@@ -1348,7 +1342,7 @@ def test_equivalence_decided_on_product_form_builds_no_arrow_images():
     triple = morita_triple(action, centre, frozenset({((0, 0), 0), ((0, 0), 1)}))
     assert triple.passed
     for hom in (triple.to_first, triple.to_second):
-        assert hom._product_form and "_arrow_images" not in vars(hom)
+        assert hom._psi is not None and "_arrow_images" not in vars(hom)
         # the coarse ends read neither source nor inverse arrays
         assert "_src" not in vars(hom.dst) and "_inv" not in vars(hom.dst)
     # the label views and the scans build the images from phi and psi: the
@@ -1380,31 +1374,84 @@ def test_orbit_ids_read_off_the_rows_match_the_search(make):
         assert [orbit for x, orbit in enumerate(rows) if orbit not in rows[:x]] == list(range(max(rows) + 1))
 
 
+def _forget_case(make, n):
+    return lambda: (forget_map(translation_groupoid(make()), n), lambda x: x[:-1], lambda m: m[:-1])
+
+
+def _cover_case(make, subgroup):
+    return lambda: (subgroup_covering_hom(make(), frozenset(subgroup)), lambda x: x, lambda m: m)
+
+
+def _quotient_case(make, first, second, arrow):
+    """A Morita quotient arrow with its label maps: each block and coset of
+    the middle goes to the block and coset of the coarse model holding its
+    members."""
+
+    def build():
+        hom = getattr(morita_triple(make(), frozenset(first), frozenset(second)), arrow)
+        block = {x: y for y in hom.dst.objects for x in y}
+        coset = {h: c for c in hom.dst._action.group.elements for h in c}
+        return hom, lambda x: block[min(x)], lambda m: (block[min(m[0])], coset[min(m[1])])
+
+    return build
+
+
+_D4_CENTRE = {(0, 0), (2, 0)}
+_D4C2_CENTRE, _D4C2_FACTOR = {((0, 0), 0), ((2, 0), 0)}, {((0, 0), 0), ((0, 0), 1)}
+
+
+# Every builder of product-form homs, against the same map given by label
+# dicts, which is scanned: forget maps, subgroup covers and quotient arrows.
 @pytest.mark.parametrize(
-    "make, n",
+    "build",
     [
-        (lambda: GroupAction.negation_mod(6), 2),
-        (lambda: GroupAction.negation_mod(6), 3),
-        (lambda: GroupAction.rotation_mod(12, 4), 2),
-        (lambda: _fixing(FiniteGroup.dihedral(3), [0, 1, 2]), 2),
-        (lambda: _fixing(FiniteGroup.cyclic(2), ["a", "b", "c"]), 3),
+        _forget_case(lambda: GroupAction.negation_mod(6), 2),
+        _forget_case(lambda: GroupAction.negation_mod(6), 3),
+        _forget_case(lambda: GroupAction.rotation_mod(12, 4), 2),
+        _forget_case(lambda: _fixing(FiniteGroup.dihedral(3), [0, 1, 2]), 2),
+        _forget_case(lambda: _fixing(FiniteGroup.cyclic(2), ["a", "b", "c"]), 3),
+        _cover_case(lambda: GroupAction.negation_mod(6), {0}),
+        _cover_case(lambda: GroupAction.rotation_mod(12, 4), {0, 2}),
+        _cover_case(lambda: GroupAction.regular(FiniteGroup.dihedral(4)), _D4_CENTRE),
+        _cover_case(
+            lambda: _fixing(FiniteGroup.dihedral(4), ["p", "q"]), {(k, e) for k in (0, 2) for e in (0, 1)}
+        ),
+        _quotient_case(lambda: GroupAction.regular(_d4_by_c2()), _D4C2_CENTRE, _D4C2_FACTOR, "to_first"),
+        _quotient_case(lambda: GroupAction.regular(_d4_by_c2()), _D4C2_CENTRE, _D4C2_FACTOR, "to_second"),
+        _quotient_case(lambda: GroupAction.negation_mod(6), {0}, {0, 1}, "to_second"),
+        _quotient_case(lambda: GroupAction.rotation_mod(12, 4), {0, 2}, {0, 1, 2, 3}, "to_second"),
+        _quotient_case(lambda: _fixing(FiniteGroup.dihedral(4), ["p", "q"]), _D4_CENTRE, _D4_CENTRE, "to_first"),
     ],
-    ids=["negation6_n2", "negation6_n3", "rotation12_4_n2", "d3_fixing_n2", "c2_fixing_n3"],
+    ids=[
+        "negation6_n2",
+        "negation6_n3",
+        "rotation12_4_n2",
+        "d3_fixing_n2",
+        "c2_fixing_n3",
+        "cover_negation6_trivial",
+        "cover_rotation12_4_c2",
+        "cover_regular_d4_centre",
+        "cover_d4_fixing_klein",
+        "quotient_d4c2_centre",
+        "quotient_d4c2_factor",
+        "quotient_negation6_all",
+        "quotient_rotation12_4_all",
+        "quotient_d4_fixing_centre",
+    ],
 )
-def test_forget_map_in_product_form_matches_the_label_map(make, n):
-    base = translation_groupoid(make())
-    hom = forget_map(base, n)
-    assert hom._product_form
-    big, small = hom.src, hom.dst
+def test_forget_map_in_product_form_matches_the_label_map(build):
+    hom, on_objects, on_morphisms = build()
+    assert hom._psi is not None
+    src, dst = hom.src, hom.dst
     labelled = GroupoidHom(
-        big, small, {x: x[:-1] for x in big.objects}, {m: m[:-1] for m in big.morphisms}, name=hom.name
+        src, dst, {x: on_objects(x) for x in src.objects}, {m: on_morphisms(m) for m in src.morphisms}, hom.name
     )
-    assert hom._object_images == labelled._object_images
-    assert hom._arrow_images == labelled._arrow_images
-    assert hom._psi == labelled._psi
+    assert labelled._psi is None
     assert hom.verify() == labelled.verify()
     assert is_covering_hom(hom) == is_covering_hom(labelled)
     assert is_equivalence(hom) == is_equivalence(labelled)
+    assert hom._object_images == labelled._object_images
+    assert hom._arrow_images == labelled._arrow_images
 
 
 # -- unique lifts decided on psi ------------------------------------------------
@@ -1485,7 +1532,7 @@ def test_covering_with_a_psi_that_is_not_injective_is_scanned():
     homs += [hom for _, hom in _damaged_homs()]
     refuted = 0
     for hom in homs:
-        assert hom._product_form
+        assert hom._psi is not None
         result = is_covering_hom(hom)
         assert result == _scanned_covering(hom), hom.name
         if hom.verify().passed and len(set(hom._psi)) < len(hom._psi):
