@@ -244,86 +244,25 @@ class FiniteGroupoid:
             incoming.setdefault(t, []).append(m)
         return outgoing, incoming
 
-    @cached_property
-    def _generating_set(self) -> list:
-        """Indices of a set S of morphisms whose composites give every
-        morphism.
+    def _nonassociative_triple(self) -> Optional[tuple[int, int, int]]:
+        """The first composable triple (g, f, e), in row-major morphism
+        order, with (g o f) o e != g o (f o e), or None.
 
-        S starts from one directed cycle through the objects of each
-        component of the object graph, in DFS order: in a groupoid any two
-        objects of a component are joined by an arrow, and the cycle's
-        composites reach every object from every other.  Then, in morphism
-        order, every morphism the closure of S has not reached joins S, so
-        S generates whatever the seeds are.  The closure is a BFS by left
-        multiplication through the composites, a row at a time, so each
-        morphism it reaches is a composite of elements of S.  Needs a
-        well-formed composition.
+        Needs a well-formed composition: g o f is then a morphism, defined
+        exactly for the f in incoming[s(g)], and s(g o f) = s(f).  So with
+        rows[m] = [m o e for e in incoming[s(m)]], the triples of one pair
+        (g, f) are the entries of rows[g o f] and of g composed with rows[f].
         """
-        outgoing, incoming = self._hom_index
-        src, tgt, row = self._src, self._tgt, self._row
-        generators: list = []
-        leaving: dict = {}  # object -> the generators with that source
-        reached: set = set()
-
-        def generate(a: int) -> None:
-            if a in reached:
-                return
-            generators.append(a)
-            leaving.setdefault(src[a], []).append(a)
-            # a and its composites with the reached morphisms into s(a); then
-            # each new morphism is left-multiplied by the generators, one row
-            # per generator b and object, all of whose composites end at t(b)
-            entering = list(filter(reached.__contains__, incoming.get(src[a], ())))
-            fresh = {a, *row(a, entering)} - reached
-            reached.update(fresh)
-            frontier = {tgt[a]: fresh}
-            while frontier:
-                grown: dict = {}
-                for x, ms in frontier.items():
-                    for b in leaving.get(x, ()):
-                        if fresh := set(row(b, ms)) - reached:
-                            reached.update(fresh)
-                            grown.setdefault(tgt[b], set()).update(fresh)
-                frontier = grown
-
-        seen: set = set()
-        for root in range(len(self._objects)):
-            if root in seen:
-                continue
-            seen.add(root)
-            cycle, stack = [root], [root]
-            while stack:
-                for m in outgoing.get(stack.pop(), ()):
-                    if tgt[m] not in seen:
-                        seen.add(tgt[m])
-                        stack.append(tgt[m])
-                        cycle.append(tgt[m])
-            if len(cycle) > 1:
-                for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-                    arrow = next((m for m in outgoing.get(x, ()) if tgt[m] == y), None)
-                    if arrow is not None:
-                        generate(arrow)
-        for m in range(len(src)):
-            if m not in reached:
-                generate(m)
-        return generators
-
-    def _generators(self) -> list:
-        """The labels of _generating_set."""
-        return [self._arrows[a] for a in self._generating_set]
-
-    def _generators_associate(self) -> bool:
-        """(x o a) o y == x o (a o y) for every a in _generating_set and
-        every composable x and y.  Needs a well-formed composition."""
-        outgoing, incoming = self._hom_index
-        src, tgt, row = self._src, self._tgt, self._row
-        for a in self._generating_set:
-            after = incoming.get(src[a], ())
-            composites = row(a, after)
-            for x in outgoing.get(tgt[a], ()):
-                if row(self._compose(x, a), after) != row(x, composites):
-                    return False
-        return True
+        _, incoming = self._hom_index
+        src, row = self._src, self._row
+        rows = [row(m, incoming.get(s, ())) for m, s in enumerate(src)]
+        for g in range(len(src)):
+            for f, gf in zip(incoming.get(src[g], ()), rows[g]):
+                right = row(g, rows[f])
+                if rows[gf] != right:
+                    es = incoming.get(src[f], ())
+                    return g, f, next(e for e, a, b in zip(es, rows[gf], right) if a != b)
+        return None
 
     def _axioms_hold_on_group(self) -> bool:
         """True when the group and the action behind the tables show that
@@ -360,19 +299,8 @@ class FiniteGroupoid:
         table, the scans below run.  Each row names the first failure in
         row-major morphism order.  composition_wellformed reads one _row per
         morphism g, over the f composable with g and any f with a stored
-        g o f although s(g) != t(f).
-
-        Associativity is decided by Light's test once the
-        composition_wellformed row has passed, that is once composites are
-        defined exactly on the composable pairs and every composite has the
-        right endpoints.  The middles a at which (x o a) o y == x o (a o y)
-        holds for every composable x, y are closed under composition: for
-        such a and b, (x o ab) o y = ((x o a) o b) o y = (x o a) o (b o y)
-        = x o (a o (b o y)) = x o (ab o y).  So checking only the middles of
-        a set S whose composites give every morphism (_generating_set)
-        decides the law everywhere.  When that short check fails, the full
-        scan over every composable triple runs, so the failure named is the
-        first one in row-major order.
+        g o f although s(g) != t(f).  Once that row has passed, associativity
+        is the scan over every composable triple (_nonassociative_triple).
         """
         if self._axioms_hold_on_group():
             return CheckResult("groupoid axioms", tuple((name, True, "") for name in _AXIOM_ROWS))
@@ -425,26 +353,12 @@ class FiniteGroupoid:
                     break
         checks.append(("unit_laws", unit_ok and id_ok, unit_detail))
 
-        assoc_ok, assoc_detail = True, ""
-        if comp_ok and not self._generators_associate():
-            # with composition well-formed, g o f is defined exactly for the
-            # f in incoming[s(g)]
-            for g in range(size):
-                for f in incoming.get(src[g], ()):
-                    gf = compose(g, f)
-                    for e in incoming.get(src[f], ()):
-                        if compose(gf, e) != compose(g, compose(f, e)):
-                            assoc_ok = False
-                            assoc_detail = (
-                                "associativity fails on the triple "
-                                f"(g={arrows[g]!r}, f={arrows[f]!r}, e={arrows[e]!r})"
-                            )
-                            break
-                    if not assoc_ok:
-                        break
-                if not assoc_ok:
-                    break
-        checks.append(("associativity", assoc_ok, assoc_detail))
+        triple = self._nonassociative_triple() if comp_ok else None
+        assoc_detail = ""
+        if triple is not None:
+            g, f, e = (arrows[m] for m in triple)
+            assoc_detail = f"associativity fails on the triple (g={g!r}, f={f!r}, e={e!r})"
+        checks.append(("associativity", triple is None, assoc_detail))
 
         inv_ok, inv_detail = True, ""
         if id_ok and comp_ok:
@@ -1299,9 +1213,13 @@ def group_action_from_json(data: dict, group: FiniteGroup) -> GroupAction:
 
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
-    """Explicit groupoid tables, as emitted by hand-written CLI inputs; a
-    wrong JSON shape, or an object label or morphism id given twice, raises
-    InvalidModelError."""
+    """Explicit groupoid tables, as emitted by hand-written CLI inputs.
+
+    Every entry must reach the tables: a wrong JSON shape, an object label
+    or morphism id given twice, a compose entry whose g or f names no
+    morphism id, a compose pair given twice, and an identities or inverses
+    key that names no object or morphism raise InvalidModelError.  A
+    composite, identity or inverse that names nothing is an axiom failure."""
     try:
         objects = [_freeze(x) for x in json_shape(data["objects"], list, "objects")]
         morphisms = []
@@ -1311,12 +1229,11 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
             morphisms.append(label)
             source[label] = _freeze(row["src"])
             target[label] = _freeze(row["tgt"])
-        compose = {}
+        entries = []
         for i, entry in enumerate(json_shape(data["compose"], list, "compose")):
             if len(json_shape(entry, list, f"compose[{i}]")) != 3:
                 raise ValueError(f"compose[{i}] must be a list of 3 labels, got {entry!r}")
-            g, f, h = entry
-            compose[(_freeze(g), _freeze(f))] = _freeze(h)
+            entries.append([_freeze(label) for label in entry])
         identities = json_shape(data["identities"], dict, "identities")
         inverses = json_shape(data["inverses"], dict, "inverses")
         identity = {_freeze(x): _freeze(m) for x, m in identities.items()}
@@ -1324,14 +1241,28 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidModelError(f"malformed groupoid spec: {exc}") from exc
     # a repeated id would keep its last endpoints, and the report count every repeat
-    _label_index(objects, "objects")
-    _label_index(morphisms, "morphism ids")
+    object_index = _label_index(objects, "objects")
+    arrows = _label_index(morphisms, "morphism ids")
+    compose: dict = {}
+    for i, (g, f, h) in enumerate(entries):
+        if g not in arrows or f not in arrows:
+            raise InvalidModelError(f"compose[{i}] {[g, f, h]!r} names no morphism id for g or f")
+        if (g, f) in compose:
+            raise InvalidModelError(f"compose[{i}] {[g, f, h]!r} gives the pair {(g, f)!r} a second composite")
+        compose[g, f] = h
     if set(identity) != set(objects):
         # JSON object keys are strings; tolerate integer-labeled objects
         coerce = _label_coercion(objects)
         identity = {coerce(key): value for key, value in identity.items()}
     coerce = _label_coercion(morphisms)
     inverse = {coerce(key): value for key, value in inverse.items()}
+    for field, keys, labels, kind in (
+        ("identities", identity, object_index, "object"),
+        ("inverses", inverse, arrows, "morphism id"),
+    ):
+        stray = [key for key in keys if key not in labels]
+        if stray:
+            raise InvalidModelError(f"{field} key {stray[0]!r} names no {kind}")
     return FiniteGroupoid(objects, morphisms, source, target, compose, identity, inverse)
 
 

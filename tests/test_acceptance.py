@@ -8,7 +8,8 @@ field rail and its certified flat posets against the exact walk,
 predicate/arrangement equivalence
 for rotation configurations, well-definedness of the power-difference map,
 covering degrees with deck identities, the first-Betti-number obstruction,
-the exhaustive groupoid suite, and the orbifold decision table.
+the exhaustive groupoid suite, the explicit model of the largest regular
+action, and the orbifold decision table.
 """
 
 import json
@@ -431,6 +432,40 @@ def test_groupoid_checks_at_the_rails():
     regular = translation_groupoid(GroupAction.regular(group))
     assert regular.verify_axioms().passed
     assert time.monotonic() - start < 10.0
+
+
+def _explicit_model(groupoid):
+    """The groupoid's tables as an explicit CLI model; objects and
+    morphisms are named by their places."""
+    ids = {m: f"m{i}" for i, m in enumerate(groupoid.morphisms)}
+    names = {x: f"o{i}" for i, x in enumerate(groupoid.objects)}
+    return {
+        "schema": 1,
+        "type": "explicit",
+        "objects": list(names.values()),
+        "morphisms": [
+            {"id": ids[m], "src": names[groupoid.source[m]], "tgt": names[groupoid.target[m]]}
+            for m in groupoid.morphisms
+        ],
+        "compose": [[ids[g], ids[f], ids[h]] for (g, f), h in groupoid.compose.items()],
+        "identities": {names[x]: ids[e] for x, e in groupoid.identity.items()},
+        "inverses": {ids[m]: ids[i] for m, i in groupoid.inverse.items()},
+    }
+
+
+def test_explicit_groupoid_of_the_largest_regular_action(capsys):
+    # explicit models have no size rail, and their associativity row scans
+    # every composable triple: for the regular action of C32 (MAX_GROUP_ORDER),
+    # 1,024 morphisms and 32,768 compose entries, that is 32^4 triples.
+    # About 0.4 s on a 2-core host; the budget keeps at least 4x headroom.
+    model = json.dumps(_explicit_model(translation_groupoid(GroupAction.regular(FiniteGroup.cyclic(32)))))
+    start = time.monotonic()
+    assert cli.main(["groupoid", model]) == 0
+    elapsed = time.monotonic() - start
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["summary"] == {"objects": 32, "morphisms": 1024}
+    assert report["pass"] is True
+    assert elapsed < 5.0
 
 
 def test_groupoid_forget_at_the_rail(capsys):

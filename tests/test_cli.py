@@ -60,6 +60,23 @@ def explicit_cyclic3(corrupt=False):
     }
 
 
+def explicit_nonassociative():
+    """One object; e the identity, s and t involutions, s o t = t o s = s:
+    well-formed, unital and inverse-closed, but (s o s) o t = t while
+    s o (s o t) = e."""
+    composite = {("s", "s"): "e", ("s", "t"): "s", ("t", "s"): "s", ("t", "t"): "e"}
+    labels = ["e", "s", "t"]
+    return {
+        "schema": 1,
+        "type": "explicit",
+        "objects": ["a"],
+        "morphisms": [{"id": m, "src": "a", "tgt": "a"} for m in labels],
+        "compose": [[g, f, composite.get((g, f), g if f == "e" else f)] for g in labels for f in labels],
+        "identities": {"a": "e"},
+        "inverses": {m: m for m in labels},
+    }
+
+
 # ---------------------------------------------------------------------------
 # Envelope and determinism
 # ---------------------------------------------------------------------------
@@ -693,6 +710,13 @@ GOLDEN_STDOUT_SHA256 = [
         "74eb45127de6a170598981e18ce8e43f3779795afc8ed593e92f8ede9ca392b8",
         id="explicit-cyclic3",
     ),
+    # associativity is its only failing row, on more than one triple; the
+    # report names the first in row-major order, (s, s, t)
+    pytest.param(
+        ["groupoid", json.dumps(explicit_nonassociative())],
+        "4a6d930504e3eb86624aab1707724a0452ecab8f63e2ec0024cf810df1c26bb1",
+        id="explicit-nonassociative",
+    ),
     pytest.param(
         ["obstruction", '{"schema":1,"kind":"rotation","order":2}'],
         "3ba9bd1ae48b68cb75b34486bec6e6fe40d2f35733a2cfacc8e0530fdf1f5f3b",
@@ -1070,8 +1094,36 @@ _LOOP_E = {"id": "e", "src": "a", "tgt": "a"}
             {"objects": ["a", "b"], "morphisms": [_LOOP_E, {"id": "e", "src": "b", "tgt": "b"}]},
             "duplicate morphism ids: 'e'",
         ),
+        # entries the tables would drop exited 0 with "pass": true
+        (
+            {"compose": [["e", "e", "e"], ["zz", "e", "e"]]},
+            "compose[1] ['zz', 'e', 'e'] names no morphism id",
+        ),
+        (
+            {"compose": [["e", "e", "e"], ["e", "zz", "e"]]},
+            "compose[1] ['e', 'zz', 'e'] names no morphism id",
+        ),
+        # s o s = s, then s o s = e: the last composite was kept, and C2 passed
+        (
+            {
+                "morphisms": [_LOOP_E, {"id": "s", "src": "a", "tgt": "a"}],
+                "compose": [["e", "e", "e"], ["e", "s", "s"], ["s", "e", "s"], ["s", "s", "s"], ["s", "s", "e"]],
+                "inverses": {"e": "e", "s": "s"},
+            },
+            "compose[4] ['s', 's', 'e'] gives the pair ('s', 's') a second composite",
+        ),
+        ({"identities": {"a": "e", "b": "e"}}, "identities key 'b' names no object"),
+        ({"inverses": {"e": "e", "q": "e"}}, "inverses key 'q' names no morphism id"),
     ],
-    ids=["object_and_morphism", "morphism_endpoints"],
+    ids=[
+        "object_and_morphism",
+        "morphism_endpoints",
+        "compose_g",
+        "compose_f",
+        "compose_pair_twice",
+        "identities_key",
+        "inverses_key",
+    ],
 )
 def test_explicit_groupoid_with_a_repeated_label_exit_2(capsys, change, message):
     model = {
@@ -1087,6 +1139,33 @@ def test_explicit_groupoid_with_a_repeated_label_exit_2(capsys, change, message)
     code, out, err = run(capsys, ["groupoid", json.dumps(model)])
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "change, row",
+    [
+        ({"compose": [["e", "e", "zz"]]}, "composition_wellformed"),
+        ({"identities": {"a": "q"}}, "identities_exist"),
+        ({"inverses": {"e": "r"}}, "inverse_laws"),
+    ],
+    ids=["composite", "identity", "inverse"],
+)
+def test_explicit_groupoid_value_that_names_nothing_is_an_axiom_failure(capsys, change, row):
+    model = {
+        "schema": 1,
+        "type": "explicit",
+        "objects": ["a"],
+        "morphisms": [_LOOP_E],
+        "compose": [["e", "e", "e"]],
+        "identities": {"a": "e"},
+        "inverses": {"e": "e"},
+    }
+    model.update(change)
+    code, env = run_json(capsys, ["groupoid", json.dumps(model)])
+    assert code == 0
+    assert env["report"]["pass"] is False
+    rows = {check["name"]: check["pass"] for check in env["report"]["checks"][0]["checks"]}
+    assert rows[row] is False
 
 
 def test_groupoid_action_point_rail_exit_4(capsys):
